@@ -111,11 +111,6 @@ def blowup_window(rp: RescaledProfile) -> tuple[float, float]:
     return lo, hi
 
 
-def self_similarity_distance(m1: MomentProfile, m2: MomentProfile,
-                             window: tuple[float, float]) -> float:
-    return c1_distance(m1, m2, window)
-
-
 def soliton_residual(m: MomentProfile, n: int,
                      window: tuple[float, float] | None = None,
                      lam: float = 0.5, samples: int = 801) -> SolitonFit:

@@ -11,10 +11,13 @@ n-1), so the scalar curvature is R = lambda1 + (n-1)*lambda2.
 The curvature operator in a unitary frame is determined by four component
 functions (fiber-fiber, fiber-base, base-base diagonal and off-diagonal);
 their sup is a faithful proxy for |Rm| up to dimensional constants, which is
-what the type-I monitors need.
+what the type-I monitors need.  curvature_sample is the one place that forms
+the elementary symmetric functions sigma_j of the Ricci eigenvalues and that
+proxy; the trace monitors reduce its arrays.
 
 Derivative ratios entering these formulas go through the tail-guarded
-evaluators in profile.py; the one deliberate exception is the explicit
+evaluators in profile.py, which run once per profile however many of the
+functions below read them; the one deliberate exception is the explicit
 scalar-curvature route, kept in raw finite differences so that agreement
 between the two routes cross-checks the stencils on interior nodes.
 """
@@ -123,40 +126,14 @@ def bisectional_components(
     return r1111, r11kk, rkkkk, rkkll
 
 
-def sigma_k(p: CalabiProfile, k: int) -> np.ndarray:
-    """k-th elementary symmetric function of the Ricci eigenvalues.
-
-    With eigenvalues (lambda1, lambda2 x (n-1)) this is
-    C(n-1, k) lambda2^k + C(n-1, k-1) lambda1 lambda2^(k-1); sigma_1 is
-    the scalar curvature.
-    """
-    if not 1 <= k <= p.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} with n={p.n}")
-    lam1, lam2 = ricci_eigenvalues(p)
-    return comb(p.n - 1, k) * lam2**k + comb(p.n - 1, k - 1) * lam1 * lam2 ** (k - 1)
-
-
-def curvature_norm_proxy(p: CalabiProfile, trust: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise max of |components| and |eigenvalues|; comparable to |Rm|.
-
-    With a trust mask (see c4_trust_mask) the fourth-difference pieces
-    lambda1 and r1111 only contribute on trusted nodes, so rounding noise
-    in a degenerating tail cannot masquerade as curvature.
-    """
-    lam1, lam2 = ricci_eigenvalues(p)
-    r1111, r11kk, rkkkk, rkkll = bisectional_components(p)
-    a_lam1, a_r1111 = np.abs(lam1), np.abs(r1111)
-    if trust is not None:
-        a_lam1 = np.where(trust, a_lam1, 0.0)
-        a_r1111 = np.where(trust, a_r1111, 0.0)
-    pieces = [a_r1111, np.abs(r11kk), np.abs(rkkkk), a_lam1, np.abs(lam2)]
-    if rkkll is not None:
-        pieces.append(np.abs(rkkll))
-    return np.max(np.stack(pieces), axis=0)
-
-
 def curvature_sample(p: CalabiProfile) -> CurvatureSample:
-    """All curvature monitors in one pass (shared eigenvalue computation)."""
+    """All curvature monitors in one pass (shared eigenvalue computation).
+
+    With eigenvalues (lambda1, lambda2 x (n-1)) the j-th elementary
+    symmetric function is C(n-1, j) lambda2^j + C(n-1, j-1) lambda1
+    lambda2^(j-1); sigma[1] is the scalar curvature.  rm_proxy is the
+    pointwise max of |components| and |eigenvalues|, comparable to |Rm|.
+    """
     lam1, lam2 = ricci_eigenvalues(p)
     r1111, r11kk, rkkkk, rkkll = bisectional_components(p)
     sigma = {}

@@ -2,10 +2,11 @@
 
 A trace row is one sampled instant of the flow.  Scaled quantities carry a
 factor (T - t) per curvature power, so a type-I singularity shows up as
-rows with bounded entries.  Every reduction over nodes that involves a raw
-fourth difference is restricted to the trust mask from profile.py; in a
-degenerating tail those stencils are rounding noise and would otherwise
-pollute suprema and minima.
+rows with bounded entries.  The curvature columns are reductions of one
+curvature_sample per row, made in sample_row and nowhere else.  Every
+reduction over nodes that involves a raw fourth difference is restricted
+to the trust mask from profile.py; in a degenerating tail those stencils
+are rounding noise and would otherwise pollute suprema and minima.
 
 The trace table layout is fixed:
 
@@ -22,13 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import simpson
 
-from .curvature import curvature_sample, ricci_eigenvalues
+from .curvature import curvature_sample
 from .profile import (
     CalabiProfile,
     FlowParams,
@@ -94,6 +94,9 @@ class CheckpointRecord:
 
 @dataclass
 class FlowTrace:
+    """Rows and checkpoints of one run; error holds the FlowError text of a
+    run that stopped early, and is None otherwise."""
+
     params: FlowParams
     T: float
     regime: Regime
@@ -102,70 +105,14 @@ class FlowTrace:
     initial_profile: CalabiProfile | None = None
     final_profile: CalabiProfile | None = None
     elapsed: float = 0.0
+    error: str | None = field(default=None, init=False)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# individual monitors
-
-def type_one_ratio(p: CalabiProfile, T: float) -> float:
-    """(T - t) times the trusted sup of the curvature proxy."""
-    from .curvature import curvature_norm_proxy
-
-    proxy = curvature_norm_proxy(p, trust=c4_trust_mask(p))
-    return (T - p.t) * float(np.max(proxy[3:p.grid.N - 3]))
-
-
-def divisor_eigenvalue_scaled(p: CalabiProfile, T: float, regime: Regime) -> float:
-    """(T - t) * lambda2 at the left edge; meaningful only when the zero
-    divisor contracts, NaN otherwise."""
-    if regime is not Regime.CONTRACT:
-        return float("nan")
-    _, lam2 = ricci_eigenvalues(p)
-    return (T - p.t) * float(lam2[0])
-
-
-def c4_min_scaled(p: CalabiProfile, T: float) -> float:
-    """(T - t) * min of the fourth-order combination over trusted interior
-    nodes (three nodes clipped at each end)."""
-    trust = c4_trust_mask(p)
-    inner = slice(3, p.grid.N - 3)
-    vals = c4_combination(p)[inner][trust[inner]]
-    if vals.size == 0:
-        return float("nan")
-    return (T - p.t) * float(np.min(vals))
-
-
-def bisectional_min(p: CalabiProfile) -> float:
-    """Min over interior nodes and components of the holomorphic-frame
-    curvatures; the fourth-order component is restricted to trusted nodes."""
-    from .curvature import bisectional_components
-
-    r1111, r11kk, rkkkk, rkkll = bisectional_components(p)
-    inner = slice(3, p.grid.N - 3)
-    itrust = c4_trust_mask(p)[inner]
-    cands = [float(np.min(r11kk[inner])), float(np.min(rkkkk[inner]))]
-    if rkkll is not None:
-        cands.append(float(np.min(rkkll[inner])))
-    if itrust.any():
-        cands.append(float(np.min(r1111[inner][itrust])))
-    return min(cands)
-
-
-def sigma_bound_ratio(p: CalabiProfile, T: float, j: int) -> float:
-    """max |sigma_j| (T-t)^(j-1) relative to the trusted curvature sup."""
-    from .curvature import curvature_norm_proxy, sigma_k
-
-    inner = slice(3, p.grid.N - 3)
-    trust = c4_trust_mask(p)
-    sup = float(np.max(curvature_norm_proxy(p, trust=trust)[inner]))
-    vals = np.abs(sigma_k(p, j))[inner][trust[inner]]
-    if vals.size == 0:
-        return float("nan")
-    return (T - p.t) ** (j - 1) * float(np.max(vals)) / max(sup, 1e-30)
-
+# volume and diameter monitors
 
 def total_volume(p: CalabiProfile) -> tuple[float, float]:
     """(quadrature volume, class volume), both per unit angular factor.
@@ -182,27 +129,19 @@ def total_volume(p: CalabiProfile) -> tuple[float, float]:
     return core + left + right, vol_class
 
 
-@lru_cache(maxsize=1)
-def _diameter_alpha() -> float:
-    # integral of sqrt(sig(1-sig)/2) drho over the line; equals pi/sqrt(2).
-    # Written via exp(-|r|) so the integrand stays finite at the endpoints.
-    def f(r: float) -> float:
-        m = -abs(r)
-        return math.sqrt(0.5) * math.exp(0.5 * m) / (1.0 + math.exp(m))
-
-    val, _ = quad(f, -np.inf, np.inf)
-    return val
+# integral of sqrt(sig(1-sig)/2) drho over the line
+_DIAMETER_ALPHA = math.pi / math.sqrt(2.0)
 
 
 def divisor_diameter(p: CalabiProfile) -> float:
     """Diameter scale of the zero divisor, proportional to sqrt(a)."""
-    return _diameter_alpha() * math.sqrt(p.cls.a)
+    return _DIAMETER_ALPHA * math.sqrt(p.cls.a)
 
 
 def fs_slice_diameter(p: CalabiProfile, index: int | None = None) -> float:
     """Diameter scale of the projective slice through a grid node."""
     idx = p.grid.center if index is None else index
-    return _diameter_alpha() * math.sqrt(float(p.du[idx]))
+    return _DIAMETER_ALPHA * math.sqrt(float(p.du[idx]))
 
 
 def regime_indicator(trace: FlowTrace) -> Regime:
@@ -239,6 +178,15 @@ def regime_indicator(trace: FlowTrace) -> Regime:
 
 def sample_row(p: CalabiProfile, T: float, regime: Regime, monitors: MonitorSet,
                dt: float = 0.0, iters: int = 0) -> TraceRow:
+    """One trace row at the profile's time.
+
+    typeI is (T - t) times the trusted sup of the curvature proxy,
+    bisec_min the min over interior nodes and components of the
+    holomorphic-frame curvatures, c4_min_scaled (T - t) times the trusted
+    min of the fourth-order combination, lambda_div_scaled (T - t) times
+    the base eigenvalue at the left edge (contraction only), and sigma_j
+    the trusted max of |sigma_j| (T - t)^(j-1) relative to supRm.
+    """
     nan = float("nan")
     tau = T - p.t
     n = p.n
@@ -254,13 +202,12 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime, monitors: MonitorSet,
         trust = c4_trust_mask(p)
         itrust = trust[inner]
         cs = curvature_sample(p)
-        a_lam1 = np.where(trust, np.abs(cs.lambda1), 0.0)
-        a_r1111 = np.where(trust, np.abs(cs.r1111), 0.0)
-        pieces = [a_r1111, np.abs(cs.r11kk), np.abs(cs.rkkkk), a_lam1,
-                  np.abs(cs.lambda2)]
+        # lambda1 and r1111 are fourth-difference pieces of the proxy: they
+        # count on trusted nodes only
+        safe = [np.abs(cs.r11kk), np.abs(cs.rkkkk), np.abs(cs.lambda2)]
         if cs.rkkll is not None:
-            pieces.append(np.abs(cs.rkkll))
-        proxy = np.max(np.stack(pieces), axis=0)
+            safe.append(np.abs(cs.rkkll))
+        proxy = np.where(trust, cs.rm_proxy, np.max(np.stack(safe), axis=0))
         supRm = float(np.max(proxy[inner]))
         typeI = tau * supRm
 
@@ -275,25 +222,16 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime, monitors: MonitorSet,
             cands.append(float(np.min(cs.rkkll[inner])))
         if itrust.any():
             cands.append(float(np.min(cs.r1111[inner][itrust])))
+            c4min = tau * float(np.min(c4_combination(p)[inner][itrust]))
+            if monitors.sigma:
+                sigma = tuple(
+                    tau ** (j - 1) * float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
+                    / max(supRm, 1e-30) for j in range(2, n + 1))
         bmin = min(cands)
         bmin_scaled = tau * bmin
 
-        vals = c4_combination(p)[inner][itrust]
-        c4min = tau * float(np.min(vals)) if vals.size else nan
-
         if regime is Regime.CONTRACT:
             lam_div = tau * float(cs.lambda2[0])
-
-        if monitors.sigma:
-            out = []
-            for j in range(2, n + 1):
-                vals = np.abs(cs.sigma[j])[inner][itrust]
-                if vals.size == 0:
-                    out.append(nan)
-                else:
-                    out.append(tau ** (j - 1) * float(np.max(vals))
-                               / max(supRm, 1e-30))
-            sigma = tuple(out)
 
     vol_quad = vol_class = vol_ratio = nan
     if monitors.volume:
@@ -368,6 +306,8 @@ def write_summary(trace: FlowTrace, path: str | Path) -> None:
         "checkpoints": [c.j for c in trace.checkpoints],
         "elapsed_seconds": round(trace.elapsed, 3),
     }
+    if trace.error is not None:
+        summary["error"] = trace.error
     with Path(path).open("w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -33,6 +33,7 @@ from scipy.linalg import solve_banded
 
 from . import diagnostics
 from .profile import (
+    _STENCILS,
     CalabiProfile,
     FlowParams,
     KahlerClass,
@@ -93,7 +94,6 @@ class StepStats:
 class FlowState:
     profile: CalabiProfile
     params: FlowParams
-    ct: float
     stats: StepStats | None = None
 
 
@@ -101,14 +101,11 @@ def compute_ct(p: CalabiProfile, n: int | None = None, variant: str = "log") -> 
     """Gauge constant from the profile's center values."""
     if variant not in CT_VARIANTS:
         raise ValueError(f"unknown ct variant {variant!r}")
-    n = p.n if n is None else n
     c = p.grid.center
     d2, d1 = float(p.d2u[c]), float(p.du[c])
     if d2 <= 0.0 or d1 <= 0.0:
         raise FlowError(f"profile degenerate at center: u''={d2}, u'={d1}")
-    if variant == "log":
-        return -math.log(d2) - (n - 1) * math.log(d1)
-    return -math.log(d2) - (n - 1) * d1
+    return _ct_discrete(d1, d2, p.n if n is None else n, variant)
 
 
 def rhs(p: CalabiProfile, ct: float, floor: float = 0.0) -> np.ndarray:
@@ -135,6 +132,7 @@ def _valid(w: np.ndarray, h: float, floor: float) -> bool:
 
 
 def _ct_discrete(d1c: float, d2c: float, n: int, variant: str) -> float:
+    """The gauge formula, from center values of u' and u''."""
     if variant == "log":
         return -math.log(d2c) - (n - 1) * math.log(d1c)
     return -math.log(d2c) - (n - 1) * d1c
@@ -315,8 +313,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None,
     p_new = profile_from_samples(uB, grid, cls_new, t_new, params.n, params.k)
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters,
                       residual=res, error=err, retries=retries)
-    return FlowState(profile=p_new, params=params,
-                     ct=compute_ct(p_new, variant=ct_variant), stats=stats)
+    return FlowState(profile=p_new, params=params, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,9 @@ def run(
     Rows are sampled at t=0, at every cadence-th accepted step, at each
     dyadic checkpoint time, and at the stop time.  With out_dir set, the
     trace table, a JSON summary, per-step log lines and the checkpoint
-    profiles are written there.
+    profiles are written there.  A run that fails with FlowError still
+    writes the trace and summary of the rows sampled so far; the summary
+    then carries the error text under "error".
     """
     ctl = ctl or StepControl()
     grid = grid or RhoGrid(12.0, 2049)
@@ -381,14 +380,15 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     log_fh = (out / "run.log").open("w") if out is not None else None
 
-    state = FlowState(profile=seed_profile, params=params,
-                      ct=compute_ct(seed_profile, variant=ct_variant))
+    compute_ct(seed_profile, variant=ct_variant)  # rejects a degenerate seed center
+    state = FlowState(profile=seed_profile, params=params)
     trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime,
                                   rows=[], checkpoints=[],
                                   initial_profile=seed_profile)
     trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
                                              monitors, dt=0.0, iters=0))
     started = time.perf_counter()
+    failure: FlowError | None = None
     try:
         ev_idx = 0
         accepted = 0
@@ -419,14 +419,11 @@ def run(
                     state.profile, T, info.regime, monitors,
                     dt=st.dt, iters=st.newton_iters))
     except FlowError as exc:
-        trace.final_profile = state.profile
-        trace.elapsed = time.perf_counter() - started
-        exc.trace = trace
+        failure = exc
+        trace.error = str(exc)
         if log_fh is not None:
             log_fh.write(f"error: {exc}\n")
-            log_fh.close()
-        raise
-    else:
+    finally:
         if log_fh is not None:
             log_fh.close()
 
@@ -435,6 +432,9 @@ def run(
     if out is not None:
         diagnostics.export_trace(trace, out / "trace.csv")
         diagnostics.write_summary(trace, out / "summary.json")
+    if failure is not None:
+        failure.trace = trace
+        raise failure
     return trace
 
 
@@ -463,7 +463,7 @@ def evolution_residuals(p_prev: CalabiProfile, p_next: CalabiProfile,
         r1 = d3u / d2u + (n - 1) * d2u / du - n
         r2 = (d4u / d2u - (d3u / d2u) ** 2
               + (n - 1) * (d3u / du - (d2u / du) ** 2))
-        radius, coeffs = _D1_STENCIL
+        radius, coeffs = _STENCILS[1]
         d5_mid = np.convolve(d4u, coeffs[::-1], mode="valid") / h
         d5 = np.full(N, np.nan)
         d5[radius:N - radius] = d5_mid
@@ -490,6 +490,3 @@ def evolution_residuals(p_prev: CalabiProfile, p_next: CalabiProfile,
         defect = np.abs(lhs - rhs_avg)[band]
         out[name] = float(np.nanmax(defect))
     return out
-
-
-_D1_STENCIL = (2, np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0)

@@ -19,6 +19,7 @@ is credible at all.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,9 @@ MIN_FIT_NODES = 8
 # Rounding-noise scale of the fourth-difference stencil, as a multiple of
 # eps * sup|u| / h^4 (the stencil's absolute coefficient sum is ~27).
 FD4_NOISE_COEF = 32.0
+# A node is trusted when that noise, carried through the fourth-order
+# combination, stays below this fraction of the local magnitude.
+C4_TRUST_REL = 0.05
 
 
 class ProfileError(ValueError):
@@ -141,7 +145,9 @@ class CalabiProfile:
     The arrays are treated as immutable after construction.  d3u and d4u
     are raw centered differences; tail-sensitive combinations should go
     through ratio_g / c4_combination below, which switch to the boundary
-    model where the raw differences lose significance.
+    model where the raw differences lose significance.  Those guarded
+    evaluators run once per profile and keep their read-only result in
+    _memo.
     """
 
     grid: RhoGrid
@@ -156,6 +162,7 @@ class CalabiProfile:
     d4u: np.ndarray
     tail_left: TailFit | None = None
     tail_right: TailFit | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("u", "du", "d2u", "d3u", "d4u"):
@@ -401,7 +408,7 @@ def _node_list(mask: np.ndarray) -> tuple[int, ...]:
 
 
 def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
-    """Check convexity, monotonicity, class bounds and boundary closures.
+    """Check finiteness, convexity, monotonicity, class bounds and closures.
 
     Violations name the offending nodes (first 16).  The closure check uses
     the exponentially fitted boundary rows of the flow discretization, which
@@ -411,6 +418,13 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     by the nearest class endpoint.
     """
     violations: list[Violation] = []
+
+    bad = ~(np.isfinite(p.u) & np.isfinite(p.du) & np.isfinite(p.d2u))
+    if bad.any():
+        violations.append(Violation(
+            "finite", _node_list(bad),
+            f"non-finite u, du or d2u at {int(bad.sum())} node(s), "
+            f"first at index {_node_list(bad)[0]}"))
 
     bad = p.d2u <= 0.0
     if bad.any():
@@ -454,6 +468,19 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # guarded tail evaluation
 
+def _once_per_profile(fn):
+    """Evaluate fn(p) once per profile; later calls get the same read-only array."""
+    @functools.wraps(fn)
+    def cached(p: CalabiProfile) -> np.ndarray:
+        out = p._memo.get(fn.__name__)
+        if out is None:
+            out = fn(p)
+            out.flags.writeable = False
+            p._memo[fn.__name__] = out
+        return out
+    return cached
+
+
 def _raw_weights(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray]:
     """Per-node raw-stencil weight against each tail model (0 = pure model)."""
     krho = p.k * p.grid.nodes
@@ -463,11 +490,6 @@ def _raw_weights(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray]:
     return wl, wr
 
 
-def _tail_w(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray]:
-    rho = p.grid.nodes
-    return np.exp(p.k * rho), np.exp(-p.k * rho)
-
-
 def _usable(model: np.ndarray, raw: np.ndarray,
             E: float, F: float, w: np.ndarray) -> np.ndarray:
     """Model values where its own first correction is small, raw otherwise."""
@@ -475,11 +497,31 @@ def _usable(model: np.ndarray, raw: np.ndarray,
     return np.where(bad, raw, model)
 
 
+def _tail_guarded(p: CalabiProfile, raw: np.ndarray, model) -> np.ndarray:
+    """Blend raw stencil values into the fitted tail models by position.
+
+    model(E, F, w, s) is the model value at one end, from that end's
+    amplitudes, w = e^(s rho) and the signed rate s = +k (left), -k (right).
+    """
+    if p.tail_left is None or p.tail_right is None:
+        return raw
+    out = raw
+    for tail, weight, s in zip((p.tail_left, p.tail_right), _raw_weights(p),
+                               (p.k, -p.k)):
+        w = np.exp(s * p.grid.nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = model(tail.amp, tail.amp2, w, s)
+        vals = _usable(vals, raw, tail.amp, tail.amp2, w)
+        out = weight * out + (1.0 - weight) * vals
+    return out
+
+
 def ratio_h(p: CalabiProfile) -> np.ndarray:
     """u''/u', the fiber-to-base metric ratio."""
     return p.d2u / p.du
 
 
+@_once_per_profile
 def ratio_g(p: CalabiProfile) -> np.ndarray:
     """u'''/u'' with tail-model evaluation near the ends.
 
@@ -489,22 +531,11 @@ def ratio_g(p: CalabiProfile) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = p.d3u / p.d2u
-    if p.tail_left is None or p.tail_right is None:
-        return raw
-    wl, wr = _raw_weights(p)
-    w, v = _tail_w(p)
-    El, Fl = p.tail_left.amp, p.tail_left.amp2
-    Er, Fr = p.tail_right.amp, p.tail_right.amp2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        model_l = p.k * (El + 8.0 * Fl * w) / (El + 4.0 * Fl * w)
-        model_r = -p.k * (Er + 8.0 * Fr * v) / (Er + 4.0 * Fr * v)
-    model_l = _usable(model_l, raw, El, Fl, w)
-    model_r = _usable(model_r, raw, Er, Fr, v)
-    out = wl * raw + (1.0 - wl) * model_l
-    out = wr * out + (1.0 - wr) * model_r
-    return out
+    return _tail_guarded(
+        p, raw, lambda E, F, w, s: s * (E + 8.0 * F * w) / (E + 4.0 * F * w))
 
 
+@_once_per_profile
 def c4_combination(p: CalabiProfile) -> np.ndarray:
     """The combination -u''''/u''^2 + u'''^2/u''^3, tail-guarded.
 
@@ -514,28 +545,17 @@ def c4_combination(p: CalabiProfile) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
-    if p.tail_left is None or p.tail_right is None:
-        return raw
-    wl, wr = _raw_weights(p)
-    w, v = _tail_w(p)
-    El, Fl = p.tail_left.amp, p.tail_left.amp2
-    Er, Fr = p.tail_right.amp, p.tail_right.amp2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        model_l = -4.0 * El * Fl * w**3 / (El * w + 4.0 * Fl * w**2) ** 3
-        model_r = -4.0 * Er * Fr * v**3 / (Er * v + 4.0 * Fr * v**2) ** 3
-    model_l = _usable(model_l, raw, El, Fl, w)
-    model_r = _usable(model_r, raw, Er, Fr, v)
-    out = wl * raw + (1.0 - wl) * model_l
-    out = wr * out + (1.0 - wr) * model_r
-    return out
+    return _tail_guarded(
+        p, raw, lambda E, F, w, s: -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
 
 
-def c4_trust_mask(p: CalabiProfile, rel: float = 0.05) -> np.ndarray:
+@_once_per_profile
+def c4_trust_mask(p: CalabiProfile) -> np.ndarray:
     """Nodes where the fourth-order combination is numerically credible.
 
     Deep-tail nodes are covered by the boundary model.  Elsewhere the raw
     stencil noise eps * sup|u| / h^4, propagated through the combination,
-    must stay below rel times the local magnitude (referenced to the
+    must stay below C4_TRUST_REL times the local magnitude (referenced to the
     center value, so near-zero stretches of an otherwise active profile
     are not spuriously trusted).  Monitors that take minima or suprema of
     fourth-difference quantities should restrict to this mask; between
@@ -551,7 +571,7 @@ def c4_trust_mask(p: CalabiProfile, rel: float = 0.05) -> np.ndarray:
     noise = (FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
              / p.grid.h**4 / p.d2u**2)
     ref = abs(float(c4[p.grid.center]))
-    return model_zone | (noise <= rel * (np.abs(c4) + ref))
+    return model_zone | (noise <= C4_TRUST_REL * (np.abs(c4) + ref))
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +637,26 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
         raise ProfileError(
             f"checkpoint {path} has version {version!r}, expected {CHECKPOINT_VERSION}")
     try:
-        grid = RhoGrid(L=float(payload["L"]), N=int(payload["N"]))
-        cls = KahlerClass(a=float(payload["a"]), b=float(payload["b"]))
+        header = {key: float(payload[key]) for key in ("L", "a", "b", "t")}
+        N, n, k = int(payload["N"]), int(payload["n"]), int(payload["k"])
         u = np.asarray(payload["u"], dtype=float)
-        n, k, t = int(payload["n"]), int(payload["k"]), float(payload["t"])
-    except (KeyError, TypeError) as exc:
-        raise ProfileError(f"checkpoint {path} missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProfileError(f"checkpoint {path} missing or malformed field: {exc}") from exc
+    bad_keys = [key for key, val in header.items() if not math.isfinite(val)]
+    if bad_keys:
+        raise ProfileError(
+            f"checkpoint {path}: non-finite header field(s) {', '.join(bad_keys)}")
+    grid = RhoGrid(L=header["L"], N=N)
+    cls = KahlerClass(a=header["a"], b=header["b"])
     if u.shape != (grid.N,):
         raise ProfileError(
-            f"checkpoint {path}: u has {u.shape[0]} samples, header says {grid.N}")
-    return profile_from_samples(u, grid, cls, t, n, k)
+            f"checkpoint {path}: u has {u.size} samples, header says {grid.N}")
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise ProfileError(
+            f"checkpoint {path}: u has {int(bad.sum())} non-finite sample(s), "
+            f"first at index {_node_list(bad)[0]}")
+    return profile_from_samples(u, grid, cls, header["t"], n, k)
 
 
 def rescaled_copy(p: CalabiProfile, K: float) -> CalabiProfile:

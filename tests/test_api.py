@@ -1,0 +1,34 @@
+"""The package namespace: an explicit list of exports, each one resolvable.
+
+The list is what the command line, the tests, the README and the benchmark
+use.  A new export is a deliberate change to this file.
+"""
+import calabiflow as cf
+
+PUBLIC = {
+    "BlowupError", "CT_VARIANTS", "CalabiProfile", "CheckpointRecord",
+    "DiagnosticsError", "FlowError", "FlowParams", "FlowState", "KahlerClass",
+    "MomentDomainError", "MonitorSet", "ProfileError", "Regime",
+    "RegimeMismatchError", "RhoGrid", "StepControl", "StepStats",
+    "bisectional_components", "blowup_report", "blowup_window",
+    "build_canonical_profile", "c1_distance", "c4_combination", "c4_trust_mask",
+    "checkpoint_times", "class_at", "compute_ct", "curvature_sample",
+    "differentiate", "divisor_diameter", "evolution_residuals", "fik_reference",
+    "fit_boundary_tails", "fs_slice_diameter", "gaussian_reference",
+    "infer_initial_class", "load_checkpoint", "profile_from_samples", "ratio_g",
+    "ratio_h", "read_trace", "regime_indicator", "rescale", "rescaled_copy",
+    "rhs", "ricci_eigenvalues", "ricci_potential", "run", "sample_row",
+    "save_checkpoint", "scalar_curvature", "singular_time", "soliton_residual",
+    "step", "to_moment_profile", "total_volume", "trace_header",
+    "validate_profile",
+}
+
+
+def test_exports_are_pinned():
+    assert len(cf.__all__) == len(set(cf.__all__))
+    assert set(cf.__all__) == PUBLIC
+
+
+def test_every_export_resolves():
+    for name in cf.__all__:
+        assert getattr(cf, name) is not None, name

@@ -1,5 +1,6 @@
 """Exit codes, output files and option handling of the command line."""
 import json
+import shutil
 import subprocess
 import sys
 
@@ -144,6 +145,33 @@ def test_validate_missing_checkpoint(tmp_path, capsys):
     rc = cli.main(["validate", "--checkpoint", str(tmp_path / "absent.json")])
     assert rc == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(params=[float("nan"), float("inf")], ids=["nan", "inf"])
+def corrupt_checkpoints(request, cli_contract, tmp_path):
+    """Copies of the contract checkpoints, one u sample of j05 non-finite."""
+    for path in cli_contract.glob("checkpoint_j*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "checkpoint_j05.json"
+    payload = json.loads(target.read_text())
+    payload["u"][len(payload["u"]) // 2] = request.param
+    target.write_text(json.dumps(payload))
+    return tmp_path
+
+
+def test_validate_rejects_corrupt_checkpoint(corrupt_checkpoints, capsys):
+    rc = cli.main(["validate", "--checkpoint",
+                   str(corrupt_checkpoints / "checkpoint_j05.json")])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "admissible" not in captured.out
+    assert "non-finite sample" in captured.err
+
+
+def test_blowup_rejects_corrupt_checkpoint(corrupt_checkpoints, capsys):
+    rc = cli.main(["blowup", "--from", str(corrupt_checkpoints)])
+    assert rc == cli.EXIT_CONFIG
+    assert "non-finite sample" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

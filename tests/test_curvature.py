@@ -63,7 +63,6 @@ def test_sigma2_center(contract_seed):
     assert set(cs.sigma) == {1, 2}
     assert_allclose(cs.sigma[1], cf.scalar_curvature(contract_seed), rtol=1e-12)
     assert_allclose(cs.sigma[2][c], SIGMA2, rtol=1e-9)
-    assert_allclose(cf.sigma_k(contract_seed, 2), cs.sigma[2], rtol=1e-12)
 
 
 def test_sigma_definition_matches_eigenvalues():
@@ -71,8 +70,8 @@ def test_sigma_definition_matches_eigenvalues():
                                    n=3, k=2)
     lam1, lam2 = cf.ricci_eigenvalues(p)
     c = p.grid.center
-    s2 = cf.sigma_k(p, 2)
-    s3 = cf.sigma_k(p, 3)
+    sigma = cf.curvature_sample(p).sigma
+    s2, s3 = sigma[2], sigma[3]
     # eigenvalues (lam1, lam2, lam2): sigma2 = 2 lam1 lam2 + lam2^2,
     # sigma3 = lam1 lam2^2
     assert_allclose(s2[c], 2.0 * lam1[c] * lam2[c] + lam2[c] ** 2, rtol=1e-12)

@@ -1,6 +1,8 @@
 """Trace rows, reductions, export formats and the regime classifier."""
+import collections
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,15 +54,61 @@ def test_run_writes_log_and_checkpoints(contract_default):
     assert len(files) == 9
 
 
-def test_row_reductions_match_standalone_functions(contract_1025):
+def test_row_reductions_match_reference(contract_1025):
+    """The curvature columns of the last row, recomputed from the curvature
+    sample, the trust mask and the fourth-order combination on the interior
+    slice (three nodes clipped at each end)."""
     trace = contract_1025
     p = trace.final_profile
     row = trace.rows[-1]
-    assert row.typeI == cf.type_one_ratio(p, trace.T)
-    assert row.bisec_min == cf.bisectional_min(p)
-    assert row.c4_min_scaled == cf.c4_min_scaled(p, trace.T)
-    assert row.lambda_div_scaled == cf.divisor_eigenvalue_scaled(p, trace.T,
-                                                                 trace.regime)
+    tau = trace.T - p.t
+    inner = slice(3, p.grid.N - 3)
+    trust = cf.c4_trust_mask(p)
+    itrust = trust[inner]
+    cs = cf.curvature_sample(p)
+    assert cs.rkkll is None and itrust.any()
+
+    # fourth-difference pieces (r1111, lambda1) count on trusted nodes only
+    proxy = np.max(np.stack([np.where(trust, np.abs(cs.r1111), 0.0),
+                             np.abs(cs.r11kk), np.abs(cs.rkkkk),
+                             np.where(trust, np.abs(cs.lambda1), 0.0),
+                             np.abs(cs.lambda2)]), axis=0)
+    sup = float(np.max(proxy[inner]))
+    bisec = min(float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner])),
+                float(np.min(cs.r1111[inner][itrust])))
+    c4min = float(np.min(cf.c4_combination(p)[inner][itrust]))
+    sigma2 = float(np.max(np.abs(cs.sigma[2])[inner][itrust]))
+
+    assert row.supRm == sup
+    assert row.typeI == tau * sup
+    assert row.bisec_min == bisec
+    assert row.bisec_min_scaled == tau * bisec
+    assert row.c4_min_scaled == tau * c4min
+    assert row.lambda_div_scaled == tau * float(cs.lambda2[0])
+    assert row.sigma == (tau * sigma2 / sup,)
+
+
+def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch):
+    """One row evaluates the tail-guarded u'''/u'' and the fourth-order
+    combination once each, however many monitors read them; the shared
+    arrays are read-only."""
+    from calabiflow import profile
+
+    p = cf.profile_from_samples(contract_seed.u, contract_seed.grid,
+                                contract_seed.cls, 0.0, 2, 1)
+    evaluations = collections.Counter()
+    blend = profile._tail_guarded
+
+    def counting_blend(*args):
+        evaluations[sys._getframe(1).f_code.co_name] += 1
+        return blend(*args)
+
+    monkeypatch.setattr(profile, "_tail_guarded", counting_blend)
+    cf.sample_row(p, 1.0, cf.Regime.CONTRACT, cf.MonitorSet())
+    assert evaluations == {"ratio_g": 1, "c4_combination": 1}
+    for arr in (cf.ratio_g(p), cf.c4_combination(p), cf.c4_trust_mask(p)):
+        assert not arr.flags.writeable
+    assert cf.ratio_g(p) is cf.ratio_g(p)
 
 
 def test_volume_identity_on_seed(contract_seed):

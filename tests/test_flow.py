@@ -1,4 +1,5 @@
 """Time integration: gauge invariance, class tracking, step control."""
+import json
 import math
 
 import numpy as np
@@ -62,7 +63,6 @@ def test_checkpoint_schedule_is_dyadic(contract_default):
 def test_single_step_mechanics(contract_seed):
     ctl = cf.StepControl()
     state = cf.FlowState(profile=contract_seed, params=CONTRACT,
-                         ct=cf.compute_ct(contract_seed),
                          stats=cf.StepStats(ctl.dt_init, ctl.dt_init, 0, 0.0, 0.0, 0))
     out = cf.step(state, ctl)
     assert out.profile.t > 0.0
@@ -78,7 +78,6 @@ def test_evolution_residuals_shrink_with_dt(contract_seed):
     for dt_max in (1e-3, 1e-4):
         ctl = cf.StepControl(dt_init=dt_max, dt_max=dt_max)
         state = cf.FlowState(profile=contract_seed, params=CONTRACT,
-                             ct=cf.compute_ct(contract_seed),
                              stats=cf.StepStats(dt_max, dt_max, 0, 0.0, 0.0, 0))
         out = cf.step(state, ctl)
         resids[dt_max] = cf.evolution_residuals(contract_seed, out.profile,
@@ -96,10 +95,26 @@ def test_evolution_residuals_shrink_with_dt(contract_seed):
 def test_step_cap_is_respected(contract_seed):
     ctl = cf.StepControl(dt_init=1e-3, dt_max=1e-3)
     state = cf.FlowState(profile=contract_seed, params=CONTRACT,
-                         ct=cf.compute_ct(contract_seed),
                          stats=cf.StepStats(1e-3, 1e-3, 0, 0.0, 0.0, 0))
     out = cf.step(state, ctl, t_cap=2.5e-4)
     assert out.profile.t == pytest.approx(2.5e-4, rel=1e-12)
+
+
+def test_failed_run_keeps_partial_trace(tmp_path):
+    """A FlowError still leaves the rows sampled so far and a summary that
+    names the error; u'' never clears a floor of 1 on this seed."""
+    ctl = cf.StepControl(floor_u2=1.0)
+    with pytest.raises(cf.FlowError) as info:
+        cf.run(CONTRACT, ctl=ctl, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    rows = info.value.trace.rows
+    assert len(rows) >= 1
+    cols = cf.read_trace(tmp_path / "trace.csv")
+    assert np.array_equal(cols["t"], [r.t for r in rows])
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["num_rows"] == len(rows)
+    assert summary["error"] == str(info.value)
+    assert f"error: {info.value}" in (tmp_path / "run.log").read_text()
 
 
 def test_restart_from_checkpoint(contract_default):

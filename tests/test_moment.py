@@ -72,4 +72,3 @@ def test_c1_distance_identity_and_separation(seed_moment):
     other = cf.fik_reference(2, 1, 1.0, x_max=5.0)
     d = cf.c1_distance(seed_moment, other, window)
     assert d > 0.1
-    assert cf.self_similarity_distance(seed_moment, other, window) == d

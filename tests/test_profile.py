@@ -1,4 +1,6 @@
 """Profile construction, derivatives, tail fits and admissibility checks."""
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -194,6 +196,16 @@ def test_validation_flags_class_range(contract_seed):
     assert "class-range" in names
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validation_flags_non_finite_samples(contract_seed, bad):
+    u = contract_seed.u.copy()
+    u[contract_seed.grid.center] = bad
+    report = cf.validate_profile(dataclasses.replace(contract_seed, u=u))
+    assert not report.ok
+    assert report.violations[0].invariant == "finite"
+    assert report.violations[0].nodes == (contract_seed.grid.center,)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -214,6 +226,40 @@ def test_checkpoint_round_trip(tmp_path, contract_seed):
 def test_load_checkpoint_missing_file(tmp_path):
     with pytest.raises((OSError, cf.ProfileError)):
         cf.load_checkpoint(tmp_path / "absent.json")
+
+
+def _corrupted_checkpoint(tmp_path, profile, key, value):
+    path = tmp_path / "corrupt.json"
+    cf.save_checkpoint(profile, path)
+    payload = json.loads(path.read_text())
+    if key == "u":
+        payload["u"][profile.grid.center] = value
+    else:
+        payload[key] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_load_checkpoint_rejects_non_finite_samples(tmp_path, contract_seed, bad):
+    path = _corrupted_checkpoint(tmp_path, contract_seed, "u", bad)
+    with pytest.raises(cf.ProfileError, match="non-finite sample"):
+        cf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, bad", [("L", math.inf), ("a", math.nan),
+                                      ("b", math.inf), ("t", math.nan)])
+def test_load_checkpoint_rejects_non_finite_header(tmp_path, contract_seed, key, bad):
+    path = _corrupted_checkpoint(tmp_path, contract_seed, key, bad)
+    with pytest.raises(cf.ProfileError, match=f"non-finite header field.*{key}"):
+        cf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_load_checkpoint_rejects_non_finite_node_count(tmp_path, contract_seed, bad):
+    path = _corrupted_checkpoint(tmp_path, contract_seed, "N", bad)
+    with pytest.raises(cf.ProfileError, match="malformed field"):
+        cf.load_checkpoint(path)
 
 
 def test_evolved_checkpoint_is_admissible(contract_default):
