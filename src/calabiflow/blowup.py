@@ -62,6 +62,7 @@ from .profile import (
     Regime,
     rescaled_copy,
     singular_time,
+    write_atomic,
 )
 
 
@@ -155,7 +156,7 @@ def soliton_residual(m: MomentProfile, n: int,
     phi = m.eval(xs)
     dphi = m.eval_slope(xs)
     base = n - (n - 1) * phi / xs - lam * xs - dphi
-    A = np.column_stack([phi, -np.ones_like(xs)])
+    A = np.stack([phi, -np.ones_like(xs)], axis=1)
     coef, *_ = np.linalg.lstsq(A, -base, rcond=None)
     mu, alpha = float(coef[0]), float(coef[1])
     resid = base + mu * phi - alpha
@@ -311,7 +312,7 @@ def write_report(report: BlowupReport, out_dir: str | Path) -> None:
         lines.append("%d," % r.j + ",".join(
             "%.17g" % v for v in (r.t, r.K, r.a_hat, r.selfsim_prev,
                                   r.soliton_rms, r.fik_dist)))
-    (out / "blowup.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "blowup.csv", "\n".join(lines) + "\n")
 
     def clean(x: float):
         return None if not math.isfinite(x) else x
@@ -329,6 +330,4 @@ def write_report(report: BlowupReport, out_dir: str | Path) -> None:
             for r in report.rows
         ],
     }
-    with (out / "blowup.json").open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(out / "blowup.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -30,7 +30,7 @@ from .blowup import (
     soliton_residual,
 )
 from .diagnostics import CheckpointRecord, DiagnosticsError, MonitorSet, regime_indicator
-from .flow import CT_VARIANTS, FlowError, StepControl, run
+from .flow import FlowError, StepControl, run
 from .profile import (
     FlowParams,
     ProfileError,
@@ -54,16 +54,15 @@ EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
 
 _INT_KEYS = {"n", "k", "N", "cadence", "checkpoints", "newton_max_iter"}
-_BOOL_KEYS = {"curvature", "volume", "diameter", "sigma"}
-_STR_KEYS = {"dir", "ct_variant", "seed_profile"}
+_STR_KEYS = {"dir", "seed_profile"}
 _SECTIONS = {
     "params": {"n", "k", "a0", "b0"},
     "grid": {"L", "N"},
     "control": {"dt_init", "dt_min", "dt_max", "tol_newton", "tol_step",
                 "t_stop_fraction", "floor_u2", "newton_max_iter", "safety",
                 "max_growth"},
-    "monitors": {"cadence", "curvature", "volume", "diameter", "sigma"},
-    "output": {"dir", "checkpoints", "seed_profile", "ct_variant"},
+    "monitors": {"cadence"},
+    "output": {"dir", "checkpoints", "seed_profile"},
 }
 
 
@@ -89,8 +88,6 @@ def _load_config(path: str) -> dict[str, dict]:
             try:
                 if key in _INT_KEYS:
                     out[section][key] = cp[section].getint(key)
-                elif key in _BOOL_KEYS:
-                    out[section][key] = cp[section].getboolean(key)
                 elif key in _STR_KEYS:
                     out[section][key] = cp[section].get(key)
                 else:
@@ -127,8 +124,6 @@ def _merged_settings(args: argparse.Namespace) -> dict[str, dict]:
         cfg["control"]["t_stop_fraction"] = args.stop_frac
     if getattr(args, "cadence", None) is not None:
         cfg["monitors"]["cadence"] = args.cadence
-    if getattr(args, "ct", None) is not None:
-        cfg["output"]["ct_variant"] = args.ct
     if getattr(args, "checkpoints", None) is not None:
         cfg["output"]["checkpoints"] = args.checkpoints
     if getattr(args, "out", None) is not None:
@@ -157,10 +152,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = cfg["output"].get("dir", "flow_out")
     nchk = int(cfg["output"].get("checkpoints", 10))
-    variant = cfg["output"].get("ct_variant", "log")
-    if variant not in CT_VARIANTS:
-        print(f"error: unknown gauge variant {variant!r}", file=sys.stderr)
-        return EXIT_CONFIG
     seed = None
     seed_path = cfg["output"].get("seed_profile")
     if seed_path:
@@ -172,8 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         trace = run(params, ctl=ctl, grid=grid, monitors=monitors,
-                    seed_profile=seed, out_dir=out_dir, checkpoints_j=nchk,
-                    ct_variant=variant)
+                    seed_profile=seed, out_dir=out_dir, checkpoints_j=nchk)
     except FlowError as exc:
         print(f"flow failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -316,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (default flow_out)")
     p.add_argument("--stop-frac", type=float, default=None, dest="stop_frac",
                    help="stop at this fraction of the singular time")
-    p.add_argument("--ct", choices=CT_VARIANTS, default=None,
-                   help="normalization gauge")
     p.add_argument("--checkpoints", type=int, default=None,
                    help="number of dyadic checkpoint levels")
     p.add_argument("--cadence", type=int, default=None,

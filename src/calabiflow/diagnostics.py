@@ -14,8 +14,9 @@ The trace table layout is fixed:
     c4_min_scaled,lambda_div_scaled,sigma2,...,sigmaN,
     vol_quad,vol_class,vol_ratio,diam,dt,iters
 
-with one sigma column per symmetric function from 2 to n.  Disabled
-monitors leave NaN in their columns.
+with one sigma column per symmetric function from 2 to n.  c4_min_scaled
+and the sigma columns are NaN in a row with no trusted node, and
+lambda_div_scaled outside the contraction regime.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .profile import (
     c4_trust_mask,
     ratio_g,
     ratio_h,
+    write_atomic,
 )
 
 
@@ -46,13 +48,9 @@ class DiagnosticsError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonitorSet:
-    """Which monitor families to evaluate, and how often (accepted steps)."""
+    """How often to sample a trace row, in accepted steps."""
 
     cadence: int = 10
-    curvature: bool = True
-    volume: bool = True
-    diameter: bool = True
-    sigma: bool = True
 
     def __post_init__(self):
         if self.cadence < 1:
@@ -176,7 +174,7 @@ def regime_indicator(trace: FlowTrace) -> Regime:
 # ---------------------------------------------------------------------------
 # row assembly
 
-def sample_row(p: CalabiProfile, T: float, regime: Regime, monitors: MonitorSet,
+def sample_row(p: CalabiProfile, T: float, regime: Regime,
                dt: float = 0.0, iters: int = 0) -> TraceRow:
     """One trace row at the profile's time.
 
@@ -191,54 +189,45 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime, monitors: MonitorSet,
     tau = T - p.t
     n = p.n
 
-    supRm = typeI = H_sup = G_sup = G_inf = nan
-    bmin = bmin_scaled = c4min = lam_div = nan
+    # the outermost three nodes at each end lean on ghost extrapolation;
+    # sup/min reductions stay on stencil-supported interior nodes
+    inner = slice(3, p.grid.N - 3)
+    trust = c4_trust_mask(p)
+    itrust = trust[inner]
+    cs = curvature_sample(p)
+    # lambda1 and r1111 are fourth-difference pieces of the proxy: they
+    # count on trusted nodes only
+    safe = [np.abs(cs.r11kk), np.abs(cs.rkkkk), np.abs(cs.lambda2)]
+    if cs.rkkll is not None:
+        safe.append(np.abs(cs.rkkll))
+    proxy = np.where(trust, cs.rm_proxy, np.max(np.stack(safe), axis=0))
+    supRm = float(np.max(proxy[inner]))
+    typeI = tau * supRm
+
+    H = ratio_h(p)[inner]
+    G = ratio_g(p)[inner]
+    H_sup = float(np.max(H))
+    G_sup = float(np.max(G))
+    G_inf = float(np.min(G))
+
+    cands = [float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner]))]
+    if cs.rkkll is not None:
+        cands.append(float(np.min(cs.rkkll[inner])))
+    c4min = nan
     sigma = tuple(nan for _ in range(2, n + 1))
+    if itrust.any():
+        cands.append(float(np.min(cs.r1111[inner][itrust])))
+        c4min = tau * float(np.min(c4_combination(p)[inner][itrust]))
+        sigma = tuple(
+            tau ** (j - 1) * float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
+            / max(supRm, 1e-30) for j in range(2, n + 1))
+    bmin = min(cands)
+    bmin_scaled = tau * bmin
+    lam_div = tau * float(cs.lambda2[0]) if regime is Regime.CONTRACT else nan
 
-    if monitors.curvature:
-        # the outermost three nodes at each end lean on ghost extrapolation;
-        # sup/min reductions stay on stencil-supported interior nodes
-        inner = slice(3, p.grid.N - 3)
-        trust = c4_trust_mask(p)
-        itrust = trust[inner]
-        cs = curvature_sample(p)
-        # lambda1 and r1111 are fourth-difference pieces of the proxy: they
-        # count on trusted nodes only
-        safe = [np.abs(cs.r11kk), np.abs(cs.rkkkk), np.abs(cs.lambda2)]
-        if cs.rkkll is not None:
-            safe.append(np.abs(cs.rkkll))
-        proxy = np.where(trust, cs.rm_proxy, np.max(np.stack(safe), axis=0))
-        supRm = float(np.max(proxy[inner]))
-        typeI = tau * supRm
-
-        H = ratio_h(p)[inner]
-        G = ratio_g(p)[inner]
-        H_sup = float(np.max(H))
-        G_sup = float(np.max(G))
-        G_inf = float(np.min(G))
-
-        cands = [float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner]))]
-        if cs.rkkll is not None:
-            cands.append(float(np.min(cs.rkkll[inner])))
-        if itrust.any():
-            cands.append(float(np.min(cs.r1111[inner][itrust])))
-            c4min = tau * float(np.min(c4_combination(p)[inner][itrust]))
-            if monitors.sigma:
-                sigma = tuple(
-                    tau ** (j - 1) * float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
-                    / max(supRm, 1e-30) for j in range(2, n + 1))
-        bmin = min(cands)
-        bmin_scaled = tau * bmin
-
-        if regime is Regime.CONTRACT:
-            lam_div = tau * float(cs.lambda2[0])
-
-    vol_quad = vol_class = vol_ratio = nan
-    if monitors.volume:
-        vol_quad, vol_class = total_volume(p)
-        vol_ratio = vol_quad / tau
-
-    diam = divisor_diameter(p) if monitors.diameter else nan
+    vol_quad, vol_class = total_volume(p)
+    vol_ratio = vol_quad / tau
+    diam = divisor_diameter(p)
 
     return TraceRow(t=p.t, a=float(p.du[0]), b=float(p.du[-1]), supRm=supRm, typeI=typeI,
                     H_sup=H_sup, G_sup=G_sup, G_inf=G_inf, bisec_min=bmin,
@@ -270,7 +259,7 @@ def export_trace(trace: FlowTrace, path: str | Path) -> None:
                 r.lambda_div_scaled, *r.sigma, r.vol_quad, r.vol_class,
                 r.vol_ratio, r.diam, r.dt]
         lines.append(",".join("%.17g" % v for v in vals) + ",%d" % r.iters)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_trace(path: str | Path) -> dict[str, np.ndarray]:
@@ -308,6 +297,4 @@ def write_summary(trace: FlowTrace, path: str | Path) -> None:
     }
     if trace.error is not None:
         summary["error"] = trace.error
-    with Path(path).open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -1,20 +1,23 @@
 """Time integration of the symmetric potential flow.
 
 The potential evolves by du/dt = log u'' + (n-1) log u' - n*rho + c(t),
-where the gauge constant c(t) pins the velocity at rho = 0 to zero in the
-default variant:
+where the gauge constant c(t) pins the velocity at rho = 0 to zero:
 
     c(t) = -log u''(0, t) - (n-1) * log u'(0, t)
 
-(the "literal" variant uses -(n-1) * u'(0, t) for the second term instead).
 Each backward-Euler step solves the nonlinear system by a damped Newton
 iteration.  Interior rows discretize the equation with second-order
 differences; the two boundary rows are exponentially fitted closure
 relations that are exact on the asymptotic tail model, so u'(+-L) tracks
-the moving class endpoints.  The gauge constant couples every interior row
-to the three center unknowns, a rank-one perturbation of the banded
-Jacobian that is solved by the Sherman-Morrison identity at the cost of
-one extra banded right-hand side.
+the moving class endpoints.
+
+The gauge only fixes the additive constant of u, which the Kahler form
+never sees.  Every interior term, both closure rows and c(t) itself depend
+on differences of u alone, and the banded Jacobian maps the constant
+vector to 1 on interior rows and 0 on the closure rows.  So the gauged
+stage solution is the ungauged one plus a constant: each stage is solved
+without c(t), with one banded right-hand side, and the result is shifted
+so that u(0, t) keeps its previous value.
 
 Step size is controlled by step doubling: the error estimate is the
 sup-norm gap between one full step and two half steps, and the dt proposal
@@ -44,9 +47,6 @@ from .profile import (
     save_checkpoint,
     singular_time,
 )
-
-CT_VARIANTS = ("log", "literal")
-
 
 class FlowError(RuntimeError):
     """Integration failure; carries the partial trace when raised from run()."""
@@ -97,21 +97,13 @@ class FlowState:
     stats: StepStats | None = None
 
 
-def compute_ct(p: CalabiProfile, n: int | None = None, variant: str = "log") -> float:
-    """Gauge constant from the profile's center values."""
-    if variant not in CT_VARIANTS:
-        raise ValueError(f"unknown ct variant {variant!r}")
+def compute_ct(p: CalabiProfile) -> float:
+    """Gauge constant -log u''(0) - (n-1) log u'(0) from the center values."""
     c = p.grid.center
     d2, d1 = float(p.d2u[c]), float(p.du[c])
     if d2 <= 0.0 or d1 <= 0.0:
         raise FlowError(f"profile degenerate at center: u''={d2}, u'={d1}")
-    return _ct_discrete(d1, d2, p.n if n is None else n, variant)
-
-
-def rhs(p: CalabiProfile, ct: float, floor: float = 0.0) -> np.ndarray:
-    """Flow velocity log u'' + (n-1) log u' - n rho + ct at every node."""
-    d2 = np.maximum(p.d2u, floor) if floor > 0.0 else p.d2u
-    return np.log(d2) + (p.n - 1) * np.log(p.du) - p.n * p.grid.nodes + ct
+    return -math.log(d2) - (p.n - 1) * math.log(d1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +123,6 @@ def _valid(w: np.ndarray, h: float, floor: float) -> bool:
     return bool(np.all(d1 > 0.0) and np.all(d2 > floor))
 
 
-def _ct_discrete(d1c: float, d2c: float, n: int, variant: str) -> float:
-    """The gauge formula, from center values of u' and u''."""
-    if variant == "log":
-        return -math.log(d2c) - (n - 1) * math.log(d1c)
-    return -math.log(d2c) - (n - 1) * d1c
-
-
 def _solve_stage(
     u_prev: np.ndarray,
     dt: float,
@@ -146,17 +131,18 @@ def _solve_stage(
     n: int,
     k: int,
     ctl: StepControl,
-    variant: str,
     w0: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
-    """One backward-Euler solve; returns (w, iterations, final residual)."""
+    """One backward-Euler solve; returns (w, iterations, final residual).
+
+    The system is solved without the gauge constant, and the converged
+    solution is shifted to keep the center value of u_prev.
+    """
     N, h, c = grid.N, grid.h, grid.center
     rho_int = grid.nodes[1:-1]
     efac = math.expm1(k * h)
     inv_h2 = 1.0 / h**2
     half_h = 1.0 / (2.0 * h)
-    e_int = np.ones(N)
-    e_int[0] = e_int[-1] = 0.0
 
     w = w0.copy()
     if not _valid(w, h, ctl.floor_u2):
@@ -167,19 +153,16 @@ def _solve_stage(
     res = math.inf
     for it in range(1, ctl.newton_max_iter + 1):
         d1, d2 = _second_diffs(w, h)
-        d1c, d2c = float(d1[c - 1]), float(d2[c - 1])
-        ct = _ct_discrete(d1c, d2c, n, variant)
-
         F = np.empty(N)
         F[1:-1] = w[1:-1] - u_prev[1:-1] - dt * (
-            np.log(d2) + (n - 1) * np.log(d1) - n * rho_int + ct)
+            np.log(d2) + (n - 1) * np.log(d1) - n * rho_int)
         F[0] = (w[0] - 2.0 * w[1] + w[2]) - efac * ((w[1] - w[0]) - cls_new.a * h)
         F[-1] = (w[-3] - 2.0 * w[-2] + w[-1]) + efac * ((w[-1] - w[-2]) - cls_new.b * h)
         res = float(np.max(np.abs(F)))
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")
 
-        # banded Jacobian of the ct-frozen part, (l, u) = (2, 2)
+        # banded Jacobian, (l, u) = (2, 2)
         ab = np.zeros((5, N))
         ab[2, 1:-1] = 1.0 + 2.0 * dt * inv_h2 / d2
         ab[3, 0:-2] = -dt * (inv_h2 / d2 - (n - 1) * half_h / d1)
@@ -191,25 +174,10 @@ def _solve_stage(
         ab[3, -2] = -2.0 - efac
         ab[4, -3] = 1.0
 
-        # gauge gradient: three nonzeros at the center columns
-        g_cm1 = -inv_h2 / d2c + ((n - 1) * half_h / d1c if variant == "log"
-                                 else (n - 1) * half_h)
-        g_c = 2.0 * inv_h2 / d2c
-        g_cp1 = -inv_h2 / d2c - ((n - 1) * half_h / d1c if variant == "log"
-                                 else (n - 1) * half_h)
-
-        stacked = np.column_stack([F, e_int])
         try:
-            sol = solve_banded((2, 2), ab, stacked)
+            delta = solve_banded((2, 2), ab, F)
         except Exception as exc:
             raise _StepFailure(f"banded solve failed: {exc}") from exc
-        y, z = sol[:, 0], sol[:, 1]
-        gy = g_cm1 * y[c - 1] + g_c * y[c] + g_cp1 * y[c + 1]
-        gz = g_cm1 * z[c - 1] + g_c * z[c] + g_cp1 * z[c + 1]
-        denom = 1.0 - dt * gz
-        if not math.isfinite(denom) or abs(denom) < 1e-13:
-            raise _StepFailure("singular gauge coupling")
-        delta = y + (dt * gy / denom) * z
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
 
@@ -224,19 +192,17 @@ def _solve_stage(
             raise _StepFailure("damping exhausted: iterate leaves admissible cone")
         w = w_try
         if lam == 1.0 and sup_delta <= ctl.tol_newton:
-            return w, it, res
+            return w - (w[c] - u_prev[c]), it, res
     raise _StepFailure(f"Newton stalled after {ctl.newton_max_iter} iterations "
                        f"(residual {res:.3e})")
 
 
 def _predictor(u_prev: np.ndarray, dt: float, grid: RhoGrid, n: int,
-               variant: str, floor: float) -> np.ndarray:
+               floor: float) -> np.ndarray:
     d1, d2 = _second_diffs(u_prev, grid.h)
     d1 = np.maximum(d1, 1e-300)
     d2 = np.maximum(d2, max(floor, 1e-300))
-    c = grid.center
-    ct = _ct_discrete(float(d1[c - 1]), float(d2[c - 1]), n, variant)
-    vel = np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1] + ct
+    vel = np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1]
     w = u_prev.copy()
     w[1:-1] += dt * vel
     w[0] += dt * vel[0]
@@ -245,22 +211,18 @@ def _predictor(u_prev: np.ndarray, dt: float, grid: RhoGrid, n: int,
 
 
 def _attempt(u_prev: np.ndarray, t0: float, dt: float, params: FlowParams,
-             grid: RhoGrid, ctl: StepControl, variant: str) -> tuple[np.ndarray, int, float]:
+             grid: RhoGrid, ctl: StepControl) -> tuple[np.ndarray, int, float]:
     cls_new = class_at(params, t0 + dt)
-    w0 = _predictor(u_prev, dt, grid, params.n, variant, ctl.floor_u2)
-    return _solve_stage(u_prev, dt, grid, cls_new, params.n, params.k,
-                        ctl, variant, w0)
+    w0 = _predictor(u_prev, dt, grid, params.n, ctl.floor_u2)
+    return _solve_stage(u_prev, dt, grid, cls_new, params.n, params.k, ctl, w0)
 
 
-def step(state: FlowState, ctl: StepControl, t_cap: float | None = None,
-         ct_variant: str = "log") -> FlowState:
+def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
     """Advance one accepted adaptive step (with internal retries).
 
     t_cap, when given, is an event time the step must not overshoot; the
     step lands on it exactly when the proposal reaches it.
     """
-    if ct_variant not in CT_VARIANTS:
-        raise ValueError(f"unknown ct variant {ct_variant!r}")
     p = state.profile
     params = state.params
     grid = p.grid
@@ -281,10 +243,9 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None,
             if dt <= 0.0:
                 raise FlowError(f"event time {t_cap} not ahead of t={t}")
         try:
-            uA, _, _ = _attempt(p.u, t, dt, params, grid, ctl, ct_variant)
-            uh, _, _ = _attempt(p.u, t, 0.5 * dt, params, grid, ctl, ct_variant)
-            uB, iters, res = _attempt(uh, t + 0.5 * dt, 0.5 * dt, params, grid,
-                                      ctl, ct_variant)
+            uA, _, _ = _attempt(p.u, t, dt, params, grid, ctl)
+            uh, _, _ = _attempt(p.u, t, 0.5 * dt, params, grid, ctl)
+            uB, iters, res = _attempt(uh, t + 0.5 * dt, 0.5 * dt, params, grid, ctl)
         except _StepFailure as exc:
             retries += 1
             dt *= 0.5
@@ -337,7 +298,6 @@ def run(
     seed_profile: CalabiProfile | None = None,
     out_dir: str | Path | None = None,
     checkpoints_j: int = 10,
-    ct_variant: str = "log",
 ) -> "diagnostics.FlowTrace":
     """Integrate from t=0 (or the seed's time) to the stop fraction of T.
 
@@ -380,13 +340,13 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     log_fh = (out / "run.log").open("w") if out is not None else None
 
-    compute_ct(seed_profile, variant=ct_variant)  # rejects a degenerate seed center
+    compute_ct(seed_profile)  # rejects a degenerate seed center
     state = FlowState(profile=seed_profile, params=params)
     trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime,
                                   rows=[], checkpoints=[],
                                   initial_profile=seed_profile)
     trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
-                                             monitors, dt=0.0, iters=0))
+                                             dt=0.0, iters=0))
     started = time.perf_counter()
     failure: FlowError | None = None
     try:
@@ -396,13 +356,14 @@ def run(
             if ev_idx >= len(events):
                 break
             t_cap = events[ev_idx][0]
-            state = step(state, ctl, t_cap=t_cap, ct_variant=ct_variant)
+            state = step(state, ctl, t_cap=t_cap)
             accepted += 1
             t = state.profile.t
             st = state.stats
             if log_fh is not None:
                 log_fh.write(f"t={t:.12g} dt={st.dt:.6g} iters={st.newton_iters} "
-                             f"res={st.residual:.6g}\n")
+                             f"res={st.residual:.6g} retries={st.retries} "
+                             f"err={st.error:.6g}\n")
             if abs(t - t_cap) <= 1e-12 * max(T, 1.0):
                 j = events[ev_idx][1]
                 ev_idx += 1
@@ -412,12 +373,10 @@ def run(
                     if out is not None:
                         save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
                 trace.rows.append(diagnostics.sample_row(
-                    state.profile, T, info.regime, monitors,
-                    dt=st.dt, iters=st.newton_iters))
+                    state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
             elif accepted % monitors.cadence == 0:
                 trace.rows.append(diagnostics.sample_row(
-                    state.profile, T, info.regime, monitors,
-                    dt=st.dt, iters=st.newton_iters))
+                    state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
     except FlowError as exc:
         failure = exc
         trace.error = str(exc)

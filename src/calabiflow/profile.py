@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -599,6 +600,20 @@ def to_moment_profile(p: CalabiProfile) -> MomentProfile:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path whole or not at all: it goes to a sibling
+    temporary file first, which then replaces path in one rename."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(p: CalabiProfile, path: str | Path) -> None:
     """Write the potential samples and identifying data as JSON."""
     payload = {
@@ -612,11 +627,8 @@ def save_checkpoint(p: CalabiProfile, path: str | Path) -> None:
         "N": p.grid.N,
         "u": [float(x) for x in p.u],
     }
-    path = Path(path)
     try:
-        with path.open("w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        write_atomic(path, json.dumps(payload) + "\n")
     except OSError as exc:
         raise ProfileError(f"cannot write checkpoint {path}: {exc}") from exc
 

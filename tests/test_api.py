@@ -6,7 +6,7 @@ use.  A new export is a deliberate change to this file.
 import calabiflow as cf
 
 PUBLIC = {
-    "BlowupError", "CT_VARIANTS", "CalabiProfile", "CheckpointRecord",
+    "BlowupError", "CalabiProfile", "CheckpointRecord",
     "DiagnosticsError", "FlowError", "FlowParams", "FlowState", "KahlerClass",
     "MomentDomainError", "MonitorSet", "ProfileError", "Regime",
     "RegimeMismatchError", "RhoGrid", "StepControl", "StepStats",
@@ -17,7 +17,7 @@ PUBLIC = {
     "fit_boundary_tails", "fs_slice_diameter", "gaussian_reference",
     "infer_initial_class", "load_checkpoint", "profile_from_samples", "ratio_g",
     "ratio_h", "read_trace", "regime_indicator", "rescale", "rescaled_copy",
-    "rhs", "ricci_eigenvalues", "ricci_potential", "run", "sample_row",
+    "ricci_eigenvalues", "ricci_potential", "run", "sample_row",
     "save_checkpoint", "scalar_curvature", "singular_time", "soliton_residual",
     "step", "to_moment_profile", "total_volume", "trace_header",
     "validate_profile",

@@ -55,12 +55,6 @@ def test_run_rejects_even_grid(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_rejects_unknown_gauge():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--ct", "bogus"])
-    assert exc.value.code == 2
-
-
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -102,6 +96,8 @@ def test_flags_override_config(tmp_path):
     ("[bogus]\nx = 1\n", "unknown config section"),
     ("[grid]\nM = 9\n", "unknown key"),
     ("[grid]\nN = five\n", "bad value"),
+    ("[output]\nct_variant = log\n", "unknown key"),
+    ("[monitors]\ncurvature = no\n", "unknown key"),
 ])
 def test_config_rejects_malformed_content(tmp_path, capsys, text, fragment):
     ini = tmp_path / "flow.ini"

@@ -1,5 +1,6 @@
 """Trace rows, reductions, export formats and the regime classifier."""
 import collections
+import errno
 import json
 import math
 import sys
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import calabiflow as cf
+from calabiflow import diagnostics, profile
 
 HEADER_N2 = ("t,a,b,supRm,typeI,H_sup,G_sup,G_inf,bisec_min,bisec_min_scaled,"
              "c4_min_scaled,lambda_div_scaled,sigma2,vol_quad,vol_class,"
@@ -45,6 +47,43 @@ def test_summary_file(contract_default):
     assert summary["num_rows"] == len(trace.rows)
     assert summary["t_final"] == trace.rows[-1].t
     assert summary["checkpoints"] == [c.j for c in trace.checkpoints]
+
+
+class _DiskFull:
+    """Stands in for open(): stores half of what it is asked to write, then
+    fails as a full disk would."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+@pytest.mark.parametrize("write", [
+    lambda trace, path: cf.save_checkpoint(trace.final_profile, path),
+    diagnostics.export_trace,
+    diagnostics.write_summary,
+], ids=["checkpoint", "trace", "summary"])
+def test_interrupted_write_keeps_previous_file(contract_default, tmp_path,
+                                               monkeypatch, write):
+    """An output write that fails partway leaves the previous file as it was
+    and no partial file beside it."""
+    trace, _ = contract_default
+    target = tmp_path / "out.json"
+    target.write_text("previous\n")
+    monkeypatch.setattr(profile, "open", _DiskFull, raising=False)
+    with pytest.raises((OSError, cf.ProfileError)):
+        write(trace, target)
+    assert target.read_text() == "previous\n"
+    assert [q.name for q in tmp_path.iterdir()] == [target.name]
 
 
 def test_run_writes_log_and_checkpoints(contract_default):
@@ -92,8 +131,6 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
     """One row evaluates the tail-guarded u'''/u'' and the fourth-order
     combination once each, however many monitors read them; the shared
     arrays are read-only."""
-    from calabiflow import profile
-
     p = cf.profile_from_samples(contract_seed.u, contract_seed.grid,
                                 contract_seed.cls, 0.0, 2, 1)
     evaluations = collections.Counter()
@@ -104,7 +141,7 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
         return blend(*args)
 
     monkeypatch.setattr(profile, "_tail_guarded", counting_blend)
-    cf.sample_row(p, 1.0, cf.Regime.CONTRACT, cf.MonitorSet())
+    cf.sample_row(p, 1.0, cf.Regime.CONTRACT)
     assert evaluations == {"ratio_g": 1, "c4_combination": 1}
     for arr in (cf.ratio_g(p), cf.c4_combination(p), cf.c4_trust_mask(p)):
         assert not arr.flags.writeable
@@ -131,16 +168,6 @@ def test_fs_slice_diameter(contract_seed):
     d_center = cf.fs_slice_diameter(contract_seed)
     assert d_center > 0.0
     assert cf.fs_slice_diameter(contract_seed, index=0) < d_center
-
-
-def test_monitor_toggles():
-    ctl = cf.StepControl(t_stop_fraction=0.3)
-    mon = cf.MonitorSet(curvature=False, diameter=False)
-    trace = cf.run(cf.FlowParams(2, 1, 1.0, 4.0), ctl=ctl,
-                   grid=cf.RhoGrid(12.0, 257), monitors=mon)
-    row = trace.rows[-1]
-    assert math.isnan(row.supRm) and math.isnan(row.diam)
-    assert math.isfinite(row.vol_quad)
 
 
 def test_regime_indicator_matches_prediction(contract_default, collapse_run,
