@@ -11,13 +11,19 @@ differences; the two boundary rows are exponentially fitted closure
 relations that are exact on the asymptotic tail model, so u'(+-L) tracks
 the moving class endpoints.
 
+The Newton Jacobian J is tridiagonal on the interior rows; each closure
+row reaches one column further into the grid.  One row operation against
+its interior neighbour removes that entry, so every Newton step is a
+single tridiagonal solve (LAPACK dgtsv, partial pivoting).
+
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
-on differences of u alone, and the banded Jacobian maps the constant
-vector to 1 on interior rows and 0 on the closure rows.  So the gauged
+on differences of u alone, and J maps the constant vector to 1 on interior
+rows and 0 on the closure rows; the reduced tridiagonal system comes from
+J by row operations, so it solves the same equations.  So the gauged
 stage solution is the ungauged one plus a constant: each stage is solved
-without c(t), with one banded right-hand side, and the result is shifted
-so that u(0, t) keeps its previous value.
+without c(t), and the result is shifted so that u(0, t) keeps its
+previous value.
 
 Step size is controlled by step doubling: the error estimate is the
 sup-norm gap between one full step and two half steps, and the dt proposal
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import diagnostics
 from .profile import (
@@ -88,6 +94,7 @@ class StepStats:
     residual: float
     error: float
     retries: int
+    rejected: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -162,22 +169,30 @@ def _solve_stage(
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")
 
-        # banded Jacobian, (l, u) = (2, 2)
-        ab = np.zeros((5, N))
-        ab[2, 1:-1] = 1.0 + 2.0 * dt * inv_h2 / d2
-        ab[3, 0:-2] = -dt * (inv_h2 / d2 - (n - 1) * half_h / d1)
-        ab[1, 2:] = -dt * (inv_h2 / d2 + (n - 1) * half_h / d1)
-        ab[2, 0] = 1.0 + efac
-        ab[1, 1] = -2.0 - efac
-        ab[0, 2] = 1.0
-        ab[2, -1] = 1.0 + efac
-        ab[3, -2] = -2.0 - efac
-        ab[4, -3] = 1.0
+        # tridiagonal Jacobian: interior rows carry (lo, diag, up); each
+        # closure row's third entry is eliminated against its neighbour
+        curv = dt * inv_h2 / d2
+        drift = dt * (n - 1) * half_h / d1
+        diag = np.empty(N)
+        diag[1:-1] = 1.0 + 2.0 * curv
+        lo = drift - curv
+        up = -(curv + drift)
+        dl = np.append(lo, 0.0)
+        du = np.insert(up, 0, 0.0)
+        r = 1.0 / up[0]
+        diag[0] = 1.0 + efac - r * lo[0]
+        du[0] = -2.0 - efac - r * diag[1]
+        F[0] -= r * F[1]
+        r = 1.0 / lo[-1]
+        diag[-1] = 1.0 + efac - r * up[-1]
+        dl[-1] = -2.0 - efac - r * diag[-2]
+        F[-1] -= r * F[-2]
 
-        try:
-            delta = solve_banded((2, 2), ab, F)
-        except Exception as exc:
-            raise _StepFailure(f"banded solve failed: {exc}") from exc
+        _, _, _, delta, info = dgtsv(dl, diag, du, F, overwrite_dl=True,
+                                     overwrite_d=True, overwrite_du=True,
+                                     overwrite_b=True)
+        if info != 0:
+            raise _StepFailure(f"tridiagonal solve failed: info={info}")
         if not np.all(np.isfinite(delta)):
             raise _StepFailure("nonfinite Newton update")
 
@@ -234,7 +249,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
 
     dt = state.stats.dt_next if state.stats is not None else ctl.dt_init
     dt = min(dt, ctl.dt_max, 0.25 * (T - t))
-    retries = 0
+    rejected: list[str] = []
     while True:
         hit_cap = False
         if t_cap is not None and t + dt >= t_cap * (1.0 - 1e-14):
@@ -247,7 +262,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             uh, _, _ = _attempt(p.u, t, 0.5 * dt, params, grid, ctl)
             uB, iters, res = _attempt(uh, t + 0.5 * dt, 0.5 * dt, params, grid, ctl)
         except _StepFailure as exc:
-            retries += 1
+            rejected.append(f"dt={dt:.6g} {exc}")
             dt *= 0.5
             if dt < ctl.dt_min:
                 raise FlowError(
@@ -257,7 +272,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
         err = float(np.max(np.abs(uA - uB)))
         if err <= ctl.tol_step or dt <= 2.0 * ctl.dt_min:
             break
-        retries += 1
+        rejected.append(f"dt={dt:.6g} err={err:.6g} > tol")
         dt *= max(0.2, ctl.safety * math.sqrt(ctl.tol_step / err))
         if dt < ctl.dt_min:
             raise FlowError(f"profile degenerate: step size underflow at t={t:.12g}")
@@ -273,7 +288,8 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
         raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}")
     p_new = profile_from_samples(uB, grid, cls_new, t_new, params.n, params.k)
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters,
-                      residual=res, error=err, retries=retries)
+                      residual=res, error=err, retries=len(rejected),
+                      rejected=tuple(rejected))
     return FlowState(profile=p_new, params=params, stats=stats)
 
 
@@ -361,6 +377,8 @@ def run(
             t = state.profile.t
             st = state.stats
             if log_fh is not None:
+                for entry in st.rejected:
+                    log_fh.write(f"reject {entry}\n")
                 log_fh.write(f"t={t:.12g} dt={st.dt:.6g} iters={st.newton_iters} "
                              f"res={st.residual:.6g} retries={st.retries} "
                              f"err={st.error:.6g}\n")

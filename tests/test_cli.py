@@ -1,11 +1,14 @@
 """Exit codes, output files and option handling of the command line."""
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import calabiflow
 from calabiflow import cli
 
 
@@ -225,7 +228,10 @@ def test_sweep_matches_predictions(capsys):
 # module entry point
 
 def test_module_invocation():
+    src = str(Path(calabiflow.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "calabiflow", "soliton"],
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert b"rms=" in proc.stdout

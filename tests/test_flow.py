@@ -11,6 +11,9 @@ from calabiflow import flow
 
 THREE_LOG_TWO = 3.0 * math.log(2.0)
 CONTRACT = cf.FlowParams(2, 1, 1.0, 4.0)
+# admissible classes beyond the n = 2 presets that run to the stop time
+SWEEP = [cf.FlowParams(3, 1, 1.0, 6.0), cf.FlowParams(4, 1, 1.0, 4.0),
+         cf.FlowParams(2, 1, 0.2, 4.0), cf.FlowParams(2, 1, 1.0, 1.05)]
 
 # gauge constant for the contract seed: u'(0) = 5/2, u''(0) = 3/4
 CT_LOG = -math.log(0.75) - math.log(2.5)
@@ -174,3 +177,50 @@ def test_run_log_reports_retries_and_error(contract_default):
         assert set(fields) == {"t", "dt", "iters", "res", "retries", "err"}
         assert int(fields["retries"]) >= 0
         assert 0.0 <= float(fields["err"]) <= cf.StepControl().tol_step
+
+
+@pytest.mark.parametrize("params", [CONTRACT, *SWEEP[:2]], ids=["n2", "n3", "n4"])
+@pytest.mark.parametrize("dt", [1e-5, 1e-3, 5e-3])
+def test_newton_converges_quadratically(params, dt):
+    """From the explicit predictor, Newton on the eliminated tridiagonal
+    system meets tol_newton within three iterations; a Jacobian that is
+    wrong but still convergent converges only linearly and needs more."""
+    seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(12.0, 1025),
+                                      params.n, params.k)
+    ctl = cf.StepControl()
+    _, iters, _ = flow._attempt(seed.u, 0.0, dt, params, seed.grid, ctl)
+    assert iters <= 3
+
+
+def test_run_log_names_each_rejected_attempt(tmp_path):
+    """Rejected attempts, from stalled Newton solves and from the error
+    estimate, each get a reject line before the step that follows them."""
+    ctl = cf.StepControl(dt_init=5e-3, tol_step=1e-8, newton_max_iter=2,
+                         t_stop_fraction=0.002)
+    cf.run(CONTRACT, ctl=ctl, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    pending = []
+    reasons = set()
+    for line in lines:
+        if line.startswith("reject "):
+            pending.append(line)
+            reasons.add("stalled" if "Newton stalled" in line else
+                        "err" if "> tol" in line else line)
+            continue
+        assert line.startswith("t=")
+        fields = dict(item.split("=", 1) for item in line.split())
+        assert int(fields["retries"]) == len(pending)
+        pending = []
+    assert not pending
+    assert reasons == {"stalled", "err"}
+
+
+@pytest.mark.parametrize("params", SWEEP, ids=lambda p: f"{p.n}-{p.k}-{p.a0}-{p.b0}")
+def test_parameter_sweep_reaches_stop_time(params):
+    """Classes with n = 3, 4, a small a0 and a thin gap b0 - a0 run to the
+    stop time, and the volume decay classifies the predicted regime."""
+    ctl = cf.StepControl()
+    trace = cf.run(params, ctl=ctl, grid=cf.RhoGrid(12.0, 513))
+    info = cf.singular_time(params)
+    assert trace.rows[-1].t == pytest.approx(ctl.t_stop_fraction * info.T, rel=1e-12)
+    assert cf.regime_indicator(trace) is info.regime
