@@ -93,7 +93,9 @@ class CheckpointRecord:
 @dataclass
 class FlowTrace:
     """Rows and checkpoints of one run; error holds the FlowError text of a
-    run that stopped early, and is None otherwise."""
+    run that stopped early, and is None otherwise.  steps and retries count
+    accepted steps and rejected attempts, newton_iters the Newton
+    iterations of every stage of every accepted step."""
 
     params: FlowParams
     T: float
@@ -103,6 +105,9 @@ class FlowTrace:
     initial_profile: CalabiProfile | None = None
     final_profile: CalabiProfile | None = None
     elapsed: float = 0.0
+    steps: int = 0
+    retries: int = 0
+    newton_iters: int = 0
     error: str | None = field(default=None, init=False)
 
     def column(self, name: str) -> np.ndarray:
@@ -134,12 +139,6 @@ _DIAMETER_ALPHA = math.pi / math.sqrt(2.0)
 def divisor_diameter(p: CalabiProfile) -> float:
     """Diameter scale of the zero divisor, proportional to sqrt(a)."""
     return _DIAMETER_ALPHA * math.sqrt(p.cls.a)
-
-
-def fs_slice_diameter(p: CalabiProfile, index: int | None = None) -> float:
-    """Diameter scale of the projective slice through a grid node."""
-    idx = p.grid.center if index is None else index
-    return _DIAMETER_ALPHA * math.sqrt(float(p.du[idx]))
 
 
 def regime_indicator(trace: FlowTrace) -> Regime:
@@ -294,6 +293,9 @@ def write_summary(trace: FlowTrace, path: str | Path) -> None:
         "num_rows": len(rows),
         "checkpoints": [c.j for c in trace.checkpoints],
         "elapsed_seconds": round(trace.elapsed, 3),
+        "steps": trace.steps,
+        "retries": trace.retries,
+        "newton_iters": trace.newton_iters,
     }
     if trace.error is not None:
         summary["error"] = trace.error

@@ -14,7 +14,16 @@ the moving class endpoints.
 The Newton Jacobian J is tridiagonal on the interior rows; each closure
 row reaches one column further into the grid.  One row operation against
 its interior neighbour removes that entry, so every Newton step is a
-single tridiagonal solve (LAPACK dgtsv, partial pivoting).
+single tridiagonal solve (LAPACK dgtsv, partial pivoting).  The
+differences u', u'' that decide whether a damped iterate is admissible are
+the ones the next residual and Jacobian use, so each iterate is
+differenced once, and the stage's arrays are allocated once and filled in
+place.  Newton stops after an undamped update delta_k when sup|delta_k| is
+below tol_newton, or when it follows an undamped delta_(k-1) and the
+contraction estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error
+left, theta/(1-theta) |delta_k|, by tol_newton (Hairer-Wanner, Solving
+ODEs II, IV.8).  From the explicit predictor that saves the confirming
+iteration: two linear solves per stage.
 
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
@@ -27,7 +36,11 @@ previous value.
 
 Step size is controlled by step doubling: the error estimate is the
 sup-norm gap between one full step and two half steps, and the dt proposal
-follows the usual square-root rule for a first-order integrator.
+follows the usual square-root rule for a first-order integrator.  The
+full step and the first half step start from one predictor velocity.
+Stepping reads only the samples u; the full CalabiProfile (tail fits and
+four derivative arrays) of an accepted state is built on first read, so a
+run builds it only for monitor rows, checkpoints and the final profile.
 """
 
 from __future__ import annotations
@@ -88,6 +101,9 @@ class StepControl:
 
 @dataclass(frozen=True)
 class StepStats:
+    """One accepted step.  newton_iters and residual belong to its last
+    stage, total_iters sums the Newton iterations of all three stages."""
+
     dt: float
     dt_next: float
     newton_iters: int
@@ -95,13 +111,37 @@ class StepStats:
     error: float
     retries: int
     rejected: tuple[str, ...] = ()
+    total_iters: int = 0
 
 
-@dataclass(frozen=True)
 class FlowState:
-    profile: CalabiProfile
-    params: FlowParams
-    stats: StepStats | None = None
+    """Samples u at time t on grid, with the stats of the step that made
+    them.  Stepping reads only u, t and grid; `profile` is built from them
+    on first read and kept."""
+
+    def __init__(self, profile: CalabiProfile, params: FlowParams,
+                 stats: StepStats | None = None):
+        self._profile: CalabiProfile | None = profile
+        self.params = params
+        self.stats = stats
+        self.u, self.t, self.grid = profile.u, profile.t, profile.grid
+
+    @classmethod
+    def _from_samples(cls, u: np.ndarray, t: float, grid: RhoGrid,
+                      params: FlowParams, stats: StepStats) -> "FlowState":
+        state = cls.__new__(cls)
+        state._profile = None
+        state.params, state.stats = params, stats
+        state.u, state.t, state.grid = u, t, grid
+        return state
+
+    @property
+    def profile(self) -> CalabiProfile:
+        if self._profile is None:
+            p = self.params
+            self._profile = profile_from_samples(self.u, self.grid, class_at(p, self.t),
+                                                 self.t, p.n, p.k)
+        return self._profile
 
 
 def compute_ct(p: CalabiProfile) -> float:
@@ -123,11 +163,16 @@ def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _valid(w: np.ndarray, h: float, floor: float) -> bool:
+def _valid(w: np.ndarray, h: float,
+           floor: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(d1, d2) of an admissible iterate (finite, u' > 0, u'' > floor),
+    or None."""
     if not np.all(np.isfinite(w)):
-        return False
+        return None
     d1, d2 = _second_diffs(w, h)
-    return bool(np.all(d1 > 0.0) and np.all(d2 > floor))
+    if np.all(d1 > 0.0) and np.all(d2 > floor):
+        return d1, d2
+    return None
 
 
 def _solve_stage(
@@ -140,51 +185,55 @@ def _solve_stage(
     ctl: StepControl,
     w0: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
-    """One backward-Euler solve; returns (w, iterations, final residual).
+    """One backward-Euler solve; returns (w, iterations, residual), the
+    residual taken at the start of the last iteration.
 
     The system is solved without the gauge constant, and the converged
     solution is shifted to keep the center value of u_prev.
     """
     N, h, c = grid.N, grid.h, grid.center
-    rho_int = grid.nodes[1:-1]
     efac = math.expm1(k * h)
-    inv_h2 = 1.0 / h**2
-    half_h = 1.0 / (2.0 * h)
+    curv_dt = dt * (1.0 / h**2)
+    drift_dt = dt * (n - 1) * (1.0 / (2.0 * h))
+    # interior rows: F = w - (u_prev - dt n rho) - dt (log u'' + (n-1) log u')
+    base = u_prev[1:-1] - dt * n * grid.nodes[1:-1]
 
-    w = w0.copy()
-    if not _valid(w, h, ctl.floor_u2):
-        w = u_prev.copy()
-        if not _valid(w, h, ctl.floor_u2):
+    w = w0
+    diffs = _valid(w, h, ctl.floor_u2)
+    if diffs is None:
+        w = u_prev
+        diffs = _valid(w, h, ctl.floor_u2)
+        if diffs is None:
             raise _StepFailure("previous profile invalid at stage entry")
 
+    F = np.empty(N)
+    diag = np.empty(N)
+    dl = np.empty(N - 1)
+    du = np.empty(N - 1)
     res = math.inf
+    prev_full = None  # sup|delta| of the previous update, if undamped
     for it in range(1, ctl.newton_max_iter + 1):
-        d1, d2 = _second_diffs(w, h)
-        F = np.empty(N)
-        F[1:-1] = w[1:-1] - u_prev[1:-1] - dt * (
-            np.log(d2) + (n - 1) * np.log(d1) - n * rho_int)
+        d1, d2 = diffs
+        F[1:-1] = w[1:-1] - base - dt * (np.log(d2) + (n - 1) * np.log(d1))
         F[0] = (w[0] - 2.0 * w[1] + w[2]) - efac * ((w[1] - w[0]) - cls_new.a * h)
         F[-1] = (w[-3] - 2.0 * w[-2] + w[-1]) + efac * ((w[-1] - w[-2]) - cls_new.b * h)
         res = float(np.max(np.abs(F)))
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")
 
-        # tridiagonal Jacobian: interior rows carry (lo, diag, up); each
+        # tridiagonal Jacobian: interior rows carry (dl, diag, du); each
         # closure row's third entry is eliminated against its neighbour
-        curv = dt * inv_h2 / d2
-        drift = dt * (n - 1) * half_h / d1
-        diag = np.empty(N)
+        curv = curv_dt / d2
+        drift = drift_dt / d1
         diag[1:-1] = 1.0 + 2.0 * curv
-        lo = drift - curv
-        up = -(curv + drift)
-        dl = np.append(lo, 0.0)
-        du = np.insert(up, 0, 0.0)
-        r = 1.0 / up[0]
-        diag[0] = 1.0 + efac - r * lo[0]
+        dl[:-1] = drift - curv
+        du[1:] = -(curv + drift)
+        r = 1.0 / du[1]
+        diag[0] = 1.0 + efac - r * dl[0]
         du[0] = -2.0 - efac - r * diag[1]
         F[0] -= r * F[1]
-        r = 1.0 / lo[-1]
-        diag[-1] = 1.0 + efac - r * up[-1]
+        r = 1.0 / dl[-2]
+        diag[-1] = 1.0 + efac - r * du[-1]
         dl[-1] = -2.0 - efac - r * diag[-2]
         F[-1] -= r * F[-2]
 
@@ -200,24 +249,36 @@ def _solve_stage(
         lam = 1.0
         for _ in range(9):
             w_try = w - lam * delta
-            if _valid(w_try, h, ctl.floor_u2):
+            diffs = _valid(w_try, h, ctl.floor_u2)
+            if diffs is not None:
                 break
             lam *= 0.5
         else:
             raise _StepFailure("damping exhausted: iterate leaves admissible cone")
         w = w_try
-        if lam == 1.0 and sup_delta <= ctl.tol_newton:
+        if lam < 1.0:
+            prev_full = None
+            continue
+        # stop on an undamped update below tolerance or, after two undamped
+        # updates in a row, on the contraction estimate of the error left
+        theta = sup_delta / prev_full if prev_full is not None else math.inf
+        if sup_delta <= ctl.tol_newton or (
+                theta < 1.0 and theta / (1.0 - theta) * sup_delta <= ctl.tol_newton):
             return w - (w[c] - u_prev[c]), it, res
+        prev_full = sup_delta
     raise _StepFailure(f"Newton stalled after {ctl.newton_max_iter} iterations "
                        f"(residual {res:.3e})")
 
 
-def _predictor(u_prev: np.ndarray, dt: float, grid: RhoGrid, n: int,
-               floor: float) -> np.ndarray:
-    d1, d2 = _second_diffs(u_prev, grid.h)
+def _velocity(u: np.ndarray, grid: RhoGrid, n: int, floor: float) -> np.ndarray:
+    """Explicit velocity at interior nodes, with u' and u'' clipped positive."""
+    d1, d2 = _second_diffs(u, grid.h)
     d1 = np.maximum(d1, 1e-300)
     d2 = np.maximum(d2, max(floor, 1e-300))
-    vel = np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1]
+    return np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1]
+
+
+def _predictor(u_prev: np.ndarray, dt: float, vel: np.ndarray) -> np.ndarray:
     w = u_prev.copy()
     w[1:-1] += dt * vel
     w[0] += dt * vel[0]
@@ -227,28 +288,30 @@ def _predictor(u_prev: np.ndarray, dt: float, grid: RhoGrid, n: int,
 
 def _attempt(u_prev: np.ndarray, t0: float, dt: float, params: FlowParams,
              grid: RhoGrid, ctl: StepControl) -> tuple[np.ndarray, int, float]:
-    cls_new = class_at(params, t0 + dt)
-    w0 = _predictor(u_prev, dt, grid, params.n, ctl.floor_u2)
-    return _solve_stage(u_prev, dt, grid, cls_new, params.n, params.k, ctl, w0)
+    """One stage from t0 to t0 + dt, started from the explicit predictor."""
+    vel = _velocity(u_prev, grid, params.n, ctl.floor_u2)
+    return _solve_stage(u_prev, dt, grid, class_at(params, t0 + dt), params.n,
+                        params.k, ctl, _predictor(u_prev, dt, vel))
 
 
 def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
     """Advance one accepted adaptive step (with internal retries).
 
     t_cap, when given, is an event time the step must not overshoot; the
-    step lands on it exactly when the proposal reaches it.
+    step lands on it exactly when the proposal reaches it.  The returned
+    state builds its profile on first read.
     """
-    p = state.profile
     params = state.params
-    grid = p.grid
-    info = singular_time(params)
-    T = info.T
-    t = p.t
+    n, k = params.n, params.k
+    u, t, grid = state.u, state.t, state.grid
+    T = singular_time(params).T
     if t >= ctl.t_stop_fraction * T:
         raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
 
     dt = state.stats.dt_next if state.stats is not None else ctl.dt_init
     dt = min(dt, ctl.dt_max, 0.25 * (T - t))
+    # the full step and the first half step start from the same velocity
+    vel = _velocity(u, grid, n, ctl.floor_u2)
     rejected: list[str] = []
     while True:
         hit_cap = False
@@ -258,8 +321,11 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             if dt <= 0.0:
                 raise FlowError(f"event time {t_cap} not ahead of t={t}")
         try:
-            uA, _, _ = _attempt(p.u, t, dt, params, grid, ctl)
-            uh, _, _ = _attempt(p.u, t, 0.5 * dt, params, grid, ctl)
+            uA, iters_a, _ = _solve_stage(u, dt, grid, class_at(params, t + dt),
+                                          n, k, ctl, _predictor(u, dt, vel))
+            uh, iters_h, _ = _solve_stage(u, 0.5 * dt, grid,
+                                          class_at(params, t + 0.5 * dt), n, k, ctl,
+                                          _predictor(u, 0.5 * dt, vel))
             uB, iters, res = _attempt(uh, t + 0.5 * dt, 0.5 * dt, params, grid, ctl)
         except _StepFailure as exc:
             rejected.append(f"dt={dt:.6g} {exc}")
@@ -282,15 +348,14 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
         min(ctl.max_growth, max(0.2, ctl.safety * math.sqrt(ctl.tol_step / err)))
     dt_next = min(max(dt * factor, ctl.dt_min), ctl.dt_max)
 
-    cls_new = class_at(params, t_new)
     _, d2c = _second_diffs(uB, grid.h)
     if float(np.min(d2c)) <= ctl.floor_u2:
         raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}")
-    p_new = profile_from_samples(uB, grid, cls_new, t_new, params.n, params.k)
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters,
                       residual=res, error=err, retries=len(rejected),
-                      rejected=tuple(rejected))
-    return FlowState(profile=p_new, params=params, stats=stats)
+                      rejected=tuple(rejected),
+                      total_iters=iters_a + iters_h + iters)
+    return FlowState._from_samples(uB, t_new, grid, params, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +432,16 @@ def run(
     failure: FlowError | None = None
     try:
         ev_idx = 0
-        accepted = 0
-        while state.profile.t < t_stop * (1.0 - 1e-14):
+        while state.t < t_stop * (1.0 - 1e-14):
             if ev_idx >= len(events):
                 break
             t_cap = events[ev_idx][0]
             state = step(state, ctl, t_cap=t_cap)
-            accepted += 1
-            t = state.profile.t
             st = state.stats
+            trace.steps += 1
+            trace.retries += st.retries
+            trace.newton_iters += st.total_iters
+            t = state.t
             if log_fh is not None:
                 for entry in st.rejected:
                     log_fh.write(f"reject {entry}\n")
@@ -392,7 +458,7 @@ def run(
                         save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
                 trace.rows.append(diagnostics.sample_row(
                     state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
-            elif accepted % monitors.cadence == 0:
+            elif trace.steps % monitors.cadence == 0:
                 trace.rows.append(diagnostics.sample_row(
                     state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
     except FlowError as exc:

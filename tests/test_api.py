@@ -14,7 +14,7 @@ PUBLIC = {
     "build_canonical_profile", "c1_distance", "c4_combination", "c4_trust_mask",
     "checkpoint_times", "class_at", "compute_ct", "curvature_sample",
     "differentiate", "divisor_diameter", "evolution_residuals", "fik_reference",
-    "fit_boundary_tails", "fs_slice_diameter", "gaussian_reference",
+    "fit_boundary_tails", "gaussian_reference",
     "infer_initial_class", "load_checkpoint", "profile_from_samples", "ratio_g",
     "ratio_h", "read_trace", "regime_indicator", "rescale", "rescaled_copy",
     "ricci_eigenvalues", "ricci_potential", "run", "sample_row",

@@ -16,8 +16,9 @@ HEADER_N2 = ("t,a,b,supRm,typeI,H_sup,G_sup,G_inf,bisec_min,bisec_min_scaled,"
              "c4_min_scaled,lambda_div_scaled,sigma2,vol_quad,vol_class,"
              "vol_ratio,diam,dt,iters")
 SUMMARY_KEYS = {"T", "a0", "b0", "checkpoints", "elapsed_seconds", "k",
-                "lambda_div_final", "n", "num_rows", "regime", "supRm_final",
-                "t_final", "typeI_max", "vol_ratio_final"}
+                "lambda_div_final", "n", "newton_iters", "num_rows", "regime",
+                "retries", "steps", "supRm_final", "t_final", "typeI_max",
+                "vol_ratio_final"}
 
 
 def test_trace_header_is_frozen():
@@ -162,12 +163,6 @@ def test_divisor_diameter_oracle(contract_seed):
     q = cf.rescaled_copy(contract_seed, 4.0)
     assert_allclose(cf.divisor_diameter(q),
                     2.0 * cf.divisor_diameter(contract_seed), rtol=1e-12)
-
-
-def test_fs_slice_diameter(contract_seed):
-    d_center = cf.fs_slice_diameter(contract_seed)
-    assert d_center > 0.0
-    assert cf.fs_slice_diameter(contract_seed, index=0) < d_center
 
 
 def test_regime_indicator_matches_prediction(contract_default, collapse_run,

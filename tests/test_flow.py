@@ -8,12 +8,18 @@ from numpy.testing import assert_allclose
 
 import calabiflow as cf
 from calabiflow import flow
+from calabiflow.flow import dgtsv
 
 THREE_LOG_TWO = 3.0 * math.log(2.0)
 CONTRACT = cf.FlowParams(2, 1, 1.0, 4.0)
 # admissible classes beyond the n = 2 presets that run to the stop time
 SWEEP = [cf.FlowParams(3, 1, 1.0, 6.0), cf.FlowParams(4, 1, 1.0, 4.0),
          cf.FlowParams(2, 1, 0.2, 4.0), cf.FlowParams(2, 1, 1.0, 1.05)]
+
+# steps long enough that two Newton iterations sometimes stall, with a
+# step-doubling tolerance that some of them miss
+REJECTING = cf.StepControl(dt_init=5e-2, dt_max=5e-2, tol_step=1e-7,
+                           newton_max_iter=2, t_stop_fraction=0.05)
 
 # gauge constant for the contract seed: u'(0) = 5/2, u''(0) = 3/4
 CT_LOG = -math.log(0.75) - math.log(2.5)
@@ -112,6 +118,7 @@ def test_failed_run_keeps_partial_trace(tmp_path):
         summary = json.load(fh)
     assert summary["num_rows"] == len(rows)
     assert summary["error"] == str(info.value)
+    assert {"steps", "retries", "newton_iters"} <= set(summary)
     assert f"error: {info.value}" in (tmp_path / "run.log").read_text()
 
 
@@ -195,9 +202,7 @@ def test_newton_converges_quadratically(params, dt):
 def test_run_log_names_each_rejected_attempt(tmp_path):
     """Rejected attempts, from stalled Newton solves and from the error
     estimate, each get a reject line before the step that follows them."""
-    ctl = cf.StepControl(dt_init=5e-3, tol_step=1e-8, newton_max_iter=2,
-                         t_stop_fraction=0.002)
-    cf.run(CONTRACT, ctl=ctl, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    cf.run(CONTRACT, ctl=REJECTING, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
     lines = (tmp_path / "run.log").read_text().splitlines()
     pending = []
     reasons = set()
@@ -213,6 +218,72 @@ def test_run_log_names_each_rejected_attempt(tmp_path):
         pending = []
     assert not pending
     assert reasons == {"stalled", "err"}
+
+
+def test_summary_counts_match_run_log(tmp_path):
+    """summary.json counts the accepted steps and rejected attempts that
+    run.log lists, and at least one Newton iteration per stage."""
+    cf.run(CONTRACT, ctl=REJECTING, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    steps = [ln for ln in lines if ln.startswith("t=")]
+    assert summary["steps"] == len(steps)
+    assert summary["retries"] == sum(ln.startswith("reject ") for ln in lines)
+    assert summary["retries"] > 0
+    last_stage = sum(int(dict(item.split("=", 1) for item in ln.split())["iters"])
+                     for ln in steps)
+    assert summary["newton_iters"] >= last_stage + 2 * len(steps)
+
+
+@pytest.mark.parametrize("params", [CONTRACT, *SWEEP[:2]], ids=["n2", "n3", "n4"])
+@pytest.mark.parametrize("dt", [1e-3, 5e-3])
+def test_contraction_stop_saves_the_confirming_solve(params, dt, monkeypatch):
+    """From the predictor, the contraction estimate ends the stage after two
+    linear solves, within 1e-10 of the stage solved to tol_newton = 1e-13."""
+    seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(12.0, 1025),
+                                      params.n, params.k)
+    solves = []
+
+    def counting_dgtsv(*args, **kwargs):
+        solves.append(dt)
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "dgtsv", counting_dgtsv)
+    w, _, _ = flow._attempt(seed.u, 0.0, dt, params, seed.grid, cf.StepControl())
+    assert len(solves) <= 2
+    tight, _, _ = flow._attempt(seed.u, 0.0, dt, params, seed.grid,
+                                cf.StepControl(tol_newton=1e-13))
+    assert float(np.max(np.abs(w - tight))) <= 1e-10
+
+
+def test_profiles_are_built_only_where_read(monkeypatch):
+    """A run builds one profile per row sampled after the seed.  Stepping
+    reads the samples alone, so the monitor cadence, which decides which
+    profiles get built, leaves the checkpoints and the final samples
+    bitwise unchanged; each checkpoint profile is the rebuild of its own
+    samples."""
+    grid = cf.RhoGrid(12.0, 257)
+    dense = cf.run(CONTRACT, grid=grid, monitors=cf.MonitorSet(cadence=1))
+    builds = []
+
+    def counting_rebuild(*args, **kwargs):
+        builds.append(args[3])
+        return cf.profile_from_samples(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "profile_from_samples", counting_rebuild)
+    sparse = cf.run(CONTRACT, grid=grid, monitors=cf.MonitorSet(cadence=10))
+    assert builds == [r.t for r in sparse.rows[1:]]
+    assert len(dense.rows) > len(sparse.rows)
+    assert [c.j for c in dense.checkpoints] == [c.j for c in sparse.checkpoints]
+    for a, b in zip(dense.checkpoints, sparse.checkpoints):
+        assert np.array_equal(a.profile.u, b.profile.u)
+    assert np.array_equal(dense.final_profile.u, sparse.final_profile.u)
+    for c in sparse.checkpoints:
+        p = c.profile
+        ref = cf.profile_from_samples(p.u, p.grid, p.cls, p.t, p.n, p.k)
+        for name in ("du", "d2u", "d3u", "d4u"):
+            assert np.array_equal(getattr(p, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize("params", SWEEP, ids=lambda p: f"{p.n}-{p.k}-{p.a0}-{p.b0}")
