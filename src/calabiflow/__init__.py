@@ -17,16 +17,9 @@ from .blowup import (
     fik_reference,
     gaussian_reference,
     infer_initial_class,
-    rescale,
     soliton_residual,
 )
-from .curvature import (
-    bisectional_components,
-    curvature_sample,
-    ricci_eigenvalues,
-    ricci_potential,
-    scalar_curvature,
-)
+from .curvature import curvature_sample, scalar_curvature
 from .diagnostics import (
     CheckpointRecord,
     DiagnosticsError,
@@ -49,7 +42,7 @@ from .flow import (
     run,
     step,
 )
-from .moment import MomentDomainError, c1_distance
+from .moment import MomentDomainError, c1_distance, moment_profile
 from .profile import (
     CalabiProfile,
     FlowParams,
@@ -70,7 +63,6 @@ from .profile import (
     rescaled_copy,
     save_checkpoint,
     singular_time,
-    to_moment_profile,
     validate_profile,
 )
 
@@ -93,7 +85,6 @@ __all__ = [
     "RhoGrid",
     "StepControl",
     "StepStats",
-    "bisectional_components",
     "blowup_report",
     "blowup_window",
     "build_canonical_profile",
@@ -112,15 +103,13 @@ __all__ = [
     "gaussian_reference",
     "infer_initial_class",
     "load_checkpoint",
+    "moment_profile",
     "profile_from_samples",
     "ratio_g",
     "ratio_h",
     "read_trace",
     "regime_indicator",
-    "rescale",
     "rescaled_copy",
-    "ricci_eigenvalues",
-    "ricci_potential",
     "run",
     "sample_row",
     "save_checkpoint",
@@ -128,7 +117,6 @@ __all__ = [
     "singular_time",
     "soliton_residual",
     "step",
-    "to_moment_profile",
     "total_volume",
     "trace_header",
     "validate_profile",

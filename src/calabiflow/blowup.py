@@ -2,8 +2,9 @@
 
 When the zero divisor contracts, profiles approaching T are magnified by
 K = 1/(T - t), which sends the left class endpoint to the fixed value
-n - k.  Convergence of the magnified moment profiles in C^1 on a fixed
-window, together with a shrinking residual of the shrinker relation
+n - k; moment.moment_profile magnifies in moment coordinates, scaling x
+and phi by K.  Convergence of the magnified moment profiles in C^1 on a
+fixed window, together with a shrinking residual of the shrinker relation
 
     phi'(x) = n - (n-1) phi(x)/x - lambda x + mu phi(x) - alpha,
 
@@ -55,15 +56,14 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import CheckpointRecord
-from .moment import MomentProfile, c1_distance
-from .profile import (
-    CalabiProfile,
-    FlowParams,
-    Regime,
-    rescaled_copy,
-    singular_time,
-    write_atomic,
+from .moment import (
+    WINDOW_SAMPLES,
+    MomentDomainError,
+    MomentProfile,
+    c1_distance,
+    moment_profile,
 )
+from .profile import CalabiProfile, FlowParams, Regime, singular_time, write_atomic
 
 
 class BlowupError(RuntimeError):
@@ -72,17 +72,6 @@ class BlowupError(RuntimeError):
 
 class RegimeMismatchError(BlowupError):
     """The class evolution is not in the divisor-contraction regime."""
-
-
-@dataclass(frozen=True)
-class RescaledProfile:
-    profile: CalabiProfile
-    K: float
-    t: float
-
-    @property
-    def a_hat(self) -> float:
-        return self.profile.cls.a
 
 
 @dataclass(frozen=True)
@@ -115,31 +104,26 @@ class BlowupReport:
     rows: tuple[BlowupRow, ...]
 
 
-def rescale(p: CalabiProfile, T: float) -> RescaledProfile:
-    """Magnify a profile by 1/(T - t)."""
-    if p.t >= T:
-        raise BlowupError(f"profile time {p.t} is not before T={T}")
-    K = 1.0 / (T - p.t)
-    return RescaledProfile(profile=rescaled_copy(p, K), K=K, t=p.t)
-
-
-def blowup_window(rp: RescaledProfile) -> tuple[float, float]:
+def blowup_window(m: MomentProfile, a_hat: float,
+                  b_hat: float) -> tuple[float, float]:
     """Comparison window in the magnified moment variable.
 
-    Starts a fixed offset above the rescaled left endpoint and stops well
-    short of the right endpoint, growing toward the cap 10 as the right
-    endpoint recedes.
+    It starts a fixed offset above the magnified left class endpoint a_hat
+    and stops well short of b_hat, growing toward the cap 10 as b_hat
+    recedes.  It must lie inside the samples of m; it is never clipped to
+    them, since the raw slopes next to the grid ends are not the solution's.
     """
-    lo = rp.profile.cls.a + 0.1
-    hi = min(10.0, 0.5 * rp.profile.cls.b)
-    if hi <= lo:
-        raise BlowupError(f"empty comparison window ({lo:.6g}, {hi:.6g})")
-    return lo, hi
+    window = (a_hat + 0.1, min(10.0, 0.5 * b_hat))
+    try:
+        m.check_window(window)
+    except MomentDomainError as exc:
+        raise BlowupError(f"comparison window: {exc}") from exc
+    return window
 
 
 def soliton_residual(m: MomentProfile, n: int,
                      window: tuple[float, float] | None = None,
-                     lam: float = 1.0, samples: int = 801) -> SolitonFit:
+                     lam: float = 1.0) -> SolitonFit:
     """Least-squares fit of (mu, alpha) in the shrinker relation; rms residual.
 
     The relation is phi' = n - (n-1) phi/x - lam x + mu phi - alpha (derived
@@ -152,7 +136,7 @@ def soliton_residual(m: MomentProfile, n: int,
     if window is None:
         window = (m.x_min, m.x_max)
     m.check_window(window)
-    xs = np.linspace(window[0], window[1], samples)
+    xs = np.linspace(window[0], window[1], WINDOW_SAMPLES)
     phi = m.eval(xs)
     dphi = m.eval_slope(xs)
     base = n - (n - 1) * phi / xs - lam * xs - dphi
@@ -165,7 +149,7 @@ def soliton_residual(m: MomentProfile, n: int,
 
 
 def fik_reference(n: int, k: int, a_hat: float,
-                  x_max: float | None = None, samples: int = 2001) -> MomentProfile:
+                  x_max: float | None = None) -> MomentProfile:
     """Cone-slope reference profile phi(x) = (k/n)(x - a^n x^(1-n)).
 
     Vanishes with slope k at x = a_hat and approaches the linear growth
@@ -178,21 +162,18 @@ def fik_reference(n: int, k: int, a_hat: float,
         raise BlowupError(f"reference needs a_hat > 0, got {a_hat}")
     if x_max is None:
         x_max = max(12.0, 4.0 * a_hat)
-    xs = np.linspace(a_hat, x_max, samples)
+    xs = np.linspace(a_hat, x_max, 2001)
     an = a_hat**n
     phi = (k / n) * (xs - an * xs ** (1 - n))
     dphi = (k / n) * (1.0 + (n - 1) * an * xs ** (-n))
-    return MomentProfile(x=xs, phi=phi, dphi=dphi, a_hat=a_hat, b_hat=x_max,
-                         slopes=(float(k), float(dphi[-1])))
+    return MomentProfile(x=xs, phi=phi, dphi=dphi)
 
 
-def gaussian_reference(x_min: float = 0.5, x_max: float = 10.0,
-                       samples: int = 801) -> MomentProfile:
-    """The flat model phi(x) = x; satisfies the shrinker relation with
-    mu = lambda, alpha = 0."""
-    xs = np.linspace(x_min, x_max, samples)
-    return MomentProfile(x=xs, phi=xs.copy(), dphi=np.ones_like(xs),
-                         a_hat=x_min, b_hat=x_max, slopes=(1.0, 1.0))
+def gaussian_reference() -> MomentProfile:
+    """The flat model phi(x) = x on [0.5, 10]; satisfies the shrinker
+    relation with mu = lambda, alpha = 0."""
+    xs = np.linspace(0.5, 10.0, 801)
+    return MomentProfile(x=xs, phi=xs.copy(), dphi=np.ones_like(xs))
 
 
 def infer_initial_class(p: CalabiProfile, n: int, k: int) -> FlowParams:
@@ -200,46 +181,6 @@ def infer_initial_class(p: CalabiProfile, n: int, k: int) -> FlowParams:
     return FlowParams(n=n, k=k,
                       a0=p.cls.a + (n - k) * p.t,
                       b0=p.cls.b + (n + k) * p.t)
-
-
-def _moment_core(p: CalabiProfile) -> MomentProfile:
-    """Moment conversion for the blow-up path, with raw chain-rule slopes.
-
-    Close to the singular time the outermost node or two can lose strict
-    monotonicity of u' while the interior stays healthy.  Those nodes map
-    to the extreme ends of the moment domain, far outside any comparison
-    window, so the conversion keeps the longest strictly increasing run
-    of u' containing the center and drops the rest.
-
-    Slopes are the raw ratio u'''/u'' at the nodes of that run where it is
-    finite, not the tail-guarded ``ratio_g``: after magnification the
-    comparison window reaches into ratio_g's pure-model zone, where the
-    two-mode tail fit would stand in for the solution.
-    """
-    increasing = np.diff(p.du) > 0.0
-    c = p.grid.center
-    lo = c
-    while lo > 0 and increasing[lo - 1]:
-        lo -= 1
-    hi = c
-    while hi < increasing.size and increasing[hi]:
-        hi += 1
-    core = slice(lo, hi + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = p.d3u[core] / p.d2u[core]
-    keep = np.isfinite(dphi)
-    if int(keep.sum()) < 4:
-        raise BlowupError(
-            f"u' at t={p.t:.6g} has no usable increasing run around the center")
-    dphi = dphi[keep]
-    return MomentProfile(
-        x=p.du[core][keep],
-        phi=p.d2u[core][keep],
-        dphi=dphi,
-        a_hat=p.cls.a,
-        b_hat=p.cls.b,
-        slopes=(float(dphi[0]), float(dphi[-1])),
-    )
 
 
 def blowup_report(
@@ -257,7 +198,8 @@ def blowup_report(
     left endpoint, C^1 distance to the previous rescaled profile on the
     overlap window, soliton fit residual, and C^1 distance to the cone
     reference with a_hat = n - k.  Requires the divisor-contraction
-    regime and at least three usable checkpoints.
+    regime and at least three usable checkpoints; a level whose samples
+    miss its window raises a BlowupError that names the level.
     """
     if not checkpoints:
         raise BlowupError("no checkpoints given")
@@ -282,9 +224,16 @@ def blowup_report(
     prev_m: MomentProfile | None = None
     prev_win: tuple[float, float] | None = None
     for rec in usable:
-        rp = rescale(rec.profile, T)
-        m = _moment_core(rp.profile)
-        win = blowup_window(rp)
+        p = rec.profile
+        if p.t >= T:
+            raise BlowupError(f"profile time {p.t} is not before T={T}")
+        K = 1.0 / (T - p.t)
+        a_hat = K * p.cls.a
+        try:
+            m = moment_profile(p, K)
+            win = blowup_window(m, a_hat, K * p.cls.b)
+        except (MomentDomainError, BlowupError) as exc:
+            raise BlowupError(f"level j={rec.j}: {exc}") from exc
         selfsim = float("nan")
         if prev_m is not None:
             overlap = (max(prev_win[0], win[0]), min(prev_win[1], win[1]))
@@ -293,7 +242,7 @@ def blowup_report(
             selfsim = c1_distance(prev_m, m, overlap)
         fit = soliton_residual(m, n, window=win, lam=lam)
         fik_d = c1_distance(m, reference, win)
-        rows.append(BlowupRow(j=rec.j, t=rec.t, K=rp.K, a_hat=rp.a_hat,
+        rows.append(BlowupRow(j=rec.j, t=rec.t, K=K, a_hat=a_hat,
                               selfsim_prev=selfsim, soliton_rms=fit.rms,
                               fik_dist=fik_d, mu=fit.mu, c=fit.c))
         prev_m, prev_win = m, win

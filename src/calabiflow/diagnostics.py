@@ -197,8 +197,6 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime,
     # lambda1 and r1111 are fourth-difference pieces of the proxy: they
     # count on trusted nodes only
     safe = [np.abs(cs.r11kk), np.abs(cs.rkkkk), np.abs(cs.lambda2)]
-    if cs.rkkll is not None:
-        safe.append(np.abs(cs.rkkll))
     proxy = np.where(trust, cs.rm_proxy, np.max(np.stack(safe), axis=0))
     supRm = float(np.max(proxy[inner]))
     typeI = tau * supRm
@@ -210,8 +208,6 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime,
     G_inf = float(np.min(G))
 
     cands = [float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner]))]
-    if cs.rkkll is not None:
-        cands.append(float(np.min(cs.rkkll[inner])))
     c4min = nan
     sigma = tuple(nan for _ in range(2, n + 1))
     if itrust.any():

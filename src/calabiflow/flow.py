@@ -62,6 +62,7 @@ from .profile import (
     RhoGrid,
     build_canonical_profile,
     class_at,
+    closure_rows,
     profile_from_samples,
     save_checkpoint,
     singular_time,
@@ -215,8 +216,7 @@ def _solve_stage(
     for it in range(1, ctl.newton_max_iter + 1):
         d1, d2 = diffs
         F[1:-1] = w[1:-1] - base - dt * (np.log(d2) + (n - 1) * np.log(d1))
-        F[0] = (w[0] - 2.0 * w[1] + w[2]) - efac * ((w[1] - w[0]) - cls_new.a * h)
-        F[-1] = (w[-3] - 2.0 * w[-2] + w[-1]) + efac * ((w[-1] - w[-2]) - cls_new.b * h)
+        F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
         res = float(np.max(np.abs(F)))
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")

@@ -4,6 +4,10 @@ A moment profile is the metric written as a function of the moment variable
 x = u'(rho): phi(x) = u''(rho(x)).  The change of variables makes profiles at
 different times and scales directly comparable, which is what the blow-up
 analysis needs.  Slopes transform by the chain rule, phi'(x) = u'''/u''.
+
+moment_profile is the one conversion from a sampled potential.  It also
+magnifies: the metric of K*u has x = K u' and phi = K u'', while the slope
+u'''/u'' is unchanged, so magnifying a profile needs no rescaled copy of it.
 """
 
 from __future__ import annotations
@@ -13,30 +17,29 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .profile import CalabiProfile
+
+# evaluation points per window for C^1 distances and soliton fits
+WINDOW_SAMPLES = 801
+
 
 class MomentDomainError(ValueError):
-    """Requested evaluation window leaves the sampled moment domain."""
+    """The sampled moment domain is unusable, or a window leaves it."""
 
 
 @dataclass(eq=False)
 class MomentProfile:
     """Sampled moment-coordinate profile with monotone-cubic interpolation.
 
-    x:      strictly increasing sample locations in (a_hat, b_hat)
+    x:      strictly increasing sample locations
     phi:    positive profile values at the samples
     dphi:   slope samples phi'(x), supplied rather than differenced so that
             chain-rule values (u'''/u'') can be used when available
-    a_hat:  left endpoint of the underlying domain, phi -> 0 there
-    b_hat:  right endpoint (may be +inf for non-compact references)
-    slopes: limiting endpoint slopes (phi'(a_hat), phi'(b_hat))
     """
 
     x: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    a_hat: float
-    b_hat: float
-    slopes: tuple[float, float]
     _interp: PchipInterpolator | None = field(default=None, repr=False)
     _interp_slope: PchipInterpolator | None = field(default=None, repr=False)
 
@@ -83,33 +86,46 @@ class MomentProfile:
         _, slope = self._interpolants()
         return slope(xq)
 
-    def restrict(self, window: tuple[float, float]) -> "MomentProfile":
-        """Samples falling inside a window, as a new profile."""
-        self.check_window(window)
-        lo, hi = window
-        mask = (self.x >= lo) & (self.x <= hi)
-        if int(mask.sum()) < 4:
-            raise MomentDomainError(f"window ({lo}, {hi}) contains fewer than 4 samples")
-        return MomentProfile(
-            x=self.x[mask],
-            phi=self.phi[mask],
-            dphi=self.dphi[mask],
-            a_hat=self.a_hat,
-            b_hat=self.b_hat,
-            slopes=(float(self.dphi[mask][0]), float(self.dphi[mask][-1])),
-        )
+
+def moment_profile(p: CalabiProfile, K: float = 1.0) -> MomentProfile:
+    """The profile of the metric K*u in moment coordinates.
+
+    Close to the singular time the outermost node or two can lose strict
+    monotonicity of u' while the interior stays healthy.  Those nodes map
+    to the extreme ends of the moment domain, far outside any comparison
+    window, so the conversion keeps the longest strictly increasing run
+    of u' containing the center and drops the rest.
+
+    Slopes are the raw ratio u'''/u'' at the nodes of that run where it is
+    finite, not the tail-guarded ``ratio_g``: after magnification a
+    comparison window reaches into ratio_g's pure-model zone, where the
+    two-mode tail fit would stand in for the solution.
+    """
+    increasing = np.diff(p.du) > 0.0
+    c = p.grid.center
+    lo = c
+    while lo > 0 and increasing[lo - 1]:
+        lo -= 1
+    hi = c
+    while hi < increasing.size and increasing[hi]:
+        hi += 1
+    core = slice(lo, hi + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dphi = p.d3u[core] / p.d2u[core]
+    keep = np.isfinite(dphi)
+    if int(keep.sum()) < 4:
+        raise MomentDomainError(
+            f"u' at t={p.t:.6g} has no usable increasing run around the center")
+    return MomentProfile(x=K * p.du[core][keep], phi=K * p.d2u[core][keep],
+                         dphi=dphi[keep])
 
 
-def c1_distance(
-    m1: MomentProfile,
-    m2: MomentProfile,
-    window: tuple[float, float],
-    samples: int = 801,
-) -> float:
+def c1_distance(m1: MomentProfile, m2: MomentProfile,
+                window: tuple[float, float]) -> float:
     """sup |phi1 - phi2| + sup |phi1' - phi2'| over a shared window."""
     m1.check_window(window)
     m2.check_window(window)
-    xq = np.linspace(window[0], window[1], samples)
+    xq = np.linspace(window[0], window[1], WINDOW_SAMPLES)
     d0 = np.max(np.abs(m1.eval(xq) - m2.eval(xq)))
     d1 = np.max(np.abs(m1.eval_slope(xq) - m2.eval_slope(xq)))
     return float(d0 + d1)

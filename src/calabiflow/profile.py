@@ -30,8 +30,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .moment import MomentProfile
-
 CHECKPOINT_VERSION = 1
 
 # The boundary model is fitted on a band of fixed rho-width next to each
@@ -408,6 +406,16 @@ def _node_list(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in idx[:16])
 
 
+def closure_rows(u: np.ndarray, h: float, efac: float,
+                 a: float, b: float) -> tuple[float, float]:
+    """Residuals (left, right) of the exponentially fitted boundary rows,
+    with efac = expm1(k h): exact on the tails a*rho + D + E*e^(k*rho) and
+    b*rho + D + E*e^(-k*rho).  The flow solves them; validation measures them."""
+    left = (u[0] - 2.0 * u[1] + u[2]) - efac * ((u[1] - u[0]) - a * h)
+    right = (u[-3] - 2.0 * u[-2] + u[-1]) + efac * ((u[-1] - u[-2]) - b * h)
+    return left, right
+
+
 def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     """Check finiteness, convexity, monotonicity, class bounds and closures.
 
@@ -446,22 +454,16 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
             "class-range", _node_list(bad),
             f"du outside ({p.cls.a}, {p.cls.b}) at {int(bad.sum())} node(s)"))
 
-    u, h = p.u, p.grid.h
+    h = p.grid.h
     efac = math.expm1(p.k * h)
-    scale = efac * h
-    row_l = (u[0] - 2.0 * u[1] + u[2]) - efac * ((u[1] - u[0]) - p.cls.a * h)
-    res_l = abs(float(row_l)) / scale
-    if res_l > tol * p.cls.a:
-        violations.append(Violation(
-            "closure-left", (0,),
-            f"left closure residual {res_l:.3e} exceeds {tol * p.cls.a:.3e}"))
-
-    row_r = (u[-3] - 2.0 * u[-2] + u[-1]) + efac * ((u[-1] - u[-2]) - p.cls.b * h)
-    res_r = abs(float(row_r)) / scale
-    if res_r > tol * p.cls.b:
-        violations.append(Violation(
-            "closure-right", (p.grid.N - 1,),
-            f"right closure residual {res_r:.3e} exceeds {tol * p.cls.b:.3e}"))
+    rows = closure_rows(p.u, h, efac, p.cls.a, p.cls.b)
+    for side, node, row, end in (("left", 0, rows[0], p.cls.a),
+                                 ("right", p.grid.N - 1, rows[1], p.cls.b)):
+        res = abs(float(row)) / (efac * h)
+        if res > tol * end:
+            violations.append(Violation(
+                f"closure-{side}", (node,),
+                f"{side} closure residual {res:.3e} exceeds {tol * end:.3e}"))
 
     return ValidationReport(tuple(violations))
 
@@ -576,28 +578,6 @@ def c4_trust_mask(p: CalabiProfile) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# moment coordinates
-
-def to_moment_profile(p: CalabiProfile) -> MomentProfile:
-    """Reparametrize by x = u': phi(x) = u'', phi'(x) = u'''/u''.
-
-    Slope samples use the tail-guarded ratio, so the endpoint slopes come
-    out as +-k up to the truncation of the grid.
-    """
-    if np.any(np.diff(p.du) <= 0.0):
-        raise ProfileError("profile not admissible: du is not strictly increasing")
-    dphi = ratio_g(p)
-    return MomentProfile(
-        x=p.du.copy(),
-        phi=p.d2u.copy(),
-        dphi=dphi,
-        a_hat=p.cls.a,
-        b_hat=p.cls.b,
-        slopes=(float(dphi[0]), float(dphi[-1])),
-    )
-
-
-# ---------------------------------------------------------------------------
 # checkpoints
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -660,6 +640,7 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
             f"checkpoint {path}: non-finite header field(s) {', '.join(bad_keys)}")
     grid = RhoGrid(L=header["L"], N=N)
     cls = KahlerClass(a=header["a"], b=header["b"])
+    FlowParams(n, k, cls.a, cls.b)  # rejects n < 2 and k outside [1, n)
     if u.shape != (grid.N,):
         raise ProfileError(
             f"checkpoint {path}: u has {u.size} samples, header says {grid.N}")

@@ -126,8 +126,8 @@ def test_criterion_07_curvature_identity_suite(contract_seed, contract_default,
     ck5 = next(c.profile for c in trace.checkpoints if c.j == 5)
     route_rel = 0.0
     for p in (contract_seed, ck5):
-        re_ = cf.scalar_curvature(p, route="eigen")
-        rx = cf.scalar_curvature(p, route="explicit")
+        re_ = cf.curvature_sample(p).sigma[1]
+        rx = cf.scalar_curvature(p)
         a, b = p.cls.a, p.cls.b
         m = (p.du >= a + 0.1 * (b - a)) & (p.du <= b - 0.1 * (b - a))
         route_rel = max(route_rel, float(np.max(
@@ -136,12 +136,11 @@ def test_criterion_07_curvature_identity_suite(contract_seed, contract_default,
     K = math.e
     q = cf.rescaled_copy(contract_seed, K)
     hom = 0.0
-    pairs = [(np.stack(cf.ricci_eigenvalues(contract_seed)),
-              np.stack(cf.ricci_eigenvalues(q))),
-             (cf.scalar_curvature(contract_seed), cf.scalar_curvature(q)),
-             (cf.c4_combination(contract_seed), cf.c4_combination(q))]
-    pairs += list(zip(cf.bisectional_components(contract_seed)[:3],
-                      cf.bisectional_components(q)[:3]))
+    cp, cq = cf.curvature_sample(contract_seed), cf.curvature_sample(q)
+    pairs = [(np.stack((cp.lambda1, cp.lambda2)), np.stack((cq.lambda1, cq.lambda2))),
+             (cp.sigma[1], cq.sigma[1]),
+             (cf.c4_combination(contract_seed), cf.c4_combination(q)),
+             (cp.r1111, cq.r1111), (cp.r11kk, cq.r11kk), (cp.rkkkk, cq.rkkkk)]
     pairs += [(cf.ratio_h(contract_seed), cf.ratio_h(q)),
               (cf.ratio_g(contract_seed), cf.ratio_g(q))]
     for base, scaled in pairs[:-2]:

@@ -10,17 +10,16 @@ PUBLIC = {
     "DiagnosticsError", "FlowError", "FlowParams", "FlowState", "KahlerClass",
     "MomentDomainError", "MonitorSet", "ProfileError", "Regime",
     "RegimeMismatchError", "RhoGrid", "StepControl", "StepStats",
-    "bisectional_components", "blowup_report", "blowup_window",
+    "blowup_report", "blowup_window",
     "build_canonical_profile", "c1_distance", "c4_combination", "c4_trust_mask",
     "checkpoint_times", "class_at", "compute_ct", "curvature_sample",
     "differentiate", "divisor_diameter", "evolution_residuals", "fik_reference",
     "fit_boundary_tails", "gaussian_reference",
-    "infer_initial_class", "load_checkpoint", "profile_from_samples", "ratio_g",
-    "ratio_h", "read_trace", "regime_indicator", "rescale", "rescaled_copy",
-    "ricci_eigenvalues", "ricci_potential", "run", "sample_row",
+    "infer_initial_class", "load_checkpoint", "moment_profile",
+    "profile_from_samples", "ratio_g", "ratio_h", "read_trace",
+    "regime_indicator", "rescaled_copy", "run", "sample_row",
     "save_checkpoint", "scalar_curvature", "singular_time", "soliton_residual",
-    "step", "to_moment_profile", "total_volume", "trace_header",
-    "validate_profile",
+    "step", "total_volume", "trace_header", "validate_profile",
 }
 
 

@@ -1,5 +1,6 @@
 """Parabolic rescaling, soliton references and the blow-up report."""
 import csv
+import dataclasses
 import json
 import math
 
@@ -17,27 +18,23 @@ BLOWUP_CSV_HEADER = ["j", "t", "K", "a_hat", "selfsim_prev", "soliton_rms",
 
 
 # ---------------------------------------------------------------------------
-# rescaling
-
-def test_rescale_magnification(contract_default):
-    trace, _ = contract_default
-    ck = next(c for c in trace.checkpoints if c.j == 6)
-    rp = cf.rescale(ck.profile, T=1.0)
-    assert rp.K == 1.0 / (1.0 - ck.t)
-    assert rp.t == ck.t
-    assert rp.a_hat == pytest.approx(1.0, abs=1e-12)
-
+# comparison window
 
 def test_blowup_window_tracks_rescaled_class(contract_default):
+    """The window follows the magnified class, and it is refused, never
+    clipped, when it leaves the moment samples."""
     trace, _ = contract_default
-    early = cf.rescale(next(c.profile for c in trace.checkpoints if c.j == 1), 1.0)
-    late = cf.rescale(next(c.profile for c in trace.checkpoints if c.j == 6), 1.0)
-    lo, hi = cf.blowup_window(early)
-    assert lo == pytest.approx(1.1, abs=1e-9)
-    assert hi == pytest.approx(2.5, abs=1e-9)   # half of b_hat = 5
-    lo, hi = cf.blowup_window(late)
-    assert lo == pytest.approx(1.1, abs=1e-9)
-    assert hi == 10.0                            # capped
+    for j, hi_expected in ((1, 2.5), (6, 10.0)):   # half of b_hat = 5; capped
+        p = next(c.profile for c in trace.checkpoints if c.j == j)
+        K = 1.0 / (1.0 - p.t)
+        m = cf.moment_profile(p, K)
+        lo, hi = cf.blowup_window(m, K * p.cls.a, K * p.cls.b)
+        assert lo == pytest.approx(1.1, abs=1e-9)
+        assert hi == pytest.approx(hi_expected, abs=1e-9)
+    with pytest.raises(cf.BlowupError, match="outside sampled domain"):
+        cf.blowup_window(m, m.x_min - 0.15, 6.0)
+    with pytest.raises(cf.BlowupError, match="empty window"):
+        cf.blowup_window(m, 2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +82,7 @@ def test_soliton_residual_recovers_shrinker_relation():
     phi = sol.y[0]
     assert sol.success and np.all(phi > 0.0)
     dphi = rhs(xs, phi)
-    m = MomentProfile(x=xs, phi=phi, dphi=dphi, a_hat=xs[0], b_hat=xs[-1],
-                      slopes=(float(dphi[0]), float(dphi[-1])))
+    m = MomentProfile(x=xs, phi=phi, dphi=dphi)
     fit = cf.soliton_residual(m, n=n, lam=1.0)
     assert fit.rms < 1e-6
     assert_allclose(fit.mu, mu, atol=1e-6)
@@ -100,7 +96,7 @@ def test_cone_reference_shape():
     # phi(x) = (x - 1/x)/2 for n = 2, k = 1, a_hat = 1
     xs = np.linspace(1.5, 7.5, 25)
     assert_allclose(m.eval(xs), 0.5 * (xs - 1.0 / xs), rtol=1e-6)
-    assert_allclose(m.slopes[0], 1.0, rtol=1e-9)
+    assert_allclose(m.dphi[0], 1.0, rtol=1e-9)
 
 
 def test_soliton_residual_rejects_bad_window():
@@ -121,7 +117,8 @@ def test_blowup_report_rows(contract_default, tmp_path):
     assert [r.j for r in report.rows] == [4, 5, 6, 7, 8, 9]
     for r in report.rows:
         assert r.K == 2.0**r.j
-        assert r.a_hat == pytest.approx(1.0, abs=1e-3)
+        assert r.K == 1.0 / (1.0 - r.t)
+        assert r.a_hat == pytest.approx(1.0, abs=1e-12)
         assert math.isfinite(r.soliton_rms)
     assert math.isnan(report.rows[0].selfsim_prev)
     assert all(math.isfinite(r.selfsim_prev) for r in report.rows[1:])
@@ -160,6 +157,20 @@ def test_blowup_report_needs_enough_checkpoints(contract_default):
     early = [c for c in trace.checkpoints if c.j <= 3]
     with pytest.raises(cf.BlowupError):
         cf.blowup_report(early, T=1.0, n=2, k=1)
+
+
+def test_blowup_report_names_the_failing_level(contract_default):
+    """A level with no usable moment samples fails as a BlowupError that
+    names the level."""
+    trace, _ = contract_default
+    records = []
+    for c in trace.checkpoints:
+        p = c.profile
+        if c.j == 5:
+            p = dataclasses.replace(p, du=p.du[::-1].copy())
+        records.append(cf.CheckpointRecord(j=c.j, t=c.t, profile=p))
+    with pytest.raises(cf.BlowupError, match="level j=5: .*no usable increasing run"):
+        cf.blowup_report(records, T=1.0, n=2, k=1)
 
 
 def test_blowup_report_checks_singular_time(contract_default):

@@ -167,6 +167,20 @@ def test_validate_rejects_corrupt_checkpoint(corrupt_checkpoints, capsys):
     assert "non-finite sample" in captured.err
 
 
+@pytest.mark.parametrize("key, bad", [("n", 1), ("n", 0), ("k", 0), ("k", -1)])
+def test_validate_rejects_inadmissible_dimension(cli_contract, tmp_path, capsys,
+                                                 key, bad):
+    payload = json.loads((cli_contract / "checkpoint_j05.json").read_text())
+    payload[key] = bad
+    target = tmp_path / "checkpoint_j05.json"
+    target.write_text(json.dumps(payload))
+    rc = cli.main(["validate", "--checkpoint", str(target)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "admissible" not in captured.out
+    assert "error: need" in captured.err
+
+
 def test_blowup_rejects_corrupt_checkpoint(corrupt_checkpoints, capsys):
     rc = cli.main(["blowup", "--from", str(corrupt_checkpoints)])
     assert rc == cli.EXIT_CONFIG
@@ -191,6 +205,22 @@ def test_blowup_needs_contract_regime(cli_collapse, capsys):
     rc = cli.main(["blowup", "--from", str(cli_collapse)])
     assert rc == cli.EXIT_REGIME
     assert "regime" in capsys.readouterr().err
+
+
+def test_blowup_window_off_grid_is_a_numerical_failure(tmp_path, capsys):
+    """For n = 3 at L = 12 the magnified left grid end passes the window
+    start at j = 7: one error line naming the level, exit 3."""
+    rc = cli.main(["run", "--n", "3", "--k", "1", "--a0", "1", "--b0", "6",
+                   "--N", "257", "--stop-frac", "0.993", "--checkpoints", "7",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    capsys.readouterr()
+    rc = cli.main(["blowup", "--from", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: level j=7: comparison window:")
+    assert captured.err.count("\n") == 1
 
 
 def test_blowup_empty_directory(tmp_path, capsys):

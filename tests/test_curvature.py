@@ -24,53 +24,39 @@ def _flat_profile(grid):
                             d4u=u.copy(), tail_left=None, tail_right=None)
 
 
-def test_ricci_potential_center(contract_seed):
-    pot = cf.ricci_potential(contract_seed)
-    c = contract_seed.grid.center
-    assert_allclose(pot.dv[c], 1.7, rtol=1e-10)
-    assert_allclose(pot.d2v[c], 0.59, rtol=1e-9)
-
-
 def test_eigenvalues_and_scalar_center(contract_seed):
-    lam1, lam2 = cf.ricci_eigenvalues(contract_seed)
+    """lambda2 = v'/u' and lambda1 = v''/u'' with v' = 1.7 and v'' = 0.59
+    at the center; both scalar-curvature routes give 22/15 there."""
+    cs = cf.curvature_sample(contract_seed)
     c = contract_seed.grid.center
-    assert_allclose(lam1[c], LAMBDA1, rtol=1e-9)
-    assert_allclose(lam2[c], LAMBDA2, rtol=1e-10)
-    R = cf.scalar_curvature(contract_seed)
-    assert_allclose(R[c], SCALAR_R, rtol=1e-9)
+    assert_allclose(cs.lambda1[c], LAMBDA1, rtol=1e-9)
+    assert_allclose(cs.lambda2[c], LAMBDA2, rtol=1e-10)
+    assert_allclose(cs.sigma[1][c], SCALAR_R, rtol=1e-9)
+    assert_allclose(cf.scalar_curvature(contract_seed)[c], SCALAR_R, rtol=1e-9)
 
 
 def test_bisectional_components_center(contract_seed):
-    r1111, r11kk, rkkkk, rkkll = cf.bisectional_components(contract_seed)
+    cs = cf.curvature_sample(contract_seed)
     c = contract_seed.grid.center
-    assert_allclose(r1111[c], 1.0 / 3.0, rtol=1e-9)
-    assert_allclose(r11kk[c], 0.12, rtol=1e-10)
-    assert_allclose(rkkkk[c], 0.28, rtol=1e-10)
-    assert rkkll is None
-
-
-def test_rkkll_present_for_higher_dimension():
-    p = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 513),
-                                   n=3, k=1)
-    r1111, r11kk, rkkkk, rkkll = cf.bisectional_components(p)
-    assert rkkll is not None
-    assert np.array_equal(rkkll, rkkkk)
+    assert_allclose(cs.r1111[c], 1.0 / 3.0, rtol=1e-9)
+    assert_allclose(cs.r11kk[c], 0.12, rtol=1e-10)
+    assert_allclose(cs.rkkkk[c], 0.28, rtol=1e-10)
 
 
 def test_sigma2_center(contract_seed):
     cs = cf.curvature_sample(contract_seed)
     c = contract_seed.grid.center
     assert set(cs.sigma) == {1, 2}
-    assert_allclose(cs.sigma[1], cf.scalar_curvature(contract_seed), rtol=1e-12)
+    assert np.array_equal(cs.sigma[1], cs.lambda1 + cs.lambda2, equal_nan=True)
     assert_allclose(cs.sigma[2][c], SIGMA2, rtol=1e-9)
 
 
 def test_sigma_definition_matches_eigenvalues():
     p = cf.build_canonical_profile(cf.KahlerClass(1.0, 7.0), cf.RhoGrid(12.0, 513),
                                    n=3, k=2)
-    lam1, lam2 = cf.ricci_eigenvalues(p)
+    cs = cf.curvature_sample(p)
+    lam1, lam2, sigma = cs.lambda1, cs.lambda2, cs.sigma
     c = p.grid.center
-    sigma = cf.curvature_sample(p).sigma
     s2, s3 = sigma[2], sigma[3]
     # eigenvalues (lam1, lam2, lam2): sigma2 = 2 lam1 lam2 + lam2^2,
     # sigma3 = lam1 lam2^2
@@ -79,15 +65,15 @@ def test_sigma_definition_matches_eigenvalues():
 
 
 def test_scalar_routes_agree_on_moment_interior(contract_seed, contract_default):
-    """Eigenvalue-sum and explicit expansions are independent algebraic
-    routes; on nodes at least 10% of the class width away from both
-    endpoints they agree to rounding."""
+    """The eigenvalue sum sigma_1 and the explicit expansion are
+    independent algebraic routes; on nodes at least 10% of the class width
+    away from both endpoints they agree to rounding."""
     trace, _ = contract_default
     profiles = [contract_seed]
     profiles += [c.profile for c in trace.checkpoints if c.j in (1, 5, 9)]
     for p in profiles:
-        Re = cf.scalar_curvature(p, route="eigen")
-        Rx = cf.scalar_curvature(p, route="explicit")
+        Re = cf.curvature_sample(p).sigma[1]
+        Rx = cf.scalar_curvature(p)
         a, b = p.cls.a, p.cls.b
         lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
         m = (p.du >= lo) & (p.du <= hi)
@@ -96,23 +82,18 @@ def test_scalar_routes_agree_on_moment_interior(contract_seed, contract_default)
         assert rel < 1e-6
 
 
-def test_unknown_scalar_route_rejected(contract_seed):
-    with pytest.raises(ValueError):
-        cf.scalar_curvature(contract_seed, route="spectral")
-
-
 def test_curvature_homogeneity(contract_seed):
     """u -> K u is a homothety: eigenvalues, scalar and fourth-order
     combinations scale by 1/K; the slope ratios H and G are unchanged."""
     K = math.e
     p, q = contract_seed, cf.rescaled_copy(contract_seed, math.e)
-    assert_allclose(K * np.stack(cf.ricci_eigenvalues(q)),
-                    np.stack(cf.ricci_eigenvalues(p)), rtol=1e-10)
+    cp, cq = cf.curvature_sample(p), cf.curvature_sample(q)
+    for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
+        assert_allclose(K * getattr(cq, name), getattr(cp, name), rtol=1e-10,
+                        err_msg=name)
+    assert_allclose(K * cq.sigma[1], cp.sigma[1], rtol=1e-10)
     assert_allclose(K * cf.scalar_curvature(q), cf.scalar_curvature(p), rtol=1e-10)
     assert_allclose(K * cf.c4_combination(q), cf.c4_combination(p), rtol=1e-10)
-    for comp_q, comp_p in zip(cf.bisectional_components(q)[:3],
-                              cf.bisectional_components(p)[:3]):
-        assert_allclose(K * comp_q, comp_p, rtol=1e-10)
     assert_allclose(cf.ratio_h(q), cf.ratio_h(p), rtol=1e-12)
     assert_allclose(cf.ratio_g(q), cf.ratio_g(p), rtol=1e-10)
     assert np.array_equal(cf.c4_trust_mask(q), cf.c4_trust_mask(p))
@@ -120,13 +101,12 @@ def test_curvature_homogeneity(contract_seed):
 
 def test_flat_model_annihilation_exact():
     p = _flat_profile(cf.RhoGrid(12.0, 1025))
-    assert np.max(np.abs(cf.scalar_curvature(p, "eigen"))) == 0.0
-    assert np.max(np.abs(cf.scalar_curvature(p, "explicit"))) < 1e-9
+    cs = cf.curvature_sample(p)
+    assert np.max(np.abs(cf.scalar_curvature(p))) < 1e-9
     assert np.max(np.abs(cf.c4_combination(p))) == 0.0
-    for comp in cf.bisectional_components(p)[:3]:
-        assert np.max(np.abs(comp)) == 0.0
-    pot = cf.ricci_potential(p)
-    assert np.max(np.abs(pot.dv)) == 0.0
+    for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
+        assert np.max(np.abs(getattr(cs, name))) == 0.0, name
+    assert np.max(np.abs(cs.sigma[1])) == 0.0
 
 
 def test_flat_model_annihilation_finite_differences():

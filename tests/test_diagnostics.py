@@ -106,7 +106,7 @@ def test_row_reductions_match_reference(contract_1025):
     trust = cf.c4_trust_mask(p)
     itrust = trust[inner]
     cs = cf.curvature_sample(p)
-    assert cs.rkkll is None and itrust.any()
+    assert itrust.any()
 
     # fourth-difference pieces (r1111, lambda1) count on trusted nodes only
     proxy = np.max(np.stack([np.where(trust, np.abs(cs.r1111), 0.0),

@@ -289,9 +289,28 @@ def test_profiles_are_built_only_where_read(monkeypatch):
 @pytest.mark.parametrize("params", SWEEP, ids=lambda p: f"{p.n}-{p.k}-{p.a0}-{p.b0}")
 def test_parameter_sweep_reaches_stop_time(params):
     """Classes with n = 3, 4, a small a0 and a thin gap b0 - a0 run to the
-    stop time, and the volume decay classifies the predicted regime."""
+    stop time, and the volume decay classifies the predicted regime.
+
+    In the contraction regime the blow-up report over j <= 6 sends the
+    divisor to n - k and its soliton rms and C^1 distances fall.  At
+    L = 12 the magnified left grid end passes a_hat + 0.1 at j = 7, and
+    the full report refuses that level instead of clipping its window."""
     ctl = cf.StepControl()
     trace = cf.run(params, ctl=ctl, grid=cf.RhoGrid(12.0, 513))
     info = cf.singular_time(params)
     assert trace.rows[-1].t == pytest.approx(ctl.t_stop_fraction * info.T, rel=1e-12)
     assert cf.regime_indicator(trace) is info.regime
+    if info.regime is not cf.Regime.CONTRACT:
+        return
+    n, k = params.n, params.k
+    with pytest.raises(cf.BlowupError,
+                       match=r"level j=7: comparison window: .* outside sampled domain"):
+        cf.blowup_report(list(trace.checkpoints), T=info.T, n=n, k=k)
+    report = cf.blowup_report([c for c in trace.checkpoints if c.j <= 6],
+                              T=info.T, n=n, k=k)
+    assert [r.j for r in report.rows] == [4, 5, 6]
+    for r in report.rows:
+        assert r.a_hat == pytest.approx(n - k, abs=1e-12)
+    rms = [r.soliton_rms for r in report.rows]
+    assert rms[0] > rms[1] > rms[2]
+    assert report.rows[1].selfsim_prev > report.rows[2].selfsim_prev

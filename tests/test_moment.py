@@ -8,15 +8,27 @@ import calabiflow as cf
 
 @pytest.fixture(scope="module")
 def seed_moment(contract_seed):
-    return cf.to_moment_profile(contract_seed)
+    return cf.moment_profile(contract_seed)
 
 
-def test_moment_domain_matches_class(seed_moment):
+def test_moment_domain_matches_class(seed_moment, contract_seed):
+    """u' of the seed increases strictly on the whole grid, so every node
+    is a sample, and the samples lie inside the class (1, 4)."""
     m = seed_moment
-    assert m.a_hat == 1.0 and m.b_hat == 4.0
-    assert m.a_hat < m.x[0] < m.x[-1] < m.b_hat
+    assert np.array_equal(m.x, contract_seed.du)
+    assert np.array_equal(m.phi, contract_seed.d2u)
+    assert 1.0 < m.x[0] < m.x[-1] < 4.0
     assert m.x_min == m.x[0] and m.x_max == m.x[-1]
     assert np.all(np.diff(m.x) > 0.0)
+
+
+def test_magnified_moment_profile(contract_seed, seed_moment):
+    """The metric K u has x = K u' and phi = K u'', with unchanged slopes."""
+    K = 8.0
+    big = cf.moment_profile(contract_seed, K)
+    assert np.array_equal(big.x, K * seed_moment.x)
+    assert np.array_equal(big.phi, K * seed_moment.phi)
+    assert np.array_equal(big.dphi, seed_moment.dphi)
 
 
 def test_moment_center_value(seed_moment):
@@ -34,8 +46,9 @@ def test_moment_profile_symmetry(seed_moment):
 
 
 def test_moment_end_slopes(seed_moment):
-    assert abs(seed_moment.slopes[0] - 1.0) < 5e-5
-    assert abs(seed_moment.slopes[1] + 1.0) < 5e-5
+    """phi' tends to +k at the left end of the class and -k at the right."""
+    assert abs(seed_moment.dphi[0] - 1.0) < 5e-5
+    assert abs(seed_moment.dphi[-1] + 1.0) < 5e-5
 
 
 def test_eval_outside_domain_is_nan(seed_moment):
@@ -48,13 +61,6 @@ def test_check_window(seed_moment):
     seed_moment.check_window((1.5, 3.5))
     with pytest.raises(cf.MomentDomainError):
         seed_moment.check_window((0.1, 3.5))
-
-
-def test_restrict(seed_moment):
-    sub = seed_moment.restrict((1.5, 3.5))
-    assert sub.x_min >= 1.5 and sub.x_max <= 3.5
-    xs = np.linspace(1.6, 3.4, 33)
-    assert_allclose(sub.eval(xs), seed_moment.eval(xs), rtol=1e-12)
 
 
 def test_slope_channel_is_exact_for_seed(seed_moment):

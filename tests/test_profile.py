@@ -262,6 +262,16 @@ def test_load_checkpoint_rejects_non_finite_node_count(tmp_path, contract_seed, 
         cf.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, bad", [("n", 1), ("n", 0), ("k", 0), ("k", -1),
+                                      ("k", 2)])
+def test_load_checkpoint_rejects_inadmissible_dimension(tmp_path, contract_seed,
+                                                         key, bad):
+    """n >= 2 and 1 <= k < n, as for the flow parameters."""
+    path = _corrupted_checkpoint(tmp_path, contract_seed, key, bad)
+    with pytest.raises(cf.ProfileError, match=r"need n >= 2|need 1 <= k < n"):
+        cf.load_checkpoint(path)
+
+
 def test_evolved_checkpoint_is_admissible(contract_default):
     trace, _ = contract_default
     early = next(c.profile for c in trace.checkpoints if c.j == 1)
