@@ -18,6 +18,24 @@ BLOWUP_CSV_HEADER = ["j", "t", "K", "a_hat", "selfsim_prev", "soliton_rms",
 
 
 # ---------------------------------------------------------------------------
+# rescaling
+
+def test_rescale_magnification(contract_default):
+    """Magnifying by K = 1/(T - t) sends the left class endpoint to 1 and
+    scales moment coordinate and moment profile by K, slopes unchanged."""
+    trace, _ = contract_default
+    p = next(c.profile for c in trace.checkpoints if c.j == 6)
+    K = 1.0 / (1.0 - p.t)
+    assert K == 2.0**6
+    assert K * p.cls.a == pytest.approx(1.0, abs=1e-12)
+    m1 = cf.moment_profile(p)
+    mK = cf.moment_profile(p, K)
+    assert_allclose(mK.x, K * m1.x, rtol=1e-15)
+    assert_allclose(mK.phi, K * m1.phi, rtol=1e-15)
+    assert np.array_equal(mK.dphi, m1.dphi)
+
+
+# ---------------------------------------------------------------------------
 # comparison window
 
 def test_blowup_window_tracks_rescaled_class(contract_default):
