@@ -5,25 +5,32 @@ where the gauge constant c(t) pins the velocity at rho = 0 to zero:
 
     c(t) = -log u''(0, t) - (n-1) * log u'(0, t)
 
-Each backward-Euler step solves the nonlinear system by a damped Newton
-iteration.  Interior rows discretize the equation with second-order
-differences; the two boundary rows are exponentially fitted closure
-relations that are exact on the asymptotic tail model, so u'(+-L) tracks
-the moving class endpoints.
+Each step is one TR-BDF2 step (Bank et al., IEEE TCAD 1985) with
+gamma = 2 - sqrt(2), second order and L-stable.  With f(u) = log u'' +
+(n-1) log u' - n rho and d = gamma/2, both stages solve w - d dt f(w) = rhs
+on the interior rows: the trapezoidal stage to t + gamma dt with
+rhs = u_n + d dt f(u_n), then the BDF2 stage to t + dt with
+rhs = (u_gamma - (1-gamma)^2 u_n) / (gamma (2-gamma)).  Interior rows
+discretize the equation with second-order differences; the two boundary
+rows are exponentially fitted closure relations, imposed at each stage's
+time, that are exact on the asymptotic tail model, so u'(+-L) tracks the
+moving class endpoints.
 
-The Newton Jacobian J is tridiagonal on the interior rows; each closure
-row reaches one column further into the grid.  One row operation against
-its interior neighbour removes that entry, so every Newton step is a
-single tridiagonal solve (LAPACK dgtsv, partial pivoting).  The
-differences u', u'' that decide whether a damped iterate is admissible are
-the ones the next residual and Jacobian use, so each iterate is
-differenced once, and the stage's arrays are allocated once and filled in
-place.  Newton stops after an undamped update delta_k when sup|delta_k| is
-below tol_newton, or when it follows an undamped delta_(k-1) and the
-contraction estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error
-left, theta/(1-theta) |delta_k|, by tol_newton (Hairer-Wanner, Solving
-ODEs II, IV.8).  From the explicit predictor that saves the confirming
-iteration: two linear solves per stage.
+Each stage is solved by a damped Newton iteration.  Its Jacobian, the
+stage matrix I - d dt df/dw, is tridiagonal on the interior rows; each
+closure row reaches one column further into the grid.  One row operation
+against its interior neighbour removes that entry, so every Newton step
+is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
+by the one helper that the error filter uses too.  The differences u', u''
+that decide whether a damped iterate is admissible are the ones the next
+residual and Jacobian use, so each iterate is differenced once.  Newton
+stops after an undamped update delta_k when sup|delta_k| is below
+tol_newton, or when it follows an undamped delta_(k-1) and the contraction
+estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error left,
+theta/(1-theta) |delta_k|, by tol_newton (Hairer-Wanner, Solving ODEs II,
+IV.8).  From the explicit predictor (the trapezoidal stage) or the linear
+extrapolation of u_n and u_gamma (the BDF2 stage) that saves the
+confirming iteration: two linear solves per stage.
 
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
@@ -34,10 +41,17 @@ stage solution is the ungauged one plus a constant: each stage is solved
 without c(t), and the result is shifted so that u(0, t) keeps its
 previous value.
 
-Step size is controlled by step doubling: the error estimate is the
-sup-norm gap between one full step and two half steps, and the dt proposal
-follows the usual square-root rule for a first-order integrator.  The
-full step and the first half step start from one predictor velocity.
+Step size is controlled by the embedded estimate of Hosea and Shampine
+(Analysis and implementation of TR-BDF2, APNUM 1996),
+    est = C dt (f_n/gamma - f_gamma/(gamma (1-gamma)) + f_1/(1-gamma)),
+C = (-3 gamma^2 + 4 gamma - 2) / (6 (2 - gamma)), on the interior rows and
+0 on the closure rows.  f_n is the velocity the step computes once; f_gamma
+and f_1 follow from the stage equations without another evaluation.  The
+estimate is filtered by one more tridiagonal solve with the stage matrix
+at u_1, which damps the stiff components a raw estimate would overstate,
+and its center value is subtracted, since the gauge constant shifts the
+stage values of f.  Its sup norm is held to tol_step, and the dt proposal
+follows the cube-root rule of a second-order integrator.
 Stepping reads only the samples u; the full CalabiProfile (tail fits and
 four derivative arrays) of an accepted state is built on first read, so a
 run builds it only for monitor rows, checkpoints and the final profile.
@@ -103,7 +117,7 @@ class StepControl:
 @dataclass(frozen=True)
 class StepStats:
     """One accepted step.  newton_iters and residual belong to its last
-    stage, total_iters sums the Newton iterations of all three stages."""
+    (BDF2) stage, total_iters sums the Newton iterations of both stages."""
 
     dt: float
     dt_next: float
@@ -155,7 +169,18 @@ def compute_ct(p: CalabiProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Newton solver for one backward-Euler stage
+# TR-BDF2: two implicit stages with one coefficient, and the error filter
+
+_GAMMA = 2.0 - math.sqrt(2.0)
+_D = 0.5 * _GAMMA  # both stages solve w - D dt f(w) = rhs
+_BDF2_OLD = (1.0 - _GAMMA) ** 2
+_BDF2_SCALE = 1.0 / (_GAMMA * (2.0 - _GAMMA))
+# est = dt (E_N f_n + E_G f_gamma + E_1 f_1), Hosea-Shampine
+_ERR_COEF = (-3.0 * _GAMMA**2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
+_E_N = _ERR_COEF / _GAMMA
+_E_G = -_ERR_COEF / (_GAMMA * (1.0 - _GAMMA))
+_E_1 = _ERR_COEF / (1.0 - _GAMMA)
+
 
 def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(d1, d2) at interior nodes 1..N-2 by central differences."""
@@ -176,9 +201,44 @@ def _valid(w: np.ndarray, h: float,
     return None
 
 
+def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
+                        n: int, efac: float, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b, M the stage Jacobian at differences (d1, d2).
+
+    Interior rows of M are I - ddt df/dw, tridiagonal; each closure row's
+    third entry is eliminated against its interior neighbour, in M and in
+    b (which is overwritten), so the system is one dgtsv call.
+    """
+    curv = (ddt / h**2) / d2
+    drift = (ddt * (n - 1) / (2.0 * h)) / d1
+    N = b.size
+    diag = np.empty(N)
+    dl = np.empty(N - 1)
+    du = np.empty(N - 1)
+    diag[1:-1] = 1.0 + 2.0 * curv
+    dl[:-1] = drift - curv
+    du[1:] = -(curv + drift)
+    r = 1.0 / du[1]
+    diag[0] = 1.0 + efac - r * dl[0]
+    du[0] = -2.0 - efac - r * diag[1]
+    b[0] -= r * b[1]
+    r = 1.0 / dl[-2]
+    diag[-1] = 1.0 + efac - r * du[-1]
+    dl[-1] = -2.0 - efac - r * diag[-2]
+    b[-1] -= r * b[-2]
+    _, _, _, x, info = dgtsv(dl, diag, du, b, overwrite_dl=True, overwrite_d=True,
+                             overwrite_du=True, overwrite_b=True)
+    if info != 0:
+        raise _StepFailure(f"tridiagonal solve failed: info={info}")
+    if not np.all(np.isfinite(x)):
+        raise _StepFailure("nonfinite tridiagonal solution")
+    return x
+
+
 def _solve_stage(
     u_prev: np.ndarray,
-    dt: float,
+    rhs: np.ndarray,
+    ddt: float,
     grid: RhoGrid,
     cls_new: KahlerClass,
     n: int,
@@ -186,18 +246,19 @@ def _solve_stage(
     ctl: StepControl,
     w0: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
-    """One backward-Euler solve; returns (w, iterations, residual), the
-    residual taken at the start of the last iteration.
+    """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
+    of cls_new, by damped Newton from w0 (from u_prev if w0 is not
+    admissible); f(w) = log w'' + (n-1) log w' - n rho.  Returns
+    (w, iterations, residual), the residual taken at the start of the last
+    iteration.
 
     The system is solved without the gauge constant, and the converged
     solution is shifted to keep the center value of u_prev.
     """
-    N, h, c = grid.N, grid.h, grid.center
+    h, c = grid.h, grid.center
     efac = math.expm1(k * h)
-    curv_dt = dt * (1.0 / h**2)
-    drift_dt = dt * (n - 1) * (1.0 / (2.0 * h))
-    # interior rows: F = w - (u_prev - dt n rho) - dt (log u'' + (n-1) log u')
-    base = u_prev[1:-1] - dt * n * grid.nodes[1:-1]
+    # interior rows: F = w - (rhs - ddt n rho) - ddt (log u'' + (n-1) log u')
+    base = rhs - ddt * n * grid.nodes[1:-1]
 
     w = w0
     diffs = _valid(w, h, ctl.floor_u2)
@@ -207,43 +268,17 @@ def _solve_stage(
         if diffs is None:
             raise _StepFailure("previous profile invalid at stage entry")
 
-    F = np.empty(N)
-    diag = np.empty(N)
-    dl = np.empty(N - 1)
-    du = np.empty(N - 1)
+    F = np.empty(grid.N)
     res = math.inf
     prev_full = None  # sup|delta| of the previous update, if undamped
     for it in range(1, ctl.newton_max_iter + 1):
         d1, d2 = diffs
-        F[1:-1] = w[1:-1] - base - dt * (np.log(d2) + (n - 1) * np.log(d1))
+        F[1:-1] = w[1:-1] - base - ddt * (np.log(d2) + (n - 1) * np.log(d1))
         F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
         res = float(np.max(np.abs(F)))
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")
-
-        # tridiagonal Jacobian: interior rows carry (dl, diag, du); each
-        # closure row's third entry is eliminated against its neighbour
-        curv = curv_dt / d2
-        drift = drift_dt / d1
-        diag[1:-1] = 1.0 + 2.0 * curv
-        dl[:-1] = drift - curv
-        du[1:] = -(curv + drift)
-        r = 1.0 / du[1]
-        diag[0] = 1.0 + efac - r * dl[0]
-        du[0] = -2.0 - efac - r * diag[1]
-        F[0] -= r * F[1]
-        r = 1.0 / dl[-2]
-        diag[-1] = 1.0 + efac - r * du[-1]
-        dl[-1] = -2.0 - efac - r * diag[-2]
-        F[-1] -= r * F[-2]
-
-        _, _, _, delta, info = dgtsv(dl, diag, du, F, overwrite_dl=True,
-                                     overwrite_d=True, overwrite_du=True,
-                                     overwrite_b=True)
-        if info != 0:
-            raise _StepFailure(f"tridiagonal solve failed: info={info}")
-        if not np.all(np.isfinite(delta)):
-            raise _StepFailure("nonfinite Newton update")
+        delta = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F)
 
         sup_delta = float(np.max(np.abs(delta)))
         lam = 1.0
@@ -271,7 +306,8 @@ def _solve_stage(
 
 
 def _velocity(u: np.ndarray, grid: RhoGrid, n: int, floor: float) -> np.ndarray:
-    """Explicit velocity at interior nodes, with u' and u'' clipped positive."""
+    """Explicit velocity f(u) at interior nodes, with u' and u'' clipped
+    positive."""
     d1, d2 = _second_diffs(u, grid.h)
     d1 = np.maximum(d1, 1e-300)
     d2 = np.maximum(d2, max(floor, 1e-300))
@@ -286,16 +322,8 @@ def _predictor(u_prev: np.ndarray, dt: float, vel: np.ndarray) -> np.ndarray:
     return w
 
 
-def _attempt(u_prev: np.ndarray, t0: float, dt: float, params: FlowParams,
-             grid: RhoGrid, ctl: StepControl) -> tuple[np.ndarray, int, float]:
-    """One stage from t0 to t0 + dt, started from the explicit predictor."""
-    vel = _velocity(u_prev, grid, params.n, ctl.floor_u2)
-    return _solve_stage(u_prev, dt, grid, class_at(params, t0 + dt), params.n,
-                        params.k, ctl, _predictor(u_prev, dt, vel))
-
-
 def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
-    """Advance one accepted adaptive step (with internal retries).
+    """Advance one accepted adaptive TR-BDF2 step (with internal retries).
 
     t_cap, when given, is an event time the step must not overshoot; the
     step lands on it exactly when the proposal reaches it.  The returned
@@ -304,14 +332,16 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     params = state.params
     n, k = params.n, params.k
     u, t, grid = state.u, state.t, state.grid
+    c = grid.center
     T = singular_time(params).T
     if t >= ctl.t_stop_fraction * T:
         raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
 
     dt = state.stats.dt_next if state.stats is not None else ctl.dt_init
     dt = min(dt, ctl.dt_max, 0.25 * (T - t))
-    # the full step and the first half step start from the same velocity
-    vel = _velocity(u, grid, n, ctl.floor_u2)
+    f_n = _velocity(u, grid, n, ctl.floor_u2)
+    u_in = u[1:-1]
+    b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
     rejected: list[str] = []
     while True:
         hit_cap = False
@@ -320,13 +350,26 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             hit_cap = True
             if dt <= 0.0:
                 raise FlowError(f"event time {t_cap} not ahead of t={t}")
+        ddt = _D * dt
         try:
-            uA, iters_a, _ = _solve_stage(u, dt, grid, class_at(params, t + dt),
-                                          n, k, ctl, _predictor(u, dt, vel))
-            uh, iters_h, _ = _solve_stage(u, 0.5 * dt, grid,
-                                          class_at(params, t + 0.5 * dt), n, k, ctl,
-                                          _predictor(u, 0.5 * dt, vel))
-            uB, iters, res = _attempt(uh, t + 0.5 * dt, 0.5 * dt, params, grid, ctl)
+            # TR stage to t + gamma dt, from the explicit predictor
+            rhs = u_in + ddt * f_n
+            u_g, iters_g, _ = _solve_stage(
+                u, rhs, ddt, grid, class_at(params, t + _GAMMA * dt), n, k, ctl,
+                _predictor(u, _GAMMA * dt, f_n))
+            f_g = (u_g[1:-1] - rhs) / ddt
+            # BDF2 stage to t + dt, from the linear extrapolation of u, u_g
+            rhs = _BDF2_SCALE * u_g[1:-1] - b_old
+            u1, iters, res = _solve_stage(
+                u, rhs, ddt, grid, class_at(params, t + dt), n, k, ctl,
+                u + (u_g - u) / _GAMMA)
+            f_1 = (u1[1:-1] - rhs) / ddt
+            # embedded estimate, filtered through the stage matrix at u1
+            est = np.zeros(grid.N)
+            est[1:-1] = dt * (_E_N * f_n + _E_G * f_g + _E_1 * f_1)
+            d1, d2 = _second_diffs(u1, grid.h)
+            est = _stage_matrix_solve(d1, d2, ddt, grid.h, n,
+                                      math.expm1(k * grid.h), est)
         except _StepFailure as exc:
             rejected.append(f"dt={dt:.6g} {exc}")
             dt *= 0.5
@@ -335,27 +378,26 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                     f"profile degenerate: step size underflow at t={t:.12g} ({exc})")
             continue
 
-        err = float(np.max(np.abs(uA - uB)))
+        # the gauge constant is invisible: compare with the center pinned
+        err = float(np.max(np.abs(est - est[c])))
         if err <= ctl.tol_step or dt <= 2.0 * ctl.dt_min:
             break
         rejected.append(f"dt={dt:.6g} err={err:.6g} > tol")
-        dt *= max(0.2, ctl.safety * math.sqrt(ctl.tol_step / err))
+        dt *= max(0.2, ctl.safety * (ctl.tol_step / err) ** (1.0 / 3.0))
         if dt < ctl.dt_min:
             raise FlowError(f"profile degenerate: step size underflow at t={t:.12g}")
 
     t_new = t_cap if hit_cap else t + dt
     factor = ctl.max_growth if err == 0.0 else \
-        min(ctl.max_growth, max(0.2, ctl.safety * math.sqrt(ctl.tol_step / err)))
+        min(ctl.max_growth, max(0.2, ctl.safety * (ctl.tol_step / err) ** (1.0 / 3.0)))
     dt_next = min(max(dt * factor, ctl.dt_min), ctl.dt_max)
 
-    _, d2c = _second_diffs(uB, grid.h)
-    if float(np.min(d2c)) <= ctl.floor_u2:
+    if float(np.min(d2)) <= ctl.floor_u2:
         raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}")
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters,
                       residual=res, error=err, retries=len(rejected),
-                      rejected=tuple(rejected),
-                      total_iters=iters_a + iters_h + iters)
-    return FlowState._from_samples(uB, t_new, grid, params, stats)
+                      rejected=tuple(rejected), total_iters=iters_g + iters)
+    return FlowState._from_samples(u1, t_new, grid, params, stats)
 
 
 # ---------------------------------------------------------------------------

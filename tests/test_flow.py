@@ -16,13 +16,23 @@ CONTRACT = cf.FlowParams(2, 1, 1.0, 4.0)
 SWEEP = [cf.FlowParams(3, 1, 1.0, 6.0), cf.FlowParams(4, 1, 1.0, 4.0),
          cf.FlowParams(2, 1, 0.2, 4.0), cf.FlowParams(2, 1, 1.0, 1.05)]
 
-# steps long enough that two Newton iterations sometimes stall, with a
-# step-doubling tolerance that some of them miss
-REJECTING = cf.StepControl(dt_init=5e-2, dt_max=5e-2, tol_step=1e-7,
-                           newton_max_iter=2, t_stop_fraction=0.05)
+# steps long enough that two Newton iterations sometimes stall, with an
+# error tolerance that some of them miss
+REJECTING = cf.StepControl(dt_init=1e-1, dt_max=1e-1, tol_step=1e-7,
+                           newton_max_iter=2, t_stop_fraction=0.2)
 
 # gauge constant for the contract seed: u'(0) = 5/2, u''(0) = 3/4
 CT_LOG = -math.log(0.75) - math.log(2.5)
+
+
+def _tr_stage(u, dt, params, grid, ctl):
+    """The TR stage of a step of size dt from t = 0, started from its
+    explicit predictor: w - D dt f(w) = u + D dt f(u) at t = gamma dt."""
+    ddt = flow._D * dt
+    f = flow._velocity(u, grid, params.n, ctl.floor_u2)
+    return flow._solve_stage(u, u[1:-1] + ddt * f, ddt, grid,
+                             cf.class_at(params, flow._GAMMA * dt), params.n,
+                             params.k, ctl, flow._predictor(u, flow._GAMMA * dt, f))
 
 
 def test_gauge_constant_oracles(contract_seed):
@@ -148,25 +158,29 @@ def test_convexity_floor_aborts(contract_seed):
 
 @pytest.mark.parametrize("dt", [1e-5, 1e-3, 5e-3])
 def test_stage_solves_the_gauged_equation(contract_seed, dt):
-    """A backward-Euler stage, solved without the gauge and then shifted,
-    satisfies the gauged equation: interior rows with c from the center
-    differences of the solution, plus both closure rows.  The center value
-    does not move at all."""
+    """The TR stage, solved without the gauge and then shifted, satisfies
+    the gauged equation: interior rows with c from the center differences
+    of each side's profile, plus both closure rows.  The center value does
+    not move at all."""
     ctl = cf.StepControl()
     grid = contract_seed.grid
     u_prev = contract_seed.u
-    w, _, _ = flow._attempt(u_prev, 0.0, dt, CONTRACT, grid, ctl)
+    w, _, _ = _tr_stage(u_prev, dt, CONTRACT, grid, ctl)
 
     n, k, h, c = 2, 1, grid.h, grid.center
-    cls = cf.class_at(CONTRACT, dt)
-    d1 = (w[2:] - w[:-2]) / (2.0 * h)
-    d2 = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
-    ct = -math.log(d2[c - 1]) - (n - 1) * math.log(d1[c - 1])
-    velocity = np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1] + ct
+    cls = cf.class_at(CONTRACT, flow._GAMMA * dt)
+
+    def gauged_velocity(v):
+        d1 = (v[2:] - v[:-2]) / (2.0 * h)
+        d2 = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+        ct = -math.log(d2[c - 1]) - (n - 1) * math.log(d1[c - 1])
+        return np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1] + ct
+
+    ddt = flow._D * dt
     efac = math.expm1(k * h)
     residual = np.concatenate([
         [(w[0] - 2.0 * w[1] + w[2]) - efac * ((w[1] - w[0]) - cls.a * h)],
-        w[1:-1] - u_prev[1:-1] - dt * velocity,
+        w[1:-1] - u_prev[1:-1] - ddt * (gauged_velocity(w) + gauged_velocity(u_prev)),
         [(w[-3] - 2.0 * w[-2] + w[-1]) + efac * ((w[-1] - w[-2]) - cls.b * h)],
     ])
     assert float(np.max(np.abs(residual))) <= 1e-8
@@ -190,13 +204,49 @@ def test_run_log_reports_retries_and_error(contract_default):
 @pytest.mark.parametrize("dt", [1e-5, 1e-3, 5e-3])
 def test_newton_converges_quadratically(params, dt):
     """From the explicit predictor, Newton on the eliminated tridiagonal
-    system meets tol_newton within three iterations; a Jacobian that is
-    wrong but still convergent converges only linearly and needs more."""
+    system of the TR stage meets tol_newton within three iterations; a
+    Jacobian that is wrong but still convergent converges only linearly and
+    needs more."""
     seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(12.0, 1025),
                                       params.n, params.k)
     ctl = cf.StepControl()
-    _, iters, _ = flow._attempt(seed.u, 0.0, dt, params, seed.grid, ctl)
+    _, iters, _ = _tr_stage(seed.u, dt, params, seed.grid, ctl)
     assert iters <= 3
+
+
+def test_step_is_second_order():
+    """Fixed steps to t = 0.064: each halving of dt cuts the error against
+    a dt = 2.5e-4 reference by at least 3.5 (4 at second order, 2 at
+    first)."""
+    grid = cf.RhoGrid(12.0, 257)
+
+    def final_u(dt):
+        ctl = cf.StepControl(dt_init=dt, dt_max=dt, tol_step=1.0,
+                             t_stop_fraction=0.064)
+        trace = cf.run(CONTRACT, ctl=ctl, grid=grid)
+        assert trace.retries == 0
+        return trace.final_profile.u
+
+    ref = final_u(2.5e-4)
+    errs = [float(np.max(np.abs(final_u(dt) - ref))) for dt in (8e-3, 4e-3, 2e-3)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine >= 3.5
+
+
+def test_scorecard_converged_under_tolerance_refinement(contract_wide, wide_report):
+    """At tol_step = 1e-8, a hundredth of the default, the contract preset
+    on the acceptance grid takes at most three times the steps, and
+    criterion 9's C^1 distances and j4/j9 ratio stay where they were."""
+    tight = cf.run(CONTRACT, ctl=cf.StepControl(tol_step=1e-8),
+                   grid=cf.RhoGrid(16.0, 2731))
+    assert tight.steps <= 3 * contract_wide.steps
+    report = cf.blowup_report(list(tight.checkpoints), T=1.0, n=2, k=1)
+    assert [r.j for r in report.rows] == [r.j for r in wide_report.rows]
+    for a, b in zip(report.rows[1:], wide_report.rows[1:]):
+        assert abs(a.selfsim_prev - b.selfsim_prev) <= 5e-4
+    ratio = report.rows[0].soliton_rms / report.rows[-1].soliton_rms
+    wide_ratio = wide_report.rows[0].soliton_rms / wide_report.rows[-1].soliton_rms
+    assert ratio == pytest.approx(wide_ratio, rel=0.03)
 
 
 def test_run_log_names_each_rejected_attempt(tmp_path):
@@ -239,8 +289,9 @@ def test_summary_counts_match_run_log(tmp_path):
 @pytest.mark.parametrize("params", [CONTRACT, *SWEEP[:2]], ids=["n2", "n3", "n4"])
 @pytest.mark.parametrize("dt", [1e-3, 5e-3])
 def test_contraction_stop_saves_the_confirming_solve(params, dt, monkeypatch):
-    """From the predictor, the contraction estimate ends the stage after two
-    linear solves, within 1e-10 of the stage solved to tol_newton = 1e-13."""
+    """From the predictor, the contraction estimate ends the TR stage after
+    two linear solves, within 1e-10 of the stage solved to
+    tol_newton = 1e-13."""
     seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(12.0, 1025),
                                       params.n, params.k)
     solves = []
@@ -250,10 +301,10 @@ def test_contraction_stop_saves_the_confirming_solve(params, dt, monkeypatch):
         return dgtsv(*args, **kwargs)
 
     monkeypatch.setattr(flow, "dgtsv", counting_dgtsv)
-    w, _, _ = flow._attempt(seed.u, 0.0, dt, params, seed.grid, cf.StepControl())
+    w, _, _ = _tr_stage(seed.u, dt, params, seed.grid, cf.StepControl())
     assert len(solves) <= 2
-    tight, _, _ = flow._attempt(seed.u, 0.0, dt, params, seed.grid,
-                                cf.StepControl(tol_newton=1e-13))
+    tight, _, _ = _tr_stage(seed.u, dt, params, seed.grid,
+                            cf.StepControl(tol_newton=1e-13))
     assert float(np.max(np.abs(w - tight))) <= 1e-10
 
 
