@@ -37,7 +37,6 @@ from .flow import (
     StepControl,
     StepStats,
     checkpoint_times,
-    compute_ct,
     evolution_residuals,
     run,
     step,
@@ -54,13 +53,11 @@ from .profile import (
     c4_combination,
     c4_trust_mask,
     class_at,
-    differentiate,
     fit_boundary_tails,
     load_checkpoint,
     profile_from_samples,
     ratio_g,
     ratio_h,
-    rescaled_copy,
     save_checkpoint,
     singular_time,
     validate_profile,
@@ -93,9 +90,7 @@ __all__ = [
     "c4_trust_mask",
     "checkpoint_times",
     "class_at",
-    "compute_ct",
     "curvature_sample",
-    "differentiate",
     "divisor_diameter",
     "evolution_residuals",
     "fik_reference",
@@ -109,7 +104,6 @@ __all__ = [
     "ratio_h",
     "read_trace",
     "regime_indicator",
-    "rescaled_copy",
     "run",
     "sample_row",
     "save_checkpoint",

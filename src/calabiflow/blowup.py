@@ -49,13 +49,12 @@ alongside the fit so drift relative to it is visible row by row.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CheckpointRecord
+from .diagnostics import CheckpointRecord, json_number
 from .moment import (
     WINDOW_SAMPLES,
     MomentDomainError,
@@ -263,9 +262,6 @@ def write_report(report: BlowupReport, out_dir: str | Path) -> None:
                                   r.soliton_rms, r.fik_dist)))
     write_atomic(out / "blowup.csv", "\n".join(lines) + "\n")
 
-    def clean(x: float):
-        return None if not math.isfinite(x) else x
-
     payload = {
         "n": report.n,
         "k": report.k,
@@ -273,7 +269,7 @@ def write_report(report: BlowupReport, out_dir: str | Path) -> None:
         "lambda": report.lam,
         "rows": [
             {"j": r.j, "t": r.t, "K": r.K, "a_hat": r.a_hat,
-             "selfsim_prev": clean(r.selfsim_prev),
+             "selfsim_prev": json_number(r.selfsim_prev),
              "soliton_rms": r.soliton_rms, "fik_dist": r.fik_dist,
              "mu": r.mu, "c": r.c}
             for r in report.rows

@@ -58,9 +58,8 @@ _STR_KEYS = {"dir", "seed_profile"}
 _SECTIONS = {
     "params": {"n", "k", "a0", "b0"},
     "grid": {"L", "N"},
-    "control": {"dt_init", "dt_min", "dt_max", "tol_newton", "tol_step",
-                "t_stop_fraction", "floor_u2", "newton_max_iter", "safety",
-                "max_growth"},
+    "control": {"dt_init", "dt_max", "tol_newton", "tol_step", "t_stop_fraction",
+                "floor_u2", "newton_max_iter"},
     "monitors": {"cadence"},
     "output": {"dir", "checkpoints", "seed_profile"},
 }

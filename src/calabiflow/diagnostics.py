@@ -110,9 +110,6 @@ class FlowTrace:
     newton_iters: int = 0
     error: str | None = field(default=None, init=False)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # volume and diameter monitors
@@ -265,10 +262,9 @@ def read_trace(path: str | Path) -> dict[str, np.ndarray]:
     return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}
 
 
-def _clean(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
+def json_number(x: float) -> float | None:
+    """x for a JSON file: null where it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 def write_summary(trace: FlowTrace, path: str | Path) -> None:
@@ -281,11 +277,11 @@ def write_summary(trace: FlowTrace, path: str | Path) -> None:
         "k": trace.params.k,
         "a0": trace.params.a0,
         "b0": trace.params.b0,
-        "t_final": _clean(rows[-1].t if rows else float("nan")),
-        "typeI_max": _clean(max(typeI) if typeI else float("nan")),
-        "supRm_final": _clean(rows[-1].supRm if rows else float("nan")),
-        "lambda_div_final": _clean(rows[-1].lambda_div_scaled if rows else float("nan")),
-        "vol_ratio_final": _clean(rows[-1].vol_ratio if rows else float("nan")),
+        "t_final": json_number(rows[-1].t if rows else float("nan")),
+        "typeI_max": json_number(max(typeI) if typeI else float("nan")),
+        "supRm_final": json_number(rows[-1].supRm if rows else float("nan")),
+        "lambda_div_final": json_number(rows[-1].lambda_div_scaled if rows else float("nan")),
+        "vol_ratio_final": json_number(rows[-1].vol_ratio if rows else float("nan")),
         "num_rows": len(rows),
         "checkpoints": [c.j for c in trace.checkpoints],
         "elapsed_seconds": round(trace.elapsed, 3),

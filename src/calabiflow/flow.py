@@ -51,10 +51,17 @@ estimate is filtered by one more tridiagonal solve with the stage matrix
 at u_1, which damps the stiff components a raw estimate would overstate,
 and its center value is subtracted, since the gauge constant shifts the
 stage values of f.  Its sup norm is held to tol_step, and the dt proposal
-follows the cube-root rule of a second-order integrator.
-Stepping reads only the samples u; the full CalabiProfile (tail fits and
-four derivative arrays) of an accepted state is built on first read, so a
-run builds it only for monitor rows, checkpoints and the final profile.
+follows the cube-root rule of a second-order integrator.  A rejected
+attempt, a failed Newton solve or a missed estimate, shrinks dt through one
+retry path; below DT_MIN the step fails, and its FlowError carries the
+rejected attempts for the run log.
+
+Admissibility (finite samples, u' > 0, u'' > floor_u2) is checked once,
+when each step starts; f_n comes from the differences that check takes, and
+every damped Newton iterate stays admissible.  Stepping reads only the
+samples u; the full CalabiProfile (tail fits and four derivative arrays) of
+an accepted state is built on first read, so a run builds it only for
+monitor rows, checkpoints and the final profile.
 """
 
 from __future__ import annotations
@@ -83,33 +90,41 @@ from .profile import (
 )
 
 class FlowError(RuntimeError):
-    """Integration failure; carries the partial trace when raised from run()."""
+    """Integration failure.  rejected lists the attempts the failing step
+    rejected before it gave up; trace is the partial trace when raised from
+    run()."""
 
-    def __init__(self, message: str, trace: "diagnostics.FlowTrace | None" = None):
+    def __init__(self, message: str, trace: "diagnostics.FlowTrace | None" = None,
+                 rejected: tuple[str, ...] = ()):
         super().__init__(message)
         self.trace = trace
+        self.rejected = rejected
 
 
 class _StepFailure(Exception):
     """Internal: Newton did not converge or produced an invalid iterate."""
 
 
+# step-size rule: a step fails below DT_MIN, and dt changes by the factor
+# SAFETY (tol_step / err)^(1/3), clipped to [0.2, MAX_GROWTH]
+DT_MIN = 1e-13
+SAFETY = 0.9
+MAX_GROWTH = 4.0
+
+
 @dataclass(frozen=True)
 class StepControl:
     dt_init: float = 1e-6
-    dt_min: float = 1e-13
     dt_max: float = 5e-3
     tol_newton: float = 1e-10
     tol_step: float = 1e-6
     t_stop_fraction: float = 0.999
     floor_u2: float = 1e-10
     newton_max_iter: int = 12
-    safety: float = 0.9
-    max_growth: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        if not DT_MIN <= self.dt_init <= self.dt_max:
+            raise ValueError(f"need {DT_MIN:g} <= dt_init <= dt_max")
         if not 0.0 < self.t_stop_fraction < 1.0:
             raise ValueError("need 0 < t_stop_fraction < 1")
 
@@ -157,15 +172,6 @@ class FlowState:
             self._profile = profile_from_samples(self.u, self.grid, class_at(p, self.t),
                                                  self.t, p.n, p.k)
         return self._profile
-
-
-def compute_ct(p: CalabiProfile) -> float:
-    """Gauge constant -log u''(0) - (n-1) log u'(0) from the center values."""
-    c = p.grid.center
-    d2, d1 = float(p.d2u[c]), float(p.du[c])
-    if d2 <= 0.0 or d1 <= 0.0:
-        raise FlowError(f"profile degenerate at center: u''={d2}, u'={d1}")
-    return -math.log(d2) - (p.n - 1) * math.log(d1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +253,8 @@ def _solve_stage(
     w0: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
-    of cls_new, by damped Newton from w0 (from u_prev if w0 is not
-    admissible); f(w) = log w'' + (n-1) log w' - n rho.  Returns
+    of cls_new, by damped Newton from w0 (from u_prev, which must be
+    admissible, if w0 is not); f(w) = log w'' + (n-1) log w' - n rho.  Returns
     (w, iterations, residual), the residual taken at the start of the last
     iteration.
 
@@ -264,9 +270,7 @@ def _solve_stage(
     diffs = _valid(w, h, ctl.floor_u2)
     if diffs is None:
         w = u_prev
-        diffs = _valid(w, h, ctl.floor_u2)
-        if diffs is None:
-            raise _StepFailure("previous profile invalid at stage entry")
+        diffs = _second_diffs(w, h)
 
     F = np.empty(grid.N)
     res = math.inf
@@ -305,12 +309,9 @@ def _solve_stage(
                        f"(residual {res:.3e})")
 
 
-def _velocity(u: np.ndarray, grid: RhoGrid, n: int, floor: float) -> np.ndarray:
-    """Explicit velocity f(u) at interior nodes, with u' and u'' clipped
-    positive."""
-    d1, d2 = _second_diffs(u, grid.h)
-    d1 = np.maximum(d1, 1e-300)
-    d2 = np.maximum(d2, max(floor, 1e-300))
+def _velocity(d1: np.ndarray, d2: np.ndarray, grid: RhoGrid, n: int) -> np.ndarray:
+    """Explicit velocity f(u) at interior nodes from the differences of an
+    admissible u."""
     return np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1]
 
 
@@ -327,7 +328,8 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
 
     t_cap, when given, is an event time the step must not overshoot; the
     step lands on it exactly when the proposal reaches it.  The returned
-    state builds its profile on first read.
+    state builds its profile on first read.  An inadmissible u fails before
+    any attempt; a failure after attempts carries them in FlowError.rejected.
     """
     params = state.params
     n, k = params.n, params.k
@@ -337,9 +339,17 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     if t >= ctl.t_stop_fraction * T:
         raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
 
+    diffs = _valid(u, grid.h, ctl.floor_u2)
+    if diffs is None:
+        d1, d2 = _second_diffs(u, grid.h)
+        bad = np.flatnonzero(~((d1 > 0.0) & (d2 > ctl.floor_u2))) + 1
+        raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= floor_u2 "
+                        f"or a non-finite sample at {bad.size} node(s), first at "
+                        f"rho={grid.nodes[bad[0]]:.6g}")
+
     dt = state.stats.dt_next if state.stats is not None else ctl.dt_init
     dt = min(dt, ctl.dt_max, 0.25 * (T - t))
-    f_n = _velocity(u, grid, n, ctl.floor_u2)
+    f_n = _velocity(*diffs, grid, n)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
     rejected: list[str] = []
@@ -371,29 +381,27 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             est = _stage_matrix_solve(d1, d2, ddt, grid.h, n,
                                       math.expm1(k * grid.h), est)
         except _StepFailure as exc:
-            rejected.append(f"dt={dt:.6g} {exc}")
-            dt *= 0.5
-            if dt < ctl.dt_min:
-                raise FlowError(
-                    f"profile degenerate: step size underflow at t={t:.12g} ({exc})")
-            continue
-
-        # the gauge constant is invisible: compare with the center pinned
-        err = float(np.max(np.abs(est - est[c])))
-        if err <= ctl.tol_step or dt <= 2.0 * ctl.dt_min:
-            break
-        rejected.append(f"dt={dt:.6g} err={err:.6g} > tol")
-        dt *= max(0.2, ctl.safety * (ctl.tol_step / err) ** (1.0 / 3.0))
-        if dt < ctl.dt_min:
-            raise FlowError(f"profile degenerate: step size underflow at t={t:.12g}")
+            reason, factor = str(exc), 0.5
+        else:
+            # the gauge constant is invisible: compare with the center pinned
+            err = float(np.max(np.abs(est - est[c])))
+            factor = MAX_GROWTH if err == 0.0 else min(
+                MAX_GROWTH, max(0.2, SAFETY * (ctl.tol_step / err) ** (1.0 / 3.0)))
+            if err <= ctl.tol_step or dt <= 2.0 * DT_MIN:
+                break
+            reason = f"err={err:.6g} > tol"
+        rejected.append(f"dt={dt:.6g} {reason}")
+        dt *= factor
+        if dt < DT_MIN:
+            raise FlowError(f"profile degenerate: step size underflow at t={t:.12g} "
+                            f"({reason})", rejected=tuple(rejected))
 
     t_new = t_cap if hit_cap else t + dt
-    factor = ctl.max_growth if err == 0.0 else \
-        min(ctl.max_growth, max(0.2, ctl.safety * (ctl.tol_step / err) ** (1.0 / 3.0)))
-    dt_next = min(max(dt * factor, ctl.dt_min), ctl.dt_max)
+    dt_next = min(max(dt * factor, DT_MIN), ctl.dt_max)
 
     if float(np.min(d2)) <= ctl.floor_u2:
-        raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}")
+        raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}",
+                        rejected=tuple(rejected))
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters,
                       residual=res, error=err, retries=len(rejected),
                       rejected=tuple(rejected), total_iters=iters_g + iters)
@@ -463,7 +471,6 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
     log_fh = (out / "run.log").open("w") if out is not None else None
 
-    compute_ct(seed_profile)  # rejects a degenerate seed center
     state = FlowState(profile=seed_profile, params=params)
     trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime,
                                   rows=[], checkpoints=[],
@@ -485,8 +492,7 @@ def run(
             trace.newton_iters += st.total_iters
             t = state.t
             if log_fh is not None:
-                for entry in st.rejected:
-                    log_fh.write(f"reject {entry}\n")
+                log_fh.writelines(f"reject {entry}\n" for entry in st.rejected)
                 log_fh.write(f"t={t:.12g} dt={st.dt:.6g} iters={st.newton_iters} "
                              f"res={st.residual:.6g} retries={st.retries} "
                              f"err={st.error:.6g}\n")
@@ -505,8 +511,10 @@ def run(
                     state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
     except FlowError as exc:
         failure = exc
+        trace.retries += len(exc.rejected)
         trace.error = str(exc)
         if log_fh is not None:
+            log_fh.writelines(f"reject {entry}\n" for entry in exc.rejected)
             log_fh.write(f"error: {exc}\n")
     finally:
         if log_fh is not None:

@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -294,61 +294,6 @@ def fit_boundary_tails(
     return left, right
 
 
-def _poly_ghosts(u: np.ndarray, rho: np.ndarray, h: float, side: str) -> np.ndarray:
-    """Fallback ghosts from a local quintic fit, for profiles with no class."""
-    m = min(8, len(u))
-    if side == "left":
-        xs, ys, x0 = rho[:m], u[:m], rho[0]
-        offs = np.array([-3.0, -2.0, -1.0])
-    else:
-        xs, ys, x0 = rho[-m:], u[-m:], rho[-1]
-        offs = np.array([1.0, 2.0, 3.0])
-    poly = np.polynomial.Polynomial.fit(xs - x0, ys, deg=min(5, m - 1))
-    return poly(offs * h)
-
-
-def differentiate(
-    u: np.ndarray,
-    grid: RhoGrid,
-    cls: KahlerClass | None = None,
-    k: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, TailFit | None, TailFit | None]:
-    """Fourth-order centered derivatives of the potential samples.
-
-    With a class given, ghost nodes extend the samples by the boundary
-    model fitted to each tail; this keeps the stencils fourth-order right
-    up to the ends for admissible profiles.  Without a class (test inputs
-    such as plain polynomials) ghosts come from local polynomial fits and
-    only interior nodes should be trusted.
-
-    Returns (du, d2u, d3u, d4u, tail_left, tail_right).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.N,):
-        raise ProfileError(f"sample array has shape {u.shape}, expected ({grid.N},)")
-    rho, h = grid.nodes, grid.h
-
-    if cls is not None:
-        left, right = fit_boundary_tails(u, grid, cls, k)
-        gl_rho = rho[0] + h * np.array([-3.0, -2.0, -1.0])
-        ghosts_l = cls.a * gl_rho + left.base \
-            + left.amp * np.exp(k * gl_rho) + left.amp2 * np.exp(2 * k * gl_rho)
-        gr_rho = rho[-1] + h * np.array([1.0, 2.0, 3.0])
-        ghosts_r = cls.b * gr_rho + right.base \
-            + right.amp * np.exp(-k * gr_rho) + right.amp2 * np.exp(-2 * k * gr_rho)
-    else:
-        left = right = None
-        ghosts_l = _poly_ghosts(u, rho, h, "left")
-        ghosts_r = _poly_ghosts(u, rho, h, "right")
-
-    padded = np.concatenate([ghosts_l, u, ghosts_r])
-    du = _apply_stencil(padded, 1, h)
-    d2u = _apply_stencil(padded, 2, h)
-    d3u = _apply_stencil(padded, 3, h)
-    d4u = _apply_stencil(padded, 4, h)
-    return du, d2u, d3u, d4u, left, right
-
-
 def profile_from_samples(
     u: np.ndarray,
     grid: RhoGrid,
@@ -357,11 +302,28 @@ def profile_from_samples(
     n: int,
     k: int = 1,
 ) -> CalabiProfile:
-    """Profile with recomputed derivative arrays and tail fits."""
-    du, d2u, d3u, d4u, tl, tr = differentiate(u, grid, cls, k)
-    return CalabiProfile(grid=grid, cls=cls, t=t, n=n, k=k,
-                         u=np.asarray(u, dtype=float), du=du, d2u=d2u,
-                         d3u=d3u, d4u=d4u, tail_left=tl, tail_right=tr)
+    """Profile with fourth-order centered derivatives and tail fits.
+
+    Ghost nodes extend the samples by the boundary model fitted to each
+    tail; this keeps the stencils fourth-order right up to the ends for
+    admissible profiles.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.N,):
+        raise ProfileError(f"sample array has shape {u.shape}, expected ({grid.N},)")
+    rho, h = grid.nodes, grid.h
+    left, right = fit_boundary_tails(u, grid, cls, k)
+    gl_rho = rho[0] + h * np.array([-3.0, -2.0, -1.0])
+    ghosts_l = cls.a * gl_rho + left.base \
+        + left.amp * np.exp(k * gl_rho) + left.amp2 * np.exp(2 * k * gl_rho)
+    gr_rho = rho[-1] + h * np.array([1.0, 2.0, 3.0])
+    ghosts_r = cls.b * gr_rho + right.base \
+        + right.amp * np.exp(-k * gr_rho) + right.amp2 * np.exp(-2 * k * gr_rho)
+    padded = np.concatenate([ghosts_l, u, ghosts_r])
+    return CalabiProfile(grid=grid, cls=cls, t=t, n=n, k=k, u=u,
+                         du=_apply_stencil(padded, 1, h), d2u=_apply_stencil(padded, 2, h),
+                         d3u=_apply_stencil(padded, 3, h), d4u=_apply_stencil(padded, 4, h),
+                         tail_left=left, tail_right=right)
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +612,3 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
             f"checkpoint {path}: u has {int(bad.sum())} non-finite sample(s), "
             f"first at index {_node_list(bad)[0]}")
     return profile_from_samples(u, grid, cls, header["t"], n, k)
-
-
-def rescaled_copy(p: CalabiProfile, K: float) -> CalabiProfile:
-    """Profile with the potential (and hence the metric) multiplied by K."""
-    if K <= 0.0:
-        raise ProfileError(f"need K > 0, got {K}")
-    cls = KahlerClass(K * p.cls.a, K * p.cls.b)
-    scale = lambda tf: None if tf is None else TailFit(K * tf.base, K * tf.amp, K * tf.amp2)
-    return replace(
-        p, cls=cls,
-        u=K * p.u, du=K * p.du, d2u=K * p.d2u, d3u=K * p.d3u, d4u=K * p.d4u,
-        tail_left=scale(p.tail_left), tail_right=scale(p.tail_right),
-    )

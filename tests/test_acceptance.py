@@ -134,7 +134,8 @@ def test_criterion_07_curvature_identity_suite(contract_seed, contract_default,
             np.abs(re_[m] - rx[m]) / np.maximum(np.abs(rx[m]), 1.0))))
 
     K = math.e
-    q = cf.rescaled_copy(contract_seed, K)
+    q = cf.build_canonical_profile(
+        cf.KahlerClass(K * contract_seed.cls.a, K * contract_seed.cls.b), contract_seed.grid)
     hom = 0.0
     cp, cq = cf.curvature_sample(contract_seed), cf.curvature_sample(q)
     pairs = [(np.stack((cp.lambda1, cp.lambda2)), np.stack((cq.lambda1, cq.lambda2))),
@@ -151,8 +152,9 @@ def test_criterion_07_curvature_identity_suite(contract_seed, contract_default,
                              / np.max(np.abs(base))))
 
     grid = cf.RhoGrid(12.0, 1025)
-    u = np.exp(grid.nodes)
-    du, d2u, d3u, d4u, _, _ = cf.differentiate(u, grid, cls=None)
+    flat_cls = cf.KahlerClass(0.9 * math.exp(-grid.L), 1.1 * math.exp(grid.L))
+    p = cf.profile_from_samples(np.exp(grid.nodes), grid, flat_cls, t=0.0, n=2)
+    du, d2u, d3u, d4u = p.du, p.d2u, p.d3u, p.d4u
     with np.errstate(divide="ignore", invalid="ignore"):
         flat_r = (-d4u / d2u**2 + d3u**2 / d2u**3 - 2.0 * d3u / (du * d2u)
                   + 2.0 / du)

@@ -12,12 +12,12 @@ PUBLIC = {
     "RegimeMismatchError", "RhoGrid", "StepControl", "StepStats",
     "blowup_report", "blowup_window",
     "build_canonical_profile", "c1_distance", "c4_combination", "c4_trust_mask",
-    "checkpoint_times", "class_at", "compute_ct", "curvature_sample",
-    "differentiate", "divisor_diameter", "evolution_residuals", "fik_reference",
+    "checkpoint_times", "class_at", "curvature_sample",
+    "divisor_diameter", "evolution_residuals", "fik_reference",
     "fit_boundary_tails", "gaussian_reference",
     "infer_initial_class", "load_checkpoint", "moment_profile",
     "profile_from_samples", "ratio_g", "ratio_h", "read_trace",
-    "regime_indicator", "rescaled_copy", "run", "sample_row",
+    "regime_indicator", "run", "sample_row",
     "save_checkpoint", "scalar_curvature", "singular_time", "soliton_residual",
     "step", "total_volume", "trace_header", "validate_profile",
 }

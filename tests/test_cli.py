@@ -1,9 +1,11 @@
 """Exit codes, output files and option handling of the command line."""
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,18 @@ def test_config_rejects_malformed_content(tmp_path, capsys, text, fragment):
     rc = cli.main(["run", "--config", str(ini), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_CONFIG
     assert fragment in capsys.readouterr().err
+
+
+def test_config_keys_match_the_dataclasses():
+    """Each object section takes exactly the init fields of its dataclass,
+    and every int field is parsed as an int."""
+    for section, cls in (("params", calabiflow.FlowParams), ("grid", calabiflow.RhoGrid),
+                         ("control", calabiflow.StepControl),
+                         ("monitors", calabiflow.MonitorSet)):
+        init = [f.name for f in dataclasses.fields(cls) if f.init]
+        assert cli._SECTIONS[section] == set(init), section
+        hints = typing.get_type_hints(cls)
+        assert {name for name in init if hints[name] is int} <= cli._INT_KEYS, section
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -15,10 +15,15 @@ SCALAR_R = 22.0 / 15.0
 SIGMA2 = LAMBDA1 * LAMBDA2
 
 
+def _flat_class(grid):
+    """A class whose interval contains u' = e^rho on the whole grid."""
+    return cf.KahlerClass(0.9 * math.exp(-grid.L), 1.1 * math.exp(grid.L))
+
+
 def _flat_profile(grid):
     """u = e^rho with exact derivative arrays; curvature vanishes identically."""
     u = np.exp(grid.nodes)
-    cls = cf.KahlerClass(0.9 * math.exp(-grid.L), 1.1 * math.exp(grid.L))
+    cls = _flat_class(grid)
     return cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=u,
                             du=u.copy(), d2u=u.copy(), d3u=u.copy(),
                             d4u=u.copy(), tail_left=None, tail_right=None)
@@ -84,9 +89,11 @@ def test_scalar_routes_agree_on_moment_interior(contract_seed, contract_default)
 
 def test_curvature_homogeneity(contract_seed):
     """u -> K u is a homothety: eigenvalues, scalar and fourth-order
-    combinations scale by 1/K; the slope ratios H and G are unchanged."""
+    combinations scale by 1/K; the slope ratios H and G are unchanged.  The
+    canonical seed of the class (K a, K b) is K times the seed of (a, b)."""
     K = math.e
-    p, q = contract_seed, cf.rescaled_copy(contract_seed, math.e)
+    p = contract_seed
+    q = cf.build_canonical_profile(cf.KahlerClass(K * p.cls.a, K * p.cls.b), p.grid)
     cp, cq = cf.curvature_sample(p), cf.curvature_sample(q)
     for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
         assert_allclose(K * getattr(cq, name), getattr(cp, name), rtol=1e-10,
@@ -113,8 +120,8 @@ def test_flat_model_annihilation_finite_differences():
     """Same model with derivatives taken numerically: curvature vanishes to
     stencil accuracy on the window where e^rho is resolvable."""
     grid = cf.RhoGrid(12.0, 1025)
-    u = np.exp(grid.nodes)
-    du, d2u, d3u, d4u, _, _ = cf.differentiate(u, grid, cls=None)
+    p = cf.profile_from_samples(np.exp(grid.nodes), grid, _flat_class(grid), t=0.0, n=2)
+    du, d2u, d3u, d4u = p.du, p.d2u, p.d3u, p.d4u
     n = 2
     with np.errstate(divide="ignore", invalid="ignore"):
         R = (-d4u / d2u**2 + d3u**2 / d2u**3 - 2.0 * (n - 1) * d3u / (du * d2u)

@@ -160,7 +160,7 @@ def test_divisor_diameter_oracle(contract_seed):
     for k = 1, checked against the quadrature route."""
     assert_allclose(cf.divisor_diameter(contract_seed),
                     math.pi / math.sqrt(2.0), rtol=1e-12)
-    q = cf.rescaled_copy(contract_seed, 4.0)
+    q = cf.build_canonical_profile(cf.KahlerClass(4.0, 16.0), contract_seed.grid)
     assert_allclose(cf.divisor_diameter(q),
                     2.0 * cf.divisor_diameter(contract_seed), rtol=1e-12)
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import calabiflow as cf
 from calabiflow import flow
@@ -21,30 +20,15 @@ SWEEP = [cf.FlowParams(3, 1, 1.0, 6.0), cf.FlowParams(4, 1, 1.0, 4.0),
 REJECTING = cf.StepControl(dt_init=1e-1, dt_max=1e-1, tol_step=1e-7,
                            newton_max_iter=2, t_stop_fraction=0.2)
 
-# gauge constant for the contract seed: u'(0) = 5/2, u''(0) = 3/4
-CT_LOG = -math.log(0.75) - math.log(2.5)
-
 
 def _tr_stage(u, dt, params, grid, ctl):
     """The TR stage of a step of size dt from t = 0, started from its
     explicit predictor: w - D dt f(w) = u + D dt f(u) at t = gamma dt."""
     ddt = flow._D * dt
-    f = flow._velocity(u, grid, params.n, ctl.floor_u2)
+    f = flow._velocity(*flow._second_diffs(u, grid.h), grid, params.n)
     return flow._solve_stage(u, u[1:-1] + ddt * f, ddt, grid,
                              cf.class_at(params, flow._GAMMA * dt), params.n,
                              params.k, ctl, flow._predictor(u, flow._GAMMA * dt, f))
-
-
-def test_gauge_constant_oracles(contract_seed):
-    assert_allclose(cf.compute_ct(contract_seed), CT_LOG, rtol=1e-12)
-    assert_allclose(CT_LOG, -0.6286086594223741, rtol=1e-14)
-
-
-def test_gauge_constant_higher_dimension():
-    p = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 513),
-                                   n=3, k=1)
-    expect = -math.log(0.75) - 2.0 * math.log(2.5)
-    assert_allclose(cf.compute_ct(p), expect, rtol=1e-12)
 
 
 def test_center_value_is_a_discrete_invariant(contract_default, contract_wide):
@@ -82,7 +66,7 @@ def test_single_step_mechanics(contract_seed):
     assert out.profile.t > 0.0
     assert out.stats.newton_iters <= ctl.newton_max_iter
     assert out.stats.residual <= ctl.tol_newton
-    assert out.stats.dt_next <= ctl.max_growth * out.stats.dt
+    assert out.stats.dt_next <= flow.MAX_GROWTH * out.stats.dt
     c = out.profile.grid.center
     assert abs(float(out.profile.u[c]) - THREE_LOG_TWO) < 1e-13
 
@@ -130,6 +114,42 @@ def test_failed_run_keeps_partial_trace(tmp_path):
     assert summary["error"] == str(info.value)
     assert {"steps", "retries", "newton_iters"} <= set(summary)
     assert f"error: {info.value}" in (tmp_path / "run.log").read_text()
+
+
+def test_failed_step_logs_its_rejected_attempts(tmp_path):
+    """One Newton iteration never meets tol_newton = 0, so the first step
+    halves dt from 1e-6 until it falls below DT_MIN: 24 rejected attempts,
+    each logged before the error and counted as retries."""
+    ctl = cf.StepControl(newton_max_iter=1, tol_newton=0.0)
+    with pytest.raises(cf.FlowError, match="step size underflow at t=0 ") as info:
+        cf.run(CONTRACT, ctl=ctl, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    assert len(info.value.rejected) == 24
+    assert info.value.trace.steps == 0
+    assert info.value.trace.retries == 24
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert len(lines) == 25
+    for line, entry in zip(lines, info.value.rejected):
+        assert line == f"reject {entry}"
+        assert "Newton stalled after 1 iterations" in line
+    assert lines[-1] == f"error: {info.value}"
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["retries"] == 24
+
+
+def test_inadmissible_seed_is_refused_before_any_attempt(tmp_path):
+    """A dent that makes u'' < 0 away from the center is refused when the
+    first step starts, with no attempt made."""
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025))
+    rho = seed.grid.nodes
+    u = seed.u - 0.05 * np.exp(-(((rho - 4.0) / 0.3) ** 2))
+    d2 = np.diff(u, 2)
+    assert np.any(d2 <= 0.0) and d2[seed.grid.center - 1] > 0.0
+    dented = cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2)
+    with pytest.raises(cf.FlowError, match="profile inadmissible at t=0:") as info:
+        cf.run(CONTRACT, seed_profile=dented, out_dir=tmp_path)
+    trace = info.value.trace
+    assert trace.steps == 0 and trace.retries == 0
+    assert (tmp_path / "run.log").read_text() == f"error: {info.value}\n"
 
 
 def test_restart_from_checkpoint(contract_default):

@@ -122,14 +122,16 @@ def test_seed_scales_with_k():
 # differentiation
 
 def test_interior_stencils_are_fourth_order():
+    """Nodes 5 or more from each end never reach a ghost value, so the
+    class that fixes the ghosts does not matter there."""
     errs = []
     for N in (513, 1025):
         g = cf.RhoGrid(12.0, N)
-        u = np.sin(g.nodes)
-        du, d2u, _, _, _, _ = cf.differentiate(u, g, cls=None)
+        p = cf.profile_from_samples(np.sin(g.nodes), g, cf.KahlerClass(1.0, 4.0),
+                                    t=0.0, n=2)
         sl = slice(5, N - 5)
-        errs.append(max(np.max(np.abs(du[sl] - np.cos(g.nodes[sl]))),
-                        np.max(np.abs(d2u[sl] + np.sin(g.nodes[sl])))))
+        errs.append(max(np.max(np.abs(p.du[sl] - np.cos(g.nodes[sl]))),
+                        np.max(np.abs(p.d2u[sl] + np.sin(g.nodes[sl])))))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 30.0
 
@@ -283,17 +285,3 @@ def test_initial_class_recovery(contract_default):
     ck = next(c for c in trace.checkpoints if c.j == 5)
     params = cf.infer_initial_class(ck.profile, n=2, k=1)
     assert_allclose([params.a0, params.b0], [1.0, 4.0], atol=2e-4)
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-
-def test_rescaled_copy_is_exact_homothety(contract_seed):
-    K = math.e
-    q = cf.rescaled_copy(contract_seed, K)
-    assert_allclose(q.u, K * contract_seed.u, rtol=1e-14)
-    assert_allclose(q.du, K * contract_seed.du, rtol=1e-14)
-    assert_allclose(q.d2u, K * contract_seed.d2u, rtol=1e-14)
-    assert q.cls.a == K * contract_seed.cls.a
-    assert q.cls.b == K * contract_seed.cls.b
-    assert_allclose(q.tail_left.amp, K * contract_seed.tail_left.amp, rtol=1e-9)
