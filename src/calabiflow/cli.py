@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from .blowup import (
@@ -53,15 +55,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
 
-_INT_KEYS = {"n", "k", "N", "cadence", "checkpoints", "newton_max_iter"}
-_STR_KEYS = {"dir", "seed_profile"}
+
+def _init_fields(cls) -> dict[str, type]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+# section -> key -> value type; object sections mirror their dataclass
 _SECTIONS = {
-    "params": {"n", "k", "a0", "b0"},
-    "grid": {"L", "N"},
-    "control": {"dt_init", "dt_max", "tol_newton", "tol_step", "t_stop_fraction",
-                "floor_u2", "newton_max_iter"},
-    "monitors": {"cadence"},
-    "output": {"dir", "checkpoints", "seed_profile"},
+    "params": _init_fields(FlowParams),
+    "grid": _init_fields(RhoGrid),
+    "control": _init_fields(StepControl),
+    "monitors": _init_fields(MonitorSet),
+    "output": {"dir": str, "checkpoints": int, "seed_profile": str},
 }
 
 
@@ -85,12 +91,7 @@ def _load_config(path: str) -> dict[str, dict]:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                if key in _INT_KEYS:
-                    out[section][key] = cp[section].getint(key)
-                elif key in _STR_KEYS:
-                    out[section][key] = cp[section].get(key)
-                else:
-                    out[section][key] = cp[section].getfloat(key)
+                out[section][key] = allowed[key](cp[section][key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}")
     return out

@@ -25,9 +25,9 @@ by the one helper that the error filter uses too.  The differences u', u''
 that decide whether a damped iterate is admissible are the ones the next
 residual and Jacobian use, so each iterate is differenced once.  Newton
 stops after an undamped update delta_k when sup|delta_k| is below
-tol_newton, or when it follows an undamped delta_(k-1) and the contraction
+TOL_NEWTON, or when it follows an undamped delta_(k-1) and the contraction
 estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error left,
-theta/(1-theta) |delta_k|, by tol_newton (Hairer-Wanner, Solving ODEs II,
+theta/(1-theta) |delta_k|, by TOL_NEWTON (Hairer-Wanner, Solving ODEs II,
 IV.8).  From the explicit predictor (the trapezoidal stage) or the linear
 extrapolation of u_n and u_gamma (the BDF2 stage) that saves the
 confirming iteration: two linear solves per stage.
@@ -51,12 +51,13 @@ estimate is filtered by one more tridiagonal solve with the stage matrix
 at u_1, which damps the stiff components a raw estimate would overstate,
 and its center value is subtracted, since the gauge constant shifts the
 stage values of f.  Its sup norm is held to tol_step, and the dt proposal
-follows the cube-root rule of a second-order integrator.  A rejected
+follows the cube-root rule of a second-order integrator; it is clipped
+only by 0.25 (T - t) and by the next event time.  A rejected
 attempt, a failed Newton solve or a missed estimate, shrinks dt through one
 retry path; below DT_MIN the step fails, and its FlowError carries the
 rejected attempts for the run log.
 
-Admissibility (finite samples, u' > 0, u'' > floor_u2) is checked once,
+Admissibility (finite samples, u' > 0, u'' > FLOOR_U2) is checked once,
 when each step starts; f_n comes from the differences that check takes, and
 every damped Newton iterate stays admissible.  Stepping reads only the
 samples u; the full CalabiProfile (tail fits and four derivative arrays) of
@@ -105,34 +106,35 @@ class _StepFailure(Exception):
     """Internal: Newton did not converge or produced an invalid iterate."""
 
 
-# step-size rule: a step fails below DT_MIN, and dt changes by the factor
-# SAFETY (tol_step / err)^(1/3), clipped to [0.2, MAX_GROWTH]
+# step-size rule: a run's first step tries DT_INIT, a step fails below
+# DT_MIN, and dt changes by the factor SAFETY (tol_step / err)^(1/3),
+# clipped to [0.2, MAX_GROWTH]
+DT_INIT = 1e-6
 DT_MIN = 1e-13
 SAFETY = 0.9
 MAX_GROWTH = 4.0
+# Newton stop tolerance and iteration limit; every iterate has u'' > FLOOR_U2
+TOL_NEWTON = 1e-10
+NEWTON_MAX_ITER = 12
+FLOOR_U2 = 1e-10
 
 
 @dataclass(frozen=True)
 class StepControl:
-    dt_init: float = 1e-6
-    dt_max: float = 5e-3
-    tol_newton: float = 1e-10
     tol_step: float = 1e-6
     t_stop_fraction: float = 0.999
-    floor_u2: float = 1e-10
-    newton_max_iter: int = 12
 
     def __post_init__(self):
-        if not DT_MIN <= self.dt_init <= self.dt_max:
-            raise ValueError(f"need {DT_MIN:g} <= dt_init <= dt_max")
+        if not (math.isfinite(self.tol_step) and self.tol_step > 0.0):
+            raise ValueError(f"need a finite tol_step > 0, got {self.tol_step}")
         if not 0.0 < self.t_stop_fraction < 1.0:
             raise ValueError("need 0 < t_stop_fraction < 1")
 
 
 @dataclass(frozen=True)
 class StepStats:
-    """One accepted step.  newton_iters and residual belong to its last
-    (BDF2) stage, total_iters sums the Newton iterations of both stages."""
+    """One accepted step.  newton_iters sums the Newton iterations of both
+    stages; residual belongs to the last (BDF2) stage."""
 
     dt: float
     dt_next: float
@@ -141,7 +143,6 @@ class StepStats:
     error: float
     retries: int
     rejected: tuple[str, ...] = ()
-    total_iters: int = 0
 
 
 class FlowState:
@@ -195,14 +196,13 @@ def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _valid(w: np.ndarray, h: float,
-           floor: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(d1, d2) of an admissible iterate (finite, u' > 0, u'' > floor),
+def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(d1, d2) of an admissible iterate (finite, u' > 0, u'' > FLOOR_U2),
     or None."""
     if not np.all(np.isfinite(w)):
         return None
     d1, d2 = _second_diffs(w, h)
-    if np.all(d1 > 0.0) and np.all(d2 > floor):
+    if np.all(d1 > 0.0) and np.all(d2 > FLOOR_U2):
         return d1, d2
     return None
 
@@ -249,7 +249,6 @@ def _solve_stage(
     cls_new: KahlerClass,
     n: int,
     k: int,
-    ctl: StepControl,
     w0: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
@@ -267,7 +266,7 @@ def _solve_stage(
     base = rhs - ddt * n * grid.nodes[1:-1]
 
     w = w0
-    diffs = _valid(w, h, ctl.floor_u2)
+    diffs = _valid(w, h)
     if diffs is None:
         w = u_prev
         diffs = _second_diffs(w, h)
@@ -275,7 +274,7 @@ def _solve_stage(
     F = np.empty(grid.N)
     res = math.inf
     prev_full = None  # sup|delta| of the previous update, if undamped
-    for it in range(1, ctl.newton_max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         d1, d2 = diffs
         F[1:-1] = w[1:-1] - base - ddt * (np.log(d2) + (n - 1) * np.log(d1))
         F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
@@ -288,7 +287,7 @@ def _solve_stage(
         lam = 1.0
         for _ in range(9):
             w_try = w - lam * delta
-            diffs = _valid(w_try, h, ctl.floor_u2)
+            diffs = _valid(w_try, h)
             if diffs is not None:
                 break
             lam *= 0.5
@@ -301,11 +300,11 @@ def _solve_stage(
         # stop on an undamped update below tolerance or, after two undamped
         # updates in a row, on the contraction estimate of the error left
         theta = sup_delta / prev_full if prev_full is not None else math.inf
-        if sup_delta <= ctl.tol_newton or (
-                theta < 1.0 and theta / (1.0 - theta) * sup_delta <= ctl.tol_newton):
+        if sup_delta <= TOL_NEWTON or (
+                theta < 1.0 and theta / (1.0 - theta) * sup_delta <= TOL_NEWTON):
             return w - (w[c] - u_prev[c]), it, res
         prev_full = sup_delta
-    raise _StepFailure(f"Newton stalled after {ctl.newton_max_iter} iterations "
+    raise _StepFailure(f"Newton stalled after {NEWTON_MAX_ITER} iterations "
                        f"(residual {res:.3e})")
 
 
@@ -339,16 +338,15 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     if t >= ctl.t_stop_fraction * T:
         raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
 
-    diffs = _valid(u, grid.h, ctl.floor_u2)
+    diffs = _valid(u, grid.h)
     if diffs is None:
         d1, d2 = _second_diffs(u, grid.h)
-        bad = np.flatnonzero(~((d1 > 0.0) & (d2 > ctl.floor_u2))) + 1
-        raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= floor_u2 "
+        bad = np.flatnonzero(~((d1 > 0.0) & (d2 > FLOOR_U2))) + 1
+        raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= FLOOR_U2 "
                         f"or a non-finite sample at {bad.size} node(s), first at "
                         f"rho={grid.nodes[bad[0]]:.6g}")
 
-    dt = state.stats.dt_next if state.stats is not None else ctl.dt_init
-    dt = min(dt, ctl.dt_max, 0.25 * (T - t))
+    dt = min(state.stats.dt_next if state.stats is not None else DT_INIT, 0.25 * (T - t))
     f_n = _velocity(*diffs, grid, n)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
@@ -365,13 +363,13 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             # TR stage to t + gamma dt, from the explicit predictor
             rhs = u_in + ddt * f_n
             u_g, iters_g, _ = _solve_stage(
-                u, rhs, ddt, grid, class_at(params, t + _GAMMA * dt), n, k, ctl,
+                u, rhs, ddt, grid, class_at(params, t + _GAMMA * dt), n, k,
                 _predictor(u, _GAMMA * dt, f_n))
             f_g = (u_g[1:-1] - rhs) / ddt
             # BDF2 stage to t + dt, from the linear extrapolation of u, u_g
             rhs = _BDF2_SCALE * u_g[1:-1] - b_old
             u1, iters, res = _solve_stage(
-                u, rhs, ddt, grid, class_at(params, t + dt), n, k, ctl,
+                u, rhs, ddt, grid, class_at(params, t + dt), n, k,
                 u + (u_g - u) / _GAMMA)
             f_1 = (u1[1:-1] - rhs) / ddt
             # embedded estimate, filtered through the stage matrix at u1
@@ -397,14 +395,14 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                             f"({reason})", rejected=tuple(rejected))
 
     t_new = t_cap if hit_cap else t + dt
-    dt_next = min(max(dt * factor, DT_MIN), ctl.dt_max)
+    dt_next = max(dt * factor, DT_MIN)
 
-    if float(np.min(d2)) <= ctl.floor_u2:
+    if float(np.min(d2)) <= FLOOR_U2:
         raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}",
                         rejected=tuple(rejected))
-    stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters,
+    stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters_g + iters,
                       residual=res, error=err, retries=len(rejected),
-                      rejected=tuple(rejected), total_iters=iters_g + iters)
+                      rejected=tuple(rejected))
     return FlowState._from_samples(u1, t_new, grid, params, stats)
 
 
@@ -489,7 +487,7 @@ def run(
             st = state.stats
             trace.steps += 1
             trace.retries += st.retries
-            trace.newton_iters += st.total_iters
+            trace.newton_iters += st.newton_iters
             t = state.t
             if log_fh is not None:
                 log_fh.writelines(f"reject {entry}\n" for entry in st.rejected)

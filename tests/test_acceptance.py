@@ -19,7 +19,7 @@ def _gate(capfd, num, name, ok, detail):
 
 
 def _held(x, resolution):
-    """x at the precision it holds under tol_newton refinement: a value
+    """x at the precision it holds under TOL_NEWTON refinement: a value
     below the resolution, where Newton roundoff sets the digits, prints as
     that bound."""
     return f"< {resolution:.0e}" if x < resolution else f"{x:.1e}"

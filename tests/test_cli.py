@@ -103,6 +103,8 @@ def test_flags_override_config(tmp_path):
     ("[grid]\nN = five\n", "bad value"),
     ("[output]\nct_variant = log\n", "unknown key"),
     ("[monitors]\ncurvature = no\n", "unknown key"),
+    ("[control]\ndt_max = 0.005\n", "unknown key"),
+    ("[control]\ntol_step = 0\n", "tol_step"),
 ])
 def test_config_rejects_malformed_content(tmp_path, capsys, text, fragment):
     ini = tmp_path / "flow.ini"
@@ -112,16 +114,20 @@ def test_config_rejects_malformed_content(tmp_path, capsys, text, fragment):
     assert fragment in capsys.readouterr().err
 
 
-def test_config_keys_match_the_dataclasses():
+def test_config_keys_match_the_dataclasses(tmp_path):
     """Each object section takes exactly the init fields of its dataclass,
-    and every int field is parsed as an int."""
+    and each value is parsed to its field's type."""
+    ini = tmp_path / "flow.ini"
     for section, cls in (("params", calabiflow.FlowParams), ("grid", calabiflow.RhoGrid),
                          ("control", calabiflow.StepControl),
                          ("monitors", calabiflow.MonitorSet)):
         init = [f.name for f in dataclasses.fields(cls) if f.init]
-        assert cli._SECTIONS[section] == set(init), section
+        assert set(cli._SECTIONS[section]) == set(init), section
+        ini.write_text(f"[{section}]\n" + "".join(f"{name} = 3\n" for name in init))
+        parsed = cli._load_config(str(ini))[section]
         hints = typing.get_type_hints(cls)
-        assert {name for name in init if hints[name] is int} <= cli._INT_KEYS, section
+        assert {name: type(v) for name, v in parsed.items()} == {
+            name: hints[name] for name in init}, section
 
 
 def test_config_missing_file(tmp_path, capsys):
