@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .curvature import curvature_sample
 from .profile import (
@@ -118,11 +117,14 @@ def total_volume(p: CalabiProfile) -> tuple[float, float]:
     """(quadrature volume, class volume), both per unit angular factor.
 
     The density (u')^(n-1) u'' integrates in the moment variable to
-    (b^n - a^n)/n exactly; the quadrature value uses Simpson on the grid
-    plus the closed-form contribution of the truncated tails.
+    (b^n - a^n)/n exactly; the quadrature value is the composite Simpson
+    sum on the grid (weights 1, 4, 2, ..., 4, 1; RhoGrid's odd N makes the
+    interval count even) plus the closed-form contribution of the truncated
+    tails.
     """
     n = p.n
-    core = float(simpson(p.du ** (n - 1) * p.d2u, dx=p.grid.h))
+    f = p.du ** (n - 1) * p.d2u
+    core = float(np.sum(f[0:-1:2] + 4.0 * f[1::2] + f[2::2]) * (p.grid.h / 3.0))
     left = (float(p.du[0]) ** n - p.cls.a**n) / n
     right = (p.cls.b**n - float(p.du[-1]) ** n) / n
     vol_class = (p.cls.b**n - p.cls.a**n) / n

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .profile import CalabiProfile
 
@@ -27,6 +26,51 @@ class MomentDomainError(ValueError):
     """The sampled moment domain is unusable, or a window leaves it."""
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _MonotoneCubic:
+    """Fritsch-Carlson monotone cubic Hermite (PCHIP) through (x, y).
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants, and zero where those differ in sign or one vanishes; end
+    slopes are the shape-preserving three-point estimates.  Each interval
+    holds its cubic in powers of (x - x_i), and queries outside
+    [x_0, x_N] evaluate to NaN.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        inner = np.sign(m[1:]) * np.sign(m[:-1]) > 0.0
+        d = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][inner] = 1.0 / whmean[inner]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x = x
+        self.coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        s = xq - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.coef)
+        out = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        return np.where((xq < self.x[0]) | (xq > self.x[-1]), np.nan, out)
+
+
 @dataclass(eq=False)
 class MomentProfile:
     """Sampled moment-coordinate profile with monotone-cubic interpolation.
@@ -35,13 +79,18 @@ class MomentProfile:
     phi:    positive profile values at the samples
     dphi:   slope samples phi'(x), supplied rather than differenced so that
             chain-rule values (u'''/u'') can be used when available
+
+    phi and phi' are each interpolated by their own monotone cubic (the
+    module's numpy PCHIP, which reproduces scipy's PchipInterpolator with
+    extrapolate=False); eval and eval_slope are NaN outside
+    [x_min, x_max].
     """
 
     x: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    _interp: PchipInterpolator | None = field(default=None, repr=False)
-    _interp_slope: PchipInterpolator | None = field(default=None, repr=False)
+    _interp: _MonotoneCubic | None = field(default=None, repr=False)
+    _interp_slope: _MonotoneCubic | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -64,8 +113,8 @@ class MomentProfile:
 
     def _interpolants(self):
         if self._interp is None:
-            self._interp = PchipInterpolator(self.x, self.phi, extrapolate=False)
-            self._interp_slope = PchipInterpolator(self.x, self.dphi, extrapolate=False)
+            self._interp = _MonotoneCubic(self.x, self.phi)
+            self._interp_slope = _MonotoneCubic(self.x, self.dphi)
         return self._interp, self._interp_slope
 
     def check_window(self, window: tuple[float, float]) -> None:

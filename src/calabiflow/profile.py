@@ -28,7 +28,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 CHECKPOINT_VERSION = 1
 
@@ -347,7 +346,10 @@ def build_canonical_profile(
     """
     rho = grid.nodes
     ba = cls.b - cls.a
-    sig = expit(k * rho)
+    # two-branch logistic: exp(-|k rho|) cannot overflow, and the left
+    # branch keeps full relative accuracy in the tail where sig ~ e^(k rho)
+    e = np.exp(-np.abs(k * rho))
+    sig = np.where(rho >= 0.0, 1.0, e) / (1.0 + e)
     u = cls.a * rho + (ba / k) * np.logaddexp(0.0, k * rho)
     sp = sig * (1.0 - sig)
     du = cls.a + ba * sig

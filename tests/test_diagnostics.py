@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import simpson
 
 import calabiflow as cf
 from calabiflow import diagnostics, profile
@@ -153,6 +154,31 @@ def test_volume_identity_on_seed(contract_seed):
     vq, vc = cf.total_volume(contract_seed)
     assert_allclose(vq, vc, rtol=1e-12)
     assert_allclose(vc, (4.0**2 - 1.0**2) / 2.0, rtol=1e-12)
+
+
+def test_total_volume_simpson():
+    """The quadrature volume is the composite Simpson sum of
+    (u')^(n-1) u'' plus the closed-form tails: it agrees with scipy's
+    simpson on the odd-N grid, and a cubic integrand is integrated exactly,
+    which pins the 1, 4, 2, ..., 4, 1 weights."""
+    cls = cf.KahlerClass(1.0, 4.0)
+    for n, k in [(2, 1), (3, 1), (3, 2)]:
+        p = cf.build_canonical_profile(cls, cf.RhoGrid(12.0, 1025), n=n, k=k)
+        core = simpson(p.du ** (n - 1) * p.d2u, dx=p.grid.h)
+        tails = (p.du[0] ** n - cls.a**n + cls.b**n - p.du[-1] ** n) / n
+        assert_allclose(cf.total_volume(p)[0], core + tails, rtol=1e-14)
+
+    # u' = rho^2 + rho + 2 makes (u')^(n-1) u'' a cubic for n = 2, and its
+    # integral telescopes with the tails to the class volume (b^2 - a^2)/2
+    grid = cf.RhoGrid(1.0, 257)
+    rho = grid.nodes
+    du = rho**2 + rho + 2.0
+    cubic = cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=np.zeros_like(rho),
+                             du=du, d2u=2.0 * rho + 1.0, d3u=np.full_like(rho, 2.0),
+                             d4u=np.zeros_like(rho))
+    vol_quad, vol_class = cf.total_volume(cubic)
+    assert vol_class == 7.5
+    assert_allclose(vol_quad, vol_class, rtol=1e-14)
 
 
 def test_divisor_diameter_oracle(contract_seed):

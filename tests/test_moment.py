@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import PchipInterpolator
 
 import calabiflow as cf
+from calabiflow.moment import MomentProfile
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +80,37 @@ def test_c1_distance_identity_and_separation(seed_moment):
     other = cf.fik_reference(2, 1, 1.0, x_max=5.0)
     d = cf.c1_distance(seed_moment, other, window)
     assert d > 0.1
+
+
+def _pchip_data(rng, kind, size):
+    x = np.cumsum(rng.uniform(0.01, 1.0, size)) - 3.0
+    if kind == "monotone":
+        y = np.cumsum(rng.exponential(1.0, size))
+    elif kind == "flat_runs":
+        y = np.cumsum(rng.exponential(1.0, size) * (rng.uniform(size=size) < 0.5))
+    else:
+        y = rng.normal(size=size)
+        y[rng.integers(0, size, 3)] = 0.0
+        y[size // 2: size // 2 + 3] = y[size // 2]
+    return x, y
+
+
+@pytest.mark.parametrize("kind", ["monotone", "flat_runs", "signed"])
+def test_monotone_cubic_matches_pchip(kind):
+    """MomentProfile's numpy PCHIP reproduces scipy's PchipInterpolator with
+    extrapolate=False on both channels: monotone data, data with flat runs
+    (zero secants, so zero node slopes), and data whose secants change sign,
+    at the nodes, between them, and NaN beyond the samples."""
+    rng = np.random.default_rng(20)
+    for size in (4, 5, 17, 400):
+        x, phi = _pchip_data(rng, kind, size)
+        _, dphi = _pchip_data(rng, "signed", size)
+        m = MomentProfile(x=x, phi=phi, dphi=dphi)
+        xq = np.concatenate([np.linspace(x[0] - 0.5, x[-1] + 0.5, 1001), x,
+                             [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+        outside = (xq < x[0]) | (xq > x[-1])
+        for ours, y in ((m.eval(xq), phi), (m.eval_slope(xq), dphi)):
+            ref = PchipInterpolator(x, y, extrapolate=False)(xq)
+            assert np.array_equal(np.isnan(ours), outside)
+            assert np.array_equal(np.isnan(ref), outside)
+            assert_allclose(ours, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 import calabiflow as cf
 
@@ -82,6 +83,24 @@ def test_seed_slope_matches_logistic(contract_seed):
     analytic = 1.0 + 3.0 / (1.0 + np.exp(-rho))
     inner = np.abs(rho) <= 9.0
     assert_allclose(p.du[inner], analytic[inner], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_logistic_matches_expit(k):
+    """The seed's logistic keeps full relative accuracy across k rho in
+    [-60, 60]: u' and the left tail of u'', where sig ~ e^(k rho), agree with
+    scipy's expit to a few ulp.  A wide grid with k L > 710, where
+    e^(k L) overflows, raises no warning."""
+    cls = cf.KahlerClass(1.0, 4.0)
+    p = cf.build_canonical_profile(cls, cf.RhoGrid(60.0 / k, 1025), n=3, k=k)
+    sig = expit(k * p.grid.nodes)
+    ulp = np.finfo(float).eps
+    assert_allclose(p.du, 1.0 + 3.0 * sig, rtol=4 * ulp, atol=0.0)
+    assert_allclose(p.d2u, k * 3.0 * (sig * (1.0 - sig)), rtol=4 * ulp, atol=0.0)
+
+    wide = cf.build_canonical_profile(cls, cf.RhoGrid(720.0 / k, 1025), n=3, k=k)
+    assert np.all(np.isfinite(wide.u)) and np.all(np.isfinite(wide.d4u))
+    assert wide.du[0] == 1.0 and wide.du[-1] == 4.0
 
 
 def test_seed_tail_coefficients(contract_seed):
