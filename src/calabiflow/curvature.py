@@ -12,15 +12,17 @@ The curvature operator in a unitary frame is determined by the
 fiber-fiber, fiber-base and base-base components (the off-diagonal
 base-base component equals the diagonal one in this ansatz); their sup is
 a faithful proxy for |Rm| up to dimensional constants, which is what the
-type-I monitors need.  curvature_sample is the one place that forms the
-eigenvalues, the components, the elementary symmetric functions sigma_j of
-the eigenvalues and that proxy; the trace monitors reduce its arrays.
+type-I monitors need.  curvature_sample is the one place that gathers the
+derivative ratios H, G and c4 and forms the eigenvalues, the components,
+the elementary symmetric functions sigma_j of the eigenvalues and that
+proxy; the trace monitors reduce its arrays.
 
-Derivative ratios entering curvature_sample go through the tail-guarded
-evaluators in profile.py, which run once per profile however often they
-are read.  scalar_curvature is the deliberate exception: it expands R in
-raw finite differences, so that its agreement with sigma_1 cross-checks
-the stencils on interior nodes.
+The ratios entering curvature_sample are the tail-guarded ones of
+profile.py, formed once per profile however often they are read, and the
+proxy counts the fourth-difference pieces only where profile.py's trust
+mask credits them.  scalar_curvature is the deliberate exception: it
+expands R in raw finite differences, so that its agreement with sigma_1
+cross-checks the stencils on interior nodes.
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from math import comb
 
 import numpy as np
 
-from .profile import CalabiProfile, c4_combination, ratio_g, ratio_h
+from .profile import CalabiProfile, c4_combination, c4_trust_mask, ratio_g, ratio_h
 
 
 @dataclass(frozen=True)
 class CurvatureSample:
+    H: np.ndarray
+    G: np.ndarray
+    c4: np.ndarray
     lambda1: np.ndarray
     lambda2: np.ndarray
     r1111: np.ndarray
@@ -76,7 +81,9 @@ def curvature_sample(p: CalabiProfile) -> CurvatureSample:
     With eigenvalues (lambda1, lambda2 x (n-1)) the j-th elementary
     symmetric function is C(n-1, j) lambda2^j + C(n-1, j-1) lambda1
     lambda2^(j-1); sigma[1] is the scalar curvature.  rm_proxy is the
-    pointwise max of |components| and |eigenvalues|, comparable to |Rm|.
+    pointwise max of |components| and |eigenvalues|, comparable to |Rm|;
+    its fourth-difference pieces lambda1 and r1111 count only on the nodes
+    of c4_trust_mask.
     """
     n = p.n
     H = ratio_h(p)
@@ -90,7 +97,7 @@ def curvature_sample(p: CalabiProfile) -> CurvatureSample:
     rkkkk = (p.du - p.d2u) / p.du**2
     sigma = {j: comb(n - 1, j) * lam2**j + comb(n - 1, j - 1) * lam1 * lam2 ** (j - 1)
              for j in range(1, n + 1)}
-    proxy = np.max(np.stack([np.abs(r1111), np.abs(r11kk), np.abs(rkkkk),
-                             np.abs(lam1), np.abs(lam2)]), axis=0)
-    return CurvatureSample(lambda1=lam1, lambda2=lam2, r1111=r1111,
+    fourth = np.where(c4_trust_mask(p), np.maximum(np.abs(r1111), np.abs(lam1)), 0.0)
+    proxy = np.max(np.stack([np.abs(r11kk), np.abs(rkkkk), np.abs(lam2), fourth]), axis=0)
+    return CurvatureSample(H=H, G=G, c4=c4, lambda1=lam1, lambda2=lam2, r1111=r1111,
                            r11kk=r11kk, rkkkk=rkkkk, sigma=sigma, rm_proxy=proxy)

@@ -2,10 +2,11 @@
 
 A trace row is one sampled instant of the flow.  Scaled quantities carry a
 factor (T - t) per curvature power, so a type-I singularity shows up as
-rows with bounded entries.  The curvature columns are reductions of one
-curvature_sample per row, made in sample_row and nowhere else.  Every
-reduction over nodes that involves a raw fourth difference is restricted
-to the trust mask from profile.py; in a degenerating tail those stencils
+rows with bounded entries.  The curvature columns, H_sup and the G
+columns included, are reductions of one curvature_sample per row, made in
+sample_row and nowhere else.  Every reduction over nodes that involves a
+raw fourth difference is restricted to the trust mask from profile.py
+(the sample's rm_proxy already is); in a degenerating tail those stencils
 are rounding noise and would otherwise pollute suprema and minima.
 
 The trace table layout is fixed:
@@ -29,16 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import curvature_sample
-from .profile import (
-    CalabiProfile,
-    FlowParams,
-    Regime,
-    c4_combination,
-    c4_trust_mask,
-    ratio_g,
-    ratio_h,
-    write_atomic,
-)
+from .profile import CalabiProfile, FlowParams, Regime, c4_trust_mask, write_atomic
 
 
 class DiagnosticsError(RuntimeError):
@@ -101,7 +93,6 @@ class FlowTrace:
     regime: Regime
     rows: list[TraceRow] = field(default_factory=list)
     checkpoints: list[CheckpointRecord] = field(default_factory=list)
-    initial_profile: CalabiProfile | None = None
     final_profile: CalabiProfile | None = None
     elapsed: float = 0.0
     steps: int = 0
@@ -190,28 +181,23 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime,
     # the outermost three nodes at each end lean on ghost extrapolation;
     # sup/min reductions stay on stencil-supported interior nodes
     inner = slice(3, p.grid.N - 3)
-    trust = c4_trust_mask(p)
-    itrust = trust[inner]
+    # read before curvature_sample, so that perfbench's profile.trust_mask
+    # span times the profile's tail-guard pass
+    itrust = c4_trust_mask(p)[inner]
     cs = curvature_sample(p)
-    # lambda1 and r1111 are fourth-difference pieces of the proxy: they
-    # count on trusted nodes only
-    safe = [np.abs(cs.r11kk), np.abs(cs.rkkkk), np.abs(cs.lambda2)]
-    proxy = np.where(trust, cs.rm_proxy, np.max(np.stack(safe), axis=0))
-    supRm = float(np.max(proxy[inner]))
+    supRm = float(np.max(cs.rm_proxy[inner]))
     typeI = tau * supRm
 
-    H = ratio_h(p)[inner]
-    G = ratio_g(p)[inner]
-    H_sup = float(np.max(H))
-    G_sup = float(np.max(G))
-    G_inf = float(np.min(G))
+    H_sup = float(np.max(cs.H[inner]))
+    G_sup = float(np.max(cs.G[inner]))
+    G_inf = float(np.min(cs.G[inner]))
 
     cands = [float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner]))]
     c4min = nan
     sigma = tuple(nan for _ in range(2, n + 1))
     if itrust.any():
         cands.append(float(np.min(cs.r1111[inner][itrust])))
-        c4min = tau * float(np.min(c4_combination(p)[inner][itrust]))
+        c4min = tau * float(np.min(cs.c4[inner][itrust]))
         sigma = tuple(
             tau ** (j - 1) * float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
             / max(supRm, 1e-30) for j in range(2, n + 1))

@@ -470,9 +470,7 @@ def run(
     log_fh = (out / "run.log").open("w") if out is not None else None
 
     state = FlowState(profile=seed_profile, params=params)
-    trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime,
-                                  rows=[], checkpoints=[],
-                                  initial_profile=seed_profile)
+    trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime)
     trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
                                              dt=0.0, iters=0))
     started = time.perf_counter()

@@ -75,8 +75,8 @@ class FlowParams:
             raise ProfileError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.k < self.n:
             raise ProfileError(f"need 1 <= k < n, got k={self.k} with n={self.n}")
-        if not 0.0 < self.a0 < self.b0:
-            raise ProfileError(f"need 0 < a0 < b0, got a0={self.a0}, b0={self.b0}")
+        if not (0.0 < self.a0 < self.b0 and math.isfinite(self.b0)):
+            raise ProfileError(f"need finite 0 < a0 < b0, got a0={self.a0}, b0={self.b0}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ class KahlerClass:
     b: float
 
     def __post_init__(self):
-        if not 0.0 < self.a < self.b:
-            raise ProfileError(f"need 0 < a < b, got a={self.a}, b={self.b}")
+        if not (0.0 < self.a < self.b and math.isfinite(self.b)):
+            raise ProfileError(f"need finite 0 < a < b, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ class RhoGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.L <= 0.0:
-            raise ProfileError(f"need L > 0, got L={self.L}")
+        if not (self.L > 0.0 and math.isfinite(self.L)):
+            raise ProfileError(f"need finite L > 0, got L={self.L}")
         if self.N < 257 or self.N % 2 == 0:
             raise ProfileError(f"need odd N >= 257, got N={self.N}")
         object.__setattr__(self, "nodes", np.linspace(-self.L, self.L, self.N))
@@ -143,9 +143,9 @@ class CalabiProfile:
     The arrays are treated as immutable after construction.  d3u and d4u
     are raw centered differences; tail-sensitive combinations should go
     through ratio_g / c4_combination below, which switch to the boundary
-    model where the raw differences lose significance.  Those guarded
-    evaluators run once per profile and keep their read-only result in
-    _memo.
+    model where the raw differences lose significance.  One pass forms
+    those two together with c4_trust_mask, the first time any of them is
+    read, and the profile keeps its read-only result.
     """
 
     grid: RhoGrid
@@ -160,13 +160,16 @@ class CalabiProfile:
     d4u: np.ndarray
     tail_left: TailFit | None = None
     tail_right: TailFit | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("u", "du", "d2u", "d3u", "d4u"):
             arr = getattr(self, name)
             if arr.shape != (self.grid.N,):
                 raise ProfileError(f"{name} has shape {arr.shape}, expected ({self.grid.N},)")
+
+    @functools.cached_property
+    def _guarded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _guard_tails(self)
 
 
 @dataclass(frozen=True)
@@ -232,47 +235,30 @@ def _apply_stencil(padded: np.ndarray, order: int, h: float) -> np.ndarray:
     return np.convolve(arr, coeffs[::-1], mode="valid") / h**order
 
 
-def _tail_band_count(grid: RhoGrid, k: int) -> int:
-    width = min(TAIL_BAND_WIDTH / k, grid.L / 3.0)
-    m = int(round(width / grid.h)) + 1
-    return min(max(m, MIN_FIT_NODES), grid.N // 3)
+def _fit_tail(z: np.ndarray, w: np.ndarray) -> TailFit:
+    """Least-squares fit of z = base + amp*w + amp2*w^2, shrinking the band
+    from the inside until the fit is self-consistent.
 
-
-def _fit_tail(z: np.ndarray, w: np.ndarray) -> tuple[TailFit, float]:
-    """One least-squares fit of z = base + amp*w + amp2*w^2.
-
-    Also returns |4*amp2*w|/amp evaluated at the innermost (largest-w)
-    node of the band.  The two-mode model is self-consistent only where
-    this ratio is small; it blows up when transition structure leaks into
-    the band or when the leading amplitude is not positive.
-    """
-    wr = float(np.max(w))
-    if wr <= 0.0 or not math.isfinite(wr):
-        return TailFit(float(z[0]), 0.0, 0.0), math.inf
-    ws = w / wr
-    A = np.stack([np.ones_like(ws), ws, ws * ws], axis=1)
-    coef, *_ = np.linalg.lstsq(A, z, rcond=None)
-    fit = TailFit(float(coef[0]), float(coef[1] / wr), float(coef[2] / wr**2))
-    if fit.amp <= 0.0:
-        return fit, math.inf
-    return fit, abs(4.0 * fit.amp2 * wr) / fit.amp
-
-
-def _fit_tail_trimmed(z: np.ndarray, w: np.ndarray) -> TailFit:
-    """Fit over the band, shrinking it from the inside until self-consistent.
-
-    z and w are ordered outermost node first.  When the transition region
-    has drifted into the nominal band (late in a divisor contraction) the
-    full-band fit returns a wild second mode; dropping the innermost
-    quarter repeatedly finds the stretch where the model actually holds.
+    z and w are ordered outermost node first.  The two-mode model holds only
+    where |4*amp2*w|/amp, taken at the innermost (largest-w) node, is small;
+    the ratio blows up when transition structure leaks into the band (late
+    in a divisor contraction) or when the leading amplitude is not positive.
+    Dropping the innermost quarter repeatedly finds the stretch where the
+    model actually holds.
     """
     m = len(z)
-    best: TailFit | None = None
     while True:
-        fit, ratio = _fit_tail(z[:m], w[:m])
-        best = fit
+        wr = float(np.max(w[:m]))
+        if wr <= 0.0 or not math.isfinite(wr):
+            fit, ratio = TailFit(float(z[0]), 0.0, 0.0), math.inf
+        else:
+            ws = w[:m] / wr
+            A = np.stack([np.ones_like(ws), ws, ws * ws], axis=1)
+            coef, *_ = np.linalg.lstsq(A, z[:m], rcond=None)
+            fit = TailFit(float(coef[0]), float(coef[1] / wr), float(coef[2] / wr**2))
+            ratio = abs(4.0 * fit.amp2 * wr) / fit.amp if fit.amp > 0.0 else math.inf
         if ratio <= 0.5 or m <= MIN_FIT_NODES:
-            return best
+            return fit
         m = max(MIN_FIT_NODES, (3 * m) // 4)
 
 
@@ -286,10 +272,10 @@ def fit_boundary_tails(
     the fitted second mode stays subordinate across the band.
     """
     rho = grid.nodes
-    m = _tail_band_count(grid, k)
-    left = _fit_tail_trimmed(u[:m] - cls.a * rho[:m], np.exp(k * rho[:m]))
-    right = _fit_tail_trimmed((u[-m:] - cls.b * rho[-m:])[::-1],
-                              np.exp(-k * rho[-m:])[::-1])
+    width = min(TAIL_BAND_WIDTH / k, grid.L / 3.0)
+    m = min(max(int(round(width / grid.h)) + 1, MIN_FIT_NODES), grid.N // 3)
+    left = _fit_tail(u[:m] - cls.a * rho[:m], np.exp(k * rho[:m]))
+    right = _fit_tail((u[-m:] - cls.b * rho[-m:])[::-1], np.exp(-k * rho[-m:])[::-1])
     return left, right
 
 
@@ -435,52 +421,53 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # guarded tail evaluation
 
-def _once_per_profile(fn):
-    """Evaluate fn(p) once per profile; later calls get the same read-only array."""
-    @functools.wraps(fn)
-    def cached(p: CalabiProfile) -> np.ndarray:
-        out = p._memo.get(fn.__name__)
-        if out is None:
-            out = fn(p)
-            out.flags.writeable = False
-            p._memo[fn.__name__] = out
-        return out
-    return cached
+def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tail-guarded (G, c4, trust) of a profile, as read-only arrays.
 
+    G = u'''/u'' and c4 = -u''''/u''^2 + u'''^2/u''^3 start as raw
+    differences.  On each end's zone, k*rho < ln 5e-2 on the left and
+    -k*rho < ln 5e-2 on the right, they blend by tail position
+    w = e^(s*rho), s = +k (left) or -k (right), into that end's boundary
+    model, which has full weight for w <= 5e-3.  Within the model
+    G = s (E + 8 F w) / (E + 4 F w) and c4 = -4 E F w^3 / (E w + 4 F w^2)^3;
+    the raw value stands in wherever the model is not finite or its own
+    first correction |4 F w| reaches |E| / 2.
 
-def _raw_weights(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node raw-stencil weight against each tail model (0 = pure model)."""
-    krho = p.k * p.grid.nodes
-    span = LN_W_RAW - LN_W_MODEL
-    wl = np.clip((krho - LN_W_MODEL) / span, 0.0, 1.0)
-    wr = np.clip((-krho - LN_W_MODEL) / span, 0.0, 1.0)
-    return wl, wr
-
-
-def _usable(model: np.ndarray, raw: np.ndarray,
-            E: float, F: float, w: np.ndarray) -> np.ndarray:
-    """Model values where its own first correction is small, raw otherwise."""
-    bad = ~np.isfinite(model) | (np.abs(4.0 * F * w) >= 0.5 * abs(E))
-    return np.where(bad, raw, model)
-
-
-def _tail_guarded(p: CalabiProfile, raw: np.ndarray, model) -> np.ndarray:
-    """Blend raw stencil values into the fitted tail models by position.
-
-    model(E, F, w, s) is the model value at one end, from that end's
-    amplitudes, w = e^(s rho) and the signed rate s = +k (left), -k (right).
+    trust marks the nodes where c4 is numerically credible: the pure-model
+    nodes, and those where the raw stencil noise eps * sup|u| / h^4, carried
+    through c4, stays below C4_TRUST_REL times the local magnitude
+    (referenced to the center value, so near-zero stretches of an otherwise
+    active profile are not spuriously trusted).  Between the model zone and
+    the raw-trust zone there can be a genuine gap when a class endpoint
+    degenerates.
     """
-    if p.tail_left is None or p.tail_right is None:
-        return raw
-    out = raw
-    for tail, weight, s in zip((p.tail_left, p.tail_right), _raw_weights(p),
-                               (p.k, -p.k)):
-        w = np.exp(s * p.grid.nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = model(tail.amp, tail.amp2, w, s)
-        vals = _usable(vals, raw, tail.amp, tail.amp2, w)
-        out = weight * out + (1.0 - weight) * vals
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = p.d3u / p.d2u
+        c4 = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
+    model_zone = np.zeros(p.grid.N, dtype=bool)
+    if p.tail_left is not None and p.tail_right is not None:
+        for tail, s in ((p.tail_left, p.k), (p.tail_right, -p.k)):
+            x = s * p.grid.nodes
+            zone = x < LN_W_RAW
+            model_zone |= x <= LN_W_MODEL
+            x = x[zone]
+            E, F, w = tail.amp, tail.amp2, np.exp(x)
+            weight = np.clip((x - LN_W_MODEL) / (LN_W_RAW - LN_W_MODEL), 0.0, 1.0)
+            weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
+                          -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
+            for out, model in zip((G, c4), models):
+                raw = out[zone]
+                model = np.where(weak | ~np.isfinite(model), raw, model)
+                out[zone] = weight * raw + (1.0 - weight) * model
+    noise = (FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
+             / p.grid.h**4 / p.d2u**2)
+    ref = abs(float(c4[p.grid.center]))
+    trust = model_zone | (noise <= C4_TRUST_REL * (np.abs(c4) + ref))
+    for arr in (G, c4, trust):
+        arr.flags.writeable = False
+    return G, c4, trust
 
 
 def ratio_h(p: CalabiProfile) -> np.ndarray:
@@ -488,57 +475,20 @@ def ratio_h(p: CalabiProfile) -> np.ndarray:
     return p.d2u / p.du
 
 
-@_once_per_profile
 def ratio_g(p: CalabiProfile) -> np.ndarray:
-    """u'''/u'' with tail-model evaluation near the ends.
-
-    The raw third-difference ratio loses accuracy where u'' is a few
-    orders below its peak; the fitted boundary model gives the ratio
-    there as +-k * (E + 8 F w) / (E + 4 F w).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = p.d3u / p.d2u
-    return _tail_guarded(
-        p, raw, lambda E, F, w, s: s * (E + 8.0 * F * w) / (E + 4.0 * F * w))
+    """u'''/u'', switching to the boundary model near the ends."""
+    return p._guarded[0]
 
 
-@_once_per_profile
 def c4_combination(p: CalabiProfile) -> np.ndarray:
-    """The combination -u''''/u''^2 + u'''^2/u''^3, tail-guarded.
-
-    Within the boundary model the combination evaluates to
-    -4 E F w^3 / (E w + 4 F w^2)^3; the raw fourth differences are
-    rounding-limited in the tails, so the model value takes over there.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
-    return _tail_guarded(
-        p, raw, lambda E, F, w, s: -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
+    """The combination -u''''/u''^2 + u'''^2/u''^3, tail-guarded."""
+    return p._guarded[1]
 
 
-@_once_per_profile
 def c4_trust_mask(p: CalabiProfile) -> np.ndarray:
-    """Nodes where the fourth-order combination is numerically credible.
-
-    Deep-tail nodes are covered by the boundary model.  Elsewhere the raw
-    stencil noise eps * sup|u| / h^4, propagated through the combination,
-    must stay below C4_TRUST_REL times the local magnitude (referenced to the
-    center value, so near-zero stretches of an otherwise active profile
-    are not spuriously trusted).  Monitors that take minima or suprema of
-    fourth-difference quantities should restrict to this mask; between
-    the model zone and the raw-trust zone there can be a genuine gap when
-    a class endpoint degenerates.
-    """
-    c4 = c4_combination(p)
-    if p.tail_left is None or p.tail_right is None:
-        model_zone = np.zeros(p.grid.N, dtype=bool)
-    else:
-        krho = p.k * p.grid.nodes
-        model_zone = (krho <= LN_W_MODEL) | (-krho <= LN_W_MODEL)
-    noise = (FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
-             / p.grid.h**4 / p.d2u**2)
-    ref = abs(float(c4[p.grid.center]))
-    return model_zone | (noise <= C4_TRUST_REL * (np.abs(c4) + ref))
+    """Nodes where the fourth-order combination is numerically credible;
+    minima and suprema of fourth-difference quantities restrict to them."""
+    return p._guarded[2]
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +537,8 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
         raise ProfileError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProfileError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ProfileError(f"checkpoint {path} holds {type(payload).__name__}, not an object")
 
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:

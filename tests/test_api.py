@@ -55,3 +55,19 @@ def test_import_loads_only_lapack_from_scipy():
     heavy = ("scipy.integrate", "scipy.special", "scipy.interpolate",
              "scipy.optimize", "scipy.sparse")
     assert [m for m in loaded if m.startswith(heavy)] == []
+
+
+def test_benchmark_probes_resolve():
+    """Every layer boundary the benchmark's tracer wraps is a name the
+    package still binds, and the stepper still holds a banded or tridiagonal
+    solver; a rename would otherwise zero a per-layer metric."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.PROBES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    assert tracing._linear_solvers(importlib.import_module("calabiflow.flow"))

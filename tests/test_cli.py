@@ -201,6 +201,27 @@ def test_validate_rejects_inadmissible_dimension(cli_contract, tmp_path, capsys,
     assert "error: need" in captured.err
 
 
+def test_checkpoint_that_is_not_an_object_is_a_config_error(cli_contract, tmp_path,
+                                                            capsys):
+    """A JSON array in place of a checkpoint ends validate and blowup with
+    exit 2 and one error line, not a traceback."""
+    for path in cli_contract.glob("checkpoint_j*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "checkpoint_j05.json"
+    target.write_text("[1, 2, 3]\n")
+    for argv in (["validate", "--checkpoint", str(target)],
+                 ["blowup", "--from", str(tmp_path)]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "not an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--L", "nan"), ("--L", "inf"), ("--b0", "inf")])
+def test_run_rejects_non_finite_configuration(tmp_path, capsys, flag, value):
+    rc = cli.main(["run", "--N", "257", flag, value, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "error: need finite" in capsys.readouterr().err
+
+
 def test_blowup_rejects_corrupt_checkpoint(corrupt_checkpoints, capsys):
     rc = cli.main(["blowup", "--from", str(corrupt_checkpoints)])
     assert rc == cli.EXIT_CONFIG

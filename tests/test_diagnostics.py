@@ -1,9 +1,7 @@
 """Trace rows, reductions, export formats and the regime classifier."""
-import collections
 import errno
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -130,24 +128,25 @@ def test_row_reductions_match_reference(contract_1025):
 
 
 def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch):
-    """One row evaluates the tail-guarded u'''/u'' and the fourth-order
-    combination once each, however many monitors read them; the shared
-    arrays are read-only."""
+    """One row runs the tail-guard pass, which forms the guarded u'''/u'',
+    the fourth-order combination and the trust mask together, once however
+    many monitors read them; the shared arrays are read-only."""
     p = cf.profile_from_samples(contract_seed.u, contract_seed.grid,
                                 contract_seed.cls, 0.0, 2, 1)
-    evaluations = collections.Counter()
-    blend = profile._tail_guarded
+    evaluations = []
+    guard = profile._guard_tails
 
-    def counting_blend(*args):
-        evaluations[sys._getframe(1).f_code.co_name] += 1
-        return blend(*args)
+    def counting_guard(q):
+        evaluations.append(q)
+        return guard(q)
 
-    monkeypatch.setattr(profile, "_tail_guarded", counting_blend)
+    monkeypatch.setattr(profile, "_guard_tails", counting_guard)
     cf.sample_row(p, 1.0, cf.Regime.CONTRACT)
-    assert evaluations == {"ratio_g": 1, "c4_combination": 1}
+    assert len(evaluations) == 1 and evaluations[0] is p
     for arr in (cf.ratio_g(p), cf.c4_combination(p), cf.c4_trust_mask(p)):
         assert not arr.flags.writeable
     assert cf.ratio_g(p) is cf.ratio_g(p)
+    assert len(evaluations) == 1
 
 
 def test_volume_identity_on_seed(contract_seed):

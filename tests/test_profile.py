@@ -25,10 +25,12 @@ def test_grid_nodes_are_exact():
     assert g.N == 1025
 
 
-@pytest.mark.parametrize("bad", [258, 31, 1024])
-def test_grid_rejects_bad_node_counts(bad):
+@pytest.mark.parametrize("L, N", [pytest.param(12.0, N, id=str(N)) for N in (258, 31, 1024)]
+                         + [pytest.param(L, 1025, id=f"L={L}")
+                            for L in (0.0, math.nan, math.inf, -math.inf)])
+def test_grid_rejects_bad_node_counts(L, N):
     with pytest.raises(cf.ProfileError):
-        cf.RhoGrid(12.0, bad)
+        cf.RhoGrid(L, N)
 
 
 def test_class_and_params_validation():
@@ -40,6 +42,11 @@ def test_class_and_params_validation():
         cf.FlowParams(2, 5, 1.0, 4.0)
     with pytest.raises(cf.ProfileError):
         cf.FlowParams(1, 1, 1.0, 4.0)
+    for a, b in [(math.nan, 4.0), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf)]:
+        with pytest.raises(cf.ProfileError, match="need finite"):
+            cf.KahlerClass(a, b)
+        with pytest.raises(cf.ProfileError, match="need finite"):
+            cf.FlowParams(2, 1, a, b)
 
 
 def test_class_evolution_is_exact_affine():
@@ -273,6 +280,14 @@ def test_load_checkpoint_rejects_non_finite_samples(tmp_path, contract_seed, bad
 def test_load_checkpoint_rejects_non_finite_header(tmp_path, contract_seed, key, bad):
     path = _corrupted_checkpoint(tmp_path, contract_seed, key, bad)
     with pytest.raises(cf.ProfileError, match=f"non-finite header field.*{key}"):
+        cf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]", "3.5", '"u"', "null"])
+def test_load_checkpoint_rejects_non_object(tmp_path, text):
+    path = tmp_path / "corrupt.json"
+    path.write_text(text)
+    with pytest.raises(cf.ProfileError, match="not an object"):
         cf.load_checkpoint(path)
 
 
