@@ -99,7 +99,6 @@ class BlowupReport:
     n: int
     k: int
     T: float
-    lam: float
     rows: tuple[BlowupRow, ...]
 
 
@@ -188,15 +187,14 @@ def blowup_report(
     n: int,
     k: int,
     min_j: int = 4,
-    lam: float = 1.0,
     out_dir: str | Path | None = None,
 ) -> BlowupReport:
     """Self-similarity and soliton diagnostics over the late checkpoints.
 
     Rows, one per checkpoint with j >= min_j: magnification K, rescaled
     left endpoint, C^1 distance to the previous rescaled profile on the
-    overlap window, soliton fit residual, and C^1 distance to the cone
-    reference with a_hat = n - k.  Requires the divisor-contraction
+    overlap window, soliton fit residual at lambda = 1, and C^1 distance
+    to the cone reference with a_hat = n - k.  Requires the divisor-contraction
     regime and at least three usable checkpoints; a level whose samples
     miss its window raises a BlowupError that names the level.
     """
@@ -239,14 +237,14 @@ def blowup_report(
             if overlap[1] <= overlap[0]:
                 raise BlowupError(f"windows of j={rec.j} and previous do not overlap")
             selfsim = c1_distance(prev_m, m, overlap)
-        fit = soliton_residual(m, n, window=win, lam=lam)
+        fit = soliton_residual(m, n, window=win)
         fik_d = c1_distance(m, reference, win)
         rows.append(BlowupRow(j=rec.j, t=rec.t, K=K, a_hat=a_hat,
                               selfsim_prev=selfsim, soliton_rms=fit.rms,
                               fik_dist=fik_d, mu=fit.mu, c=fit.c))
         prev_m, prev_win = m, win
 
-    report = BlowupReport(n=n, k=k, T=T, lam=lam, rows=tuple(rows))
+    report = BlowupReport(n=n, k=k, T=T, rows=tuple(rows))
     if out_dir is not None:
         write_report(report, out_dir)
     return report
@@ -266,7 +264,7 @@ def write_report(report: BlowupReport, out_dir: str | Path) -> None:
         "n": report.n,
         "k": report.k,
         "T": report.T,
-        "lambda": report.lam,
+        "lambda": 1.0,
         "rows": [
             {"j": r.j, "t": r.t, "K": r.K, "a_hat": r.a_hat,
              "selfsim_prev": json_number(r.selfsim_prev),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 import typing
 from pathlib import Path
@@ -191,7 +192,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
             return EXIT_CONFIG
         prof = build_canonical_profile(class_at(params, 0.0), grid,
                                        params.n, params.k)
-    report = validate_profile(prof, tol=args.tol)
+    try:
+        report = validate_profile(prof, tol=args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(str(report))
     return EXIT_OK if report.ok else EXIT_NUMERICAL
 
@@ -220,8 +225,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
     n, k = first.n, first.k
     try:
         T = singular_time(infer_initial_class(first, n, k)).T
-        report = blowup_report(records, T, n, k, min_j=args.min_j,
-                               lam=args.lam, out_dir=args.out)
+        report = blowup_report(records, T, n, k, min_j=args.min_j, out_dir=args.out)
     except RegimeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
@@ -240,6 +244,9 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.lam):
+        print(f"error: need a finite lam, got {args.lam}", file=sys.stderr)
+        return EXIT_CONFIG
     n, k = args.n, args.k
     a_hat = args.a_hat if args.a_hat is not None else float(n - k)
     try:
@@ -326,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write blowup.csv/blowup.json here")
     p.add_argument("--min-j", type=int, default=4, dest="min_j",
                    help="first dyadic level to use")
-    p.add_argument("--lam", type=float, default=1.0,
-                   help="fixed lambda of the shrinker relation (1 for a Type I blow-up)")
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("soliton", help="residuals of the reference profiles")

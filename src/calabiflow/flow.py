@@ -28,9 +28,9 @@ stops after an undamped update delta_k when sup|delta_k| is below
 TOL_NEWTON, or when it follows an undamped delta_(k-1) and the contraction
 estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error left,
 theta/(1-theta) |delta_k|, by TOL_NEWTON (Hairer-Wanner, Solving ODEs II,
-IV.8).  From the explicit predictor (the trapezoidal stage) or the linear
-extrapolation of u_n and u_gamma (the BDF2 stage) that saves the
-confirming iteration: two linear solves per stage.
+IV.8).  The trapezoidal stage starts from u_n; the BDF2 stage starts from
+the linear extrapolation u_n + (u_gamma - u_n)/gamma, or from u_n when that
+is not admissible.
 
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
@@ -58,11 +58,12 @@ retry path; below DT_MIN the step fails, and its FlowError carries the
 rejected attempts for the run log.
 
 Admissibility (finite samples, u' > 0, u'' > FLOOR_U2) is checked once,
-when each step starts; f_n comes from the differences that check takes, and
-every damped Newton iterate stays admissible.  Stepping reads only the
-samples u; the full CalabiProfile (tail fits and four derivative arrays) of
-an accepted state is built on first read, so a run builds it only for
-monitor rows, checkpoints and the final profile.
+when each step starts; f_n and the trapezoidal stage's first Newton step
+come from the differences that check takes, and every damped Newton iterate
+stays admissible.  Stepping reads only the samples u; the full CalabiProfile
+(tail fits and four derivative arrays) of an accepted state is built on
+first read, so a run builds it only for monitor rows, checkpoints and the
+final profile.
 """
 
 from __future__ import annotations
@@ -242,34 +243,29 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
 
 
 def _solve_stage(
-    u_prev: np.ndarray,
+    w: np.ndarray,
+    diffs: tuple[np.ndarray, np.ndarray],
+    center: float,
     rhs: np.ndarray,
     ddt: float,
     grid: RhoGrid,
     cls_new: KahlerClass,
     n: int,
     k: int,
-    w0: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
-    of cls_new, by damped Newton from w0 (from u_prev, which must be
-    admissible, if w0 is not); f(w) = log w'' + (n-1) log w' - n rho.  Returns
+    of cls_new, by damped Newton from the admissible start w, whose
+    differences are diffs; f(w) = log w'' + (n-1) log w' - n rho.  Returns
     (w, iterations, residual), the residual taken at the start of the last
     iteration.
 
     The system is solved without the gauge constant, and the converged
-    solution is shifted to keep the center value of u_prev.
+    solution is shifted so that its center value is center.
     """
     h, c = grid.h, grid.center
     efac = math.expm1(k * h)
     # interior rows: F = w - (rhs - ddt n rho) - ddt (log u'' + (n-1) log u')
     base = rhs - ddt * n * grid.nodes[1:-1]
-
-    w = w0
-    diffs = _valid(w, h)
-    if diffs is None:
-        w = u_prev
-        diffs = _second_diffs(w, h)
 
     F = np.empty(grid.N)
     res = math.inf
@@ -302,7 +298,7 @@ def _solve_stage(
         theta = sup_delta / prev_full if prev_full is not None else math.inf
         if sup_delta <= TOL_NEWTON or (
                 theta < 1.0 and theta / (1.0 - theta) * sup_delta <= TOL_NEWTON):
-            return w - (w[c] - u_prev[c]), it, res
+            return w - (w[c] - center), it, res
         prev_full = sup_delta
     raise _StepFailure(f"Newton stalled after {NEWTON_MAX_ITER} iterations "
                        f"(residual {res:.3e})")
@@ -312,14 +308,6 @@ def _velocity(d1: np.ndarray, d2: np.ndarray, grid: RhoGrid, n: int) -> np.ndarr
     """Explicit velocity f(u) at interior nodes from the differences of an
     admissible u."""
     return np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1]
-
-
-def _predictor(u_prev: np.ndarray, dt: float, vel: np.ndarray) -> np.ndarray:
-    w = u_prev.copy()
-    w[1:-1] += dt * vel
-    w[0] += dt * vel[0]
-    w[-1] += dt * vel[-1]
-    return w
 
 
 def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
@@ -360,17 +348,20 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                 raise FlowError(f"event time {t_cap} not ahead of t={t}")
         ddt = _D * dt
         try:
-            # TR stage to t + gamma dt, from the explicit predictor
+            # TR stage to t + gamma dt, from u
             rhs = u_in + ddt * f_n
             u_g, iters_g, _ = _solve_stage(
-                u, rhs, ddt, grid, class_at(params, t + _GAMMA * dt), n, k,
-                _predictor(u, _GAMMA * dt, f_n))
+                u, diffs, u[c], rhs, ddt, grid, class_at(params, t + _GAMMA * dt), n, k)
             f_g = (u_g[1:-1] - rhs) / ddt
             # BDF2 stage to t + dt, from the linear extrapolation of u, u_g
+            # when it is admissible, else from u
             rhs = _BDF2_SCALE * u_g[1:-1] - b_old
+            w0 = u + (u_g - u) / _GAMMA
+            diffs0 = _valid(w0, grid.h)
+            if diffs0 is None:
+                w0, diffs0 = u, diffs
             u1, iters, res = _solve_stage(
-                u, rhs, ddt, grid, class_at(params, t + dt), n, k,
-                u + (u_g - u) / _GAMMA)
+                w0, diffs0, u[c], rhs, ddt, grid, class_at(params, t + dt), n, k)
             f_1 = (u1[1:-1] - rhs) / ddt
             # embedded estimate, filtered through the stage matrix at u1
             est = np.zeros(grid.N)
@@ -385,7 +376,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             err = float(np.max(np.abs(est - est[c])))
             factor = MAX_GROWTH if err == 0.0 else min(
                 MAX_GROWTH, max(0.2, SAFETY * (ctl.tol_step / err) ** (1.0 / 3.0)))
-            if err <= ctl.tol_step or dt <= 2.0 * DT_MIN:
+            if err <= ctl.tol_step:
                 break
             reason = f"err={err:.6g} > tol"
         rejected.append(f"dt={dt:.6g} {reason}")
@@ -476,35 +467,29 @@ def run(
     started = time.perf_counter()
     failure: FlowError | None = None
     try:
-        ev_idx = 0
-        while state.t < t_stop * (1.0 - 1e-14):
-            if ev_idx >= len(events):
-                break
-            t_cap = events[ev_idx][0]
-            state = step(state, ctl, t_cap=t_cap)
-            st = state.stats
-            trace.steps += 1
-            trace.retries += st.retries
-            trace.newton_iters += st.newton_iters
-            t = state.t
-            if log_fh is not None:
-                log_fh.writelines(f"reject {entry}\n" for entry in st.rejected)
-                log_fh.write(f"t={t:.12g} dt={st.dt:.6g} iters={st.newton_iters} "
-                             f"res={st.residual:.6g} retries={st.retries} "
-                             f"err={st.error:.6g}\n")
-            if abs(t - t_cap) <= 1e-12 * max(T, 1.0):
-                j = events[ev_idx][1]
-                ev_idx += 1
-                if j > 0:
+        for t_cap, j in events:
+            while state.t < t_cap:
+                state = step(state, ctl, t_cap=t_cap)
+                st = state.stats
+                trace.steps += 1
+                trace.retries += st.retries
+                trace.newton_iters += st.newton_iters
+                t = state.t
+                if log_fh is not None:
+                    log_fh.writelines(f"reject {entry}\n" for entry in st.rejected)
+                    log_fh.write(f"t={t:.12g} dt={st.dt:.6g} iters={st.newton_iters} "
+                                 f"res={st.residual:.6g} retries={st.retries} "
+                                 f"err={st.error:.6g}\n")
+                # a step that reaches t_cap lands on it exactly
+                landed = t >= t_cap
+                if landed and j > 0:
                     trace.checkpoints.append(
                         diagnostics.CheckpointRecord(j=j, t=t, profile=state.profile))
                     if out is not None:
                         save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
-                trace.rows.append(diagnostics.sample_row(
-                    state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
-            elif trace.steps % monitors.cadence == 0:
-                trace.rows.append(diagnostics.sample_row(
-                    state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
+                if landed or trace.steps % monitors.cadence == 0:
+                    trace.rows.append(diagnostics.sample_row(
+                        state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
     except FlowError as exc:
         failure = exc
         trace.retries += len(exc.rejected)

@@ -374,8 +374,10 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     are exact on an affine-plus-exponential tail; a derivative-form check
     would amplify tail-fit error by 1/h^2 and reject healthy profiles.  Row
     residuals are normalized to slope units and compared against tol scaled
-    by the nearest class endpoint.
+    by the nearest class endpoint; tol must be finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"need a finite tol > 0, got {tol}")
     violations: list[Violation] = []
 
     bad = ~(np.isfinite(p.u) & np.isfinite(p.du) & np.isfinite(p.d2u))

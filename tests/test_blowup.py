@@ -131,7 +131,6 @@ def test_blowup_report_rows(contract_default, tmp_path):
     report = cf.blowup_report(list(trace.checkpoints), T=1.0, n=2, k=1,
                               out_dir=tmp_path)
     assert report.n == 2 and report.k == 1 and report.T == 1.0
-    assert report.lam == 1.0
     assert [r.j for r in report.rows] == [4, 5, 6, 7, 8, 9]
     for r in report.rows:
         assert r.K == 2.0**r.j

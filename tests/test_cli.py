@@ -105,6 +105,8 @@ def test_flags_override_config(tmp_path):
     ("[monitors]\ncurvature = no\n", "unknown key"),
     ("[control]\ndt_max = 0.005\n", "unknown key"),
     ("[control]\ntol_step = 0\n", "tol_step"),
+    ("[control]\nt_stop_fraction = 1\n", "t_stop_fraction"),
+    ("[monitors]\ncadence = 0\n", "cadence"),
 ])
 def test_config_rejects_malformed_content(tmp_path, capsys, text, fragment):
     ini = tmp_path / "flow.ini"
@@ -143,6 +145,15 @@ def test_validate_seed(capsys):
     rc = cli.main(["validate", "--preset", "contract", "--N", "513"])
     assert rc == cli.EXIT_OK
     assert "profile admissible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_validate_rejects_bad_tolerance(capsys, tol):
+    rc = cli.main(["validate", "--preset", "contract", "--N", "257", "--tol", tol])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "admissible" not in captured.out
+    assert "error: need a finite tol > 0" in captured.err
 
 
 def test_validate_early_checkpoint(contract_default):
@@ -242,6 +253,14 @@ def test_blowup_table_and_files(cli_contract, tmp_path, capsys):
     assert [row["j"] for row in payload["rows"]] == list(range(4, 10))
 
 
+def test_blowup_has_no_lambda_option(cli_contract, capsys):
+    """The blow-up fit is at lambda = 1, the Type I normalization."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["blowup", "--from", str(cli_contract), "--lam", "2"])
+    assert info.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --lam" in capsys.readouterr().err
+
+
 def test_blowup_needs_contract_regime(cli_collapse, capsys):
     rc = cli.main(["blowup", "--from", str(cli_collapse)])
     assert rc == cli.EXIT_REGIME
@@ -279,6 +298,15 @@ def test_soliton_reports_residuals(capsys):
     out = capsys.readouterr().out
     assert out.count("rms=") == 2
     assert "flat model:" in out
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_soliton_rejects_non_finite_lambda(capsys, lam):
+    rc = cli.main(["soliton", "--lam", lam])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: need a finite lam" in captured.err
 
 
 def test_soliton_higher_dimension(capsys):

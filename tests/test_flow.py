@@ -1,6 +1,8 @@
 """Time integration: gauge invariance, class tracking, step control."""
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -26,13 +28,13 @@ def rejecting(monkeypatch):
 
 
 def _tr_stage(u, dt, params, grid):
-    """The TR stage of a step of size dt from t = 0, started from its
-    explicit predictor: w - D dt f(w) = u + D dt f(u) at t = gamma dt."""
+    """The TR stage of a step of size dt from t = 0, started from u as step()
+    starts it: w - D dt f(w) = u + D dt f(u) at t = gamma dt."""
     ddt = flow._D * dt
-    f = flow._velocity(*flow._second_diffs(u, grid.h), grid, params.n)
-    return flow._solve_stage(u, u[1:-1] + ddt * f, ddt, grid,
-                             cf.class_at(params, flow._GAMMA * dt), params.n,
-                             params.k, flow._predictor(u, flow._GAMMA * dt, f))
+    diffs = flow._second_diffs(u, grid.h)
+    f = flow._velocity(*diffs, grid, params.n)
+    return flow._solve_stage(u, diffs, u[grid.center], u[1:-1] + ddt * f, ddt, grid,
+                             cf.class_at(params, flow._GAMMA * dt), params.n, params.k)
 
 
 def test_center_value_is_a_discrete_invariant(contract_default, contract_wide):
@@ -154,6 +156,90 @@ def test_inadmissible_seed_is_refused_before_any_attempt(tmp_path):
     assert (tmp_path / "run.log").read_text() == f"error: {info.value}\n"
 
 
+def _contract_seed_at(t, N=257):
+    """The canonical profile of the contract class at time t, stamped t."""
+    p = cf.build_canonical_profile(cf.class_at(CONTRACT, t), cf.RhoGrid(12.0, N))
+    return cf.profile_from_samples(p.u, p.grid, p.cls, t, 2)
+
+
+def _with_nan_sample(t):
+    p = _contract_seed_at(t)
+    u = p.u.copy()
+    u[p.grid.center // 2] = np.nan
+    return cf.profile_from_samples(u, p.grid, p.cls, t, 2)
+
+
+@pytest.mark.parametrize("seed, t_cap, match", [
+    (lambda: _contract_seed_at(0.999), None, "already beyond the stop time"),
+    (lambda: _contract_seed_at(0.9995), None, "already beyond the stop time"),
+    (lambda: _contract_seed_at(0.5), 0.5, "event time 0.5 not ahead of t=0.5"),
+    (lambda: _contract_seed_at(0.5), 0.25, "event time 0.25 not ahead of t=0.5"),
+    (lambda: _with_nan_sample(0.0), None, "profile inadmissible at t=0: .* 3 node"),
+], ids=["at-stop", "past-stop", "cap-at-t", "cap-behind-t", "nan-sample"])
+def test_step_refuses_before_any_attempt(seed, t_cap, match):
+    """A state at or past the stop time, an event time not ahead of t and
+    a non-finite sample each end the step with no attempt made."""
+    state = cf.FlowState(profile=seed(), params=CONTRACT)
+    with pytest.raises(cf.FlowError, match=match) as info:
+        cf.step(state, cf.StepControl(), t_cap=t_cap)
+    assert info.value.rejected == ()
+
+
+@pytest.mark.parametrize("t", [0.999, 0.9995])
+def test_seed_at_or_past_the_stop_time_is_refused(t):
+    with pytest.raises(cf.FlowError, match="past the stop time"):
+        cf.run(CONTRACT, seed_profile=_contract_seed_at(t))
+
+
+def test_step_size_underflow_is_never_accepted():
+    """At tol_step = 1e-300 no attempt meets the tolerance: the first step
+    cuts dt from DT_INIT by 0.2 per rejection, 11 times, until it falls
+    below DT_MIN, and then fails instead of accepting an attempt whose
+    error estimate exceeds tol_step."""
+    state = cf.FlowState(profile=_contract_seed_at(0.0, N=513), params=CONTRACT)
+    with pytest.raises(cf.FlowError,
+                       match=r"step size underflow at t=0 \(err=\S+ > tol\)") as info:
+        cf.step(state, cf.StepControl(tol_step=1e-300))
+    rejected = info.value.rejected
+    assert len(rejected) == 11
+    assert all(entry.endswith(" > tol") for entry in rejected)
+    assert float(rejected[-1].split()[0].removeprefix("dt=")) < 2.0 * flow.DT_MIN
+
+
+def test_newton_safety_paths_end_in_a_diagnosis(tmp_path, monkeypatch):
+    """(3, 1, 1, 2) at (12, 513) loses discrete convexity near T: its Newton
+    iterates leave the admissible cone, so updates are damped, the BDF2
+    stage falls back from its extrapolated start to u_n, and some attempts
+    exhaust the damping.  The run reaches the stop time or fails with a
+    FlowError that names its cause and carries the partial trace."""
+    params = cf.FlowParams(3, 1, 1.0, 2.0)
+    valid = flow._valid
+    refused = {"step": 0, "_solve_stage": 0}
+
+    def recording_valid(w, h):
+        diffs = valid(w, h)
+        if diffs is None:
+            refused[sys._getframe(1).f_code.co_name] += 1
+        return diffs
+
+    monkeypatch.setattr(flow, "_valid", recording_valid)
+    ctl = cf.StepControl()
+    try:
+        trace = cf.run(params, ctl=ctl, grid=cf.RhoGrid(12.0, 513), out_dir=tmp_path)
+    except cf.FlowError as exc:
+        assert re.fullmatch(r"profile (inadmissible at t=\S+: .+|degenerate: (step size "
+                            r"underflow at t=\S+ \(.+\)|u'' at floor after .+))",
+                            str(exc))
+        trace = exc.trace
+        assert trace.error == str(exc)
+        assert trace.steps > 0 and len(trace.rows) > 1
+        assert trace.rows[-1].t < ctl.t_stop_fraction * trace.T
+    else:
+        assert trace.rows[-1].t == pytest.approx(ctl.t_stop_fraction * trace.T, rel=1e-12)
+    assert refused["step"] > 0 and refused["_solve_stage"] > 0
+    assert "damping exhausted" in (tmp_path / "run.log").read_text()
+
+
 def test_restart_from_checkpoint(contract_default):
     """A run seeded from its own checkpoint continues the same flow."""
     trace, _ = contract_default
@@ -233,10 +319,9 @@ def test_run_log_reports_retries_and_error(contract_default):
 @pytest.mark.parametrize("params", [CONTRACT, *SWEEP[:2]], ids=["n2", "n3", "n4"])
 @pytest.mark.parametrize("dt", [1e-5, 1e-3, 5e-3])
 def test_newton_converges_quadratically(params, dt):
-    """From the explicit predictor, Newton on the eliminated tridiagonal
-    system of the TR stage meets TOL_NEWTON within three iterations; a
-    Jacobian that is wrong but still convergent converges only linearly and
-    needs more."""
+    """From u_n, Newton on the eliminated tridiagonal system of the TR
+    stage meets TOL_NEWTON within three iterations; a Jacobian that is
+    wrong but still convergent converges only linearly and needs more."""
     seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(12.0, 1025),
                                       params.n, params.k)
     _, iters, _ = _tr_stage(seed.u, dt, params, seed.grid)
@@ -326,8 +411,8 @@ def test_summary_counts_match_run_log(tmp_path, rejecting):
 @pytest.mark.parametrize("params", [CONTRACT, *SWEEP[:2]], ids=["n2", "n3", "n4"])
 @pytest.mark.parametrize("dt", [1e-3, 5e-3])
 def test_contraction_stop_saves_the_confirming_solve(params, dt, monkeypatch):
-    """From the predictor, the contraction estimate ends the TR stage after
-    two linear solves, within 1e-10 of the stage solved to
+    """From u_n, the contraction estimate ends the TR stage after two
+    linear solves, within 1e-10 of the stage solved to
     TOL_NEWTON = 1e-13."""
     seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(12.0, 1025),
                                       params.n, params.k)
