@@ -86,7 +86,9 @@ class FlowTrace:
     """Rows and checkpoints of one run; error holds the FlowError text of a
     run that stopped early, and is None otherwise.  steps and retries count
     accepted steps and rejected attempts, newton_iters the Newton
-    iterations of every stage of every accepted step."""
+    iterations of every stage of every accepted step.  phase_seconds
+    holds the part of elapsed that run() spent in steps (a failing one
+    included), monitor rows, checkpoints and the trace.csv export."""
 
     params: FlowParams
     T: float
@@ -99,6 +101,9 @@ class FlowTrace:
     retries: int = 0
     newton_iters: int = 0
     error: str | None = field(default=None, init=False)
+    phase_seconds: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(
+            ("step", "monitors", "checkpoints", "export"), 0.0), init=False)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +281,9 @@ def write_summary(trace: FlowTrace, path: str | Path) -> None:
         "steps": trace.steps,
         "retries": trace.retries,
         "newton_iters": trace.newton_iters,
+        # whole milliseconds, rounded down, so they never sum above elapsed
+        "phase_seconds": {key: math.floor(val * 1e3) / 1e3
+                          for key, val in trace.phase_seconds.items()},
     }
     if trace.error is not None:
         summary["error"] = trace.error

@@ -21,12 +21,14 @@ stage matrix I - d dt df/dw, is tridiagonal on the interior rows; each
 closure row reaches one column further into the grid.  One row operation
 against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
-by the one helper that the error filter uses too.  The differences u', u''
-that decide whether a damped iterate is admissible are the ones the next
-residual and Jacobian use, so each iterate is differenced once.  Newton
-stops after an undamped update delta_k when sup|delta_k| is below
-TOL_NEWTON, or when it follows an undamped delta_(k-1) and the contraction
-estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error left,
+by the one helper that the error filter uses too; dgtsv comes from
+scipy's compiled LAPACK module, loaded without the scipy.linalg package.
+The differences u', u'' that decide whether a damped iterate is
+admissible are the ones the next residual and Jacobian use, so each
+iterate is differenced once.  Newton stops after an undamped update
+delta_k when sup|delta_k| is below TOL_NEWTON, or when it follows an
+undamped delta_(k-1) and the contraction estimate
+theta = |delta_k|/|delta_(k-1)| < 1 bounds the error left,
 theta/(1-theta) |delta_k|, by TOL_NEWTON (Hairer-Wanner, Solving ODEs II,
 IV.8).  The trapezoidal stage starts from u_n; the BDF2 stage starts from
 the linear extrapolation u_n + (u_gamma - u_n)/gamma, or from u_n when that
@@ -68,13 +70,16 @@ final profile.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import diagnostics
 from .profile import (
@@ -90,6 +95,33 @@ from .profile import (
     save_checkpoint,
     singular_time,
 )
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK bindings, without running scipy/linalg/__init__.py.
+
+    That package import costs more than a short flow and this module uses
+    one routine of it.  The extension is registered under its own name, so
+    a later `import scipy.linalg.lapack` reuses it, in either import order.
+    """
+    if _FLAPACK not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")  # locates, does not import
+        dirs = [os.path.join(d, "linalg")
+                for d in (scipy and scipy.submodule_search_locations) or ()]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
+        if spec is None:
+            raise ImportError(f"calabiflow needs scipy's compiled LAPACK module "
+                              f"{_FLAPACK}, which was not found; install scipy")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return sys.modules[_FLAPACK]
+
+
+dgtsv = _load_flapack().dgtsv
+
 
 class FlowError(RuntimeError):
     """Integration failure.  rejected lists the attempts the failing step
@@ -426,7 +458,8 @@ def run(
     trace table, a JSON summary, per-step log lines and the checkpoint
     profiles are written there.  A run that fails with FlowError still
     writes the trace and summary of the rows sampled so far; the summary
-    then carries the error text under "error".
+    then carries the error text under "error".  trace.elapsed runs from the
+    first row to the written trace.csv, and trace.phase_seconds splits it.
     """
     ctl = ctl or StepControl()
     grid = grid or RhoGrid(12.0, 2049)
@@ -462,14 +495,19 @@ def run(
 
     state = FlowState(profile=seed_profile, params=params)
     trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime)
+    # one clock pair per call site; a failing step is timed in the handler
+    clock, phases = time.perf_counter, trace.phase_seconds
+    started = clock()
     trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
                                              dt=0.0, iters=0))
-    started = time.perf_counter()
+    phases["monitors"] += clock() - started
     failure: FlowError | None = None
     try:
         for t_cap, j in events:
             while state.t < t_cap:
+                t_step = clock()
                 state = step(state, ctl, t_cap=t_cap)
+                phases["step"] += clock() - t_step
                 st = state.stats
                 trace.steps += 1
                 trace.retries += st.retries
@@ -483,14 +521,19 @@ def run(
                 # a step that reaches t_cap lands on it exactly
                 landed = t >= t_cap
                 if landed and j > 0:
+                    t0 = clock()
                     trace.checkpoints.append(
                         diagnostics.CheckpointRecord(j=j, t=t, profile=state.profile))
                     if out is not None:
                         save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
+                    phases["checkpoints"] += clock() - t0
                 if landed or trace.steps % monitors.cadence == 0:
+                    t0 = clock()
                     trace.rows.append(diagnostics.sample_row(
                         state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
+                    phases["monitors"] += clock() - t0
     except FlowError as exc:
+        phases["step"] += clock() - t_step
         failure = exc
         trace.retries += len(exc.rejected)
         trace.error = str(exc)
@@ -502,9 +545,12 @@ def run(
             log_fh.close()
 
     trace.final_profile = state.profile
-    trace.elapsed = time.perf_counter() - started
     if out is not None:
+        t0 = clock()
         diagnostics.export_trace(trace, out / "trace.csv")
+        phases["export"] += clock() - t0
+    trace.elapsed = clock() - started
+    if out is not None:
         diagnostics.write_summary(trace, out / "summary.json")
     if failure is not None:
         failure.trace = trace

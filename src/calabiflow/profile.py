@@ -521,7 +521,7 @@ def save_checkpoint(p: CalabiProfile, path: str | Path) -> None:
         "b": p.cls.b,
         "L": p.grid.L,
         "N": p.grid.N,
-        "u": [float(x) for x in p.u],
+        "u": p.u.tolist(),
     }
     try:
         write_atomic(path, json.dumps(payload) + "\n")
@@ -548,20 +548,26 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
             f"checkpoint {path} has version {version!r}, expected {CHECKPOINT_VERSION}")
     try:
         header = {key: float(payload[key]) for key in ("L", "a", "b", "t")}
-        N, n, k = int(payload["N"]), int(payload["n"]), int(payload["k"])
+        counts = {key: payload[key] for key in ("N", "n", "k")}
         u = np.asarray(payload["u"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"checkpoint {path} missing or malformed field: {exc}") from exc
+    # a count is a JSON integer: 2.9, true or "513" is refused, not truncated
+    bad_counts = [f"{key}={val!r}" for key, val in counts.items() if type(val) is not int]
+    if bad_counts:
+        raise ProfileError(f"checkpoint {path}: malformed field(s) {', '.join(bad_counts)}, "
+                           "need integers")
+    N, n, k = counts["N"], counts["n"], counts["k"]
     bad_keys = [key for key, val in header.items() if not math.isfinite(val)]
     if bad_keys:
         raise ProfileError(
             f"checkpoint {path}: non-finite header field(s) {', '.join(bad_keys)}")
+    # before the grid, which allocates N nodes
+    if u.shape != (N,):
+        raise ProfileError(f"checkpoint {path}: u has {u.size} samples, header says {N}")
     grid = RhoGrid(L=header["L"], N=N)
     cls = KahlerClass(a=header["a"], b=header["b"])
     FlowParams(n, k, cls.a, cls.b)  # rejects n < 2 and k outside [1, n)
-    if u.shape != (grid.N,):
-        raise ProfileError(
-            f"checkpoint {path}: u has {u.size} samples, header says {grid.N}")
     bad = ~np.isfinite(u)
     if bad.any():
         raise ProfileError(

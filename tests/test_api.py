@@ -38,23 +38,43 @@ def test_every_export_resolves():
         assert getattr(cf, name) is not None, name
 
 
-def test_import_loads_only_lapack_from_scipy():
-    """Importing the package and its command line pulls in scipy's LAPACK
-    bindings and none of the heavy scipy submodules, whose import would
-    dominate the start-up of every run."""
+def _run_python(probe: str, *path: str) -> subprocess.CompletedProcess:
+    """Run probe in a fresh interpreter with path and the package's src/
+    ahead of PYTHONPATH."""
     src = str(Path(cf.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, calabiflow, calabiflow.cli; "
-             "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*path, src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120, env=env)
+
+
+def test_import_loads_only_lapack_from_scipy():
+    """Importing the package and its command line loads scipy's compiled
+    LAPACK bindings and no other scipy module: not the scipy.linalg package,
+    whose __init__ would dominate the start-up of every run.  A later
+    import of scipy.linalg.lapack, the order the benchmark's worker uses,
+    reuses that extension, so its dgtsv is the one the stepper calls."""
+    probe = ("import sys, calabiflow, calabiflow.cli; "
+             "print(' '.join(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))); "
+             "from scipy.linalg import lapack; "
+             "print(lapack.dgtsv is calabiflow.flow.dgtsv)")
+    proc = _run_python(probe)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert "scipy.linalg.lapack" in loaded
-    heavy = ("scipy.integrate", "scipy.special", "scipy.interpolate",
-             "scipy.optimize", "scipy.sparse")
-    assert [m for m in loaded if m.startswith(heavy)] == []
+    loaded, same = proc.stdout.splitlines()
+    assert loaded.split() == ["scipy.linalg._flapack"]
+    assert same == "True"
+
+
+def test_import_without_lapack_extension_names_it(tmp_path):
+    """A scipy without its compiled LAPACK module fails the import with an
+    ImportError that names the module, not with a later NameError."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    proc = _run_python("import calabiflow", str(tmp_path))
+    assert proc.returncode != 0
+    assert "ImportError: calabiflow needs scipy's compiled LAPACK module " \
+           "scipy.linalg._flapack" in proc.stderr
 
 
 def test_benchmark_probes_resolve():

@@ -212,6 +212,22 @@ def test_validate_rejects_inadmissible_dimension(cli_contract, tmp_path, capsys,
     assert "error: need" in captured.err
 
 
+def test_checkpoint_with_non_integer_count_is_a_config_error(cli_contract, tmp_path,
+                                                            capsys):
+    """A fractional n in one checkpoint ends validate and blowup with exit 2,
+    where it was truncated to an integer before."""
+    for path in cli_contract.glob("checkpoint_j*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "checkpoint_j05.json"
+    payload = json.loads(target.read_text())
+    payload["n"] = 2.9
+    target.write_text(json.dumps(payload))
+    for argv in (["validate", "--checkpoint", str(target)],
+                 ["blowup", "--from", str(tmp_path)]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "malformed field(s) n=2.9" in capsys.readouterr().err
+
+
 def test_checkpoint_that_is_not_an_object_is_a_config_error(cli_contract, tmp_path,
                                                             capsys):
     """A JSON array in place of a checkpoint ends validate and blowup with

@@ -15,7 +15,8 @@ HEADER_N2 = ("t,a,b,supRm,typeI,H_sup,G_sup,G_inf,bisec_min,bisec_min_scaled,"
              "c4_min_scaled,lambda_div_scaled,sigma2,vol_quad,vol_class,"
              "vol_ratio,diam,dt,iters")
 SUMMARY_KEYS = {"T", "a0", "b0", "checkpoints", "elapsed_seconds", "k",
-                "lambda_div_final", "n", "newton_iters", "num_rows", "regime",
+                "lambda_div_final", "n", "newton_iters", "num_rows",
+                "phase_seconds", "regime",
                 "retries", "steps", "supRm_final", "t_final", "typeI_max",
                 "vol_ratio_final"}
 

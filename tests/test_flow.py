@@ -119,6 +119,29 @@ def test_failed_run_keeps_partial_trace(tmp_path, monkeypatch):
     assert f"error: {info.value}" in (tmp_path / "run.log").read_text()
 
 
+@pytest.mark.parametrize("fails", [False, True])
+def test_summary_phase_seconds_split_elapsed(tmp_path, monkeypatch, fails):
+    """summary.json times the steps, monitor rows, checkpoints and trace
+    export of a run, a failed one too; the phases are non-negative and sum
+    to at most elapsed_seconds."""
+    if fails:
+        monkeypatch.setattr(flow, "FLOOR_U2", 1.0)
+    try:
+        trace = cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    except cf.FlowError as exc:
+        assert fails
+        trace = exc.trace
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    for phases, elapsed in ((trace.phase_seconds, trace.elapsed),
+                            (summary["phase_seconds"], summary["elapsed_seconds"])):
+        assert set(phases) == {"step", "monitors", "checkpoints", "export"}
+        assert min(phases.values()) >= 0.0
+        assert sum(phases.values()) <= elapsed + 1e-12
+    assert trace.phase_seconds["step"] > 0.0 and trace.phase_seconds["monitors"] > 0.0
+    assert (trace.phase_seconds["checkpoints"] > 0.0) == (not fails)
+
+
 def test_failed_step_logs_its_rejected_attempts(tmp_path, monkeypatch):
     """One Newton iteration never meets TOL_NEWTON = 0, so the first step
     halves dt from 1e-6 until it falls below DT_MIN: 24 rejected attempts,

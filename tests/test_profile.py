@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,39 @@ def test_load_checkpoint_rejects_non_finite_node_count(tmp_path, contract_seed, 
     path = _corrupted_checkpoint(tmp_path, contract_seed, "N", bad)
     with pytest.raises(cf.ProfileError, match="malformed field"):
         cf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, bad", [("n", 2.9), ("n", 2.0), ("k", 1.5), ("k", True),
+                                      ("N", 1025.4), ("N", "1025"), ("N", None)])
+def test_load_checkpoint_rejects_non_integer_counts(tmp_path, contract_seed, key, bad):
+    """n, k and N are JSON integers; a float, bool, string or null is
+    refused, not truncated or parsed."""
+    path = _corrupted_checkpoint(tmp_path, contract_seed, key, bad)
+    with pytest.raises(cf.ProfileError, match="malformed field.*" + re.escape(f"{key}={bad!r}")):
+        cf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("N", [1027, 10**12 + 1])
+def test_load_checkpoint_rejects_sample_count_mismatch(tmp_path, contract_seed, N):
+    """A header N that disagrees with the samples is refused before a grid
+    of N nodes is built."""
+    path = _corrupted_checkpoint(tmp_path, contract_seed, "N", N)
+    with pytest.raises(cf.ProfileError, match=f"u has 1025 samples, header says {N}"):
+        cf.load_checkpoint(path)
+
+
+def test_checkpoint_text_and_samples_are_exact(tmp_path, contract_default):
+    """The file is the JSON of the header and the float samples, byte for
+    byte, and loading it gives back every sample bit for bit."""
+    trace, _ = contract_default
+    p = next(c.profile for c in trace.checkpoints if c.j == 5)
+    path = tmp_path / "ck.json"
+    cf.save_checkpoint(p, path)
+    expected = {"version": 1, "n": p.n, "k": p.k, "t": p.t, "a": p.cls.a,
+                "b": p.cls.b, "L": p.grid.L, "N": p.grid.N,
+                "u": [float(x) for x in p.u]}
+    assert path.read_text() == json.dumps(expected) + "\n"
+    assert cf.load_checkpoint(path).u.tobytes() == p.u.tobytes()
 
 
 @pytest.mark.parametrize("key, bad", [("n", 1), ("n", 0), ("k", 0), ("k", -1),
