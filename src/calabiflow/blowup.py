@@ -49,6 +49,7 @@ alongside the fit so drift relative to it is visible row by row.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +63,14 @@ from .moment import (
     c1_distance,
     moment_profile,
 )
-from .profile import CalabiProfile, FlowParams, Regime, singular_time, write_atomic
+from .profile import (
+    CalabiProfile,
+    FlowParams,
+    Regime,
+    on_class_motion,
+    singular_time,
+    write_atomic,
+)
 
 
 class BlowupError(RuntimeError):
@@ -156,8 +164,8 @@ def fik_reference(n: int, k: int, a_hat: float,
     """
     if not 0 < k < n:
         raise BlowupError(f"reference needs 0 < k < n, got k={k}, n={n}")
-    if a_hat <= 0.0:
-        raise BlowupError(f"reference needs a_hat > 0, got {a_hat}")
+    if not (math.isfinite(a_hat) and a_hat > 0.0):
+        raise BlowupError(f"reference needs a finite a_hat > 0, got {a_hat}")
     if x_max is None:
         x_max = max(12.0, 4.0 * a_hat)
     xs = np.linspace(a_hat, x_max, 2001)
@@ -195,8 +203,9 @@ def blowup_report(
     left endpoint, C^1 distance to the previous rescaled profile on the
     overlap window, soliton fit residual at lambda = 1, and C^1 distance
     to the cone reference with a_hat = n - k.  Requires the divisor-contraction
-    regime and at least three usable checkpoints; a level whose samples
-    miss its window raises a BlowupError that names the level.
+    regime and at least three usable checkpoints.  A level whose n, k or
+    class is not that of the first level's flow, or whose samples miss its
+    window, raises a BlowupError that names the level.
     """
     if not checkpoints:
         raise BlowupError("no checkpoints given")
@@ -224,6 +233,11 @@ def blowup_report(
         p = rec.profile
         if p.t >= T:
             raise BlowupError(f"profile time {p.t} is not before T={T}")
+        if (p.n, p.k) != (n, k) or not on_class_motion(params, p):
+            raise BlowupError(
+                f"level j={rec.j}: n={p.n}, k={p.k}, class ({p.cls.a:.9g}, {p.cls.b:.9g}) "
+                f"at t={p.t:.9g} is off the flow of level j={first.j} (n={n}, k={k}, "
+                f"a0={params.a0:.9g}, b0={params.b0:.9g})")
         K = 1.0 / (T - p.t)
         a_hat = K * p.cls.a
         try:

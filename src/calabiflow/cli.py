@@ -9,8 +9,9 @@ Subcommands:
     soliton   residuals of the built-in reference profiles
     sweep     run every preset and compare measured vs predicted regime
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
-4 regime mismatch.
+Exit codes: 0 success, 2 configuration problem or a path that cannot be
+read or written, 3 numerical failure, 4 regime mismatch.  main() maps each
+error to its code and prints it as one "error: <message>" line on stderr.
 """
 
 from __future__ import annotations
@@ -79,160 +80,86 @@ class ConfigError(Exception):
 def _load_config(path: str) -> dict[str, dict]:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys like N and L are case-sensitive
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        raw = {section: dict(cp[section]) for section in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; the error line is one
+        raise ConfigError(f"cannot parse config file {path!r}: "
+                          + " ".join(str(exc).split())) from exc
     out: dict[str, dict] = {}
-    for section in cp.sections():
+    for section, items in raw.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         allowed = _SECTIONS[section]
         out[section] = {}
-        for key in cp[section]:
+        for key, text in items.items():
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                out[section][key] = allowed[key](cp[section][key])
+                out[section][key] = allowed[key](text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}")
     return out
 
 
-def _merged_settings(args: argparse.Namespace) -> dict[str, dict]:
-    cfg: dict[str, dict] = {
-        "params": dict(PRESETS["contract"]),
-        "grid": {"L": 12.0, "N": 2049},
-        "control": {},
-        "monitors": {},
-        "output": {},
-    }
-    preset = getattr(args, "preset", None)
-    if preset:
-        cfg["params"] = dict(PRESETS[preset])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for section, values in _load_config(config_path).items():
+def _settings(args: argparse.Namespace):
+    """Flow objects and [output]: preset, config file, then each flag whose dest is a key."""
+    cfg: dict[str, dict] = {section: {} for section in _SECTIONS}
+    cfg["params"].update(PRESETS[getattr(args, "preset", None) or "contract"])
+    cfg["grid"].update(L=12.0, N=2049)
+    if getattr(args, "config", None):
+        for section, values in _load_config(args.config).items():
             cfg[section].update(values)
-    for key in ("n", "k", "a0", "b0"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["params"][key] = val
-    if getattr(args, "L", None) is not None:
-        cfg["grid"]["L"] = args.L
-    if getattr(args, "N", None) is not None:
-        cfg["grid"]["N"] = args.N
-    if getattr(args, "stop_frac", None) is not None:
-        cfg["control"]["t_stop_fraction"] = args.stop_frac
-    if getattr(args, "cadence", None) is not None:
-        cfg["monitors"]["cadence"] = args.cadence
-    if getattr(args, "checkpoints", None) is not None:
-        cfg["output"]["checkpoints"] = args.checkpoints
-    if getattr(args, "out", None) is not None:
-        cfg["output"]["dir"] = args.out
-    return cfg
-
-
-def _build_objects(cfg: dict[str, dict]):
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section and value is not None:
+            cfg[section][key] = value
     try:
-        params = FlowParams(**cfg["params"])
-        grid = RhoGrid(float(cfg["grid"]["L"]), int(cfg["grid"]["N"]))
-        ctl = StepControl(**cfg["control"])
-        monitors = MonitorSet(**cfg["monitors"])
-    except (ProfileError, ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
-    return params, grid, ctl, monitors
+        return (FlowParams(**cfg["params"]), RhoGrid(**cfg["grid"]),
+                StepControl(**cfg["control"]), MonitorSet(**cfg["monitors"]),
+                cfg["output"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _merged_settings(args)
-        params, grid, ctl, monitors = _build_objects(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = cfg["output"].get("dir", "flow_out")
-    nchk = int(cfg["output"].get("checkpoints", 10))
-    seed = None
-    seed_path = cfg["output"].get("seed_profile")
-    if seed_path:
-        try:
-            seed = load_checkpoint(seed_path)
-        except (OSError, ProfileError) as exc:
-            print(f"error: cannot load seed profile: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-
-    try:
-        trace = run(params, ctl=ctl, grid=grid, monitors=monitors,
-                    seed_profile=seed, out_dir=out_dir, checkpoints_j=nchk)
-    except FlowError as exc:
-        print(f"flow failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    last = trace.rows[-1]
+    params, grid, ctl, monitors, output = _settings(args)
+    out_dir = output.get("dir", "flow_out")
+    seed = load_checkpoint(output["seed_profile"]) if output.get("seed_profile") else None
+    trace = run(params, ctl=ctl, grid=grid, monitors=monitors, seed_profile=seed,
+                out_dir=out_dir, checkpoints_j=output.get("checkpoints", 10))
     print(f"regime={trace.regime.value} T={trace.T:.9g} "
-          f"t_final={last.t:.9g} rows={len(trace.rows)} "
+          f"t_final={trace.rows[-1].t:.9g} rows={len(trace.rows)} "
           f"checkpoints={len(trace.checkpoints)} out={out_dir}")
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.checkpoint:
-        try:
-            prof = load_checkpoint(args.checkpoint)
-        except (OSError, ProfileError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        prof = load_checkpoint(args.checkpoint)
     else:
-        try:
-            cfg = _merged_settings(args)
-            params, grid, _, _ = _build_objects(cfg)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        prof = build_canonical_profile(class_at(params, 0.0), grid,
-                                       params.n, params.k)
-    try:
-        report = validate_profile(prof, tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        params, grid, *_ = _settings(args)
+        prof = build_canonical_profile(class_at(params, 0.0), grid, params.n, params.k)
+    report = validate_profile(prof, tol=args.tol)
     print(str(report))
     return EXIT_OK if report.ok else EXIT_NUMERICAL
 
 
-def _collect_checkpoints(src: Path) -> list[CheckpointRecord]:
-    records = []
-    for path in sorted(src.glob("checkpoint_j*.json")):
-        j = int(path.stem.rsplit("j", 1)[1])
-        prof = load_checkpoint(path)
-        records.append(CheckpointRecord(j=j, t=prof.t, profile=prof))
-    return records
-
-
 def cmd_blowup(args: argparse.Namespace) -> int:
-    src = Path(args.src)
-    try:
-        records = _collect_checkpoints(src)
-    except (OSError, ProfileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    records = []
+    for path in sorted(Path(args.src).glob("checkpoint_j*.json")):
+        level = path.stem.removeprefix("checkpoint_j")
+        if not level.isdecimal():
+            raise ProfileError(f"checkpoint file name {path} has no level number")
+        prof = load_checkpoint(path)
+        records.append(CheckpointRecord(j=int(level), t=prof.t, profile=prof))
     if not records:
-        print(f"error: no checkpoint_j*.json files in {src}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        raise ConfigError(f"no checkpoint_j*.json files in {args.src}")
     first = records[0].profile
-    n, k = first.n, first.k
-    try:
-        T = singular_time(infer_initial_class(first, n, k)).T
-        report = blowup_report(records, T, n, k, min_j=args.min_j, out_dir=args.out)
-    except RegimeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    T = singular_time(infer_initial_class(first, first.n, first.k)).T
+    report = blowup_report(records, T, first.n, first.k, min_j=args.min_j, out_dir=args.out)
     print("   j          t            K      a_hat   selfsim_prev  soliton_rms     fik_dist")
     for r in report.rows:
         print(f"{r.j:4d} {r.t:10.7f} {r.K:12.5g} {r.a_hat:10.7f} "
@@ -245,61 +172,55 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 
 def cmd_soliton(args: argparse.Namespace) -> int:
     if not math.isfinite(args.lam):
-        print(f"error: need a finite lam, got {args.lam}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"need a finite lam, got {args.lam}")
     n, k = args.n, args.k
     a_hat = args.a_hat if args.a_hat is not None else float(n - k)
     try:
         cone = fik_reference(n, k, a_hat)
-        fit = soliton_residual(cone, n, lam=0.0)
-    except BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except BlowupError as exc:  # a bad reference is a bad option, not a failed flow
+        raise ConfigError(str(exc)) from exc
+    fit = soliton_residual(cone, n, lam=0.0)
     print(f"cone(n={n}, k={k}, a_hat={a_hat:g}): lam=0 "
           f"rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
-    flat = gaussian_reference()
-    fit = soliton_residual(flat, n, lam=args.lam)
+    fit = soliton_residual(gaussian_reference(), n, lam=args.lam)
     print(f"flat model: lam={args.lam:g} rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        grid = RhoGrid(args.L, args.N)
-        ctl = StepControl(t_stop_fraction=args.stop_frac)
-    except (ProfileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _, grid, ctl, _, output = _settings(args)
     mismatches = 0
     for name, kw in PRESETS.items():
         params = FlowParams(**kw)
         predicted = singular_time(params)
-        out_dir = str(Path(args.out) / name) if args.out else None
+        out_dir = str(Path(output["dir"]) / name) if output.get("dir") else None
         try:
             trace = run(params, ctl=ctl, grid=grid, out_dir=out_dir)
             measured = regime_indicator(trace)
         except (FlowError, DiagnosticsError) as exc:
-            print(f"{name}: failed ({exc})", file=sys.stderr)
-            return EXIT_NUMERICAL
-        tag = "ok" if measured is predicted.regime else "MISMATCH"
-        if measured is not predicted.regime:
-            mismatches += 1
+            raise type(exc)(f"{name}: {exc}") from exc
+        ok = measured is predicted.regime
+        mismatches += not ok
         print(f"{name:9s} T={predicted.T:8.5f} predicted={predicted.regime.value:9s} "
-              f"measured={measured.value:9s} {tag}")
+              f"measured={measured.value:9s} {'ok' if ok else 'MISMATCH'}")
     return EXIT_REGIME if mismatches else EXIT_OK
 
 
+def _setting(p: argparse.ArgumentParser, flag: str, key: str, **kw) -> None:
+    """A flag stored under its config key, shown as --stop-frac STOP_FRAC."""
+    p.add_argument(flag, dest=key, metavar=flag.lstrip("-").replace("-", "_").upper(), **kw)
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                   help="named initial class (n=2, k=1)")
-    p.add_argument("--config", metavar="FILE", default=None,
+    p.add_argument("--preset", choices=sorted(PRESETS), help="named initial class (n=2, k=1)")
+    p.add_argument("--config", metavar="FILE",
                    help="INI file with [params]/[grid]/[control]/[monitors]/[output]")
-    p.add_argument("--n", type=int, default=None, help="complex dimension")
-    p.add_argument("--k", type=int, default=None, help="twisting degree")
-    p.add_argument("--a0", type=float, default=None, help="initial divisor area")
-    p.add_argument("--b0", type=float, default=None, help="initial fiber area")
-    p.add_argument("--L", type=float, default=None, help="half-width of the grid")
-    p.add_argument("--N", type=int, default=None, help="number of grid nodes (odd)")
+    _setting(p, "--n", "params.n", type=int, help="complex dimension")
+    _setting(p, "--k", "params.k", type=int, help="twisting degree")
+    _setting(p, "--a0", "params.a0", type=float, help="initial divisor area")
+    _setting(p, "--b0", "params.b0", type=float, help="initial fiber area")
+    _setting(p, "--L", "grid.L", type=float, help="half-width of the grid")
+    _setting(p, "--N", "grid.N", type=int, help="number of grid nodes (odd)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="integrate a flow and write its trace")
     _add_param_flags(p)
-    p.add_argument("--out", default=None, help="output directory (default flow_out)")
-    p.add_argument("--stop-frac", type=float, default=None, dest="stop_frac",
-                   help="stop at this fraction of the singular time")
-    p.add_argument("--checkpoints", type=int, default=None,
-                   help="number of dyadic checkpoint levels")
-    p.add_argument("--cadence", type=int, default=None,
-                   help="sample a trace row every this many accepted steps")
+    _setting(p, "--out", "output.dir", help="output directory (default flow_out)")
+    _setting(p, "--stop-frac", "control.t_stop_fraction", type=float,
+             help="stop at this fraction of the singular time")
+    _setting(p, "--checkpoints", "output.checkpoints", type=int,
+             help="number of dyadic checkpoint levels")
+    _setting(p, "--cadence", "monitors.cadence", type=int,
+             help="sample a trace row every this many accepted steps")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("validate", help="admissibility checks on a profile")
@@ -345,18 +266,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_soliton)
 
     p = sub.add_parser("sweep", help="run all presets, compare regimes")
-    p.add_argument("--L", type=float, default=12.0)
-    p.add_argument("--N", type=int, default=513)
-    p.add_argument("--stop-frac", type=float, default=0.999, dest="stop_frac")
-    p.add_argument("--out", default=None, help="parent directory for per-preset output")
+    _setting(p, "--L", "grid.L", type=float, default=12.0)
+    _setting(p, "--N", "grid.N", type=int, default=513)
+    _setting(p, "--stop-frac", "control.t_stop_fraction", type=float, default=0.999)
+    _setting(p, "--out", "output.dir", help="parent directory for per-preset output")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+# the first match wins: RegimeMismatchError is a BlowupError
+_EXIT_CODES = (
+    (RegimeMismatchError, EXIT_REGIME),
+    (FlowError, EXIT_NUMERICAL),
+    (BlowupError, EXIT_NUMERICAL),
+    (DiagnosticsError, EXIT_NUMERICAL),
+    (ConfigError, EXIT_CONFIG),
+    (ProfileError, EXIT_CONFIG),
+    (OSError, EXIT_CONFIG),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(error for error, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -91,6 +91,7 @@ from .profile import (
     build_canonical_profile,
     class_at,
     closure_rows,
+    on_class_motion,
     profile_from_samples,
     save_checkpoint,
     singular_time,
@@ -473,10 +474,7 @@ def run(
                                                params.n, params.k)
     else:
         grid = seed_profile.grid
-        expect = class_at(params, seed_profile.t)
-        drift = max(abs(seed_profile.cls.a - expect.a),
-                    abs(seed_profile.cls.b - expect.b))
-        if drift > 1e-9 * max(params.b0, 1.0):
+        if not on_class_motion(params, seed_profile):
             raise FlowError(
                 f"seed class ({seed_profile.cls.a:.9g}, {seed_profile.cls.b:.9g}) "
                 f"does not match the class motion at t={seed_profile.t:.9g}")

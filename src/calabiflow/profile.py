@@ -203,6 +203,14 @@ def class_at(params: FlowParams, t: float) -> KahlerClass:
                        params.b0 - (params.n + params.k) * t)
 
 
+def on_class_motion(params: FlowParams, p: CalabiProfile) -> bool:
+    """Whether p's class is class_at(params, p.t) up to rounding,
+    1e-9 max(b0, 1) in either endpoint."""
+    expect = class_at(params, p.t)
+    drift = max(abs(p.cls.a - expect.a), abs(p.cls.b - expect.b))
+    return drift <= 1e-9 * max(params.b0, 1.0)
+
+
 def singular_time(params: FlowParams) -> SingularTimeInfo:
     """First time the class degenerates, and which endpoint gets there."""
     Ta = params.a0 / (params.n - params.k)
@@ -377,7 +385,7 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     by the nearest class endpoint; tol must be finite and > 0.
     """
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"need a finite tol > 0, got {tol}")
+        raise ProfileError(f"need a finite tol > 0, got {tol}")
     violations: list[Violation] = []
 
     bad = ~(np.isfinite(p.u) & np.isfinite(p.du) & np.isfinite(p.d2u))
@@ -562,6 +570,8 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
     if bad_keys:
         raise ProfileError(
             f"checkpoint {path}: non-finite header field(s) {', '.join(bad_keys)}")
+    if header["t"] < 0.0:
+        raise ProfileError(f"checkpoint {path}: negative time t={header['t']}")
     # before the grid, which allocates N nodes
     if u.shape != (N,):
         raise ProfileError(f"checkpoint {path}: u has {u.size} samples, header says {N}")

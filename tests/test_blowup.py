@@ -117,6 +117,12 @@ def test_cone_reference_shape():
     assert_allclose(m.dphi[0], 1.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("a_hat", [math.nan, math.inf, -1.0, 0.0])
+def test_cone_reference_rejects_bad_endpoint(a_hat):
+    with pytest.raises(cf.BlowupError, match="finite a_hat > 0"):
+        cf.fik_reference(2, 1, a_hat=a_hat)
+
+
 def test_soliton_residual_rejects_bad_window():
     m = cf.fik_reference(2, 1, a_hat=1.0, x_max=8.0)
     with pytest.raises(cf.MomentDomainError):
@@ -187,6 +193,24 @@ def test_blowup_report_names_the_failing_level(contract_default):
             p = dataclasses.replace(p, du=p.du[::-1].copy())
         records.append(cf.CheckpointRecord(j=c.j, t=c.t, profile=p))
     with pytest.raises(cf.BlowupError, match="level j=5: .*no usable increasing run"):
+        cf.blowup_report(records, T=1.0, n=2, k=1)
+
+
+@pytest.mark.parametrize("change", ["class", "dimension"])
+def test_blowup_report_refuses_a_level_of_another_flow(contract_default, change):
+    """A level whose class or n is not that of the first level's flow is
+    refused by name; b + 0.5 at j = 7 keeps T and the grid."""
+    trace, _ = contract_default
+    records = []
+    for c in trace.checkpoints:
+        p = c.profile
+        if c.j == 7 and change == "class":
+            p = cf.profile_from_samples(p.u, p.grid, cf.KahlerClass(p.cls.a, p.cls.b + 0.5),
+                                        p.t, p.n, p.k)
+        elif c.j == 7:
+            p = dataclasses.replace(p, n=3)
+        records.append(cf.CheckpointRecord(j=c.j, t=c.t, profile=p))
+    with pytest.raises(cf.BlowupError, match="level j=7: .* is off the flow of level j=1"):
         cf.blowup_report(records, T=1.0, n=2, k=1)
 
 

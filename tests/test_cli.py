@@ -107,6 +107,9 @@ def test_flags_override_config(tmp_path):
     ("[control]\ntol_step = 0\n", "tol_step"),
     ("[control]\nt_stop_fraction = 1\n", "t_stop_fraction"),
     ("[monitors]\ncadence = 0\n", "cadence"),
+    ("x = 1\n", "no section headers"),
+    ("[grid]\nN = 257\nN = 513\n", "already exists"),
+    ("[output]\ndir = a%b\n", "'%' must be followed"),
 ])
 def test_config_rejects_malformed_content(tmp_path, capsys, text, fragment):
     ini = tmp_path / "flow.ini"
@@ -303,6 +306,59 @@ def test_blowup_empty_directory(tmp_path, capsys):
     rc = cli.main(["blowup", "--from", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "no checkpoint" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit policy
+
+@pytest.fixture
+def bad_inputs(cli_contract, cli_collapse, tmp_path):
+    """Paths for the bad invocations below, by placeholder name."""
+    (tmp_path / "file").write_text("")
+    checkpoint = json.loads((cli_contract / "checkpoint_j05.json").read_text())
+    (tmp_path / "unnumbered").mkdir()
+    (tmp_path / "unnumbered" / "checkpoint_jxx.json").write_text(json.dumps(checkpoint))
+    (tmp_path / "negative").mkdir()
+    (tmp_path / "negative" / "checkpoint_j05.json").write_text(json.dumps({**checkpoint,
+                                                                           "t": -5.0}))
+    # j09 lies past the collapse class's T = 0.5; j01 is off the b0 = 5 class motion
+    for name, b0, j in (("past_T", 2.0, 9), ("off_class", 5.0, 1)):
+        (tmp_path / f"{name}.ini").write_text(
+            f"[params]\nb0 = {b0}\n\n[grid]\nN = 257\n\n"
+            f"[output]\nseed_profile = {cli_contract / f'checkpoint_j{j:02d}.json'}\n")
+    (tmp_path / "headless.ini").write_text("x = 1\n")
+    return {"tmp": tmp_path, "file": tmp_path / "file", "contract": cli_contract,
+            "collapse": cli_collapse}
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("soliton --a-hat nan", cli.EXIT_CONFIG),
+    ("soliton --a-hat inf", cli.EXIT_CONFIG),
+    ("soliton --a-hat -1", cli.EXIT_CONFIG),
+    ("run --config {tmp}/past_T.ini --out {tmp}/out", cli.EXIT_CONFIG),
+    ("run --config {tmp}/off_class.ini --out {tmp}/out", cli.EXIT_NUMERICAL),
+    ("run --config {tmp}/headless.ini", cli.EXIT_CONFIG),
+    ("validate --checkpoint {tmp}/negative/checkpoint_j05.json", cli.EXIT_CONFIG),
+    ("blowup --from {tmp}/negative", cli.EXIT_CONFIG),
+    ("blowup --from {tmp}/unnumbered", cli.EXIT_CONFIG),
+    ("blowup --from {collapse}", cli.EXIT_REGIME),
+    ("run --N 257 --out {file}", cli.EXIT_CONFIG),
+    ("run --N 257 --out {file}/out", cli.EXIT_CONFIG),
+    ("sweep --N 257 --out {file}/out", cli.EXIT_CONFIG),
+    ("blowup --from {contract} --out {file}/out", cli.EXIT_CONFIG),
+    ("validate --tol nan", cli.EXIT_CONFIG),
+    ("run --N 256", cli.EXIT_CONFIG),
+])
+def test_bad_invocation_is_one_error_line(bad_inputs, capsys, argv, code):
+    """Each failure returns its exit code and prints one error line, no
+    traceback and nothing on stdout."""
+    rc = cli.main([word.format(**bad_inputs) for word in argv.split()])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
