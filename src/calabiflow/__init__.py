@@ -40,6 +40,7 @@ from .flow import (
     evolution_residuals,
     run,
     step,
+    validate_profile,
 )
 from .moment import MomentDomainError, c1_distance, moment_profile
 from .profile import (
@@ -60,7 +61,6 @@ from .profile import (
     ratio_h,
     save_checkpoint,
     singular_time,
-    validate_profile,
 )
 
 __version__ = "0.1.0"

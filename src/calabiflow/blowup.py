@@ -49,7 +49,6 @@ alongside the fit so drift relative to it is visible row by row.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,18 +159,19 @@ def fik_reference(n: int, k: int, a_hat: float,
 
     Vanishes with slope k at x = a_hat and approaches the linear growth
     (k/n) x; defined for k < n so the slope at the divisor matches an
-    admissible closure.
+    admissible closure.  Evaluated through a/x <= 1, it cannot overflow; a_hat
+    is at most 1e6, beyond which a fit on its samples loses its constant column.
     """
     if not 0 < k < n:
         raise BlowupError(f"reference needs 0 < k < n, got k={k}, n={n}")
-    if not (math.isfinite(a_hat) and a_hat > 0.0):
-        raise BlowupError(f"reference needs a finite a_hat > 0, got {a_hat}")
+    if not 0.0 < a_hat <= 1e6:
+        raise BlowupError(f"reference needs a finite a_hat > 0 and <= 1e6, got {a_hat}")
     if x_max is None:
         x_max = max(12.0, 4.0 * a_hat)
     xs = np.linspace(a_hat, x_max, 2001)
-    an = a_hat**n
-    phi = (k / n) * (xs - an * xs ** (1 - n))
-    dphi = (k / n) * (1.0 + (n - 1) * an * xs ** (-n))
+    ratio = a_hat / xs
+    phi = (k / n) * (xs - a_hat * ratio ** (n - 1))
+    dphi = (k / n) * (1.0 + (n - 1) * ratio**n)
     return MomentProfile(x=xs, phi=phi, dphi=dphi)
 
 

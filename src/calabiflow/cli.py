@@ -34,7 +34,7 @@ from .blowup import (
     soliton_residual,
 )
 from .diagnostics import CheckpointRecord, DiagnosticsError, MonitorSet, regime_indicator
-from .flow import FlowError, StepControl, run
+from .flow import FlowError, StepControl, run, validate_profile
 from .profile import (
     FlowParams,
     ProfileError,
@@ -43,7 +43,6 @@ from .profile import (
     class_at,
     load_checkpoint,
     singular_time,
-    validate_profile,
 )
 
 PRESETS = {

@@ -59,13 +59,16 @@ attempt, a failed Newton solve or a missed estimate, shrinks dt through one
 retry path; below DT_MIN the step fails, and its FlowError carries the
 rejected attempts for the run log.
 
-Admissibility (finite samples, u' > 0, u'' > FLOOR_U2) is checked once,
-when each step starts; f_n and the trapezoidal stage's first Newton step
-come from the differences that check takes, and every damped Newton iterate
-stays admissible.  Stepping reads only the samples u; the full CalabiProfile
-(tail fits and four derivative arrays) of an accepted state is built on
-first read, so a run builds it only for monitor rows, checkpoints and the
-final profile.
+Admissibility is one rule, _rule: finite samples with u' > 0 and
+u'' > FLOOR_U2 by central differences at every interior node.  A step
+applies it to its start, whose differences give f_n and the first Newton
+step, to each damped Newton iterate, to the extrapolated BDF2 start and to
+the accepted stage solution (rejected if its gauge shift rounds it off the
+rule).  run() applies it to the seed before sampling its row, and
+validate_profile reports it node by node from u, the class and k alone.
+Stepping reads only the samples u; the full CalabiProfile (tail fits and
+four derivative arrays) of an accepted state is built on first read, so a
+run builds it only for monitor rows, checkpoints and the final profile.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from .profile import (
     CalabiProfile,
     FlowParams,
     KahlerClass,
+    ProfileError,
     RhoGrid,
     build_canonical_profile,
     class_at,
@@ -147,7 +151,7 @@ DT_INIT = 1e-6
 DT_MIN = 1e-13
 SAFETY = 0.9
 MAX_GROWTH = 4.0
-# Newton stop tolerance and iteration limit; every iterate has u'' > FLOOR_U2
+# Newton stop tolerance and iteration limit, and the floor on u'' of _rule
 TOL_NEWTON = 1e-10
 NEWTON_MAX_ITER = 12
 FLOOR_U2 = 1e-10
@@ -210,6 +214,94 @@ class FlowState:
 
 
 # ---------------------------------------------------------------------------
+# admissibility: the one rule that step() and validate_profile() apply
+
+def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d1, d2) at interior nodes 1..N-2 by central differences."""
+    d1 = (w[2:] - w[:-2]) / (2.0 * h)
+    d2 = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
+    return d1, d2
+
+
+def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The admissibility rule: the differences (d1, d2) at interior nodes
+    1..N-2, and the mask of the nodes it refuses, a non-finite sample or an
+    interior node without u' > 0 and u'' > FLOOR_U2."""
+    bad = ~np.isfinite(w)
+    with np.errstate(invalid="ignore"):
+        d1, d2 = _second_diffs(w, h)
+        bad[1:-1] |= ~((d1 > 0.0) & (d2 > FLOOR_U2))
+    return d1, d2, bad
+
+
+def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(d1, d2) of admissible samples, or None."""
+    d1, d2, bad = _rule(w, h)
+    return None if bad.any() else (d1, d2)
+
+
+@dataclass(frozen=True)
+class Violation:
+    invariant: str
+    nodes: tuple[int, ...]
+    detail: str
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __str__(self) -> str:
+        if self.ok:
+            return "profile admissible"
+        lines = [f"{v.invariant}: {v.detail}" for v in self.violations]
+        return "profile inadmissible\n" + "\n".join(lines)
+
+
+def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
+    """The stepper's admissibility rule, the class range and the closures.
+
+    Reads u, the class and k, never the tail fits.  `finite` flags the
+    non-finite samples, `convexity` the nodes the rule refuses, so a profile
+    passes it exactly when a step starts from it, and `class-range` the
+    interior nodes whose u' leaves (a, b).  Violations name the offending
+    nodes (first 16).  The closure rows are the flow's, exact on an
+    affine-plus-exponential tail (a derivative form would amplify tail-fit
+    error by 1/h^2); their residuals, in slope units, are held to tol times
+    the nearest class endpoint.  tol must be finite and > 0.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ProfileError(f"need a finite tol > 0, got {tol}")
+    a, b, h = p.cls.a, p.cls.b, p.grid.h
+    d1, _, refused = _rule(p.u, h)
+    violations: list[Violation] = []
+    for invariant, bad, what in (
+            ("finite", ~np.isfinite(p.u), "non-finite u"),
+            ("convexity", refused, "u' <= 0, u'' <= FLOOR_U2 or a non-finite sample"),
+            ("class-range", np.pad((d1 <= a) | (d1 >= b), 1), f"u' outside ({a}, {b})")):
+        if bad.any():
+            nodes = tuple(int(i) for i in np.flatnonzero(bad)[:16])
+            violations.append(Violation(invariant, nodes, f"{what} at {int(bad.sum())} "
+                                        f"node(s), first at index {nodes[0]}"))
+
+    efac = math.expm1(p.k * h)
+    rows = closure_rows(p.u, h, efac, a, b)
+    for side, node, row, end in (("left", 0, rows[0], a),
+                                 ("right", p.grid.N - 1, rows[1], b)):
+        res = abs(float(row)) / (efac * h)
+        if res > tol * end:
+            violations.append(Violation(
+                f"closure-{side}", (node,),
+                f"{side} closure residual {res:.3e} exceeds {tol * end:.3e}"))
+
+    return ValidationReport(tuple(violations))
+
+
+# ---------------------------------------------------------------------------
 # TR-BDF2: two implicit stages with one coefficient, and the error filter
 
 _GAMMA = 2.0 - math.sqrt(2.0)
@@ -221,24 +313,6 @@ _ERR_COEF = (-3.0 * _GAMMA**2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
 _E_N = _ERR_COEF / _GAMMA
 _E_G = -_ERR_COEF / (_GAMMA * (1.0 - _GAMMA))
 _E_1 = _ERR_COEF / (1.0 - _GAMMA)
-
-
-def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d1, d2) at interior nodes 1..N-2 by central differences."""
-    d1 = (w[2:] - w[:-2]) / (2.0 * h)
-    d2 = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
-    return d1, d2
-
-
-def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(d1, d2) of an admissible iterate (finite, u' > 0, u'' > FLOOR_U2),
-    or None."""
-    if not np.all(np.isfinite(w)):
-        return None
-    d1, d2 = _second_diffs(w, h)
-    if np.all(d1 > 0.0) and np.all(d2 > FLOOR_U2):
-        return d1, d2
-    return None
 
 
 def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
@@ -361,8 +435,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
 
     diffs = _valid(u, grid.h)
     if diffs is None:
-        d1, d2 = _second_diffs(u, grid.h)
-        bad = np.flatnonzero(~((d1 > 0.0) & (d2 > FLOOR_U2))) + 1
+        bad = np.flatnonzero(_rule(u, grid.h)[2])
         raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= FLOOR_U2 "
                         f"or a non-finite sample at {bad.size} node(s), first at "
                         f"rho={grid.nodes[bad[0]]:.6g}")
@@ -399,8 +472,10 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             # embedded estimate, filtered through the stage matrix at u1
             est = np.zeros(grid.N)
             est[1:-1] = dt * (_E_N * f_n + _E_G * f_g + _E_1 * f_1)
-            d1, d2 = _second_diffs(u1, grid.h)
-            est = _stage_matrix_solve(d1, d2, ddt, grid.h, n,
+            diffs1 = _valid(u1, grid.h)
+            if diffs1 is None:  # only the rounding of the gauge shift can do this
+                raise _StepFailure("stage solution inadmissible after the gauge shift")
+            est = _stage_matrix_solve(*diffs1, ddt, grid.h, n,
                                       math.expm1(k * grid.h), est)
         except _StepFailure as exc:
             reason, factor = str(exc), 0.5
@@ -420,10 +495,6 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
 
     t_new = t_cap if hit_cap else t + dt
     dt_next = max(dt * factor, DT_MIN)
-
-    if float(np.min(d2)) <= FLOOR_U2:
-        raise FlowError(f"profile degenerate: u'' at floor after step to t={t_new:.12g}",
-                        rejected=tuple(rejected))
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters_g + iters,
                       residual=res, error=err, retries=len(rejected),
                       rejected=tuple(rejected))
@@ -489,16 +560,20 @@ def run(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    log_fh = (out / "run.log").open("w") if out is not None else None
 
     state = FlowState(profile=seed_profile, params=params)
     trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime)
     # one clock pair per call site; a failing step is timed in the handler
     clock, phases = time.perf_counter, trace.phase_seconds
+    # a seed the rule refuses may have u'' = 0, where the monitors are
+    # undefined: its row is sampled quietly, and the first step refuses it
+    refused = _rule(seed_profile.u, grid.h)[2].any()
     started = clock()
-    trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
-                                             dt=0.0, iters=0))
+    with np.errstate(all="ignore" if refused else None):
+        trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
+                                                 dt=0.0, iters=0))
     phases["monitors"] += clock() - started
+    log_fh = (out / "run.log").open("w") if out is not None else None
     failure: FlowError | None = None
     try:
         for t_cap, j in events:

@@ -52,7 +52,8 @@ C4_TRUST_REL = 0.05
 
 
 class ProfileError(ValueError):
-    """Raised for inadmissible profiles or inconsistent construction input."""
+    """Raised for inconsistent construction input or a malformed checkpoint.
+    Admissibility is judged by flow.validate_profile, which reports it."""
 
 
 class Regime(str, Enum):
@@ -100,10 +101,12 @@ class RhoGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ProfileError(f"need finite L > 0, got L={self.L}")
-        if self.N < 257 or self.N % 2 == 0:
-            raise ProfileError(f"need odd N >= 257, got N={self.N}")
+        # L < 1 misses the tails the closure rows assume; beyond L ~ 733 no
+        # seed passes the flow's u'' floor at the ends; N is bounded before allocation
+        if not 1.0 <= self.L <= 1000.0:
+            raise ProfileError(f"need finite 1 <= L <= 1000, got L={self.L}")
+        if not 257 <= self.N <= 2**20 + 1 or self.N % 2 == 0:
+            raise ProfileError(f"need odd 257 <= N <= 2**20 + 1, got N={self.N}")
         object.__setattr__(self, "nodes", np.linspace(-self.L, self.L, self.N))
 
     @property
@@ -170,28 +173,6 @@ class CalabiProfile:
     @functools.cached_property
     def _guarded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _guard_tails(self)
-
-
-@dataclass(frozen=True)
-class Violation:
-    invariant: str
-    nodes: tuple[int, ...]
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "profile admissible"
-        lines = [f"{v.invariant}: {v.detail}" for v in self.violations]
-        return "profile inadmissible\n" + "\n".join(lines)
 
 
 def class_at(params: FlowParams, t: float) -> KahlerClass:
@@ -357,75 +338,17 @@ def build_canonical_profile(
 
 
 # ---------------------------------------------------------------------------
-# admissibility
-
-def _node_list(mask: np.ndarray) -> tuple[int, ...]:
-    idx = np.flatnonzero(mask)
-    return tuple(int(i) for i in idx[:16])
-
+# boundary closure
 
 def closure_rows(u: np.ndarray, h: float, efac: float,
                  a: float, b: float) -> tuple[float, float]:
     """Residuals (left, right) of the exponentially fitted boundary rows,
     with efac = expm1(k h): exact on the tails a*rho + D + E*e^(k*rho) and
-    b*rho + D + E*e^(-k*rho).  The flow solves them; validation measures them."""
+    b*rho + D + E*e^(-k*rho).  The flow solves them; flow.validate_profile
+    measures them."""
     left = (u[0] - 2.0 * u[1] + u[2]) - efac * ((u[1] - u[0]) - a * h)
     right = (u[-3] - 2.0 * u[-2] + u[-1]) + efac * ((u[-1] - u[-2]) - b * h)
     return left, right
-
-
-def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
-    """Check finiteness, convexity, monotonicity, class bounds and closures.
-
-    Violations name the offending nodes (first 16).  The closure check uses
-    the exponentially fitted boundary rows of the flow discretization, which
-    are exact on an affine-plus-exponential tail; a derivative-form check
-    would amplify tail-fit error by 1/h^2 and reject healthy profiles.  Row
-    residuals are normalized to slope units and compared against tol scaled
-    by the nearest class endpoint; tol must be finite and > 0.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ProfileError(f"need a finite tol > 0, got {tol}")
-    violations: list[Violation] = []
-
-    bad = ~(np.isfinite(p.u) & np.isfinite(p.du) & np.isfinite(p.d2u))
-    if bad.any():
-        violations.append(Violation(
-            "finite", _node_list(bad),
-            f"non-finite u, du or d2u at {int(bad.sum())} node(s), "
-            f"first at index {_node_list(bad)[0]}"))
-
-    bad = p.d2u <= 0.0
-    if bad.any():
-        violations.append(Violation(
-            "convexity", _node_list(bad),
-            f"d2u <= 0 at {int(bad.sum())} node(s), first at index {_node_list(bad)[0]}"))
-
-    diffs = np.diff(p.du)
-    bad = diffs <= 0.0
-    if bad.any():
-        violations.append(Violation(
-            "monotone-du", _node_list(bad),
-            f"du not strictly increasing across {int(bad.sum())} interval(s)"))
-
-    bad = (p.du <= p.cls.a) | (p.du >= p.cls.b)
-    if bad.any():
-        violations.append(Violation(
-            "class-range", _node_list(bad),
-            f"du outside ({p.cls.a}, {p.cls.b}) at {int(bad.sum())} node(s)"))
-
-    h = p.grid.h
-    efac = math.expm1(p.k * h)
-    rows = closure_rows(p.u, h, efac, p.cls.a, p.cls.b)
-    for side, node, row, end in (("left", 0, rows[0], p.cls.a),
-                                 ("right", p.grid.N - 1, rows[1], p.cls.b)):
-        res = abs(float(row)) / (efac * h)
-        if res > tol * end:
-            violations.append(Violation(
-                f"closure-{side}", (node,),
-                f"{side} closure residual {res:.3e} exceeds {tol * end:.3e}"))
-
-    return ValidationReport(tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -582,5 +505,5 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
     if bad.any():
         raise ProfileError(
             f"checkpoint {path}: u has {int(bad.sum())} non-finite sample(s), "
-            f"first at index {_node_list(bad)[0]}")
+            f"first at index {int(np.flatnonzero(bad)[0])}")
     return profile_from_samples(u, grid, cls, header["t"], n, k)

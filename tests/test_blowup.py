@@ -123,6 +123,28 @@ def test_cone_reference_rejects_bad_endpoint(a_hat):
         cf.fik_reference(2, 1, a_hat=a_hat)
 
 
+@pytest.mark.parametrize("n, k, a_hat, match", [
+    (2, 2, 1.0, "0 < k < n"),
+    (3, 0, 1.0, "0 < k < n"),
+    (2, 1, 1.1e6, "a_hat > 0 and <= 1e6"),
+    (2, 1, 1e300, "a_hat > 0 and <= 1e6"),
+], ids=["k=n", "k=0", "a_hat=1.1e6", "a_hat=1e300"])
+def test_cone_reference_rejects_bad_arguments(n, k, a_hat, match):
+    with pytest.raises(cf.BlowupError, match=match):
+        cf.fik_reference(n, k, a_hat=a_hat)
+
+
+@pytest.mark.parametrize("n, a_hat", [(300, 299.0), (2, 1e-320), (2, 1e6)])
+def test_cone_reference_is_finite_at_extremes(n, a_hat):
+    """The reference is evaluated through a_hat/x <= 1, so neither a large
+    n nor a subnormal or large a_hat overflows; it keeps phi(a_hat) = 0
+    and slope k there."""
+    m = cf.fik_reference(n, 1, a_hat=a_hat)
+    assert np.all(np.isfinite(m.phi)) and np.all(np.isfinite(m.dphi))
+    assert m.phi[0] == 0.0
+    assert_allclose(m.dphi[0], 1.0, rtol=1e-12)
+
+
 def test_soliton_residual_rejects_bad_window():
     m = cf.fik_reference(2, 1, a_hat=1.0, x_max=8.0)
     with pytest.raises(cf.MomentDomainError):
@@ -212,6 +234,18 @@ def test_blowup_report_refuses_a_level_of_another_flow(contract_default, change)
         records.append(cf.CheckpointRecord(j=c.j, t=c.t, profile=p))
     with pytest.raises(cf.BlowupError, match="level j=7: .* is off the flow of level j=1"):
         cf.blowup_report(records, T=1.0, n=2, k=1)
+
+
+@pytest.mark.parametrize("records, match", [
+    (lambda recs: [], "no checkpoints given"),
+    (lambda recs: [*recs[:-1], dataclasses.replace(
+        recs[-1], profile=dataclasses.replace(recs[-1].profile, t=1.0))],
+     "profile time 1.0 is not before T=1.0"),
+], ids=["empty", "at-T"])
+def test_blowup_report_refuses_bad_levels(contract_default, records, match):
+    trace, _ = contract_default
+    with pytest.raises(cf.BlowupError, match=match):
+        cf.blowup_report(records(list(trace.checkpoints)), T=1.0, n=2, k=1)
 
 
 def test_blowup_report_checks_singular_time(contract_default):

@@ -1,6 +1,7 @@
 """Exit codes, output files and option handling of the command line."""
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -165,13 +166,19 @@ def test_validate_early_checkpoint(contract_default):
     assert rc == cli.EXIT_OK
 
 
-def test_validate_late_checkpoint_fails(contract_default, capsys):
-    # near the singular time the boundary nodes of the fine grid lose
-    # discrete convexity, and validation is expected to say so
+def test_validate_late_checkpoint_and_restart(contract_default, tmp_path, capsys):
+    """validate applies the stepper's rule: the last checkpoint, which the
+    blow-up report reads, is admissible, and run restarts from it."""
     _, out = contract_default
-    rc = cli.main(["validate", "--checkpoint", str(out / "checkpoint_j09.json")])
-    assert rc == cli.EXIT_NUMERICAL
-    assert "profile inadmissible" in capsys.readouterr().out
+    j09 = out / "checkpoint_j09.json"
+    rc = cli.main(["validate", "--checkpoint", str(j09)])
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().out == "profile admissible\n"
+    ini = tmp_path / "restart.ini"
+    ini.write_text(f"[output]\nseed_profile = {j09}\n")
+    rc = cli.main(["run", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+    assert "t_final=0.999 " in capsys.readouterr().out
 
 
 def test_validate_missing_checkpoint(tmp_path, capsys):
@@ -348,6 +355,12 @@ def bad_inputs(cli_contract, cli_collapse, tmp_path):
     ("blowup --from {contract} --out {file}/out", cli.EXIT_CONFIG),
     ("validate --tol nan", cli.EXIT_CONFIG),
     ("run --N 256", cli.EXIT_CONFIG),
+    ("run --L 40 --N 257 --out {tmp}/out", cli.EXIT_NUMERICAL),
+    ("sweep --L 40 --N 257 --out {tmp}/out", cli.EXIT_NUMERICAL),
+    ("validate --N 10000000001", cli.EXIT_CONFIG),
+    ("run --L 1e300 --out {tmp}/out", cli.EXIT_CONFIG),
+    ("validate --L 1e-300", cli.EXIT_CONFIG),
+    ("soliton --a-hat 1e300", cli.EXIT_CONFIG),
 ])
 def test_bad_invocation_is_one_error_line(bad_inputs, capsys, argv, code):
     """Each failure returns its exit code and prints one error line, no
@@ -361,8 +374,41 @@ def test_bad_invocation_is_one_error_line(bad_inputs, capsys, argv, code):
     assert captured.out == ""
 
 
+def test_refused_seed_is_one_error_line_with_its_files(tmp_path, capsys):
+    """At L = 40 the seed's u'' underflows to 0 at the grid ends.  The rule
+    judges the seed before its monitor row is sampled, so no numpy warning
+    reaches stderr: it holds the one error line, and the run still writes
+    its log, trace and summary."""
+    rc = cli.main(["run", "--L", "40", "--N", "257", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: profile inadmissible at t=0: ") and err.count("\n") == 1
+    assert (tmp_path / "run.log").read_text() == err
+    assert (tmp_path / "trace.csv").exists()
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["error"] == err.removeprefix("error: ").rstrip("\n")
+
+
+def test_validate_applies_the_stepper_rule(capsys):
+    """At L = 25 the seed's u'' falls below the flow's floor at 71 nodes:
+    validate refuses it with exit 3, as run does."""
+    rc = cli.main(["validate", "--L", "25", "--N", "2049"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().out == (
+        "profile inadmissible\nconvexity: u' <= 0, u'' <= FLOOR_U2 or a non-finite sample "
+        "at 71 node(s), first at index 1\n")
+
+
 # ---------------------------------------------------------------------------
 # soliton and sweep
+
+@pytest.mark.parametrize("argv", ["--n 300", "--a-hat 1e-320"])
+def test_soliton_extremes_give_a_finite_residual(capsys, argv):
+    rc = cli.main(["soliton", *argv.split()])
+    assert rc == cli.EXIT_OK
+    for line in capsys.readouterr().out.splitlines():
+        assert math.isfinite(float(line.split("rms=")[1].split()[0]))
+
 
 def test_soliton_reports_residuals(capsys):
     rc = cli.main(["soliton"])

@@ -1,4 +1,5 @@
 """Trace rows, reductions, export formats and the regime classifier."""
+import dataclasses
 import errno
 import json
 import math
@@ -206,6 +207,17 @@ def test_regime_indicator_needs_late_data():
     trace = cf.run(cf.FlowParams(2, 1, 1.0, 4.0), ctl=ctl,
                    grid=cf.RhoGrid(12.0, 257))
     with pytest.raises(cf.DiagnosticsError):
+        cf.regime_indicator(trace)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (lambda rows: [dataclasses.replace(r, vol_quad=math.nan) for r in rows],
+     "no volume samples"),
+    (lambda rows: rows[-1:], "insufficient sampling near the singular time"),
+], ids=["no-volume", "one-late-row"])
+def test_regime_indicator_refuses_thin_traces(contract_1025, rows, match):
+    trace = dataclasses.replace(contract_1025, rows=rows(contract_1025.rows))
+    with pytest.raises(cf.DiagnosticsError, match=match):
         cf.regime_indicator(trace)
 
 

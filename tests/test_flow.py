@@ -77,6 +77,12 @@ def test_single_step_mechanics(contract_seed):
     assert abs(float(out.profile.u[c]) - THREE_LOG_TWO) < 1e-13
 
 
+def test_evolution_residuals_need_one_grid(contract_seed):
+    other = cf.build_canonical_profile(contract_seed.cls, cf.RhoGrid(12.0, 513))
+    with pytest.raises(ValueError, match="profiles on different grids"):
+        cf.evolution_residuals(contract_seed, other, 1e-3)
+
+
 def test_evolution_residuals_shrink_with_dt(contract_seed):
     resids = {}
     for dt in (1e-3, 1e-4):
@@ -142,6 +148,18 @@ def test_summary_phase_seconds_split_elapsed(tmp_path, monkeypatch, fails):
     assert (trace.phase_seconds["checkpoints"] > 0.0) == (not fails)
 
 
+def test_failed_seed_row_opens_no_log(tmp_path, monkeypatch):
+    """run.log is opened after the seed's monitor row, inside the block that
+    closes it, so an error from that row leaves no open file behind."""
+    def broken_row(*args, **kwargs):
+        raise ZeroDivisionError("monitor")
+
+    monkeypatch.setattr(cf.diagnostics, "sample_row", broken_row)
+    with pytest.raises(ZeroDivisionError):
+        cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    assert not (tmp_path / "run.log").exists()
+
+
 def test_failed_step_logs_its_rejected_attempts(tmp_path, monkeypatch):
     """One Newton iteration never meets TOL_NEWTON = 0, so the first step
     halves dt from 1e-6 until it falls below DT_MIN: 24 rejected attempts,
@@ -177,6 +195,69 @@ def test_inadmissible_seed_is_refused_before_any_attempt(tmp_path):
     trace = info.value.trace
     assert trace.steps == 0 and trace.retries == 0
     assert (tmp_path / "run.log").read_text() == f"error: {info.value}\n"
+
+
+def _dented_seed():
+    """The contract seed at (12, 1025) with a dent that makes u'' < 0 at
+    40 nodes right of the center."""
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025))
+    rho = seed.grid.nodes
+    u = seed.u - 0.05 * np.exp(-(((rho - 4.0) / 0.3) ** 2))
+    return cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2)
+
+
+@pytest.mark.parametrize("seed, count", [
+    (lambda: cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(25.0, 2049)),
+     71),
+    (_dented_seed, 40),
+], ids=["L=25", "dented"])
+def test_validate_and_step_refuse_the_same_nodes(seed, count):
+    """validate_profile applies the stepper's rule: its convexity violation
+    counts the nodes that step's refusal counts."""
+    p = seed()
+    violations = {v.invariant: v for v in cf.validate_profile(p).violations}
+    assert f" at {count} node(s), " in violations["convexity"].detail
+    with pytest.raises(cf.FlowError, match=rf"inadmissible at t=0: .* at {count} node\(s\)"):
+        cf.step(cf.FlowState(profile=p, params=CONTRACT), cf.StepControl())
+
+
+@pytest.mark.parametrize("flow_run", [
+    lambda request: request.getfixturevalue("contract_default")[0],
+    lambda request: request.getfixturevalue("contract_1025"),
+    lambda request: request.getfixturevalue("contract_wide"),
+    lambda request: cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 513)),
+], ids=["12-2049", "12-1025", "16-2731", "12-513"])
+def test_validate_passes_every_checkpoint_step_starts_from(request, flow_run):
+    """Every dyadic checkpoint of the contract preset is admissible to
+    validate_profile and to step, on each grid: the verdict does not follow
+    the boundary tail fit."""
+    trace = flow_run(request)
+    assert [c.j for c in trace.checkpoints] == list(range(1, 10))
+    for c in trace.checkpoints:
+        assert cf.validate_profile(c.profile).ok, c.j
+        state = cf.step(cf.FlowState(profile=c.profile, params=CONTRACT), cf.StepControl())
+        assert state.t > c.t
+
+
+def test_inadmissible_stage_solution_is_a_rejected_attempt(contract_seed, monkeypatch):
+    """A stage solution that fails the rule after its gauge shift, forced
+    here once, is rejected like a failed solve and the step retries."""
+    solve, valid = flow._solve_stage, flow._valid
+    solutions = []
+
+    def recording_solve(*args):
+        out = solve(*args)
+        solutions.append(out[0])
+        return out
+
+    def refuse_first_solution(w, h):
+        return None if len(solutions) == 2 and w is solutions[1] else valid(w, h)
+
+    monkeypatch.setattr(flow, "_solve_stage", recording_solve)
+    monkeypatch.setattr(flow, "_valid", refuse_first_solution)
+    out = cf.step(cf.FlowState(profile=contract_seed, params=CONTRACT), cf.StepControl())
+    assert out.stats.rejected == ("dt=1e-06 stage solution inadmissible after the gauge shift",)
+    assert out.stats.dt == 5e-7 and len(solutions) == 4
 
 
 def _contract_seed_at(t, N=257):

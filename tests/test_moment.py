@@ -114,3 +114,13 @@ def test_monotone_cubic_matches_pchip(kind):
             assert np.array_equal(np.isnan(ours), outside)
             assert np.array_equal(np.isnan(ref), outside)
             assert_allclose(ours, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))
+
+
+@pytest.mark.parametrize("x, phi, match", [
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], "at least 4 samples"),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0], "share one shape"),
+    ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0], "strictly increasing"),
+], ids=["short", "shapes", "repeated-x"])
+def test_moment_profile_rejects_bad_samples(x, phi, match):
+    with pytest.raises(ValueError, match=match):
+        MomentProfile(x=np.array(x), phi=np.array(phi), dphi=np.ones(len(x)))

@@ -26,12 +26,28 @@ def test_grid_nodes_are_exact():
     assert g.N == 1025
 
 
-@pytest.mark.parametrize("L, N", [pytest.param(12.0, N, id=str(N)) for N in (258, 31, 1024)]
+@pytest.mark.parametrize("L, N", [pytest.param(12.0, N, id=str(N))
+                                  for N in (258, 31, 1024, 2**20 + 3, 10000000001)]
                          + [pytest.param(L, 1025, id=f"L={L}")
-                            for L in (0.0, math.nan, math.inf, -math.inf)])
+                            for L in (0.0, math.nan, math.inf, -math.inf,
+                                      1e-300, 0.999, 1000.5, 1e300)])
 def test_grid_rejects_bad_node_counts(L, N):
     with pytest.raises(cf.ProfileError):
         cf.RhoGrid(L, N)
+
+
+def test_grid_accepts_its_bounds():
+    for L, N in ((1.0, 257), (1000.0, 257), (12.0, 2**20 + 1)):
+        g = cf.RhoGrid(L, N)
+        assert g.nodes.size == N and g.nodes[-1] == L
+
+
+def test_profile_arrays_must_match_the_grid(contract_seed):
+    p = contract_seed
+    with pytest.raises(cf.ProfileError, match=r"sample array has shape \(1024,\)"):
+        cf.profile_from_samples(p.u[:-1], p.grid, p.cls, 0.0, 2)
+    with pytest.raises(cf.ProfileError, match=r"d2u has shape \(1024,\)"):
+        dataclasses.replace(p, d2u=p.d2u[:-1])
 
 
 def test_class_and_params_validation():
@@ -289,6 +305,20 @@ def test_load_checkpoint_rejects_non_object(tmp_path, text):
     path = tmp_path / "corrupt.json"
     path.write_text(text)
     with pytest.raises(cf.ProfileError, match="not an object"):
+        cf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda text: text[:-10], "is not valid JSON"),
+    (lambda text: text.replace('"version": 1', '"version": 2'), "has version 2, expected 1"),
+    (lambda text: text.replace('"a": ', '"alpha": '), "missing or malformed field: 'a'"),
+    (lambda text: text.replace('"L": 12.0', '"L": 1e-300'), "need finite 1 <= L <= 1000"),
+], ids=["truncated", "version", "missing-field", "grid-bounds"])
+def test_load_checkpoint_rejects_malformed_file(tmp_path, contract_seed, edit, match):
+    path = tmp_path / "corrupt.json"
+    cf.save_checkpoint(contract_seed, path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(cf.ProfileError, match=match):
         cf.load_checkpoint(path)
 
 
