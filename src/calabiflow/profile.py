@@ -19,6 +19,7 @@ is credible at all.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -29,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
+# version 2 stores u as base64 of its little-endian float64 bytes
+CHECKPOINT_VERSION = 2
 
 # The boundary model is fitted on a band of fixed rho-width next to each
 # edge (per unit k, capped by a third of the half-width), and the guarded
@@ -442,7 +444,13 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def save_checkpoint(p: CalabiProfile, path: str | Path) -> None:
-    """Write the potential samples and identifying data as JSON."""
+    """Write the identifying data as JSON, with the potential samples as
+    base64 of their exact little-endian float64 bytes.  A profile with a
+    non-finite sample or header value is refused before anything is written."""
+    bad = int(np.count_nonzero(~np.isfinite(p.u)))
+    if bad:
+        raise ProfileError(f"cannot write checkpoint {path}: "
+                           f"u has {bad} non-finite sample(s)")
     payload = {
         "version": CHECKPOINT_VERSION,
         "n": p.n,
@@ -452,16 +460,17 @@ def save_checkpoint(p: CalabiProfile, path: str | Path) -> None:
         "b": p.cls.b,
         "L": p.grid.L,
         "N": p.grid.N,
-        "u": p.u.tolist(),
+        "u": base64.b64encode(np.asarray(p.u, dtype="<f8").tobytes()).decode("ascii"),
     }
-    try:
-        write_atomic(path, json.dumps(payload) + "\n")
-    except OSError as exc:
+    try:  # json refuses a non-finite header value before the file is opened
+        write_atomic(path, json.dumps(payload, allow_nan=False) + "\n")
+    except (OSError, ValueError) as exc:
         raise ProfileError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path) -> CalabiProfile:
-    """Rebuild a profile from JSON; derivatives are always recomputed."""
+    """Rebuild a profile from a checkpoint file; derivatives are always
+    recomputed."""
     path = Path(path)
     try:
         with path.open() as fh:
@@ -480,7 +489,8 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
     try:
         header = {key: float(payload[key]) for key in ("L", "a", "b", "t")}
         counts = {key: payload[key] for key in ("N", "n", "k")}
-        u = np.asarray(payload["u"], dtype=float)
+        raw = base64.b64decode(payload["u"], validate=True)  # base64 alphabet only
+        u = np.frombuffer(raw, "<f8").astype(float)  # writable, native byte order
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"checkpoint {path} missing or malformed field: {exc}") from exc
     # a count is a JSON integer: 2.9, true or "513" is refused, not truncated

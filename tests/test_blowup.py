@@ -248,6 +248,24 @@ def test_blowup_report_refuses_bad_levels(contract_default, records, match):
         cf.blowup_report(records(list(trace.checkpoints)), T=1.0, n=2, k=1)
 
 
+def test_blowup_report_refuses_disjoint_windows(contract_default, monkeypatch):
+    """Consecutive levels are compared on the overlap of their windows; a
+    window that misses the previous level's, forced here at j = 5, stops
+    the report."""
+    trace, _ = contract_default
+    window, levels = cf.blowup.blowup_window, []
+
+    def disjoint_window(m, a_hat, b_hat):
+        lo, hi = window(m, a_hat, b_hat)
+        levels.append(lo)
+        return (lo, lo + 0.5) if len(levels) == 1 else (lo + 1.0, hi)
+
+    monkeypatch.setattr(cf.blowup, "blowup_window", disjoint_window)
+    with pytest.raises(cf.BlowupError, match="windows of j=5 and previous do not overlap"):
+        cf.blowup_report(list(trace.checkpoints), T=1.0, n=2, k=1)
+    assert len(levels) == 2
+
+
 def test_blowup_report_checks_singular_time(contract_default):
     trace, _ = contract_default
     with pytest.raises(cf.BlowupError):

@@ -1,4 +1,5 @@
 """Exit codes, output files and option handling of the command line."""
+import base64
 import dataclasses
 import json
 import math
@@ -9,10 +10,12 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import calabiflow
 from calabiflow import cli
+from checkpoint_codec import decode_samples, encode_samples
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +197,9 @@ def corrupt_checkpoints(request, cli_contract, tmp_path):
         shutil.copy(path, tmp_path / path.name)
     target = tmp_path / "checkpoint_j05.json"
     payload = json.loads(target.read_text())
-    payload["u"][len(payload["u"]) // 2] = request.param
+    u = decode_samples(payload["u"])
+    u[u.size // 2] = request.param
+    payload["u"] = encode_samples(u)
     target.write_text(json.dumps(payload))
     return tmp_path
 
@@ -263,6 +268,34 @@ def test_blowup_rejects_corrupt_checkpoint(corrupt_checkpoints, capsys):
     rc = cli.main(["blowup", "--from", str(corrupt_checkpoints)])
     assert rc == cli.EXIT_CONFIG
     assert "non-finite sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda u, text: {"u": "*" + text[1:]}, "malformed field: Only base64 data"),
+    (lambda u, text: {"u": base64.b64encode(u.tobytes()[:-4]).decode("ascii")},
+     "malformed field: buffer size must be a multiple of element size"),
+    (lambda u, text: {"u": encode_samples(u[:-1])}, "u has 256 samples, header says 257"),
+    (lambda u, text: {"u": encode_samples(np.append(u, u[-1]))},
+     "u has 258 samples, header says 257"),
+    (lambda u, text: {"version": 1, "u": u.tolist()}, "has version 1, expected 2"),
+], ids=["non-base64", "partial-sample", "N-1", "N+1", "version-1"])
+def test_checkpoint_samples_that_do_not_decode_are_a_config_error(cli_contract, tmp_path,
+                                                                 capsys, edit, match):
+    """u must decode to exactly N little-endian float64 samples, and a
+    version 1 file, whose u is a list of decimals, is refused by its
+    version: the loader raises ProfileError and validate exits 2 with one
+    error line."""
+    payload = json.loads((cli_contract / "checkpoint_j05.json").read_text())
+    target = tmp_path / "checkpoint_j05.json"
+    target.write_text(json.dumps({**payload, **edit(decode_samples(payload["u"]),
+                                                    payload["u"])}))
+    with pytest.raises(calabiflow.ProfileError, match=match):
+        calabiflow.load_checkpoint(target)
+    rc = cli.main(["validate", "--checkpoint", str(target)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CONFIG
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

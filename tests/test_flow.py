@@ -181,6 +181,30 @@ def test_failed_step_logs_its_rejected_attempts(tmp_path, monkeypatch):
         assert json.load(fh)["retries"] == 24
 
 
+@pytest.mark.parametrize("name, fake, reason", [
+    ("dgtsv", lambda dl, d, du, b, **_: (dl, d, du, b, 2),
+     "tridiagonal solve failed: info=2"),
+    ("dgtsv", lambda dl, d, du, b, **_: (dl, d, du, np.full_like(b, np.nan), 0),
+     "nonfinite tridiagonal solution"),
+    ("closure_rows", lambda *_: (math.nan, 0.0), "nonfinite residual"),
+], ids=["dgtsv-info", "nonfinite-solution", "nonfinite-residual"])
+def test_solver_refusals_are_logged_rejected_attempts(tmp_path, monkeypatch, name, fake,
+                                                      reason):
+    """A failed tridiagonal solve, a non-finite solution and a non-finite
+    Newton residual, forced here on every attempt, each reject the attempt
+    with its reason: the first step halves dt from 1e-6 below DT_MIN, and
+    FlowError.rejected and run.log list the 24 attempts."""
+    monkeypatch.setattr(flow, name, fake)
+    with pytest.raises(cf.FlowError,
+                       match=re.escape(f"step size underflow at t=0 ({reason})")) as info:
+        cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    rejected = info.value.rejected
+    assert len(rejected) == 24
+    assert all(entry.endswith(f" {reason}") for entry in rejected)
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert lines == [f"reject {entry}" for entry in rejected] + [f"error: {info.value}"]
+
+
 def test_inadmissible_seed_is_refused_before_any_attempt(tmp_path):
     """A dent that makes u'' < 0 away from the center is refused when the
     first step starts, with no attempt made."""

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import calabiflow as cf
+from checkpoint_codec import decode_samples, encode_samples
 
 THREE_LOG_TWO = 3.0 * math.log(2.0)
 
@@ -251,6 +252,24 @@ def test_validation_flags_non_finite_samples(contract_seed, bad):
     assert report.violations[0].nodes == (contract_seed.grid.center,)
 
 
+def _weights(kind):
+    w = np.exp(np.linspace(-10.0, -7.0, 20))
+    if kind == "zero":
+        return np.zeros_like(w)
+    if kind == "negative":
+        return -w
+    w[0] = math.inf if kind == "inf" else math.nan
+    return w
+
+
+@pytest.mark.parametrize("kind", ["zero", "negative", "inf", "nan"])
+def test_fit_tail_without_a_positive_finite_weight_is_flat(kind):
+    """A tail weight whose maximum is not positive and finite gets no
+    least-squares fit: the model is the outermost value, with no modes."""
+    z = np.linspace(2.0, 3.0, 20)
+    assert cf.profile._fit_tail(z, _weights(kind)) == cf.profile.TailFit(2.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -278,7 +297,9 @@ def _corrupted_checkpoint(tmp_path, profile, key, value):
     cf.save_checkpoint(profile, path)
     payload = json.loads(path.read_text())
     if key == "u":
-        payload["u"][profile.grid.center] = value
+        u = decode_samples(payload["u"])
+        u[profile.grid.center] = value
+        payload["u"] = encode_samples(u)
     else:
         payload[key] = value
     path.write_text(json.dumps(payload))
@@ -310,7 +331,7 @@ def test_load_checkpoint_rejects_non_object(tmp_path, text):
 
 @pytest.mark.parametrize("edit, match", [
     (lambda text: text[:-10], "is not valid JSON"),
-    (lambda text: text.replace('"version": 1', '"version": 2'), "has version 2, expected 1"),
+    (lambda text: text.replace('"version": 2', '"version": 3'), "has version 3, expected 2"),
     (lambda text: text.replace('"a": ', '"alpha": '), "missing or malformed field: 'a'"),
     (lambda text: text.replace('"L": 12.0', '"L": 1e-300'), "need finite 1 <= L <= 1000"),
 ], ids=["truncated", "version", "missing-field", "grid-bounds"])
@@ -349,17 +370,43 @@ def test_load_checkpoint_rejects_sample_count_mismatch(tmp_path, contract_seed, 
 
 
 def test_checkpoint_text_and_samples_are_exact(tmp_path, contract_default):
-    """The file is the JSON of the header and the float samples, byte for
-    byte, and loading it gives back every sample bit for bit."""
+    """The file is the JSON of the header and the encoded float64 samples,
+    byte for byte, and loading it gives back every sample bit for bit."""
     trace, _ = contract_default
     p = next(c.profile for c in trace.checkpoints if c.j == 5)
     path = tmp_path / "ck.json"
     cf.save_checkpoint(p, path)
-    expected = {"version": 1, "n": p.n, "k": p.k, "t": p.t, "a": p.cls.a,
+    expected = {"version": 2, "n": p.n, "k": p.k, "t": p.t, "a": p.cls.a,
                 "b": p.cls.b, "L": p.grid.L, "N": p.grid.N,
-                "u": [float(x) for x in p.u]}
+                "u": encode_samples(p.u)}
     assert path.read_text() == json.dumps(expected) + "\n"
     assert cf.load_checkpoint(path).u.tobytes() == p.u.tobytes()
+
+
+def test_checkpoint_file_stores_binary_samples(contract_default):
+    """Each (12, 2049) checkpoint is at most its base64 samples, 4 ceil(8N/3)
+    characters, plus 512 bytes of header; decimal text is about twice that."""
+    _, out = contract_default
+    paths = sorted(out.glob("checkpoint_j*.json"))
+    assert len(paths) == 9
+    for path in paths:
+        assert path.stat().st_size <= 4 * math.ceil(8 * 2049 / 3) + 512
+
+
+@pytest.mark.parametrize("key, bad", [("u", math.nan), ("u", math.inf),
+                                      ("t", math.nan), ("t", math.inf)])
+def test_save_checkpoint_refuses_non_finite_profile(tmp_path, contract_seed, key, bad):
+    """A non-finite sample or time, which the loader would refuse, is
+    refused before anything is written: no checkpoint and no .tmp file."""
+    if key == "u":
+        u = contract_seed.u.copy()
+        u[contract_seed.grid.center] = bad
+        p = dataclasses.replace(contract_seed, u=u)
+    else:
+        p = dataclasses.replace(contract_seed, t=bad)
+    with pytest.raises(cf.ProfileError, match="cannot write checkpoint"):
+        cf.save_checkpoint(p, tmp_path / "ck.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, bad", [("n", 1), ("n", 0), ("k", 0), ("k", -1),
