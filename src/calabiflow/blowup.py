@@ -153,24 +153,22 @@ def soliton_residual(m: MomentProfile, n: int,
                       rms=float(np.sqrt(np.mean(resid**2))))
 
 
-def fik_reference(n: int, k: int, a_hat: float,
-                  x_max: float | None = None) -> MomentProfile:
-    """Cone-slope reference profile phi(x) = (k/n)(x - a^n x^(1-n)).
+def fik_reference(n: int, k: int) -> MomentProfile:
+    """Cone-slope reference phi(x) = (k/n)(x - a^n x^(1-n)) on [a, max(12, 4a)].
 
-    Vanishes with slope k at x = a_hat and approaches the linear growth
-    (k/n) x; defined for k < n so the slope at the divisor matches an
-    admissible closure.  Evaluated through a/x <= 1, it cannot overflow; a_hat
-    is at most 1e6, beyond which a fit on its samples loses its constant column.
+    a = n - k is the rescaled divisor, where phi vanishes with slope k; k < n
+    so that slope matches an admissible closure.  Evaluated through a/x <= 1,
+    it cannot overflow; a is at most 1e6, beyond which a fit on its samples
+    loses its constant column.
     """
     if not 0 < k < n:
         raise BlowupError(f"reference needs 0 < k < n, got k={k}, n={n}")
-    if not 0.0 < a_hat <= 1e6:
-        raise BlowupError(f"reference needs a finite a_hat > 0 and <= 1e6, got {a_hat}")
-    if x_max is None:
-        x_max = max(12.0, 4.0 * a_hat)
-    xs = np.linspace(a_hat, x_max, 2001)
-    ratio = a_hat / xs
-    phi = (k / n) * (xs - a_hat * ratio ** (n - 1))
+    a = float(n - k)
+    if a > 1e6:
+        raise BlowupError(f"reference needs n - k <= 1e6, got {n - k}")
+    xs = np.linspace(a, max(12.0, 4.0 * a), 2001)
+    ratio = a / xs
+    phi = (k / n) * (xs - a * ratio ** (n - 1))
     dphi = (k / n) * (1.0 + (n - 1) * ratio**n)
     return MomentProfile(x=xs, phi=phi, dphi=dphi)
 
@@ -225,7 +223,7 @@ def blowup_report(
         raise BlowupError(
             f"need at least 3 checkpoints with j >= {min_j}, have {len(usable)}")
 
-    reference = fik_reference(n, k, float(n - k))
+    reference = fik_reference(n, k)
     rows: list[BlowupRow] = []
     prev_m: MomentProfile | None = None
     prev_win: tuple[float, float] | None = None

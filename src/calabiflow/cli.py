@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import math
 import sys
 import typing
 from pathlib import Path
@@ -104,10 +103,11 @@ def _load_config(path: str) -> dict[str, dict]:
 
 
 def _settings(args: argparse.Namespace):
-    """Flow objects and [output]: preset, config file, then each flag whose dest is a key."""
+    """Flow objects and [output]: preset, config file, then each flag whose
+    dest is a key.  For run, [output] seed_profile is loaded, and the
+    seed's grid stands in for the default one."""
     cfg: dict[str, dict] = {section: {} for section in _SECTIONS}
     cfg["params"].update(PRESETS[getattr(args, "preset", None) or "contract"])
-    cfg["grid"].update(L=12.0, N=2049)
     if getattr(args, "config", None):
         for section, values in _load_config(args.config).items():
             cfg[section].update(values)
@@ -115,8 +115,12 @@ def _settings(args: argparse.Namespace):
         section, _, key = dest.rpartition(".")
         if section and value is not None:
             cfg[section][key] = value
+    grid = {"L": 12.0, "N": 2049}
+    if args.command == "run" and cfg["output"].get("seed_profile"):
+        seed = cfg["output"]["seed_profile"] = load_checkpoint(cfg["output"]["seed_profile"])
+        grid = {"L": seed.grid.L, "N": seed.grid.N}
     try:
-        return (FlowParams(**cfg["params"]), RhoGrid(**cfg["grid"]),
+        return (FlowParams(**cfg["params"]), RhoGrid(**{**grid, **cfg["grid"]}),
                 StepControl(**cfg["control"]), MonitorSet(**cfg["monitors"]),
                 cfg["output"])
     except ValueError as exc:
@@ -126,8 +130,8 @@ def _settings(args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> int:
     params, grid, ctl, monitors, output = _settings(args)
     out_dir = output.get("dir", "flow_out")
-    seed = load_checkpoint(output["seed_profile"]) if output.get("seed_profile") else None
-    trace = run(params, ctl=ctl, grid=grid, monitors=monitors, seed_profile=seed,
+    trace = run(params, ctl=ctl, grid=grid, monitors=monitors,
+                seed_profile=output.get("seed_profile"),
                 out_dir=out_dir, checkpoints_j=output.get("checkpoints", 10))
     print(f"regime={trace.regime.value} T={trace.T:.9g} "
           f"t_final={trace.rows[-1].t:.9g} rows={len(trace.rows)} "
@@ -170,19 +174,16 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.lam):
-        raise ConfigError(f"need a finite lam, got {args.lam}")
     n, k = args.n, args.k
-    a_hat = args.a_hat if args.a_hat is not None else float(n - k)
     try:
-        cone = fik_reference(n, k, a_hat)
+        cone = fik_reference(n, k)
     except BlowupError as exc:  # a bad reference is a bad option, not a failed flow
         raise ConfigError(str(exc)) from exc
     fit = soliton_residual(cone, n, lam=0.0)
-    print(f"cone(n={n}, k={k}, a_hat={a_hat:g}): lam=0 "
+    print(f"cone(n={n}, k={k}, a_hat={n - k:g}): lam=0 "
           f"rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
-    fit = soliton_residual(gaussian_reference(), n, lam=args.lam)
-    print(f"flat model: lam={args.lam:g} rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
+    fit = soliton_residual(gaussian_reference(), n, lam=1.0)
+    print(f"flat model: lam=1 rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
     return EXIT_OK
 
 
@@ -258,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soliton", help="residuals of the reference profiles")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--a-hat", type=float, default=None, dest="a_hat",
-                   help="left endpoint of the cone reference (default n-k)")
-    p.add_argument("--lam", type=float, default=1.0,
-                   help="fixed lambda for the flat model (the Ricci-flat cone uses 0)")
     p.set_defaults(func=cmd_soliton)
 
     p = sub.add_parser("sweep", help="run all presets, compare regimes")

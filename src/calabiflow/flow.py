@@ -525,30 +525,31 @@ def run(
 ) -> "diagnostics.FlowTrace":
     """Integrate from t=0 (or the seed's time) to the stop fraction of T.
 
-    Rows are sampled at t=0, at every cadence-th accepted step, at each
-    dyadic checkpoint time, and at the stop time.  With out_dir set, the
-    trace table, a JSON summary, per-step log lines and the checkpoint
-    profiles are written there.  A run that fails with FlowError still
-    writes the trace and summary of the rows sampled so far; the summary
-    then carries the error text under "error".  trace.elapsed runs from the
-    first row to the written trace.csv, and trace.phase_seconds splits it.
+    The grid defaults to (L, N) = (12, 2049), or to the seed's grid; a grid
+    other than the seed's is refused.  Rows are sampled at t=0, at every
+    cadence-th accepted step, at each dyadic checkpoint time, and at the
+    stop time.  With out_dir set, the trace table, a JSON summary, per-step
+    log lines and the checkpoint profiles are written there.  A run that
+    fails with FlowError still writes the trace and summary of the rows
+    sampled so far; the summary then carries the error text under "error".
+    trace.elapsed runs from the first row to the written trace.csv, and
+    trace.phase_seconds splits it.
     """
     ctl = ctl or StepControl()
-    grid = grid or RhoGrid(12.0, 2049)
     monitors = monitors or diagnostics.MonitorSet()
     info = singular_time(params)
     T = info.T
     t_stop = ctl.t_stop_fraction * T
 
     if seed_profile is None:
-        seed_profile = build_canonical_profile(class_at(params, 0.0), grid,
-                                               params.n, params.k)
-    else:
-        grid = seed_profile.grid
-        if not on_class_motion(params, seed_profile):
-            raise FlowError(
-                f"seed class ({seed_profile.cls.a:.9g}, {seed_profile.cls.b:.9g}) "
-                f"does not match the class motion at t={seed_profile.t:.9g}")
+        seed_profile = build_canonical_profile(class_at(params, 0.0),
+                                               grid or RhoGrid(12.0, 2049), params.n, params.k)
+    elif grid is not None and grid != seed_profile.grid:
+        raise ProfileError(f"grid {grid} differs from the seed's grid {seed_profile.grid}")
+    elif not on_class_motion(params, seed_profile):
+        raise FlowError(
+            f"seed class ({seed_profile.cls.a:.9g}, {seed_profile.cls.b:.9g}) "
+            f"does not match the class motion at t={seed_profile.t:.9g}")
     if seed_profile.t >= t_stop:
         raise FlowError(f"seed time {seed_profile.t} is past the stop time {t_stop}")
 
@@ -567,7 +568,7 @@ def run(
     clock, phases = time.perf_counter, trace.phase_seconds
     # a seed the rule refuses may have u'' = 0, where the monitors are
     # undefined: its row is sampled quietly, and the first step refuses it
-    refused = _rule(seed_profile.u, grid.h)[2].any()
+    refused = _rule(seed_profile.u, seed_profile.grid.h)[2].any()
     started = clock()
     with np.errstate(all="ignore" if refused else None):
         trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,

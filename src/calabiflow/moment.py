@@ -12,7 +12,7 @@ u'''/u'' is unchanged, so magnifying a profile needs no rescaled copy of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,6 @@ class MomentProfile:
     x: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    _interp: _MonotoneCubic | None = field(default=None, repr=False)
-    _interp_slope: _MonotoneCubic | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -102,6 +100,8 @@ class MomentProfile:
             raise ValueError("moment sample arrays must share one shape")
         if np.any(np.diff(self.x) <= 0.0):
             raise ValueError("moment samples must be strictly increasing in x")
+        self._interp = _MonotoneCubic(self.x, self.phi)
+        self._interp_slope = _MonotoneCubic(self.x, self.dphi)
 
     @property
     def x_min(self) -> float:
@@ -110,12 +110,6 @@ class MomentProfile:
     @property
     def x_max(self) -> float:
         return float(self.x[-1])
-
-    def _interpolants(self):
-        if self._interp is None:
-            self._interp = _MonotoneCubic(self.x, self.phi)
-            self._interp_slope = _MonotoneCubic(self.x, self.dphi)
-        return self._interp, self._interp_slope
 
     def check_window(self, window: tuple[float, float]) -> None:
         lo, hi = window
@@ -128,12 +122,10 @@ class MomentProfile:
             )
 
     def eval(self, xq: np.ndarray) -> np.ndarray:
-        interp, _ = self._interpolants()
-        return interp(xq)
+        return self._interp(xq)
 
     def eval_slope(self, xq: np.ndarray) -> np.ndarray:
-        _, slope = self._interpolants()
-        return slope(xq)
+        return self._interp_slope(xq)
 
 
 def moment_profile(p: CalabiProfile, K: float = 1.0) -> MomentProfile:
@@ -150,15 +142,10 @@ def moment_profile(p: CalabiProfile, K: float = 1.0) -> MomentProfile:
     comparison window reaches into ratio_g's pure-model zone, where the
     two-mode tail fit would stand in for the solution.
     """
-    increasing = np.diff(p.du) > 0.0
-    c = p.grid.center
-    lo = c
-    while lo > 0 and increasing[lo - 1]:
-        lo -= 1
-    hi = c
-    while hi < increasing.size and increasing[hi]:
-        hi += 1
-    core = slice(lo, hi + 1)
+    # steps where u' does not rise, NaN included, between sentinels at both ends
+    stops = np.r_[-1, np.flatnonzero(~(np.diff(p.du) > 0.0)), p.grid.N - 1]
+    i = np.searchsorted(stops, p.grid.center)
+    core = slice(stops[i - 1] + 1, stops[i] + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         dphi = p.d3u[core] / p.d2u[core]
     keep = np.isfinite(dphi)

@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -69,9 +70,9 @@ class FlowParams:
     """Dimension n, divisor twist k, and the initial class endpoints."""
 
     n: int
-    k: int = 1
-    a0: float = 1.0
-    b0: float = 4.0
+    k: int
+    a0: float
+    b0: float
 
     def __post_init__(self):
         if self.n < 2:
@@ -163,8 +164,8 @@ class CalabiProfile:
     d2u: np.ndarray
     d3u: np.ndarray
     d4u: np.ndarray
-    tail_left: TailFit | None = None
-    tail_right: TailFit | None = None
+    tail_left: TailFit
+    tail_right: TailFit
 
     def __post_init__(self):
         for name in ("u", "du", "d2u", "d3u", "d4u"):
@@ -254,7 +255,7 @@ def _fit_tail(z: np.ndarray, w: np.ndarray) -> TailFit:
 
 
 def fit_boundary_tails(
-    u: np.ndarray, grid: RhoGrid, cls: KahlerClass, k: int = 1
+    u: np.ndarray, grid: RhoGrid, cls: KahlerClass, k: int
 ) -> tuple[TailFit, TailFit]:
     """Least-squares fit of the two-mode boundary model at each end.
 
@@ -276,7 +277,7 @@ def profile_from_samples(
     cls: KahlerClass,
     t: float,
     n: int,
-    k: int = 1,
+    k: int,
 ) -> CalabiProfile:
     """Profile with fourth-order centered derivatives and tail fits.
 
@@ -308,9 +309,8 @@ def profile_from_samples(
 def build_canonical_profile(
     cls: KahlerClass,
     grid: RhoGrid,
-    n: int = 2,
-    k: int = 1,
-    t: float = 0.0,
+    n: int,
+    k: int,
 ) -> CalabiProfile:
     """Logistic transition seed u = a*rho + ((b-a)/k) * log(1 + e^(k*rho)).
 
@@ -334,7 +334,7 @@ def build_canonical_profile(
     d3u = k**2 * ba * sp * (1.0 - 2.0 * sig)
     d4u = k**3 * ba * sp * (1.0 - 6.0 * sig + 6.0 * sig**2)
     tail = TailFit(0.0, ba / k, -ba / (2.0 * k))
-    return CalabiProfile(grid=grid, cls=cls, t=t, n=n, k=k,
+    return CalabiProfile(grid=grid, cls=cls, t=0.0, n=n, k=k,
                          u=u, du=du, d2u=d2u, d3u=d3u, d4u=d4u,
                          tail_left=tail, tail_right=tail)
 
@@ -380,22 +380,21 @@ def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         G = p.d3u / p.d2u
         c4 = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
     model_zone = np.zeros(p.grid.N, dtype=bool)
-    if p.tail_left is not None and p.tail_right is not None:
-        for tail, s in ((p.tail_left, p.k), (p.tail_right, -p.k)):
-            x = s * p.grid.nodes
-            zone = x < LN_W_RAW
-            model_zone |= x <= LN_W_MODEL
-            x = x[zone]
-            E, F, w = tail.amp, tail.amp2, np.exp(x)
-            weight = np.clip((x - LN_W_MODEL) / (LN_W_RAW - LN_W_MODEL), 0.0, 1.0)
-            weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
-                          -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
-            for out, model in zip((G, c4), models):
-                raw = out[zone]
-                model = np.where(weak | ~np.isfinite(model), raw, model)
-                out[zone] = weight * raw + (1.0 - weight) * model
+    for tail, s in ((p.tail_left, p.k), (p.tail_right, -p.k)):
+        x = s * p.grid.nodes
+        zone = x < LN_W_RAW
+        model_zone |= x <= LN_W_MODEL
+        x = x[zone]
+        E, F, w = tail.amp, tail.amp2, np.exp(x)
+        weight = np.clip((x - LN_W_MODEL) / (LN_W_RAW - LN_W_MODEL), 0.0, 1.0)
+        weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
+                      -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
+        for out, model in zip((G, c4), models):
+            raw = out[zone]
+            model = np.where(weak | ~np.isfinite(model), raw, model)
+            out[zone] = weight * raw + (1.0 - weight) * model
     noise = (FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
              / p.grid.h**4 / p.d2u**2)
     ref = abs(float(c4[p.grid.center]))
@@ -487,18 +486,21 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
         raise ProfileError(
             f"checkpoint {path} has version {version!r}, expected {CHECKPOINT_VERSION}")
     try:
-        header = {key: float(payload[key]) for key in ("L", "a", "b", "t")}
-        counts = {key: payload[key] for key in ("N", "n", "k")}
+        fields = {key: payload[key] for key in ("N", "n", "k", "L", "a", "b", "t")}
         raw = base64.b64decode(payload["u"], validate=True)  # base64 alphabet only
         u = np.frombuffer(raw, "<f8").astype(float)  # writable, native byte order
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProfileError(f"checkpoint {path} missing or malformed field: {exc}") from exc
-    # a count is a JSON integer: 2.9, true or "513" is refused, not truncated
-    bad_counts = [f"{key}={val!r}" for key, val in counts.items() if type(val) is not int]
-    if bad_counts:
-        raise ProfileError(f"checkpoint {path}: malformed field(s) {', '.join(bad_counts)}, "
-                           "need integers")
-    N, n, k = counts["N"], counts["n"], counts["k"]
+    # a count is a JSON integer and a header value a JSON number in the float
+    # range: 2.9 as n, true or "513" is refused, not truncated or parsed
+    bad_fields = [f"{key}={val!r}" for key, val in fields.items()
+                  if not (type(val) is int if key in ("N", "n", "k") else type(val) is float
+                          or type(val) is int and abs(val) <= sys.float_info.max)]
+    if bad_fields:
+        raise ProfileError(f"checkpoint {path}: malformed field(s) {', '.join(bad_fields)}, "
+                           "need integers N, n, k and numbers L, a, b, t")
+    N, n, k = fields["N"], fields["n"], fields["k"]
+    header = {key: float(fields[key]) for key in ("L", "a", "b", "t")}
     bad_keys = [key for key, val in header.items() if not math.isfinite(val)]
     if bad_keys:
         raise ProfileError(

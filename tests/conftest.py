@@ -47,4 +47,4 @@ def shrink_run():
 
 @pytest.fixture(scope="session")
 def contract_seed():
-    return cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025))
+    return cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025), 2, 1)

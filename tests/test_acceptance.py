@@ -135,7 +135,8 @@ def test_criterion_07_curvature_identity_suite(contract_seed, contract_default,
 
     K = math.e
     q = cf.build_canonical_profile(
-        cf.KahlerClass(K * contract_seed.cls.a, K * contract_seed.cls.b), contract_seed.grid)
+        cf.KahlerClass(K * contract_seed.cls.a, K * contract_seed.cls.b), contract_seed.grid,
+        2, 1)
     hom = 0.0
     cp, cq = cf.curvature_sample(contract_seed), cf.curvature_sample(q)
     pairs = [(np.stack((cp.lambda1, cp.lambda2)), np.stack((cq.lambda1, cq.lambda2))),
@@ -153,7 +154,7 @@ def test_criterion_07_curvature_identity_suite(contract_seed, contract_default,
 
     grid = cf.RhoGrid(12.0, 1025)
     flat_cls = cf.KahlerClass(0.9 * math.exp(-grid.L), 1.1 * math.exp(grid.L))
-    p = cf.profile_from_samples(np.exp(grid.nodes), grid, flat_cls, t=0.0, n=2)
+    p = cf.profile_from_samples(np.exp(grid.nodes), grid, flat_cls, t=0.0, n=2, k=1)
     du, d2u, d3u, d4u = p.du, p.d2u, p.d3u, p.d4u
     with np.errstate(divide="ignore", invalid="ignore"):
         flat_r = (-d4u / d2u**2 + d3u**2 / d2u**3 - 2.0 * d3u / (du * d2u)
@@ -199,7 +200,7 @@ def test_criterion_09_self_similarity(wide_report, capfd):
 
 def test_criterion_10_soliton_reference_oracles(wide_report, capfd):
     flat = cf.soliton_residual(cf.gaussian_reference(), n=2)
-    cone = cf.soliton_residual(cf.fik_reference(2, 1, 1.0), n=2, lam=0.0)
+    cone = cf.soliton_residual(cf.fik_reference(2, 1), n=2, lam=0.0)
     trend = [r.fik_dist for r in wide_report.rows]
     ok = flat.rms <= 1e-12 and cone.rms <= 1e-10
     _gate(capfd, 10, "soliton reference oracles", ok,

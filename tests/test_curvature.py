@@ -24,9 +24,10 @@ def _flat_profile(grid):
     """u = e^rho with exact derivative arrays; curvature vanishes identically."""
     u = np.exp(grid.nodes)
     cls = _flat_class(grid)
+    flat = cf.profile.TailFit(0.0, 0.0, 0.0)
     return cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=u,
                             du=u.copy(), d2u=u.copy(), d3u=u.copy(),
-                            d4u=u.copy(), tail_left=None, tail_right=None)
+                            d4u=u.copy(), tail_left=flat, tail_right=flat)
 
 
 def test_eigenvalues_and_scalar_center(contract_seed):
@@ -93,7 +94,7 @@ def test_curvature_homogeneity(contract_seed):
     canonical seed of the class (K a, K b) is K times the seed of (a, b)."""
     K = math.e
     p = contract_seed
-    q = cf.build_canonical_profile(cf.KahlerClass(K * p.cls.a, K * p.cls.b), p.grid)
+    q = cf.build_canonical_profile(cf.KahlerClass(K * p.cls.a, K * p.cls.b), p.grid, 2, 1)
     cp, cq = cf.curvature_sample(p), cf.curvature_sample(q)
     for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
         assert_allclose(K * getattr(cq, name), getattr(cp, name), rtol=1e-10,
@@ -120,7 +121,8 @@ def test_flat_model_annihilation_finite_differences():
     """Same model with derivatives taken numerically: curvature vanishes to
     stencil accuracy on the window where e^rho is resolvable."""
     grid = cf.RhoGrid(12.0, 1025)
-    p = cf.profile_from_samples(np.exp(grid.nodes), grid, _flat_class(grid), t=0.0, n=2)
+    p = cf.profile_from_samples(np.exp(grid.nodes), grid, _flat_class(grid), t=0.0, n=2,
+                                k=1)
     du, d2u, d3u, d4u = p.du, p.d2u, p.d3u, p.d4u
     n = 2
     with np.errstate(divide="ignore", invalid="ignore"):

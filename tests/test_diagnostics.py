@@ -174,9 +174,10 @@ def test_total_volume_simpson():
     grid = cf.RhoGrid(1.0, 257)
     rho = grid.nodes
     du = rho**2 + rho + 2.0
+    flat = cf.profile.TailFit(0.0, 0.0, 0.0)
     cubic = cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=np.zeros_like(rho),
                              du=du, d2u=2.0 * rho + 1.0, d3u=np.full_like(rho, 2.0),
-                             d4u=np.zeros_like(rho))
+                             d4u=np.zeros_like(rho), tail_left=flat, tail_right=flat)
     vol_quad, vol_class = cf.total_volume(cubic)
     assert vol_class == 7.5
     assert_allclose(vol_quad, vol_class, rtol=1e-14)
@@ -187,7 +188,7 @@ def test_divisor_diameter_oracle(contract_seed):
     for k = 1, checked against the quadrature route."""
     assert_allclose(cf.divisor_diameter(contract_seed),
                     math.pi / math.sqrt(2.0), rtol=1e-12)
-    q = cf.build_canonical_profile(cf.KahlerClass(4.0, 16.0), contract_seed.grid)
+    q = cf.build_canonical_profile(cf.KahlerClass(4.0, 16.0), contract_seed.grid, 2, 1)
     assert_allclose(cf.divisor_diameter(q),
                     2.0 * cf.divisor_diameter(contract_seed), rtol=1e-12)
 

@@ -78,7 +78,7 @@ def test_single_step_mechanics(contract_seed):
 
 
 def test_evolution_residuals_need_one_grid(contract_seed):
-    other = cf.build_canonical_profile(contract_seed.cls, cf.RhoGrid(12.0, 513))
+    other = cf.build_canonical_profile(contract_seed.cls, cf.RhoGrid(12.0, 513), 2, 1)
     with pytest.raises(ValueError, match="profiles on different grids"):
         cf.evolution_residuals(contract_seed, other, 1e-3)
 
@@ -208,12 +208,12 @@ def test_solver_refusals_are_logged_rejected_attempts(tmp_path, monkeypatch, nam
 def test_inadmissible_seed_is_refused_before_any_attempt(tmp_path):
     """A dent that makes u'' < 0 away from the center is refused when the
     first step starts, with no attempt made."""
-    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025))
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025), 2, 1)
     rho = seed.grid.nodes
     u = seed.u - 0.05 * np.exp(-(((rho - 4.0) / 0.3) ** 2))
     d2 = np.diff(u, 2)
     assert np.any(d2 <= 0.0) and d2[seed.grid.center - 1] > 0.0
-    dented = cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2)
+    dented = cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1)
     with pytest.raises(cf.FlowError, match="profile inadmissible at t=0:") as info:
         cf.run(CONTRACT, seed_profile=dented, out_dir=tmp_path)
     trace = info.value.trace
@@ -224,14 +224,14 @@ def test_inadmissible_seed_is_refused_before_any_attempt(tmp_path):
 def _dented_seed():
     """The contract seed at (12, 1025) with a dent that makes u'' < 0 at
     40 nodes right of the center."""
-    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025))
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 1025), 2, 1)
     rho = seed.grid.nodes
     u = seed.u - 0.05 * np.exp(-(((rho - 4.0) / 0.3) ** 2))
-    return cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2)
+    return cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1)
 
 
 @pytest.mark.parametrize("seed, count", [
-    (lambda: cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(25.0, 2049)),
+    (lambda: cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(25.0, 2049), 2, 1),
      71),
     (_dented_seed, 40),
 ], ids=["L=25", "dented"])
@@ -286,15 +286,15 @@ def test_inadmissible_stage_solution_is_a_rejected_attempt(contract_seed, monkey
 
 def _contract_seed_at(t, N=257):
     """The canonical profile of the contract class at time t, stamped t."""
-    p = cf.build_canonical_profile(cf.class_at(CONTRACT, t), cf.RhoGrid(12.0, N))
-    return cf.profile_from_samples(p.u, p.grid, p.cls, t, 2)
+    p = cf.build_canonical_profile(cf.class_at(CONTRACT, t), cf.RhoGrid(12.0, N), 2, 1)
+    return cf.profile_from_samples(p.u, p.grid, p.cls, t, 2, 1)
 
 
 def _with_nan_sample(t):
     p = _contract_seed_at(t)
     u = p.u.copy()
     u[p.grid.center // 2] = np.nan
-    return cf.profile_from_samples(u, p.grid, p.cls, t, 2)
+    return cf.profile_from_samples(u, p.grid, p.cls, t, 2, 1)
 
 
 @pytest.mark.parametrize("seed, t_cap, match", [
@@ -380,6 +380,18 @@ def test_restart_from_checkpoint(contract_default):
     assert abs(float(p.u[p.grid.center]) - THREE_LOG_TWO) < 1e-12
 
 
+def test_restart_grid_is_the_seed_grid(contract_default):
+    """A seed fixes the grid: without one the run takes the seed's, and a
+    different one is refused with both named, not replaced by the seed's."""
+    trace, _ = contract_default
+    mid = next(c.profile for c in trace.checkpoints if c.j == 1)
+    cont = cf.run(CONTRACT, ctl=cf.StepControl(t_stop_fraction=0.55), seed_profile=mid)
+    assert cont.final_profile.grid == mid.grid
+    with pytest.raises(cf.ProfileError, match=re.escape(
+            "grid RhoGrid(L=12.0, N=513) differs from the seed's grid RhoGrid(L=12.0, N=2049)")):
+        cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 513), seed_profile=mid)
+
+
 def test_mismatched_seed_class_is_rejected(collapse_run):
     wrong = next(c.profile for c in collapse_run.checkpoints if c.j == 1)
     with pytest.raises(cf.FlowError):
@@ -461,7 +473,7 @@ def test_step_is_second_order():
     a dt = 2.5e-4 reference by at least 3.5 (4 at second order, 2 at
     first).  Each step lands on the event t + dt; at tol_step = 1 the
     proposal never falls short of it."""
-    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 257))
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 257), 2, 1)
     ctl = cf.StepControl(tol_step=1.0)
 
     def final_u(dt):

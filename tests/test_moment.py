@@ -1,4 +1,6 @@
 """Moment-coordinate profiles phi(x) = u'' as a function of x = u'."""
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,19 @@ def test_moment_domain_matches_class(seed_moment, contract_seed):
     assert 1.0 < m.x[0] < m.x[-1] < 4.0
     assert m.x_min == m.x[0] and m.x_max == m.x[-1]
     assert np.all(np.diff(m.x) > 0.0)
+
+
+@pytest.mark.parametrize("stop, lo", [(0.0, 2), (np.nan, 3)], ids=["flat", "nan"])
+def test_moment_profile_keeps_the_increasing_run_around_the_center(contract_seed, stop, lo):
+    """A step where u' does not rise, near either end, bounds the kept run;
+    a NaN u' makes both of its differences stops."""
+    du = contract_seed.du.copy()
+    N = du.size
+    du[2] = du[1] + stop
+    du[N - 3] = du[N - 4] + stop
+    m = cf.moment_profile(dataclasses.replace(contract_seed, du=du))
+    assert np.array_equal(m.x, du[lo:N - 3])
+    assert np.array_equal(m.phi, contract_seed.d2u[lo:N - 3])
 
 
 def test_magnified_moment_profile(contract_seed, seed_moment):
@@ -77,7 +92,7 @@ def test_slope_channel_is_exact_for_seed(seed_moment):
 def test_c1_distance_identity_and_separation(seed_moment):
     window = (1.5, 3.5)
     assert cf.c1_distance(seed_moment, seed_moment, window) == 0.0
-    other = cf.fik_reference(2, 1, 1.0, x_max=5.0)
+    other = cf.fik_reference(2, 1)
     d = cf.c1_distance(seed_moment, other, window)
     assert d > 0.1
 

@@ -46,7 +46,7 @@ def test_grid_accepts_its_bounds():
 def test_profile_arrays_must_match_the_grid(contract_seed):
     p = contract_seed
     with pytest.raises(cf.ProfileError, match=r"sample array has shape \(1024,\)"):
-        cf.profile_from_samples(p.u[:-1], p.grid, p.cls, 0.0, 2)
+        cf.profile_from_samples(p.u[:-1], p.grid, p.cls, 0.0, 2, 1)
     with pytest.raises(cf.ProfileError, match=r"d2u has shape \(1024,\)"):
         dataclasses.replace(p, d2u=p.d2u[:-1])
 
@@ -172,7 +172,7 @@ def test_interior_stencils_are_fourth_order():
     for N in (513, 1025):
         g = cf.RhoGrid(12.0, N)
         p = cf.profile_from_samples(np.sin(g.nodes), g, cf.KahlerClass(1.0, 4.0),
-                                    t=0.0, n=2)
+                                    t=0.0, n=2, k=1)
         sl = slice(5, N - 5)
         errs.append(max(np.max(np.abs(p.du[sl] - np.cos(g.nodes[sl]))),
                         np.max(np.abs(p.d2u[sl] + np.sin(g.nodes[sl])))))
@@ -187,7 +187,7 @@ def test_tail_fit_recovers_planted_coefficients():
     u = np.where(rho <= 0.0,
                  1.0 * rho + 3.0 * np.exp(rho) - 1.5 * np.exp(2.0 * rho),
                  4.0 * rho + 3.0 * np.exp(-rho) - 1.5 * np.exp(-2.0 * rho))
-    tl, tr = cf.fit_boundary_tails(u, g, cls)
+    tl, tr = cf.fit_boundary_tails(u, g, cls, k=1)
     assert_allclose([tl.base, tl.amp, tl.amp2], [0.0, 3.0, -1.5],
                     rtol=1e-7, atol=1e-9)
     assert_allclose([tr.base, tr.amp, tr.amp2], [0.0, 3.0, -1.5],
@@ -204,7 +204,7 @@ def test_tail_fit_discards_contaminated_inner_band():
                  1.0 * rho + 3.0 * np.exp(rho) - 1.5 * np.exp(2.0 * rho),
                  4.0 * rho + 3.0 * np.exp(-rho) - 1.5 * np.exp(-2.0 * rho))
     u = u + 2e-3 * np.exp(-((rho + 9.3) / 0.15) ** 2)
-    tl, _ = cf.fit_boundary_tails(u, g, cls)
+    tl, _ = cf.fit_boundary_tails(u, g, cls, k=1)
     assert abs(tl.amp - 3.0) < 0.15
 
 
@@ -228,7 +228,7 @@ def test_closure_check_tightens_with_tolerance(contract_seed):
 def test_validation_flags_convexity_loss(contract_seed):
     p = contract_seed
     u = p.u - 1.0 * np.exp(-p.grid.nodes**2)
-    bad = cf.profile_from_samples(u, p.grid, p.cls, t=0.0, n=2)
+    bad = cf.profile_from_samples(u, p.grid, p.cls, t=0.0, n=2, k=1)
     report = cf.validate_profile(bad)
     names = {v.invariant for v in report.violations}
     assert "convexity" in names
@@ -236,7 +236,7 @@ def test_validation_flags_convexity_loss(contract_seed):
 
 def test_validation_flags_class_range(contract_seed):
     p = contract_seed
-    bad = cf.profile_from_samples(2.0 * p.u, p.grid, p.cls, t=0.0, n=2)
+    bad = cf.profile_from_samples(2.0 * p.u, p.grid, p.cls, t=0.0, n=2, k=1)
     report = cf.validate_profile(bad)
     names = {v.invariant for v in report.violations}
     assert "class-range" in names
