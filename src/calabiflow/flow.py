@@ -23,16 +23,13 @@ against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
 by the one helper that the error filter uses too; dgtsv comes from
 scipy's compiled LAPACK module, loaded without the scipy.linalg package.
-The differences u', u'' that decide whether a damped iterate is
-admissible are the ones the next residual and Jacobian use, so each
-iterate is differenced once.  Newton stops after an undamped update
-delta_k when sup|delta_k| is below TOL_NEWTON, or when it follows an
-undamped delta_(k-1) and the contraction estimate
-theta = |delta_k|/|delta_(k-1)| < 1 bounds the error left,
-theta/(1-theta) |delta_k|, by TOL_NEWTON (Hairer-Wanner, Solving ODEs II,
-IV.8).  The trapezoidal stage starts from u_n; the BDF2 stage starts from
-the linear extrapolation u_n + (u_gamma - u_n)/gamma, or from u_n when that
-is not admissible.
+Newton stops after an undamped update delta_k when sup|delta_k| is below
+TOL_NEWTON, or when it follows an undamped delta_(k-1) and the
+contraction estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error
+left, theta/(1-theta) |delta_k|, by TOL_NEWTON (Hairer-Wanner, Solving
+ODEs II, IV.8).  The trapezoidal stage starts from u_n; the BDF2 stage
+starts from the linear extrapolation u_n + (u_gamma - u_n)/gamma, or from
+u_n when that is not admissible.
 
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
@@ -60,12 +57,15 @@ retry path; below DT_MIN the step fails, and its FlowError carries the
 rejected attempts for the run log.
 
 Admissibility is one rule, _rule: finite samples with u' > 0 and
-u'' > FLOOR_U2 by central differences at every interior node.  A step
-applies it to its start, whose differences give f_n and the first Newton
-step, to each damped Newton iterate, to the extrapolated BDF2 start and to
-the accepted stage solution (rejected if its gauge shift rounds it off the
-rule).  run() applies it to the seed before sampling its row, and
-validate_profile reports it node by node from u, the class and k alone.
+u'' > FLOOR_U2 by central differences at every interior node.  It runs
+once per sample vector, and the vector is then used with the differences
+it took: each damped Newton iterate, the extrapolated BDF2 start, and the
+accepted stage solution (rejected if its gauge shift rounds it off the
+rule), whose differences serve the error filter and, carried by the
+returned state, the next step's f_n and first Newton step.  A state that
+step() did not make is checked when a step starts from it.  run() applies
+the rule to the seed before sampling its row, and validate_profile
+reports it node by node from u, the class and k alone.
 Stepping reads only the samples u; the full CalabiProfile (tail fits and
 four derivative arrays) of an accepted state is built on first read, so a
 run builds it only for monitor rows, checkpoints and the final profile.
@@ -186,20 +186,23 @@ class StepStats:
 class FlowState:
     """Samples u at time t on grid, with the stats of the step that made
     them.  Stepping reads only u, t and grid; `profile` is built from them
-    on first read and kept."""
+    on first read and kept.  A state step() returns also carries the
+    differences of u, so the next step does not take them again."""
 
     def __init__(self, profile: CalabiProfile, params: FlowParams,
                  stats: StepStats | None = None):
         self._profile: CalabiProfile | None = profile
+        self._diffs: tuple[np.ndarray, np.ndarray] | None = None
         self.params = params
         self.stats = stats
         self.u, self.t, self.grid = profile.u, profile.t, profile.grid
 
     @classmethod
-    def _from_samples(cls, u: np.ndarray, t: float, grid: RhoGrid,
-                      params: FlowParams, stats: StepStats) -> "FlowState":
+    def _from_samples(cls, u: np.ndarray, diffs: tuple[np.ndarray, np.ndarray],
+                      t: float, grid: RhoGrid, params: FlowParams,
+                      stats: StepStats) -> "FlowState":
         state = cls.__new__(cls)
-        state._profile = None
+        state._profile, state._diffs = None, diffs
         state.params, state.stats = params, stats
         state.u, state.t, state.grid = u, t, grid
         return state
@@ -223,21 +226,27 @@ def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The admissibility rule: the differences (d1, d2) at interior nodes
     1..N-2, and the mask of the nodes it refuses, a non-finite sample or an
-    interior node without u' > 0 and u'' > FLOOR_U2."""
-    bad = ~np.isfinite(w)
+    interior node without u' > 0 and u'' > FLOOR_U2, or None if there are
+    none.  A non-finite interior sample leaves a difference at its node or
+    a neighbour nan or of the wrong sign, so the differences and the two
+    end samples decide; the mask is formed only for a refused w."""
     with np.errstate(invalid="ignore"):
         d1, d2 = _second_diffs(w, h)
-        bad[1:-1] |= ~((d1 > 0.0) & (d2 > FLOOR_U2))
+        ok = (d1 > 0.0) & (d2 > FLOOR_U2)
+    if ok.all() and math.isfinite(w[0]) and math.isfinite(w[-1]):
+        return d1, d2, None
+    bad = ~np.isfinite(w)
+    bad[1:-1] |= ~ok
     return d1, d2, bad
 
 
 def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
     """(d1, d2) of admissible samples, or None."""
     d1, d2, bad = _rule(w, h)
-    return None if bad.any() else (d1, d2)
+    return (d1, d2) if bad is None else None
 
 
 @dataclass(frozen=True)
@@ -283,7 +292,7 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
             ("finite", ~np.isfinite(p.u), "non-finite u"),
             ("convexity", refused, "u' <= 0, u'' <= FLOOR_U2 or a non-finite sample"),
             ("class-range", np.pad((d1 <= a) | (d1 >= b), 1), f"u' outside ({a}, {b})")):
-        if bad.any():
+        if bad is not None and bad.any():
             nodes = tuple(int(i) for i in np.flatnonzero(bad)[:16])
             violations.append(Violation(invariant, nodes, f"{what} at {int(bad.sum())} "
                                         f"node(s), first at index {nodes[0]}"))
@@ -316,8 +325,9 @@ _E_1 = _ERR_COEF / (1.0 - _GAMMA)
 
 
 def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
-                        n: int, efac: float, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b, M the stage Jacobian at differences (d1, d2).
+                        n: int, efac: float, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve M x = b, M the stage Jacobian at differences (d1, d2), and
+    return x with sup|x|, which is finite exactly when x is.
 
     Interior rows of M are I - ddt df/dw, tridiagonal; each closure row's
     third entry is eliminated against its interior neighbour, in M and in
@@ -344,9 +354,10 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
                              overwrite_du=True, overwrite_b=True)
     if info != 0:
         raise _StepFailure(f"tridiagonal solve failed: info={info}")
-    if not np.all(np.isfinite(x)):
+    sup = float(np.abs(x).max())
+    if not math.isfinite(sup):
         raise _StepFailure("nonfinite tridiagonal solution")
-    return x
+    return x, sup
 
 
 def _solve_stage(
@@ -381,15 +392,13 @@ def _solve_stage(
         d1, d2 = diffs
         F[1:-1] = w[1:-1] - base - ddt * (np.log(d2) + (n - 1) * np.log(d1))
         F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
-        res = float(np.max(np.abs(F)))
+        res = float(np.abs(F).max())
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")
-        delta = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F)
-
-        sup_delta = float(np.max(np.abs(delta)))
+        delta, sup_delta = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F)
         lam = 1.0
         for _ in range(9):
-            w_try = w - lam * delta
+            w_try = w - delta if lam == 1.0 else w - lam * delta
             diffs = _valid(w_try, h)
             if diffs is not None:
                 break
@@ -433,7 +442,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     if t >= ctl.t_stop_fraction * T:
         raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
 
-    diffs = _valid(u, grid.h)
+    diffs = state._diffs or _valid(u, grid.h)
     if diffs is None:
         bad = np.flatnonzero(_rule(u, grid.h)[2])
         raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= FLOOR_U2 "
@@ -475,13 +484,13 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             diffs1 = _valid(u1, grid.h)
             if diffs1 is None:  # only the rounding of the gauge shift can do this
                 raise _StepFailure("stage solution inadmissible after the gauge shift")
-            est = _stage_matrix_solve(*diffs1, ddt, grid.h, n,
-                                      math.expm1(k * grid.h), est)
+            est, _ = _stage_matrix_solve(*diffs1, ddt, grid.h, n,
+                                         math.expm1(k * grid.h), est)
         except _StepFailure as exc:
             reason, factor = str(exc), 0.5
         else:
             # the gauge constant is invisible: compare with the center pinned
-            err = float(np.max(np.abs(est - est[c])))
+            err = float(np.abs(est - est[c]).max())
             factor = MAX_GROWTH if err == 0.0 else min(
                 MAX_GROWTH, max(0.2, SAFETY * (ctl.tol_step / err) ** (1.0 / 3.0)))
             if err <= ctl.tol_step:
@@ -498,7 +507,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters_g + iters,
                       residual=res, error=err, retries=len(rejected),
                       rejected=tuple(rejected))
-    return FlowState._from_samples(u1, t_new, grid, params, stats)
+    return FlowState._from_samples(u1, diffs1, t_new, grid, params, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +577,7 @@ def run(
     clock, phases = time.perf_counter, trace.phase_seconds
     # a seed the rule refuses may have u'' = 0, where the monitors are
     # undefined: its row is sampled quietly, and the first step refuses it
-    refused = _rule(seed_profile.u, seed_profile.grid.h)[2].any()
+    refused = _rule(seed_profile.u, seed_profile.grid.h)[2] is not None
     started = clock()
     with np.errstate(all="ignore" if refused else None):
         trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
@@ -643,10 +652,14 @@ def evolution_residuals(p_prev: CalabiProfile, p_next: CalabiProfile,
     trapezoidal average of their analytic evolution laws, e.g.
     d(u')/dt = u'''/u'' + (n-1) u''/u' - n.  Restricted to nodes away from
     both tails (raw stencils are exact there); the fifth derivative needed
-    for the u''' law is obtained by differencing d4u.
+    for the u''' law is obtained by differencing d4u.  The profiles must
+    share grid, n and k, and dt must be finite and > 0.
     """
-    if p_prev.grid.N != p_next.grid.N:
-        raise ValueError("profiles on different grids")
+    if (p_prev.grid, p_prev.n, p_prev.k) != (p_next.grid, p_next.n, p_next.k):
+        raise ValueError(f"profiles on different grids or of different (n, k): {p_prev.grid}, "
+                         f"{(p_prev.n, p_prev.k)} and {p_next.grid}, {(p_next.n, p_next.k)}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"need a finite dt > 0, got {dt}")
     n = p_prev.n
     h = p_prev.grid.h
     N = p_prev.grid.N

@@ -195,8 +195,10 @@ def on_class_motion(params: FlowParams, p: CalabiProfile) -> bool:
     return drift <= 1e-9 * max(params.b0, 1.0)
 
 
+@functools.lru_cache(maxsize=64)
 def singular_time(params: FlowParams) -> SingularTimeInfo:
-    """First time the class degenerates, and which endpoint gets there."""
+    """First time the class degenerates, and which endpoint gets there.
+    Cached per (frozen) params: the stepper asks on every attempt."""
     Ta = params.a0 / (params.n - params.k)
     Tb = (params.b0 - params.a0) / (2.0 * params.k)
     T = min(Ta, Tb)

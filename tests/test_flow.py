@@ -78,9 +78,22 @@ def test_single_step_mechanics(contract_seed):
 
 
 def test_evolution_residuals_need_one_grid(contract_seed):
-    other = cf.build_canonical_profile(contract_seed.cls, cf.RhoGrid(12.0, 513), 2, 1)
-    with pytest.raises(ValueError, match="profiles on different grids"):
-        cf.evolution_residuals(contract_seed, other, 1e-3)
+    """Two profiles on different grids, also with equal node counts, or of
+    different (n, k) have no defect between them, and neither has a step dt
+    that is not finite and > 0: each is refused."""
+    cls, grid = contract_seed.cls, contract_seed.grid
+    pairs = [(contract_seed, cf.build_canonical_profile(cls, cf.RhoGrid(12.0, 513), 2, 1)),
+             (cf.build_canonical_profile(cls, cf.RhoGrid(12.0, 513), 2, 1),
+              cf.build_canonical_profile(cls, cf.RhoGrid(16.0, 513), 2, 1)),
+             (contract_seed, cf.build_canonical_profile(cls, grid, 3, 1)),
+             (cf.build_canonical_profile(cls, grid, 3, 1),
+              cf.build_canonical_profile(cls, grid, 3, 2))]
+    for p_prev, p_next in pairs:
+        with pytest.raises(ValueError, match="profiles on different grids or of different"):
+            cf.evolution_residuals(p_prev, p_next, 1e-3)
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="need a finite dt > 0"):
+            cf.evolution_residuals(contract_seed, contract_seed, dt)
 
 
 def test_evolution_residuals_shrink_with_dt(contract_seed):
@@ -243,6 +256,63 @@ def test_validate_and_step_refuse_the_same_nodes(seed, count):
     assert f" at {count} node(s), " in violations["convexity"].detail
     with pytest.raises(cf.FlowError, match=rf"inadmissible at t=0: .* at {count} node\(s\)"):
         cf.step(cf.FlowState(profile=p, params=CONTRACT), cf.StepControl())
+
+
+def _non_finite_samples():
+    """(label, u) for the (12, 257) contract seed with nan, +inf or -inf at
+    single nodes near both ends and the center, and at adjacent pairs at
+    both ends."""
+    u = _contract_seed_at(0.0).u
+    N = u.size
+    values = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+    singles = [[i] for i in (0, 1, 2, N // 2, N - 3, N - 2, N - 1)]
+    pairs = [[0, 1], [1, 2], [N - 3, N - 2], [N - 2, N - 1]]
+    cases = [(nodes, [v] * len(nodes)) for nodes in singles for v in values]
+    cases += [(nodes, [v, w]) for nodes in pairs for v in values for w in values]
+    for nodes, labels in cases:
+        w = u.copy()
+        w[nodes] = [values[v] for v in labels]
+        yield ",".join(f"{v}@{i}" for i, v in zip(nodes, labels)), w
+
+
+def test_valid_refuses_exactly_where_the_rule_flags_a_node():
+    """_valid refuses a sample vector exactly when _rule's mask flags a
+    node, and the mask is the node-by-node rule: the non-finite samples and
+    the interior nodes without u' > 0 and u'' > FLOOR_U2.  +inf at node N-1
+    is the one case whose differences pass; the end check refuses it."""
+    h = cf.RhoGrid(12.0, 257).h
+    seed = _contract_seed_at(0.0).u
+    assert flow._rule(seed, h)[2] is None and flow._valid(seed, h) is not None
+    for label, w in _non_finite_samples():
+        with np.errstate(invalid="ignore"):
+            d1, d2 = flow._second_diffs(w, h)
+            interior_ok = (d1 > 0.0) & (d2 > flow.FLOOR_U2)
+        expect = ~np.isfinite(w)
+        expect[1:-1] |= ~interior_ok
+        mask = flow._rule(w, h)[2]
+        assert mask is not None and np.array_equal(mask, expect), label
+        assert flow._valid(w, h) is None, label
+        assert interior_ok.all() == (label == f"+inf@{w.size - 1}"), label
+
+
+def test_carried_differences_step_like_a_fresh_state(rejecting):
+    """A step from the state step() returned, which carries the differences
+    of its samples, and a step from a state built from the same samples,
+    time and stats give bitwise-equal samples, time and stats, also after
+    steps with rejected attempts."""
+    state = cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)
+    retries = 0
+    for _ in range(8):
+        fresh = cf.FlowState(
+            profile=cf.profile_from_samples(state.u, state.grid, cf.class_at(CONTRACT, state.t),
+                                            state.t, 2, 1),
+            params=CONTRACT, stats=state.stats)
+        out, ref = cf.step(state, rejecting), cf.step(fresh, rejecting)
+        assert out.u.tobytes() == ref.u.tobytes()
+        assert (out.t, out.stats) == (ref.t, ref.stats)
+        retries += out.stats.retries
+        state = out
+    assert retries > 0
 
 
 @pytest.mark.parametrize("flow_run", [
