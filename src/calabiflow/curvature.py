@@ -98,6 +98,7 @@ def curvature_sample(p: CalabiProfile) -> CurvatureSample:
     sigma = {j: comb(n - 1, j) * lam2**j + comb(n - 1, j - 1) * lam1 * lam2 ** (j - 1)
              for j in range(1, n + 1)}
     fourth = np.where(c4_trust_mask(p), np.maximum(np.abs(r1111), np.abs(lam1)), 0.0)
-    proxy = np.max(np.stack([np.abs(r11kk), np.abs(rkkkk), np.abs(lam2), fourth]), axis=0)
+    proxy = np.maximum(np.maximum(np.maximum(np.abs(r11kk), np.abs(rkkkk)), np.abs(lam2)),
+                       fourth)
     return CurvatureSample(H=H, G=G, c4=c4, lambda1=lam1, lambda2=lam2, r1111=r1111,
                            r11kk=r11kk, rkkkk=rkkkk, sigma=sigma, rm_proxy=proxy)

@@ -201,10 +201,11 @@ def sample_row(p: CalabiProfile, T: float, regime: Regime,
     c4min = nan
     sigma = tuple(nan for _ in range(2, n + 1))
     if itrust.any():
-        cands.append(float(np.min(cs.r1111[inner][itrust])))
-        c4min = tau * float(np.min(cs.c4[inner][itrust]))
+        cands.append(float(cs.r1111[inner].min(where=itrust, initial=math.inf)))
+        c4min = tau * float(cs.c4[inner].min(where=itrust, initial=math.inf))
         sigma = tuple(
-            tau ** (j - 1) * float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
+            tau ** (j - 1)
+            * float(np.abs(cs.sigma[j][inner]).max(where=itrust, initial=-math.inf))
             / max(supRm, 1e-30) for j in range(2, n + 1))
     bmin = min(cands)
     bmin_scaled = tau * bmin

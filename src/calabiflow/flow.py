@@ -342,14 +342,16 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
     diag[1:-1] = 1.0 + 2.0 * curv
     dl[:-1] = drift - curv
     du[1:] = -(curv + drift)
-    r = 1.0 / du[1]
-    diag[0] = 1.0 + efac - r * dl[0]
-    du[0] = -2.0 - efac - r * diag[1]
-    b[0] -= r * b[1]
-    r = 1.0 / dl[-2]
-    diag[-1] = 1.0 + efac - r * du[-1]
-    dl[-1] = -2.0 - efac - r * diag[-2]
-    b[-1] -= r * b[-2]
+    # entries as Python floats, which round as numpy scalars do at less cost;
+    # the reciprocals stay numpy's, so a zero pivot gives inf, not an exception
+    r = float(1.0 / du[1])
+    diag[0] = 1.0 + efac - r * dl.item(0)
+    du[0] = -2.0 - efac - r * diag.item(1)
+    b[0] = b.item(0) - r * b.item(1)
+    r = float(1.0 / dl[-2])
+    diag[-1] = 1.0 + efac - r * du.item(-1)
+    dl[-1] = -2.0 - efac - r * diag.item(-2)
+    b[-1] = b.item(-1) - r * b.item(-2)
     _, _, _, x, info = dgtsv(dl, diag, du, b, overwrite_dl=True, overwrite_d=True,
                              overwrite_du=True, overwrite_b=True)
     if info != 0:

@@ -14,7 +14,8 @@ evaluation of ratios like u'''/u'' deep in the tails, both come from that
 model.  Raw third and fourth differences are rounding-limited wherever u''
 is a few orders below its peak, so the guarded forms are the ones monitors
 should use; c4_trust_mask marks the nodes where fourth-difference output
-is credible at all.
+is credible at all.  What fits, ghosts and guards need of the grid and k
+alone is formed once per (grid, k) by the cache _geometry, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -229,25 +231,65 @@ def _apply_stencil(padded: np.ndarray, order: int, h: float) -> np.ndarray:
     return np.convolve(arr, coeffs[::-1], mode="valid") / h**order
 
 
-def _fit_tail(z: np.ndarray, w: np.ndarray) -> TailFit:
+_Geometry = namedtuple("_Geometry", "fits ghosts zones model_zone h4")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
+def _geometry(grid: RhoGrid, k: int) -> _Geometry:
+    """Per end, s = +k (left) or -k (right): the fit band's w, outermost node
+    first, with its _design; the ghost rho with e^(s k rho) and e^(2 s k rho);
+    the guard zone's s, slice, w, w^2, w^3 and blend weight.  Read-only."""
+    rho, h, N = grid.nodes, grid.h, grid.N
+    width = min(TAIL_BAND_WIDTH / k, grid.L / 3.0)
+    m = min(max(int(round(width / h)) + 1, MIN_FIT_NODES), N // 3)
+    fits, ghosts, zones = [], [], []
+    for s, band, g in ((k, rho[:m], rho[0] + h * np.array([-3.0, -2.0, -1.0])),
+                       (-k, rho[-m:], rho[-1] + h * np.array([1.0, 2.0, 3.0]))):
+        # reversed after exp: numpy's exp may round a reversed view differently
+        w = _read_only(np.exp(s * band)[::1 if s > 0 else -1])
+        fits.append((w, _design(w)))
+        ghosts.append(tuple(map(_read_only, (g, np.exp(s * g), np.exp(2 * s * g)))))
+        x = s * rho
+        count = int(np.count_nonzero(x < LN_W_RAW))  # a run of nodes from the end
+        zone = slice(0, count) if s > 0 else slice(N - count, N)
+        w = np.exp(x[zone])
+        weight = np.clip((x[zone] - LN_W_MODEL) / (LN_W_RAW - LN_W_MODEL), 0.0, 1.0)
+        zones.append((s, zone, *map(_read_only, (w, w**2, w**3, weight))))
+    model_zone = _read_only((k * rho <= LN_W_MODEL) | (-k * rho <= LN_W_MODEL))
+    return _Geometry(tuple(fits), tuple(ghosts), tuple(zones), model_zone, h**4)
+
+
+def _design(w: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(wr, [1, w/wr, (w/wr)^2]) for wr = max w; no matrix unless wr > 0 is finite."""
+    wr = float(np.max(w))
+    if wr <= 0.0 or not math.isfinite(wr):
+        return wr, None
+    ws = w / wr
+    return wr, _read_only(np.stack([np.ones_like(ws), ws, ws * ws], axis=1))
+
+
+def _fit_tail(z: np.ndarray, w: np.ndarray, first: tuple | None = None) -> TailFit:
     """Least-squares fit of z = base + amp*w + amp2*w^2, shrinking the band
     from the inside until the fit is self-consistent.
 
-    z and w are ordered outermost node first.  The two-mode model holds only
-    where |4*amp2*w|/amp, taken at the innermost (largest-w) node, is small;
-    the ratio blows up when transition structure leaks into the band (late
-    in a divisor contraction) or when the leading amplitude is not positive.
-    Dropping the innermost quarter repeatedly finds the stretch where the
-    model actually holds.
+    z and w are ordered outermost node first; first, if given, is
+    _design(w).  The two-mode model holds only where |4*amp2*w|/amp, taken
+    at the innermost (largest-w) node, is small; the ratio blows up when
+    transition structure leaks into the band (late in a divisor contraction)
+    or when the leading amplitude is not positive.  Dropping the innermost
+    quarter repeatedly finds the stretch where the model actually holds.
     """
     m = len(z)
     while True:
-        wr = float(np.max(w[:m]))
-        if wr <= 0.0 or not math.isfinite(wr):
+        wr, A = first if first is not None and m == len(z) else _design(w[:m])
+        if A is None:
             fit, ratio = TailFit(float(z[0]), 0.0, 0.0), math.inf
         else:
-            ws = w[:m] / wr
-            A = np.stack([np.ones_like(ws), ws, ws * ws], axis=1)
             coef, *_ = np.linalg.lstsq(A, z[:m], rcond=None)
             fit = TailFit(float(coef[0]), float(coef[1] / wr), float(coef[2] / wr**2))
             ratio = abs(4.0 * fit.amp2 * wr) / fit.amp if fit.amp > 0.0 else math.inf
@@ -266,10 +308,10 @@ def fit_boundary_tails(
     the fitted second mode stays subordinate across the band.
     """
     rho = grid.nodes
-    width = min(TAIL_BAND_WIDTH / k, grid.L / 3.0)
-    m = min(max(int(round(width / grid.h)) + 1, MIN_FIT_NODES), grid.N // 3)
-    left = _fit_tail(u[:m] - cls.a * rho[:m], np.exp(k * rho[:m]))
-    right = _fit_tail((u[-m:] - cls.b * rho[-m:])[::-1], np.exp(-k * rho[-m:])[::-1])
+    (w_left, first_left), (w_right, first_right) = _geometry(grid, k).fits
+    m = len(w_left)
+    left = _fit_tail(u[:m] - cls.a * rho[:m], w_left, first_left)
+    right = _fit_tail((u[-m:] - cls.b * rho[-m:])[::-1], w_right, first_right)
     return left, right
 
 
@@ -290,15 +332,11 @@ def profile_from_samples(
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.N,):
         raise ProfileError(f"sample array has shape {u.shape}, expected ({grid.N},)")
-    rho, h = grid.nodes, grid.h
+    h = grid.h
     left, right = fit_boundary_tails(u, grid, cls, k)
-    gl_rho = rho[0] + h * np.array([-3.0, -2.0, -1.0])
-    ghosts_l = cls.a * gl_rho + left.base \
-        + left.amp * np.exp(k * gl_rho) + left.amp2 * np.exp(2 * k * gl_rho)
-    gr_rho = rho[-1] + h * np.array([1.0, 2.0, 3.0])
-    ghosts_r = cls.b * gr_rho + right.base \
-        + right.amp * np.exp(-k * gr_rho) + right.amp2 * np.exp(-2 * k * gr_rho)
-    padded = np.concatenate([ghosts_l, u, ghosts_r])
+    ghosts = [end * g_rho + tail.base + tail.amp * e1 + tail.amp2 * e2 for end, tail,
+              (g_rho, e1, e2) in zip((cls.a, cls.b), (left, right), _geometry(grid, k).ghosts)]
+    padded = np.concatenate([ghosts[0], u, ghosts[1]])
     return CalabiProfile(grid=grid, cls=cls, t=t, n=n, k=k, u=u,
                          du=_apply_stencil(padded, 1, h), d2u=_apply_stencil(padded, 2, h),
                          d3u=_apply_stencil(padded, 3, h), d4u=_apply_stencil(padded, 4, h),
@@ -350,8 +388,9 @@ def closure_rows(u: np.ndarray, h: float, efac: float,
     with efac = expm1(k h): exact on the tails a*rho + D + E*e^(k*rho) and
     b*rho + D + E*e^(-k*rho).  The flow solves them; flow.validate_profile
     measures them."""
-    left = (u[0] - 2.0 * u[1] + u[2]) - efac * ((u[1] - u[0]) - a * h)
-    right = (u[-3] - 2.0 * u[-2] + u[-1]) + efac * ((u[-1] - u[-2]) - b * h)
+    (u0, u1, u2), (v2, v1, v0) = u[:3].tolist(), u[-3:].tolist()  # cheaper than numpy scalars
+    left = (u0 - 2.0 * u1 + u2) - efac * ((u1 - u0) - a * h)
+    right = (v2 - 2.0 * v1 + v0) + efac * ((v0 - v1) - b * h)
     return left, right
 
 
@@ -378,32 +417,25 @@ def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the raw-trust zone there can be a genuine gap when a class endpoint
     degenerates.
     """
+    geo = _geometry(p.grid, p.k)
     with np.errstate(divide="ignore", invalid="ignore"):
         G = p.d3u / p.d2u
         c4 = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
-    model_zone = np.zeros(p.grid.N, dtype=bool)
-    for tail, s in ((p.tail_left, p.k), (p.tail_right, -p.k)):
-        x = s * p.grid.nodes
-        zone = x < LN_W_RAW
-        model_zone |= x <= LN_W_MODEL
-        x = x[zone]
-        E, F, w = tail.amp, tail.amp2, np.exp(x)
-        weight = np.clip((x - LN_W_MODEL) / (LN_W_RAW - LN_W_MODEL), 0.0, 1.0)
+    for tail, (s, zone, w, w2, w3, weight) in zip((p.tail_left, p.tail_right), geo.zones):
+        E, F = tail.amp, tail.amp2
         weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
         with np.errstate(divide="ignore", invalid="ignore"):
             models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
-                      -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
+                      -4.0 * E * F * w3 / (E * w + 4.0 * F * w2) ** 3)
         for out, model in zip((G, c4), models):
             raw = out[zone]
             model = np.where(weak | ~np.isfinite(model), raw, model)
             out[zone] = weight * raw + (1.0 - weight) * model
     noise = (FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
-             / p.grid.h**4 / p.d2u**2)
+             / geo.h4 / p.d2u**2)
     ref = abs(float(c4[p.grid.center]))
-    trust = model_zone | (noise <= C4_TRUST_REL * (np.abs(c4) + ref))
-    for arr in (G, c4, trust):
-        arr.flags.writeable = False
-    return G, c4, trust
+    trust = geo.model_zone | (noise <= C4_TRUST_REL * (np.abs(c4) + ref))
+    return _read_only(G), _read_only(c4), _read_only(trust)
 
 
 def ratio_h(p: CalabiProfile) -> np.ndarray:

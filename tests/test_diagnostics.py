@@ -96,37 +96,48 @@ def test_run_writes_log_and_checkpoints(contract_default):
 
 
 def test_row_reductions_match_reference(contract_1025):
-    """The curvature columns of the last row, recomputed from the curvature
-    sample, the trust mask and the fourth-order combination on the interior
-    slice (three nodes clipped at each end)."""
-    trace = contract_1025
-    p = trace.final_profile
-    row = trace.rows[-1]
-    tau = trace.T - p.t
-    inner = slice(3, p.grid.N - 3)
-    trust = cf.c4_trust_mask(p)
-    itrust = trust[inner]
-    cs = cf.curvature_sample(p)
-    assert itrust.any()
+    """The curvature columns of a row, recomputed from the curvature sample,
+    the trust mask and the fourth-order combination on the interior slice
+    (three nodes clipped at each end): the last row of a run, whose inner
+    nodes are all trusted, and a row of the seed rebuilt at N = 8193, whose
+    untrusted inner nodes hold the unrestricted extremes of r1111, c4 and
+    |sigma2|.  There r11kk and rkkkk reach below r1111, so the row shows the
+    restriction of c4 and sigma2 but not of r1111."""
+    grid = cf.RhoGrid(12.0, 8193)
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, 2, 1)
+    fine = cf.profile_from_samples(seed.u, grid, seed.cls, 0.0, 2, 1)
+    cases = [(contract_1025.final_profile, contract_1025.rows[-1], contract_1025.T, True),
+             (fine, cf.sample_row(fine, 1.0, cf.Regime.CONTRACT), 1.0, False)]
+    for p, row, T, all_trusted in cases:
+        tau = T - p.t
+        inner = slice(3, p.grid.N - 3)
+        trust = cf.c4_trust_mask(p)
+        itrust = trust[inner]
+        cs = cf.curvature_sample(p)
+        assert itrust.any() and itrust.all() == all_trusted
 
-    # fourth-difference pieces (r1111, lambda1) count on trusted nodes only
-    proxy = np.max(np.stack([np.where(trust, np.abs(cs.r1111), 0.0),
-                             np.abs(cs.r11kk), np.abs(cs.rkkkk),
-                             np.where(trust, np.abs(cs.lambda1), 0.0),
-                             np.abs(cs.lambda2)]), axis=0)
-    sup = float(np.max(proxy[inner]))
-    bisec = min(float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner])),
-                float(np.min(cs.r1111[inner][itrust])))
-    c4min = float(np.min(cf.c4_combination(p)[inner][itrust]))
-    sigma2 = float(np.max(np.abs(cs.sigma[2])[inner][itrust]))
+        # fourth-difference pieces (r1111, lambda1) count on trusted nodes only
+        proxy = np.max(np.stack([np.where(trust, np.abs(cs.r1111), 0.0),
+                                 np.abs(cs.r11kk), np.abs(cs.rkkkk),
+                                 np.where(trust, np.abs(cs.lambda1), 0.0),
+                                 np.abs(cs.lambda2)]), axis=0)
+        sup = float(np.max(proxy[inner]))
+        bisec = min(float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner])),
+                    float(np.min(cs.r1111[inner][itrust])))
+        c4min = float(np.min(cf.c4_combination(p)[inner][itrust]))
+        sigma2 = float(np.max(np.abs(cs.sigma[2])[inner][itrust]))
 
-    assert row.supRm == sup
-    assert row.typeI == tau * sup
-    assert row.bisec_min == bisec
-    assert row.bisec_min_scaled == tau * bisec
-    assert row.c4_min_scaled == tau * c4min
-    assert row.lambda_div_scaled == tau * float(cs.lambda2[0])
-    assert row.sigma == (tau * sigma2 / sup,)
+        assert row.supRm == sup
+        assert row.typeI == tau * sup
+        assert row.bisec_min == bisec
+        assert row.bisec_min_scaled == tau * bisec
+        assert row.c4_min_scaled == tau * c4min
+        assert row.lambda_div_scaled == tau * float(cs.lambda2[0])
+        assert row.sigma == (tau * sigma2 / sup,)
+        if not all_trusted:
+            assert np.min(cs.r1111[inner]) < np.min(cs.r1111[inner][itrust])
+            assert np.min(cs.c4[inner]) < c4min
+            assert np.max(np.abs(cs.sigma[2][inner])) > sigma2
 
 
 def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import calabiflow as cf
+from calabiflow import profile
 from checkpoint_codec import decode_samples, encode_samples
 
 THREE_LOG_TWO = 3.0 * math.log(2.0)
@@ -268,6 +269,130 @@ def test_fit_tail_without_a_positive_finite_weight_is_flat(kind):
     least-squares fit: the model is the outermost value, with no modes."""
     z = np.linspace(2.0, 3.0, 20)
     assert cf.profile._fit_tail(z, _weights(kind)) == cf.profile.TailFit(2.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# position-only arrays, computed once per (grid, k)
+
+def _perturbed_profile(grid, n, k):
+    """A profile rebuilt from a seed with a bump at the center, so that the
+    tail fits and the guards see a potential that is not the seed's."""
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, n, k)
+    u = seed.u + 1e-3 * np.exp(-grid.nodes**2)
+    return cf.profile_from_samples(u, grid, seed.cls, 0.0, n, k)
+
+
+def _bitwise_state(p):
+    """Every array and tail coefficient of a profile, its tail-guarded arrays
+    and its trace row, as bytes, so equal means bit for bit."""
+    arrays = (p.u, p.du, p.d2u, p.d3u, p.d4u, *p._guarded)
+    return ([a.tobytes() for a in arrays], p.tail_left, p.tail_right,
+            repr(cf.sample_row(p, 1.0, cf.Regime.CONTRACT)))
+
+
+def _geometry_arrays(geo):
+    def walk(item):
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            for sub in item:
+                yield from walk(sub)
+    return list(walk((geo.fits, geo.ghosts, geo.zones, geo.model_zone)))
+
+
+def test_geometry_cache_is_invisible_in_the_results():
+    """A cold cache, a warm one and an equal but distinct grid object give
+    the same profile, guarded arrays and row, bit for bit."""
+    profile._geometry.cache_clear()
+    cold = _bitwise_state(_perturbed_profile(cf.RhoGrid(12.0, 1025), 2, 1))
+    assert profile._geometry.cache_info().misses == 1
+    warm = _bitwise_state(_perturbed_profile(cf.RhoGrid(12.0, 1025), 2, 1))
+    grid = cf.RhoGrid(12.0, 1025)
+    assert profile._geometry(grid, 1) is profile._geometry(cf.RhoGrid(12.0, 1025), 1)
+    distinct = _bitwise_state(_perturbed_profile(grid, 2, 1))
+    assert profile._geometry.cache_info().misses == 1
+    assert cold == warm == distinct
+
+
+def test_geometry_cache_keys_on_grid_and_k():
+    """Grids that differ in L or in N, and another k, each get their own
+    entry, and every cached array is read-only."""
+    profile._geometry.cache_clear()
+    keys = [(cf.RhoGrid(12.0, 1025), 1), (cf.RhoGrid(16.0, 1025), 1),
+            (cf.RhoGrid(12.0, 513), 1), (cf.RhoGrid(12.0, 1025), 2)]
+    entries = [profile._geometry(grid, k) for grid, k in keys]
+    assert profile._geometry.cache_info().currsize == len(keys)
+    assert len({id(geo) for geo in entries}) == len(keys)
+    for (grid, k), geo in zip(keys, entries):
+        assert geo.model_zone.shape == (grid.N,) and geo.h4 == grid.h**4
+        assert [s for s, *_ in geo.zones] == [k, -k]
+        arrays = _geometry_arrays(geo)
+        assert len(arrays) == 2 * (2 + 3 + 4) + 1
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+
+def _formula_profile(u, grid, cls, n, k):
+    """profile_from_samples with the fit bands, ghosts and guards formed on
+    the spot from the grid, by boolean masks: the formulas the cached
+    geometry stands for."""
+    rho, h = grid.nodes, grid.h
+    width = min(profile.TAIL_BAND_WIDTH / k, grid.L / 3.0)
+    m = min(max(int(round(width / h)) + 1, profile.MIN_FIT_NODES), grid.N // 3)
+    left = profile._fit_tail(u[:m] - cls.a * rho[:m], np.exp(k * rho[:m]))
+    right = profile._fit_tail((u[-m:] - cls.b * rho[-m:])[::-1], np.exp(-k * rho[-m:])[::-1])
+    gl = rho[0] + h * np.array([-3.0, -2.0, -1.0])
+    gr = rho[-1] + h * np.array([1.0, 2.0, 3.0])
+    padded = np.concatenate([
+        cls.a * gl + left.base + left.amp * np.exp(k * gl) + left.amp2 * np.exp(2 * k * gl), u,
+        cls.b * gr + right.base + right.amp * np.exp(-k * gr)
+        + right.amp2 * np.exp(-2 * k * gr)])
+    d = [profile._apply_stencil(padded, order, h) for order in (1, 2, 3, 4)]
+    return cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=n, k=k, u=u, du=d[0], d2u=d[1],
+                            d3u=d[2], d4u=d[3], tail_left=left, tail_right=right)
+
+
+def _formula_guard_tails(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = p.d3u / p.d2u
+        c4 = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
+    lo, hi = profile.LN_W_MODEL, profile.LN_W_RAW
+    model_zone = np.zeros(p.grid.N, dtype=bool)
+    for tail, s in ((p.tail_left, p.k), (p.tail_right, -p.k)):
+        x = s * p.grid.nodes
+        zone = x < hi
+        model_zone |= x <= lo
+        x = x[zone]
+        E, F, w = tail.amp, tail.amp2, np.exp(x)
+        weight = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+        weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
+                      -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
+        for out, model in zip((G, c4), models):
+            raw = out[zone]
+            model = np.where(weak | ~np.isfinite(model), raw, model)
+            out[zone] = weight * raw + (1.0 - weight) * model
+    noise = (profile.FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
+             / p.grid.h**4 / p.d2u**2)
+    ref = abs(float(c4[p.grid.center]))
+    trust = model_zone | (noise <= profile.C4_TRUST_REL * (np.abs(c4) + ref))
+    return G, c4, trust
+
+
+@pytest.mark.parametrize("n, k, L", [(2, 1, 1.0), (2, 1, 2.0), (3, 2, 1.0), (2, 1, 12.0)])
+def test_geometry_matches_the_formulas(n, k, L, monkeypatch):
+    """The cached geometry gives what the formulas give on the spot, also
+    on grids with L < 3/k, where no node lies in either guard zone."""
+    grid = cf.RhoGrid(L, 513)
+    p = _perturbed_profile(grid, n, k)
+    assert all((zone.stop - zone.start == 0) == (L < 3.0 / k)
+               for _, zone, *_ in profile._geometry(grid, k).zones)
+    state = _bitwise_state(p)
+    monkeypatch.setattr(profile, "_guard_tails", _formula_guard_tails)
+    assert _bitwise_state(_formula_profile(p.u, grid, p.cls, n, k)) == state
 
 
 # ---------------------------------------------------------------------------
