@@ -23,13 +23,28 @@ against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
 by the one helper that the error filter uses too; dgtsv comes from
 scipy's compiled LAPACK module, loaded without the scipy.linalg package.
-Newton stops after an undamped update delta_k when sup|delta_k| is below
-TOL_NEWTON, or when it follows an undamped delta_(k-1) and the
-contraction estimate theta = |delta_k|/|delta_(k-1)| < 1 bounds the error
-left, theta/(1-theta) |delta_k|, by TOL_NEWTON (Hairer-Wanner, Solving
-ODEs II, IV.8).  The trapezoidal stage starts from u_n; the BDF2 stage
-starts from the linear extrapolation u_n + (u_gamma - u_n)/gamma, or from
-u_n when that is not admissible.
+Updates are measured in the gauge-free sup norm |delta| =
+sup|delta - delta[c]|, and Newton stops after the undamped update delta_k
+once eta |delta_k| <= TOL_NEWTON.  After an undamped delta_(k-1), eta =
+theta/(1-theta) with the contraction theta = |delta_k|/|delta_(k-1)|
+(Hairer-Wanner, Solving ODEs II, IV.8).  Otherwise eta is carried: the
+trapezoidal stage judges its first update by the eta that the previous
+step's BDF2 stage measured, scaled up by the ratio of the update sizes when
+this one is larger, and ends after one solve when that is enough; eta is 1
+after a damped update or without a measurement.  The BDF2 stage, whose
+solution is the step's result, measures its own contraction: its second
+solve is what keeps the tail samples that the monitors' tail fits read at
+the accuracy those fits need.  StepStats.residual is the estimate
+eta |delta| that ended the BDF2 stage.
+
+Each stage starts from a prediction (Hosea and Shampine, cited below): the
+Lagrange extrapolation of the last solution points to its time.  The
+trapezoidal stage extrapolates the previous step's start and trapezoidal
+stage value and u_n, the BDF2 stage that stage value, u_n and u_gamma.  A
+state that step() did not make carries no history: its trapezoidal stage
+starts from u_n and its BDF2 stage from the linear extrapolation of u_n
+and u_gamma.  A prediction that the admissibility rule refuses falls back
+to u_n.
 
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
@@ -59,7 +74,7 @@ rejected attempts for the run log.
 Admissibility is one rule, _rule: finite samples with u' > 0 and
 u'' > FLOOR_U2 by central differences at every interior node.  It runs
 once per sample vector, and the vector is then used with the differences
-it took: each damped Newton iterate, the extrapolated BDF2 start, and the
+it took: each damped Newton iterate, each predicted start, and the
 accepted stage solution (rejected if its gauge shift rounds it off the
 rule), whose differences serve the error filter and, carried by the
 returned state, the next step's f_n and first Newton step.  A state that
@@ -126,6 +141,8 @@ def _load_flapack():
 
 
 dgtsv = _load_flapack().dgtsv
+# the ufunc reductions, without the Python wrapper of ndarray.min/.max
+_amin, _amax = np.minimum.reduce, np.maximum.reduce
 
 
 class FlowError(RuntimeError):
@@ -151,10 +168,14 @@ DT_INIT = 1e-6
 DT_MIN = 1e-13
 SAFETY = 0.9
 MAX_GROWTH = 4.0
-# Newton stop tolerance and iteration limit, and the floor on u'' of _rule
+# Newton stop tolerance and iteration limit; the contraction factor eta an
+# update is judged by when none has been measured; the floor on u'' of _rule
 TOL_NEWTON = 1e-10
 NEWTON_MAX_ITER = 12
+ETA_START = 1.0
 FLOOR_U2 = 1e-10
+# the contraction (eta, update size) of a stage that measured none
+_UNMEASURED = (ETA_START, math.inf)
 
 
 @dataclass(frozen=True)
@@ -172,7 +193,8 @@ class StepControl:
 @dataclass(frozen=True)
 class StepStats:
     """One accepted step.  newton_iters sums the Newton iterations of both
-    stages; residual belongs to the last (BDF2) stage."""
+    stages; residual is the estimate eta |delta| of the error left in the
+    last (BDF2) stage that ended its Newton iteration."""
 
     dt: float
     dt_next: float
@@ -187,22 +209,30 @@ class FlowState:
     """Samples u at time t on grid, with the stats of the step that made
     them.  Stepping reads only u, t and grid; `profile` is built from them
     on first read and kept.  A state step() returns also carries the
-    differences of u, so the next step does not take them again."""
+    differences of u, so the next step does not take them again, the
+    solution points (t, u) of the step that made it, its start and its
+    trapezoidal stage value, from which the next stages are predicted, and
+    the Newton contraction that its BDF2 stage measured (see
+    _solve_stage)."""
 
     def __init__(self, profile: CalabiProfile, params: FlowParams,
                  stats: StepStats | None = None):
         self._profile: CalabiProfile | None = profile
         self._diffs: tuple[np.ndarray, np.ndarray] | None = None
+        self._past: tuple[tuple[float, np.ndarray], ...] = ()
+        self._contraction = _UNMEASURED
         self.params = params
         self.stats = stats
         self.u, self.t, self.grid = profile.u, profile.t, profile.grid
 
     @classmethod
     def _from_samples(cls, u: np.ndarray, diffs: tuple[np.ndarray, np.ndarray],
-                      t: float, grid: RhoGrid, params: FlowParams,
-                      stats: StepStats) -> "FlowState":
+                      t: float, grid: RhoGrid, params: FlowParams, stats: StepStats,
+                      past: tuple[tuple[float, np.ndarray], ...],
+                      contraction: tuple[float, float]) -> "FlowState":
         state = cls.__new__(cls)
         state._profile, state._diffs = None, diffs
+        state._past, state._contraction = past, contraction
         state.params, state.stats = params, stats
         state.u, state.t, state.grid = u, t, grid
         return state
@@ -220,33 +250,47 @@ class FlowState:
 # admissibility: the one rule that step() and validate_profile() apply
 
 def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d1, d2) at interior nodes 1..N-2 by central differences."""
-    d1 = (w[2:] - w[:-2]) / (2.0 * h)
-    d2 = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
+    """(d1, d2) at interior nodes 1..N-2 by central differences: d1 =
+    (w[2:] - w[:-2]) / (2h) and d2 = (w[:-2] - 2 w[1:-1] + w[2:]) / h^2,
+    evaluated in that order in place, so with one array allocated each."""
+    d1 = np.subtract(w[2:], w[:-2])
+    d1 /= 2.0 * h
+    d2 = np.multiply(w[1:-1], 2.0)
+    np.subtract(w[:-2], d2, out=d2)
+    d2 += w[2:]
+    d2 /= h**2
     return d1, d2
+
+
+def _admissible(w: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> bool:
+    """The verdict of the rule on w with differences (d1, d2).  A non-finite
+    interior sample leaves a difference at its node or a neighbour nan or
+    of the wrong sign, and min() of an array holding nan is nan, so the
+    minima of the differences and the two end samples decide."""
+    return (_amin(d1) > 0.0 and _amin(d2) > FLOOR_U2
+            and math.isfinite(w.item(0)) and math.isfinite(w.item(-1)))
 
 
 def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The admissibility rule: the differences (d1, d2) at interior nodes
     1..N-2, and the mask of the nodes it refuses, a non-finite sample or an
     interior node without u' > 0 and u'' > FLOOR_U2, or None if there are
-    none.  A non-finite interior sample leaves a difference at its node or
-    a neighbour nan or of the wrong sign, so the differences and the two
-    end samples decide; the mask is formed only for a refused w."""
+    none.  The mask is formed only for a refused w."""
     with np.errstate(invalid="ignore"):
         d1, d2 = _second_diffs(w, h)
-        ok = (d1 > 0.0) & (d2 > FLOOR_U2)
-    if ok.all() and math.isfinite(w[0]) and math.isfinite(w[-1]):
+    if _admissible(w, d1, d2):
         return d1, d2, None
     bad = ~np.isfinite(w)
-    bad[1:-1] |= ~ok
+    bad[1:-1] |= ~((d1 > 0.0) & (d2 > FLOOR_U2))
     return d1, d2, bad
 
 
 def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(d1, d2) of admissible samples, or None."""
-    d1, d2, bad = _rule(w, h)
-    return (d1, d2) if bad is None else None
+    """(d1, d2) of admissible samples, or None: the rule's verdict without
+    its mask.  It leaves numpy's error state alone, so a caller that may
+    pass non-finite samples holds np.errstate(invalid="ignore")."""
+    d1, d2 = _second_diffs(w, h)
+    return (d1, d2) if _admissible(w, d1, d2) else None
 
 
 @dataclass(frozen=True)
@@ -324,24 +368,34 @@ _E_G = -_ERR_COEF / (_GAMMA * (1.0 - _GAMMA))
 _E_1 = _ERR_COEF / (1.0 - _GAMMA)
 
 
+def _work(N: int) -> tuple[np.ndarray, ...]:
+    """Buffers for _stage_matrix_solve on N nodes: the three diagonals and
+    two interior arrays, overwritten by each call."""
+    return np.empty(N - 1), np.empty(N), np.empty(N - 1), np.empty(N - 2), np.empty(N - 2)
+
+
 def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
-                        n: int, efac: float, b: np.ndarray) -> tuple[np.ndarray, float]:
+                        n: int, efac: float, b: np.ndarray, c: int,
+                        work: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
     """Solve M x = b, M the stage Jacobian at differences (d1, d2), and
-    return x with sup|x|, which is finite exactly when x is.
+    return x with sup|x - x[c]|, its size with the gauge constant removed,
+    which is finite exactly when x is.
 
     Interior rows of M are I - ddt df/dw, tridiagonal; each closure row's
     third entry is eliminated against its interior neighbour, in M and in
-    b (which is overwritten), so the system is one dgtsv call.
+    b (which is overwritten), so the system is one dgtsv call.  M is
+    written into the buffers work (see _work).
     """
-    curv = (ddt / h**2) / d2
-    drift = (ddt * (n - 1) / (2.0 * h)) / d1
-    N = b.size
-    diag = np.empty(N)
-    dl = np.empty(N - 1)
-    du = np.empty(N - 1)
-    diag[1:-1] = 1.0 + 2.0 * curv
-    dl[:-1] = drift - curv
-    du[1:] = -(curv + drift)
+    dl, diag, du, curv, drift = work
+    np.divide(ddt / h**2, d2, out=curv)
+    np.divide(ddt * (n - 1) / (2.0 * h), d1, out=drift)
+    inner = diag[1:-1]
+    np.multiply(curv, 2.0, out=inner)
+    inner += 1.0
+    np.subtract(drift, curv, out=dl[:-1])
+    upper = du[1:]
+    np.add(curv, drift, out=upper)
+    np.negative(upper, out=upper)
     # entries as Python floats, which round as numpy scalars do at less cost;
     # the reciprocals stay numpy's, so a zero pivot gives inf, not an exception
     r = float(1.0 / du[1])
@@ -356,10 +410,14 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
                              overwrite_du=True, overwrite_b=True)
     if info != 0:
         raise _StepFailure(f"tridiagonal solve failed: info={info}")
-    sup = float(np.abs(x).max())
-    if not math.isfinite(sup):
+    # sup|x - x[c]| from the extremes, with no temporary: rounding is
+    # monotone and symmetric, so this is np.abs(x - x[c]).max() bit for bit,
+    # and a non-finite entry leaves one of the two terms non-finite
+    xc = x.item(c)
+    size = max(float(_amax(x)) - xc, xc - float(_amin(x)))
+    if not math.isfinite(size):
         raise _StepFailure("nonfinite tridiagonal solution")
-    return x, sup
+    return x, size
 
 
 def _solve_stage(
@@ -372,54 +430,109 @@ def _solve_stage(
     cls_new: KahlerClass,
     n: int,
     k: int,
-) -> tuple[np.ndarray, int, float]:
+    contraction: tuple[float, float],
+) -> tuple[np.ndarray, int, float, tuple[float, float]]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
     of cls_new, by damped Newton from the admissible start w, whose
     differences are diffs; f(w) = log w'' + (n-1) log w' - n rho.  Returns
-    (w, iterations, residual), the residual taken at the start of the last
-    iteration.
+    (w, iterations, error, contraction): error is the estimate
+    eta |delta| of the error left that ended the iteration.
+
+    Updates are measured with the gauge constant removed,
+    |delta| = sup|delta - delta[c]|: one Newton step removes a constant
+    error exactly, and the gauge shift discards one anyway.  After the
+    undamped update delta_k with an undamped predecessor,
+    theta = |delta_k|/|delta_(k-1)| and eta = theta/(1 - theta)
+    (Hairer-Wanner, Solving ODEs II, IV.8).  Newton stops once
+    eta |delta_k| <= TOL_NEWTON.  A contraction is the pair (eta, s) of
+    the factor measured last and the size s = |delta_(k-1)| of the update
+    it was measured on, or _UNMEASURED; the one given judges the first
+    undamped update, and the one returned is this stage's.  Newton's theta
+    grows with the update it contracts (theta_k ~ K |delta_(k-1)|), so an
+    update delta without an undamped predecessor is judged by
+    eta max(1, |delta|/s), never by less than eta; after a damped update,
+    by ETA_START.
 
     The system is solved without the gauge constant, and the converged
     solution is shifted so that its center value is center.
     """
-    h, c = grid.h, grid.center
+    h, c, N = grid.h, grid.center, grid.N
     efac = math.expm1(k * h)
     # interior rows: F = w - (rhs - ddt n rho) - ddt (log u'' + (n-1) log u')
     base = rhs - ddt * n * grid.nodes[1:-1]
+    work = _work(N)
+    log2, log1 = np.empty(N - 2), np.empty(N - 2)
 
-    F = np.empty(grid.N)
+    F = np.empty(N)
     res = math.inf
-    prev_full = None  # sup|delta| of the previous update, if undamped
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        d1, d2 = diffs
-        F[1:-1] = w[1:-1] - base - ddt * (np.log(d2) + (n - 1) * np.log(d1))
-        F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
-        res = float(np.abs(F).max())
-        if not math.isfinite(res):
-            raise _StepFailure("nonfinite residual")
-        delta, sup_delta = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F)
-        lam = 1.0
-        for _ in range(9):
-            w_try = w - delta if lam == 1.0 else w - lam * delta
-            diffs = _valid(w_try, h)
-            if diffs is not None:
-                break
-            lam *= 0.5
-        else:
-            raise _StepFailure("damping exhausted: iterate leaves admissible cone")
-        w = w_try
-        if lam < 1.0:
-            prev_full = None
-            continue
-        # stop on an undamped update below tolerance or, after two undamped
-        # updates in a row, on the contraction estimate of the error left
-        theta = sup_delta / prev_full if prev_full is not None else math.inf
-        if sup_delta <= TOL_NEWTON or (
-                theta < 1.0 and theta / (1.0 - theta) * sup_delta <= TOL_NEWTON):
-            return w - (w[c] - center), it, res
-        prev_full = sup_delta
+    prev = None  # |delta| of the previous update, if undamped
+    eta, ref = contraction
+    with np.errstate(invalid="ignore"):
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            d1, d2 = diffs
+            np.log(d2, out=log2)
+            np.log(d1, out=log1)
+            if n != 2:  # times 1 is exact
+                log1 *= n - 1
+            log2 += log1
+            log2 *= ddt
+            interior = F[1:-1]
+            np.subtract(w[1:-1], base, out=interior)
+            interior -= log2
+            F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
+            res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, nan if any entry is
+            if not math.isfinite(res):
+                raise _StepFailure("nonfinite residual")
+            delta, size = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F, c, work)
+            lam = 1.0
+            for _ in range(9):
+                w_try = w - delta if lam == 1.0 else w - lam * delta
+                diffs = _valid(w_try, h)
+                if diffs is not None:
+                    break
+                lam *= 0.5
+            else:
+                raise _StepFailure("damping exhausted: iterate leaves admissible cone")
+            w, F = w_try, delta  # dgtsv's output holds the next residual
+            if lam < 1.0:
+                prev, (eta, ref) = None, _UNMEASURED
+                continue
+            if prev is None:
+                judge = eta * max(1.0, size / ref)
+            else:
+                theta = size / prev
+                eta = judge = theta / (1.0 - theta) if theta < 1.0 else math.inf
+            error = judge * size if size > 0.0 else 0.0
+            if error <= TOL_NEWTON:
+                measured = prev is not None and size > 0.0
+                return w - (w[c] - center), it, error, (eta, prev) if measured else _UNMEASURED
+            prev = size
     raise _StepFailure(f"Newton stalled after {NEWTON_MAX_ITER} iterations "
                        f"(residual {res:.3e})")
+
+
+def _start(points: tuple[tuple[float, np.ndarray], ...], t: float, u: np.ndarray,
+           diffs: tuple[np.ndarray, np.ndarray],
+           h: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Start of a stage solve to time t, with its differences: the Lagrange
+    extrapolation through the solution points (t_i, u_i) to t, or u_n with
+    its differences diffs when there is one point or the rule refuses the
+    extrapolation."""
+    if len(points) > 1:
+        w = term = None
+        for i, (ti, ui) in enumerate(points):
+            weight = 1.0
+            for j, (tj, _) in enumerate(points):
+                if j != i:
+                    weight *= (t - tj) / (ti - tj)
+            if w is None:
+                w, term = np.multiply(ui, weight), np.empty_like(ui)
+            else:
+                w += np.multiply(ui, weight, out=term)
+        w_diffs = _valid(w, h)
+        if w_diffs is not None:
+            return w, w_diffs
+    return u, diffs
 
 
 def _velocity(d1: np.ndarray, d2: np.ndarray, grid: RhoGrid, n: int) -> np.ndarray:
@@ -444,17 +557,26 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     if t >= ctl.t_stop_fraction * T:
         raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
 
-    diffs = state._diffs or _valid(u, grid.h)
+    h = grid.h
+    diffs = state._diffs
     if diffs is None:
-        bad = np.flatnonzero(_rule(u, grid.h)[2])
-        raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= FLOOR_U2 "
-                        f"or a non-finite sample at {bad.size} node(s), first at "
-                        f"rho={grid.nodes[bad[0]]:.6g}")
+        d1, d2, bad = _rule(u, h)
+        if bad is not None:
+            bad = np.flatnonzero(bad)
+            raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= FLOOR_U2 "
+                            f"or a non-finite sample at {bad.size} node(s), first at "
+                            f"rho={grid.nodes[bad[0]]:.6g}")
+        diffs = d1, d2
 
     dt = min(state.stats.dt_next if state.stats is not None else DT_INIT, 0.25 * (T - t))
     f_n = _velocity(*diffs, grid, n)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
+    # solution points the stages are predicted from: the previous step's
+    # start and trapezoidal stage value, if the state carries them, and u_n
+    past = state._past + ((t, u),)
+    contraction = state._contraction
+    efac = math.expm1(k * h)
     rejected: list[str] = []
     while True:
         hit_cap = False
@@ -464,35 +586,34 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             if dt <= 0.0:
                 raise FlowError(f"event time {t_cap} not ahead of t={t}")
         ddt = _D * dt
+        t_g = t + _GAMMA * dt
         try:
-            # TR stage to t + gamma dt, from u
+            # TR stage to t + gamma dt, its first update judged by the
+            # contraction the last BDF2 stage measured
             rhs = u_in + ddt * f_n
-            u_g, iters_g, _ = _solve_stage(
-                u, diffs, u[c], rhs, ddt, grid, class_at(params, t + _GAMMA * dt), n, k)
+            u_g, iters_g, _, _ = _solve_stage(
+                *_start(past, t_g, u, diffs, h), u[c], rhs, ddt, grid,
+                class_at(params, t_g), n, k, contraction)
             f_g = (u_g[1:-1] - rhs) / ddt
-            # BDF2 stage to t + dt, from the linear extrapolation of u, u_g
-            # when it is admissible, else from u
+            # BDF2 stage to t + dt.  Its solution is the step's result, whose
+            # tails the monitors' tail fits read, so it measures the
+            # contraction of its own updates
             rhs = _BDF2_SCALE * u_g[1:-1] - b_old
-            w0 = u + (u_g - u) / _GAMMA
-            diffs0 = _valid(w0, grid.h)
-            if diffs0 is None:
-                w0, diffs0 = u, diffs
-            u1, iters, res = _solve_stage(
-                w0, diffs0, u[c], rhs, ddt, grid, class_at(params, t + dt), n, k)
+            u1, iters, res, contraction = _solve_stage(
+                *_start(past[-2:] + ((t_g, u_g),), t + dt, u, diffs, h), u[c], rhs, ddt,
+                grid, class_at(params, t + dt), n, k, _UNMEASURED)
             f_1 = (u1[1:-1] - rhs) / ddt
             # embedded estimate, filtered through the stage matrix at u1
             est = np.zeros(grid.N)
             est[1:-1] = dt * (_E_N * f_n + _E_G * f_g + _E_1 * f_1)
-            diffs1 = _valid(u1, grid.h)
+            diffs1 = _valid(u1, h)
             if diffs1 is None:  # only the rounding of the gauge shift can do this
                 raise _StepFailure("stage solution inadmissible after the gauge shift")
-            est, _ = _stage_matrix_solve(*diffs1, ddt, grid.h, n,
-                                         math.expm1(k * grid.h), est)
+            # the gauge constant is invisible: the size has the center pinned
+            _, err = _stage_matrix_solve(*diffs1, ddt, h, n, efac, est, c, _work(grid.N))
         except _StepFailure as exc:
-            reason, factor = str(exc), 0.5
+            reason, factor, contraction = str(exc), 0.5, _UNMEASURED
         else:
-            # the gauge constant is invisible: compare with the center pinned
-            err = float(np.abs(est - est[c]).max())
             factor = MAX_GROWTH if err == 0.0 else min(
                 MAX_GROWTH, max(0.2, SAFETY * (ctl.tol_step / err) ** (1.0 / 3.0)))
             if err <= ctl.tol_step:
@@ -509,7 +630,8 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters_g + iters,
                       residual=res, error=err, retries=len(rejected),
                       rejected=tuple(rejected))
-    return FlowState._from_samples(u1, diffs1, t_new, grid, params, stats)
+    return FlowState._from_samples(u1, diffs1, t_new, grid, params, stats,
+                                   ((t, u), (t_g, u_g)), contraction)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,20 @@ def test_sigma_definition_matches_eigenvalues():
     assert_allclose(s3[c], lam1[c] * lam2[c] ** 2, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, k, b", [(2, 1, 4.0), (3, 1, 6.0), (4, 1, 4.0)])
+def test_sigma_is_the_general_term_bit_for_bit(n, k, b):
+    """sigma[1], formed as (n-1) lambda2 + lambda1, equals the general term
+    C(n-1, j) lambda2^j + C(n-1, j-1) lambda1 lambda2^(j-1) at j = 1 bit
+    for bit, and so does every other sigma[j]."""
+    p = cf.build_canonical_profile(cf.KahlerClass(1.0, b), cf.RhoGrid(12.0, 513), n=n, k=k)
+    cs = cf.curvature_sample(p)
+    lam1, lam2 = cs.lambda1, cs.lambda2
+    assert list(cs.sigma) == list(range(1, n + 1))
+    for j, sigma in cs.sigma.items():
+        general = math.comb(n - 1, j) * lam2**j + math.comb(n - 1, j - 1) * lam1 * lam2 ** (j - 1)
+        assert np.array_equal(sigma, general, equal_nan=True), j
+
+
 def test_scalar_routes_agree_on_moment_interior(contract_seed, contract_default):
     """The eigenvalue sum sigma_1 and the explicit expansion are
     independent algebraic routes; on nodes at least 10% of the class width

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 import calabiflow as cf
-from calabiflow import diagnostics, profile
+from calabiflow import diagnostics, flow, profile
 
 HEADER_N2 = ("t,a,b,supRm,typeI,H_sup,G_sup,G_inf,bisec_min,bisec_min_scaled,"
              "c4_min_scaled,lambda_div_scaled,sigma2,vol_quad,vol_class,"
@@ -160,6 +160,24 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
         assert not arr.flags.writeable
     assert cf.ratio_g(p) is cf.ratio_g(p)
     assert len(evaluations) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the right tail fit's second mode "
+                   "amp2 rests on 1e-12 features of u, and ratio_g extrapolates it")
+def test_inf_g_does_not_follow_a_newton_sized_perturbation():
+    """Moving u by a tenth of TOL_NEWTON inside the right fit band moves a
+    row's inf G by less than 1e-6.  It fails today: on the contract seed at
+    (16, 2731) the refitted amp2 flips from -1.50 to +4.29 and inf G reads
+    -1.032 instead of -0.99999977, below criterion 4's bound of -1."""
+    params = cf.FlowParams(2, 1, 1.0, 4.0)
+    seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(16.0, 2731), 2, 1)
+    rho = seed.grid.nodes
+    bump = 0.1 * flow.TOL_NEWTON * np.exp(-(((rho - 14.5) / 0.7) ** 2))
+    T = cf.singular_time(params).T
+    g_inf = [diagnostics.sample_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1),
+                                    T, cf.Regime.CONTRACT).G_inf
+             for u in (seed.u, seed.u - bump)]
+    assert abs(g_inf[1] - g_inf[0]) < 1e-6
 
 
 def test_volume_identity_on_seed(contract_seed):
