@@ -23,28 +23,20 @@ against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
 by the one helper that the error filter uses too; dgtsv comes from
 scipy's compiled LAPACK module, loaded without the scipy.linalg package.
-Updates are measured in the gauge-free sup norm |delta| =
-sup|delta - delta[c]|, and Newton stops after the undamped update delta_k
-once eta |delta_k| <= TOL_NEWTON.  After an undamped delta_(k-1), eta =
-theta/(1-theta) with the contraction theta = |delta_k|/|delta_(k-1)|
-(Hairer-Wanner, Solving ODEs II, IV.8).  Otherwise eta is carried: the
-trapezoidal stage judges its first update by the eta that the previous
-step's BDF2 stage measured, scaled up by the ratio of the update sizes when
-this one is larger, and ends after one solve when that is enough; eta is 1
-after a damped update or without a measurement.  The BDF2 stage, whose
-solution is the step's result, measures its own contraction: its second
-solve is what keeps the tail samples that the monitors' tail fits read at
-the accuracy those fits need.  StepStats.residual is the estimate
-eta |delta| that ended the BDF2 stage.
-
-Each stage starts from a prediction (Hosea and Shampine, cited below): the
-Lagrange extrapolation of the last solution points to its time.  The
-trapezoidal stage extrapolates the previous step's start and trapezoidal
-stage value and u_n, the BDF2 stage that stage value, u_n and u_gamma.  A
-state that step() did not make carries no history: its trapezoidal stage
-starts from u_n and its BDF2 stage from the linear extrapolation of u_n
-and u_gamma.  A prediction that the admissibility rule refuses falls back
-to u_n.
+Updates are measured in the gauge-free sup norm sup|delta - delta[c]|,
+and Newton stops once eta |delta_k| <= TOL_NEWTON, with eta =
+theta/(1-theta) and theta = |delta_k|/|delta_(k-1)| after an undamped
+delta_(k-1) (Hairer-Wanner, Solving ODEs II, IV.8).  The trapezoidal
+stage judges its first update by the eta the previous BDF2 stage measured
+(see _solve_stage), so it mostly ends after one solve; the BDF2 stage,
+whose solution the monitors' tail fits read, measures its own.
+StepStats.residual is the eta |delta| that ended the BDF2 stage.  Each
+stage starts from the Lagrange extrapolation of the last solution points
+to its time (Hosea and Shampine, cited below): the previous step's start
+and trapezoidal stage value and u_n for the trapezoidal stage, that stage
+value, u_n and u_gamma for the BDF2 stage.  Without that history (a state
+step() did not make) they start from u_n and from the line through u_n
+and u_gamma; a prediction the rule refuses falls back to u_n.
 
 The gauge only fixes the additive constant of u, which the Kahler form
 never sees.  Every interior term, both closure rows and c(t) itself depend
@@ -438,20 +430,13 @@ def _solve_stage(
     (w, iterations, error, contraction): error is the estimate
     eta |delta| of the error left that ended the iteration.
 
-    Updates are measured with the gauge constant removed,
     |delta| = sup|delta - delta[c]|: one Newton step removes a constant
-    error exactly, and the gauge shift discards one anyway.  After the
-    undamped update delta_k with an undamped predecessor,
-    theta = |delta_k|/|delta_(k-1)| and eta = theta/(1 - theta)
-    (Hairer-Wanner, Solving ODEs II, IV.8).  Newton stops once
-    eta |delta_k| <= TOL_NEWTON.  A contraction is the pair (eta, s) of
-    the factor measured last and the size s = |delta_(k-1)| of the update
-    it was measured on, or _UNMEASURED; the one given judges the first
-    undamped update, and the one returned is this stage's.  Newton's theta
-    grows with the update it contracts (theta_k ~ K |delta_(k-1)|), so an
-    update delta without an undamped predecessor is judged by
-    eta max(1, |delta|/s), never by less than eta; after a damped update,
-    by ETA_START.
+    error exactly, and the gauge shift discards one anyway.  A contraction
+    is the pair (eta, s) of the factor last measured and the size
+    s = |delta_(k-1)| it was measured on, or _UNMEASURED.  An undamped
+    update delta with no undamped predecessor is judged by the given
+    contraction as eta max(1, |delta|/s): Newton's theta grows with the
+    update it contracts.  After a damped update that is ETA_START.
 
     The system is solved without the gauge constant, and the converged
     solution is shifted so that its center value is center.
@@ -472,8 +457,7 @@ def _solve_stage(
             d1, d2 = diffs
             np.log(d2, out=log2)
             np.log(d1, out=log1)
-            if n != 2:  # times 1 is exact
-                log1 *= n - 1
+            log1 *= n - 1
             log2 += log1
             log2 *= ddt
             interior = F[1:-1]
