@@ -430,13 +430,14 @@ def _solve_stage(
     (w, iterations, error, contraction): error is the estimate
     eta |delta| of the error left that ended the iteration.
 
-    |delta| = sup|delta - delta[c]|: one Newton step removes a constant
-    error exactly, and the gauge shift discards one anyway.  A contraction
+    Updates are measured as |delta| = sup|delta - delta[c]|: one Newton
+    step removes a constant error exactly, and the gauge shift discards
+    one anyway.  A contraction
     is the pair (eta, s) of the factor last measured and the size
     s = |delta_(k-1)| it was measured on, or _UNMEASURED.  An undamped
     update delta with no undamped predecessor is judged by the given
     contraction as eta max(1, |delta|/s): Newton's theta grows with the
-    update it contracts.  After a damped update that is ETA_START.
+    update it contracts.  After a damped update eta is ETA_START.
 
     The system is solved without the gauge constant, and the converged
     solution is shifted so that its center value is center.
