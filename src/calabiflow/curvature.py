@@ -18,11 +18,12 @@ the elementary symmetric functions sigma_j of the eigenvalues and that
 proxy; the trace monitors reduce its arrays.
 
 The ratios entering curvature_sample are the tail-guarded ones of
-profile.py, formed once per profile however often they are read, and the
-proxy counts the fourth-difference pieces only where profile.py's trust
-mask credits them.  scalar_curvature is the deliberate exception: it
-expands R in raw finite differences, so that its agreement with sigma_1
-cross-checks the stencils on interior nodes.
+profile.py, formed once per profile: raw differences wherever the tail
+model misses them by more than rounding noise.  The proxy counts the
+fourth-difference pieces only where profile.py's trust mask credits
+them.  scalar_curvature is the deliberate exception: it expands R in raw
+finite differences, so that its agreement with sigma_1 cross-checks the
+stencils on interior nodes.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import CalabiProfile
+from .profile import CalabiProfile, ratio_g
 
 # evaluation points per window for C^1 distances and soliton fits
 WINDOW_SAMPLES = 801
@@ -137,17 +137,14 @@ def moment_profile(p: CalabiProfile, K: float = 1.0) -> MomentProfile:
     window, so the conversion keeps the longest strictly increasing run
     of u' containing the center and drops the rest.
 
-    Slopes are the raw ratio u'''/u'' at the nodes of that run where it is
-    finite, not the tail-guarded ``ratio_g``: after magnification a
-    comparison window reaches into ratio_g's pure-model zone, where the
-    two-mode tail fit would stand in for the solution.
+    Slopes are ``ratio_g``, the u'''/u'' the monitors read, at the nodes of
+    that run where it is finite.
     """
     # steps where u' does not rise, NaN included, between sentinels at both ends
     stops = np.r_[-1, np.flatnonzero(~(np.diff(p.du) > 0.0)), p.grid.N - 1]
     i = np.searchsorted(stops, p.grid.center)
     core = slice(stops[i - 1] + 1, stops[i] + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = p.d3u[core] / p.d2u[core]
+    dphi = ratio_g(p)[core]
     keep = np.isfinite(dphi)
     if int(keep.sum()) < 4:
         raise MomentDomainError(

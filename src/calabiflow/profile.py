@@ -9,13 +9,12 @@ truncated grid rho in [-L, L].
 Boundary handling: beyond the grid the potential follows its asymptotic
 model u = a*rho + D + E*e^(k*rho) + F*e^(2*k*rho) (mirrored on the right),
 which encodes smoothness of the metric across the zero and infinity
-divisors.  Ghost nodes for the high-order stencils, and the guarded
-evaluation of ratios like u'''/u'' deep in the tails, both come from that
-model.  Raw third and fourth differences are rounding-limited wherever u''
-is a few orders below its peak, so the guarded forms are the ones monitors
-should use; c4_trust_mask marks the nodes where fourth-difference output
-is credible at all.  What fits, ghosts and guards need of the grid and k
-alone is formed once per (grid, k) by the cache _geometry, as read-only arrays.
+divisors.  Ghost nodes for the high-order stencils come from that model,
+and so do the guarded u'''/u'' and c4 where the model matches the raw
+differences to within their rounding noise; c4_trust_mask marks the nodes
+where fourth-difference output is credible at all.  What fits, ghosts and
+guards need of the grid and k alone is formed once per (grid, k) by the
+cache _geometry, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -37,22 +36,13 @@ import numpy as np
 CHECKPOINT_VERSION = 2
 
 # The boundary model is fitted on a band of fixed rho-width next to each
-# edge (per unit k, capped by a third of the half-width), and the guarded
-# evaluators blend model against raw stencil values by tail position
-# w = e^(-k * dist) alone: full model weight for w <= 5e-3, full raw
-# weight for w >= 5e-2.  Position-based weights stay meaningful when a
-# class endpoint degenerates, which profile-dependent normalizations
-# do not.
+# edge (per unit k, capped by a third of the half-width).
 TAIL_BAND_WIDTH = 3.0
-LN_W_MODEL = math.log(5e-3)
-LN_W_RAW = math.log(5e-2)
 MIN_FIT_NODES = 8
 
-# Rounding-noise scale of the fourth-difference stencil, as a multiple of
-# eps * sup|u| / h^4 (the stencil's absolute coefficient sum is ~27).
-FD4_NOISE_COEF = 32.0
-# A node is trusted when that noise, carried through the fourth-order
-# combination, stays below this fraction of the local magnitude.
+# A node is trusted when the rounding noise of the fourth difference,
+# carried through the fourth-order combination, stays below this fraction
+# of the local magnitude.
 C4_TRUST_REL = 0.05
 
 
@@ -151,9 +141,9 @@ class CalabiProfile:
     The arrays are treated as immutable after construction.  d3u and d4u
     are raw centered differences; tail-sensitive combinations should go
     through ratio_g / c4_combination below, which switch to the boundary
-    model where the raw differences lose significance.  One pass forms
-    those two together with c4_trust_mask, the first time any of them is
-    read, and the profile keeps its read-only result.
+    model where it describes the samples.  One pass forms those two
+    together with c4_trust_mask, the first time any of them is read, and
+    the profile keeps its read-only result.
     """
 
     grid: RhoGrid
@@ -222,6 +212,8 @@ _STENCILS = {
     3: (3, np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0),
     4: (3, np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0),
 }
+# rounding noise of the order-3 and order-4 differences, per eps sup|u| / h^order
+_NOISE_SUM = {order: float(np.abs(_STENCILS[order][1]).sum()) for order in (3, 4)}
 
 
 def _apply_stencil(padded: np.ndarray, order: int, h: float) -> np.ndarray:
@@ -231,7 +223,7 @@ def _apply_stencil(padded: np.ndarray, order: int, h: float) -> np.ndarray:
     return np.convolve(arr, coeffs[::-1], mode="valid") / h**order
 
 
-_Geometry = namedtuple("_Geometry", "fits ghosts zones model_zone h4")
+_Geometry = namedtuple("_Geometry", "fits ghosts halves h3 h4")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -243,25 +235,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _geometry(grid: RhoGrid, k: int) -> _Geometry:
     """Per end, s = +k (left) or -k (right): the fit band's w, outermost node
     first, with its _design; the ghost rho with e^(s k rho) and e^(2 s k rho);
-    the guard zone's s, slice, w, w^2, w^3 and blend weight.  Read-only."""
-    rho, h, N = grid.nodes, grid.h, grid.N
+    the guard's s, half slice, slice of the half's three ghost-read end
+    nodes, and w = e^(s rho), w^2, w^3 on the half.  Read-only."""
+    rho, h, N, c = grid.nodes, grid.h, grid.N, grid.center
     width = min(TAIL_BAND_WIDTH / k, grid.L / 3.0)
     m = min(max(int(round(width / h)) + 1, MIN_FIT_NODES), N // 3)
-    fits, ghosts, zones = [], [], []
-    for s, band, g in ((k, rho[:m], rho[0] + h * np.array([-3.0, -2.0, -1.0])),
-                       (-k, rho[-m:], rho[-1] + h * np.array([1.0, 2.0, 3.0]))):
+    fits, ghosts, halves = [], [], []
+    for s, band, g, half, edge in (
+            (k, rho[:m], rho[0] + h * np.array([-3.0, -2.0, -1.0]), slice(0, c), slice(0, 3)),
+            (-k, rho[-m:], rho[-1] + h * np.array([1.0, 2.0, 3.0]), slice(c + 1, N),
+             slice(c - 3, c))):
         # reversed after exp: numpy's exp may round a reversed view differently
         w = _read_only(np.exp(s * band)[::1 if s > 0 else -1])
         fits.append((w, _design(w)))
         ghosts.append(tuple(map(_read_only, (g, np.exp(s * g), np.exp(2 * s * g)))))
-        x = s * rho
-        count = int(np.count_nonzero(x < LN_W_RAW))  # a run of nodes from the end
-        zone = slice(0, count) if s > 0 else slice(N - count, N)
-        w = np.exp(x[zone])
-        weight = np.clip((x[zone] - LN_W_MODEL) / (LN_W_RAW - LN_W_MODEL), 0.0, 1.0)
-        zones.append((s, zone, *map(_read_only, (w, w**2, w**3, weight))))
-    model_zone = _read_only((k * rho <= LN_W_MODEL) | (-k * rho <= LN_W_MODEL))
-    return _Geometry(tuple(fits), tuple(ghosts), tuple(zones), model_zone, h**4)
+        w = np.exp(s * rho[half])
+        halves.append((s, half, edge, *map(_read_only, (w, w**2, w**3))))
+    return _Geometry(tuple(fits), tuple(ghosts), tuple(halves), h**3, h**4)
 
 
 def _design(w: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -401,40 +391,43 @@ def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tail-guarded (G, c4, trust) of a profile, as read-only arrays.
 
     G = u'''/u'' and c4 = -u''''/u''^2 + u'''^2/u''^3 start as raw
-    differences.  On each end's zone, k*rho < ln 5e-2 on the left and
-    -k*rho < ln 5e-2 on the right, they blend by tail position
-    w = e^(s*rho), s = +k (left) or -k (right), into that end's boundary
-    model, which has full weight for w <= 5e-3.  Within the model
-    G = s (E + 8 F w) / (E + 4 F w) and c4 = -4 E F w^3 / (E w + 4 F w^2)^3;
-    the raw value stands in wherever the model is not finite or its own
-    first correction |4 F w| reaches |E| / 2.
+    differences, with rounding noise S3 eps sup|u| / (h^3 |u''|) and
+    S4 eps sup|u| / (h^4 u''^2), S3 and S4 the stencils' absolute
+    coefficient sums.  Left of the center (s = +k) and right of it
+    (s = -k), that end's boundary model with w = e^(s*rho),
+    G = s (E + 8 F w) / (E + 4 F w) and c4 = -4 E F w^3 / (E w + 4 F w^2)^3,
+    replaces a raw value where it is finite and within that noise of it,
+    or at the three end nodes whose stencils read the ghosts.  Elsewhere
+    the raw value stands: the model does not describe the solution there.
 
-    trust marks the nodes where c4 is numerically credible: the pure-model
-    nodes, and those where the raw stencil noise eps * sup|u| / h^4, carried
-    through c4, stays below C4_TRUST_REL times the local magnitude
-    (referenced to the center value, so near-zero stretches of an otherwise
-    active profile are not spuriously trusted).  Between the model zone and
-    the raw-trust zone there can be a genuine gap when a class endpoint
-    degenerates.
+    trust marks the nodes where c4 is numerically credible: the model's,
+    and those where the raw noise stays below C4_TRUST_REL times the local
+    magnitude (referenced to the center value, so near-zero stretches of
+    an otherwise active profile are not spuriously trusted).  Between the
+    two there can be a genuine gap when a class endpoint degenerates.
     """
     geo = _geometry(p.grid, p.k)
+    d2u, d3u = p.d2u, p.d3u
+    scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
+    modelled = np.zeros(p.grid.N, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = p.d3u / p.d2u
-        c4 = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
-    for tail, (s, zone, w, w2, w3, weight) in zip((p.tail_left, p.tail_right), geo.zones):
-        E, F = tail.amp, tail.amp2
-        weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        G = d3u / d2u
+        c4 = (d3u * d3u - p.d4u * d2u) / (d2u * d2u * d2u)
+        noises = (_NOISE_SUM[3] * scale / geo.h3 / np.abs(d2u),
+                  _NOISE_SUM[4] * scale / geo.h4 / (d2u * d2u))
+        for tail, (s, half, edge, w, w2, w3) in zip((p.tail_left, p.tail_right), geo.halves):
+            E, F = tail.amp, tail.amp2
             models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
                       -4.0 * E * F * w3 / (E * w + 4.0 * F * w2) ** 3)
-        for out, model in zip((G, c4), models):
-            raw = out[zone]
-            model = np.where(weak | ~np.isfinite(model), raw, model)
-            out[zone] = weight * raw + (1.0 - weight) * model
-    noise = (FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
-             / geo.h4 / p.d2u**2)
-    ref = abs(float(c4[p.grid.center]))
-    trust = geo.model_zone | (noise <= C4_TRUST_REL * (np.abs(c4) + ref))
+            for out, model, noise in zip((G, c4), models, noises):
+                raw = out[half]
+                use = np.abs(model - raw) <= noise[half]
+                use[edge] = True
+                use &= np.isfinite(model)
+                np.copyto(raw, model, where=use)
+            modelled[half] = use  # c4's, the last pass
+        ref = abs(float(c4[p.grid.center]))
+        trust = modelled | (noises[1] <= C4_TRUST_REL * (np.abs(c4) + ref))
     return _read_only(G), _read_only(c4), _read_only(trust)
 
 
@@ -444,7 +437,7 @@ def ratio_h(p: CalabiProfile) -> np.ndarray:
 
 
 def ratio_g(p: CalabiProfile) -> np.ndarray:
-    """u'''/u'', switching to the boundary model near the ends."""
+    """u'''/u'', switching to the boundary model where it describes the samples."""
     return p._guarded[0]
 
 

@@ -267,3 +267,93 @@ def test_blowup_report_checks_singular_time(contract_default):
 def test_blowup_report_rejects_other_regimes(collapse_run):
     with pytest.raises(cf.RegimeMismatchError):
         cf.blowup_report(list(collapse_run.checkpoints), T=0.5, n=2, k=1)
+
+
+# ---------------------------------------------------------------------------
+# Type I constant against exact solitons
+
+def _exp_sum(m, z):
+    """e_m(z) = sum_{j <= m} z^j / j!."""
+    return sum(z**j / math.factorial(j) for j in range(m + 1))
+
+
+def _moment_rm_proxy(x, phi, n):
+    """The curvature proxy of curvature_sample for a profile phi(x) in
+    moment coordinates: H = phi/x, G = phi', c4 = -phi''."""
+    G = np.gradient(phi, x, edge_order=2)
+    c4 = -np.gradient(G, x, edge_order=2)
+    H = phi / x
+    parts = (0.5 * c4, c4 - (n - 1) * H * (G - H) / phi, (n - (n - 1) * H - G) / x,
+             (H - G) / x, (1.0 - H) / x)
+    return np.max(np.abs(np.stack(parts)), axis=0)
+
+
+def _koiso_cao(n, k):
+    """Phi_KC(X) = X^(1-n) e^(mu X) [F(X) - F(a)] on (a, b) = (n - k, n + k),
+    F(y) = (n!/mu^(n+1)) e^(-mu y) [e_n(mu y) - mu e_(n-1)(mu y)], with mu
+    found by bisection on F(b) = F(a)."""
+    a, b = n - k, n + k
+
+    def F(y, mu):
+        return (math.factorial(n) / mu ** (n + 1) * np.exp(-mu * y)
+                * (_exp_sum(n, mu * y) - mu * _exp_sum(n - 1, mu * y)))
+
+    def gap(mu):
+        return F(b, mu) - F(a, mu)
+
+    lo, hi = 0.1, 1.0
+    assert gap(lo) * gap(hi) < 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) * gap(lo) > 0.0 else (lo, mid)
+    mu = 0.5 * (lo + hi)
+    return lambda X: X ** (1 - n) * np.exp(mu * X) * (F(X, mu) - F(a, mu))
+
+
+def test_type_one_monitor_is_flat_on_the_exact_koiso_cao_flow():
+    """Seeded with the Koiso-Cao soliton of the class (1, 3) = T (n - k, n + k),
+    the flow is that soliton magnified by 1/(T - t) at every t, so every row
+    after the seed reads one Type I constant (T - t) sup|Rm|, to 1 %.  The
+    seed solves dx/drho = Phi_KC(x), u' = x from x(0) = n."""
+    n, k = 2, 1
+    phi = _koiso_cao(n, k)
+    grid = cf.RhoGrid(12.0, 1025)
+    rho, c = grid.nodes, grid.center
+
+    def rhs(_, y):
+        return [phi(y[0]), y[0]]
+
+    left, right = (solve_ivp(rhs, (0.0, nodes[-1]), [float(n), 0.0], t_eval=nodes,
+                             method="DOP853", rtol=1e-13, atol=1e-15)
+                   for nodes in (rho[c::-1], rho[c:]))
+    assert left.success and right.success
+    u = np.concatenate([left.y[1][::-1], right.y[1][1:]])
+    params = cf.FlowParams(n, k, 1.0, 3.0)
+    seed = cf.profile_from_samples(u, grid, cf.class_at(params, 0.0), 0.0, n, k)
+    trace = cf.run(params, grid=grid, seed_profile=seed)
+    assert trace.rows[-1].t == 0.999
+    values = [row.typeI for row in trace.rows[1:]]
+    assert max(values) / min(values) - 1.0 <= 0.01
+
+
+def test_type_one_constant_matches_the_fik_shrinker(contract_wide):
+    """On the magnified window u'/(T - t) in [1.05, 8], (T - t) times the sup
+    of the curvature proxy over inner nodes is within 1 % of the
+    Feldman-Ilmanen-Knopf shrinker's at every checkpoint j >= 4.  The
+    shrinker is phi(x) = (2/mu^3) x^-1 [e_2(mu x) - mu e_1(mu x)],
+    mu = sqrt(2); its proxy, by differences on 2e5 points, reads 0.9336
+    there."""
+    mu = math.sqrt(2.0)
+    x = np.linspace(1.0001, 9.0, 200_001)
+    shrinker = 2.0 / mu**3 / x * (_exp_sum(2, mu * x) - mu * _exp_sum(1, mu * x))
+    window = (x >= 1.05) & (x <= 8.0)
+    exact = float(np.max(_moment_rm_proxy(x, shrinker, 2)[window]))
+    late = [ck for ck in contract_wide.checkpoints if ck.j >= 4]
+    assert len(late) == 6
+    for ck in late:
+        p = ck.profile
+        tau = contract_wide.T - p.t
+        inner = slice(3, p.grid.N - 3)
+        X = p.du[inner] / tau
+        proxy = cf.curvature_sample(p).rm_proxy[inner][(X >= 1.05) & (X <= 8.0)]
+        assert abs(tau * float(np.max(proxy)) / exact - 1.0) <= 0.01, ck.j

@@ -153,7 +153,7 @@ def test_flat_model_annihilation_finite_differences():
 def test_trust_mask_healthy_seed_and_late_gap(contract_seed, contract_default):
     """On the seed every node is either raw-resolvable or model-covered.
     Late in a contraction a gap of untrusted nodes opens between the two
-    zones on the degenerating side."""
+    on the degenerating side."""
     mask = cf.c4_trust_mask(contract_seed)
     assert mask.dtype == bool
     assert mask.all()

@@ -297,7 +297,7 @@ def _geometry_arrays(geo):
         elif isinstance(item, tuple):
             for sub in item:
                 yield from walk(sub)
-    return list(walk((geo.fits, geo.ghosts, geo.zones, geo.model_zone)))
+    return list(walk((geo.fits, geo.ghosts, geo.halves)))
 
 
 def test_geometry_cache_is_invisible_in_the_results():
@@ -324,10 +324,10 @@ def test_geometry_cache_keys_on_grid_and_k():
     assert profile._geometry.cache_info().currsize == len(keys)
     assert len({id(geo) for geo in entries}) == len(keys)
     for (grid, k), geo in zip(keys, entries):
-        assert geo.model_zone.shape == (grid.N,) and geo.h4 == grid.h**4
-        assert [s for s, *_ in geo.zones] == [k, -k]
+        assert geo.h3 == grid.h**3 and geo.h4 == grid.h**4
+        assert [s for s, *_ in geo.halves] == [k, -k]
         arrays = _geometry_arrays(geo)
-        assert len(arrays) == 2 * (2 + 3 + 4) + 1
+        assert len(arrays) == 2 * (2 + 3 + 3)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -355,44 +355,72 @@ def _formula_profile(u, grid, cls, n, k):
 
 
 def _formula_guard_tails(p):
+    """The guard's rule written with boolean masks over the whole grid: the
+    model replaces a raw value on its own side of the center where it is
+    finite and within the raw value's rounding noise, or at the three end
+    nodes whose stencils read the ghosts."""
+    N, c, rho = p.grid.N, p.grid.center, p.grid.nodes
+    d2u, d3u, d4u = p.d2u, p.d3u, p.d4u
+    scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
+    node = np.arange(N)
+    modelled = np.zeros(N, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = p.d3u / p.d2u
-        c4 = (-p.d4u * p.d2u + p.d3u**2) / p.d2u**3
-    lo, hi = profile.LN_W_MODEL, profile.LN_W_RAW
-    model_zone = np.zeros(p.grid.N, dtype=bool)
-    for tail, s in ((p.tail_left, p.k), (p.tail_right, -p.k)):
-        x = s * p.grid.nodes
-        zone = x < hi
-        model_zone |= x <= lo
-        x = x[zone]
-        E, F, w = tail.amp, tail.amp2, np.exp(x)
-        weight = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        weak = np.abs(4.0 * F * w) >= 0.5 * abs(E)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        G = d3u / d2u
+        c4 = (d3u * d3u - d4u * d2u) / (d2u * d2u * d2u)
+        noises = (_coef_sum(3) * scale / p.grid.h**3 / np.abs(d2u),
+                  _coef_sum(4) * scale / p.grid.h**4 / (d2u * d2u))
+        for tail, s, side, end in ((p.tail_left, p.k, node < c, node < 3),
+                                   (p.tail_right, -p.k, node > c, node >= N - 3)):
+            E, F = tail.amp, tail.amp2
+            w = np.ones(N)
+            w[side] = np.exp(s * rho[side])
             models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
                       -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
-        for out, model in zip((G, c4), models):
-            raw = out[zone]
-            model = np.where(weak | ~np.isfinite(model), raw, model)
-            out[zone] = weight * raw + (1.0 - weight) * model
-    noise = (profile.FD4_NOISE_COEF * np.finfo(float).eps * float(np.max(np.abs(p.u)))
-             / p.grid.h**4 / p.d2u**2)
-    ref = abs(float(c4[p.grid.center]))
-    trust = model_zone | (noise <= profile.C4_TRUST_REL * (np.abs(c4) + ref))
+            for out, model, noise in zip((G, c4), models, noises):
+                use = side & np.isfinite(model) & ((np.abs(model - out) <= noise) | end)
+                out[use] = model[use]
+            modelled |= use
+        ref = abs(float(c4[c]))
+        trust = modelled | (noises[1] <= profile.C4_TRUST_REL * (np.abs(c4) + ref))
     return G, c4, trust
+
+
+def _coef_sum(order):
+    """Absolute coefficient sum of the order-3 or order-4 stencil: 5.5 or 26.67."""
+    return float(np.abs(profile._STENCILS[order][1]).sum())
 
 
 @pytest.mark.parametrize("n, k, L", [(2, 1, 1.0), (2, 1, 2.0), (3, 2, 1.0), (2, 1, 12.0)])
 def test_geometry_matches_the_formulas(n, k, L, monkeypatch):
-    """The cached geometry gives what the formulas give on the spot, also
-    on grids with L < 3/k, where no node lies in either guard zone."""
+    """The cached geometry gives what the formulas give on the spot, on
+    grids short and long against the tail scale 1/k."""
     grid = cf.RhoGrid(L, 513)
     p = _perturbed_profile(grid, n, k)
-    assert all((zone.stop - zone.start == 0) == (L < 3.0 / k)
-               for _, zone, *_ in profile._geometry(grid, k).zones)
     state = _bitwise_state(p)
     monkeypatch.setattr(profile, "_guard_tails", _formula_guard_tails)
     assert _bitwise_state(_formula_profile(p.u, grid, p.cls, n, k)) == state
+
+
+def test_guard_stays_within_rounding_noise_of_the_raw_ratios(contract_default):
+    """On the late contract checkpoints, away from the three ghost-read
+    nodes at each end, the guarded u'''/u'' and c4 differ from the raw
+    differences by at most the raw values' rounding noise,
+    5.5 eps sup|u| / (h^3 |u''|) and 26.67 eps sup|u| / (h^4 u''^2), the
+    factors being the stencils' absolute coefficient sums.  A guard that
+    swaps in the tail model by position alone breaks this once the
+    contracting structure moves into the model's zone."""
+    trace, _ = contract_default
+    for ck in (c for c in trace.checkpoints if c.j >= 5):
+        p = ck.profile
+        scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
+        inner = slice(3, p.grid.N - 3)
+        d2u, d3u, d4u = p.d2u[inner], p.d3u[inner], p.d4u[inner]
+        for guarded, raw, noise in (
+                (cf.ratio_g(p), d3u / d2u,
+                 _coef_sum(3) * scale / p.grid.h**3 / np.abs(d2u)),
+                (cf.c4_combination(p), (d3u * d3u - d4u * d2u) / (d2u * d2u * d2u),
+                 _coef_sum(4) * scale / p.grid.h**4 / (d2u * d2u))):
+            assert np.all(np.abs(guarded[inner] - raw) <= noise), ck.j
 
 
 # ---------------------------------------------------------------------------
