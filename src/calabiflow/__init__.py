@@ -54,7 +54,6 @@ from .profile import (
     c4_combination,
     c4_trust_mask,
     class_at,
-    fit_boundary_tails,
     load_checkpoint,
     profile_from_samples,
     ratio_g,
@@ -94,7 +93,6 @@ __all__ = [
     "divisor_diameter",
     "evolution_residuals",
     "fik_reference",
-    "fit_boundary_tails",
     "gaussian_reference",
     "infer_initial_class",
     "load_checkpoint",

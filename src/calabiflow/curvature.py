@@ -17,11 +17,11 @@ derivative ratios H, G and c4 and forms the eigenvalues, the components,
 the elementary symmetric functions sigma_j of the eigenvalues and that
 proxy; the trace monitors reduce its arrays.
 
-The ratios entering curvature_sample are the tail-guarded ones of
-profile.py, formed once per profile: raw differences wherever the tail
-model misses them by more than rounding noise.  The proxy counts the
-fourth-difference pieces only where profile.py's trust mask credits
-them.  scalar_curvature is the deliberate exception: it expands R in raw
+The ratios entering curvature_sample are those of profile.py, formed
+once per profile: raw differences, except that u'''/u'' takes the
+boundary tail's limit +-k where it lies within rounding noise of it.  The
+proxy counts the fourth-difference pieces only where profile.py's trust
+mask credits them.  scalar_curvature is the deliberate exception: it expands R in raw
 finite differences, so that its agreement with sigma_1 cross-checks the
 stencils on interior nodes.
 """

@@ -29,7 +29,7 @@ theta/(1-theta) and theta = |delta_k|/|delta_(k-1)| after an undamped
 delta_(k-1) (Hairer-Wanner, Solving ODEs II, IV.8).  The trapezoidal
 stage judges its first update by the eta the previous BDF2 stage measured
 (see _solve_stage), so it mostly ends after one solve; the BDF2 stage,
-whose solution the monitors' tail fits read, measures its own.
+whose solution the monitors read, measures its own.
 StepStats.residual is the eta |delta| that ended the BDF2 stage.  Each
 stage starts from the Lagrange extrapolation of the last solution points
 to its time (Hosea and Shampine, cited below): the previous step's start
@@ -73,7 +73,7 @@ returned state, the next step's f_n and first Newton step.  A state that
 step() did not make is checked when a step starts from it.  run() applies
 the rule to the seed before sampling its row, and validate_profile
 reports it node by node from u, the class and k alone.
-Stepping reads only the samples u; the full CalabiProfile (tail fits and
+Stepping reads only the samples u; the full CalabiProfile (ghost nodes and
 four derivative arrays) of an accepted state is built on first read, so a
 run builds it only for monitor rows, checkpoints and the final profile.
 """
@@ -310,14 +310,15 @@ class ValidationReport:
 def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     """The stepper's admissibility rule, the class range and the closures.
 
-    Reads u, the class and k, never the tail fits.  `finite` flags the
-    non-finite samples, `convexity` the nodes the rule refuses, so a profile
-    passes it exactly when a step starts from it, and `class-range` the
-    interior nodes whose u' leaves (a, b).  Violations name the offending
-    nodes (first 16).  The closure rows are the flow's, exact on an
-    affine-plus-exponential tail (a derivative form would amplify tail-fit
-    error by 1/h^2); their residuals, in slope units, are held to tol times
-    the nearest class endpoint.  tol must be finite and > 0.
+    Reads u, the class and k, never the profile's derivative arrays.
+    `finite` flags the non-finite samples, `convexity` the nodes the rule
+    refuses, so a profile passes it exactly when a step starts from it, and
+    `class-range` the interior nodes whose u' leaves (a, b).  Violations
+    name the offending nodes (first 16).  The closure rows are the flow's,
+    exact on an affine-plus-exponential tail (a derivative form would
+    amplify the tail's error by 1/h^2); their residuals, in slope units,
+    are held to tol times the nearest class endpoint.  tol must be finite
+    and > 0.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ProfileError(f"need a finite tol > 0, got {tol}")
@@ -580,9 +581,9 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                 *_start(past, t_g, u, diffs, h), u[c], rhs, ddt, grid,
                 class_at(params, t_g), n, k, contraction)
             f_g = (u_g[1:-1] - rhs) / ddt
-            # BDF2 stage to t + dt.  Its solution is the step's result, whose
-            # tails the monitors' tail fits read, so it measures the
-            # contraction of its own updates
+            # BDF2 stage to t + dt.  Its solution is the step's result, which
+            # the monitors read, so it measures the contraction of its own
+            # updates
             rhs = _BDF2_SCALE * u_g[1:-1] - b_old
             u1, iters, res, contraction = _solve_stage(
                 *_start(past[-2:] + ((t_g, u_g),), t + dt, u, diffs, h), u[c], rhs, ddt,

@@ -3,7 +3,9 @@
 A moment profile is the metric written as a function of the moment variable
 x = u'(rho): phi(x) = u''(rho(x)).  The change of variables makes profiles at
 different times and scales directly comparable, which is what the blow-up
-analysis needs.  Slopes transform by the chain rule, phi'(x) = u'''/u''.
+analysis needs.  Slopes transform by the chain rule, phi'(x) = u'''/u'',
+read as profile.ratio_g: the raw difference, or the boundary tail's limit
++-k (phi'(a) = k at the divisor) where the samples cannot tell them apart.
 
 moment_profile is the one conversion from a sampled potential.  It also
 magnifies: the metric of K*u has x = K u' and phi = K u'', while the slope

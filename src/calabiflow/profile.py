@@ -7,14 +7,14 @@ the sampled potential together with its first four derivatives on a uniform
 truncated grid rho in [-L, L].
 
 Boundary handling: beyond the grid the potential follows its asymptotic
-model u = a*rho + D + E*e^(k*rho) + F*e^(2*k*rho) (mirrored on the right),
-which encodes smoothness of the metric across the zero and infinity
-divisors.  Ghost nodes for the high-order stencils come from that model,
-and so do the guarded u'''/u'' and c4 where the model matches the raw
-differences to within their rounding noise; c4_trust_mask marks the nodes
-where fourth-difference output is credible at all.  What fits, ghosts and
-guards need of the grid and k alone is formed once per (grid, k) by the
-cache _geometry, as read-only arrays.
+model u = a*rho + D + E*e^(k*rho) (mirrored on the right), which encodes
+smoothness of the metric across the zero and infinity divisors.  The
+flow's closure rows hold each end on that model, and the ghost nodes for
+the high-order stencils continue it through the two end samples; nothing
+is fitted.  The guarded u'''/u'' takes the model's limit +-k only where
+the raw difference is within rounding noise of it, c4 stays the raw
+difference, and c4_trust_mask marks the nodes where that fourth-difference
+output is credible at all.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -34,11 +33,6 @@ import numpy as np
 
 # version 2 stores u as base64 of its little-endian float64 bytes
 CHECKPOINT_VERSION = 2
-
-# The boundary model is fitted on a band of fixed rho-width next to each
-# edge (per unit k, capped by a third of the half-width).
-TAIL_BAND_WIDTH = 3.0
-MIN_FIT_NODES = 8
 
 # A node is trusted when the rounding noise of the fourth difference,
 # carried through the fourth-order combination, stays below this fraction
@@ -122,28 +116,15 @@ class SingularTimeInfo:
 
 
 @dataclass(frozen=True)
-class TailFit:
-    """Coefficients (D, E, F) of the boundary model D + E*w + F*w^2.
-
-    w = e^(k*rho) at the left end, w = e^(-k*rho) at the right end, after
-    the affine part (a*rho, resp. b*rho) has been removed.
-    """
-
-    base: float
-    amp: float
-    amp2: float
-
-
-@dataclass(frozen=True)
 class CalabiProfile:
     """Potential samples and derivative arrays at one flow time.
 
     The arrays are treated as immutable after construction.  d3u and d4u
     are raw centered differences; tail-sensitive combinations should go
-    through ratio_g / c4_combination below, which switch to the boundary
-    model where it describes the samples.  One pass forms those two
-    together with c4_trust_mask, the first time any of them is read, and
-    the profile keeps its read-only result.
+    through ratio_g / c4_combination below, whose u'''/u'' takes the
+    boundary tail's limit where the samples cannot tell them apart.  One
+    pass forms those two together with c4_trust_mask, the first time any
+    of them is read, and the profile keeps its read-only result.
     """
 
     grid: RhoGrid
@@ -156,8 +137,6 @@ class CalabiProfile:
     d2u: np.ndarray
     d3u: np.ndarray
     d4u: np.ndarray
-    tail_left: TailFit
-    tail_right: TailFit
 
     def __post_init__(self):
         for name in ("u", "du", "d2u", "d3u", "d4u"):
@@ -223,86 +202,24 @@ def _apply_stencil(padded: np.ndarray, order: int, h: float) -> np.ndarray:
     return np.convolve(arr, coeffs[::-1], mode="valid") / h**order
 
 
-_Geometry = namedtuple("_Geometry", "fits ghosts halves h3 h4")
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
-@functools.lru_cache(maxsize=16)
-def _geometry(grid: RhoGrid, k: int) -> _Geometry:
-    """Per end, s = +k (left) or -k (right): the fit band's w, outermost node
-    first, with its _design; the ghost rho with e^(s k rho) and e^(2 s k rho);
-    the guard's s, half slice, slice of the half's three ghost-read end
-    nodes, and w = e^(s rho), w^2, w^3 on the half.  Read-only."""
-    rho, h, N, c = grid.nodes, grid.h, grid.N, grid.center
-    width = min(TAIL_BAND_WIDTH / k, grid.L / 3.0)
-    m = min(max(int(round(width / h)) + 1, MIN_FIT_NODES), N // 3)
-    fits, ghosts, halves = [], [], []
-    for s, band, g, half, edge in (
-            (k, rho[:m], rho[0] + h * np.array([-3.0, -2.0, -1.0]), slice(0, c), slice(0, 3)),
-            (-k, rho[-m:], rho[-1] + h * np.array([1.0, 2.0, 3.0]), slice(c + 1, N),
-             slice(c - 3, c))):
-        # reversed after exp: numpy's exp may round a reversed view differently
-        w = _read_only(np.exp(s * band)[::1 if s > 0 else -1])
-        fits.append((w, _design(w)))
-        ghosts.append(tuple(map(_read_only, (g, np.exp(s * g), np.exp(2 * s * g)))))
-        w = np.exp(s * rho[half])
-        halves.append((s, half, edge, *map(_read_only, (w, w**2, w**3))))
-    return _Geometry(tuple(fits), tuple(ghosts), tuple(halves), h**3, h**4)
-
-
-def _design(w: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(wr, [1, w/wr, (w/wr)^2]) for wr = max w; no matrix unless wr > 0 is finite."""
-    wr = float(np.max(w))
-    if wr <= 0.0 or not math.isfinite(wr):
-        return wr, None
-    ws = w / wr
-    return wr, _read_only(np.stack([np.ones_like(ws), ws, ws * ws], axis=1))
-
-
-def _fit_tail(z: np.ndarray, w: np.ndarray, first: tuple | None = None) -> TailFit:
-    """Least-squares fit of z = base + amp*w + amp2*w^2, shrinking the band
-    from the inside until the fit is self-consistent.
-
-    z and w are ordered outermost node first; first, if given, is
-    _design(w).  The two-mode model holds only where |4*amp2*w|/amp, taken
-    at the innermost (largest-w) node, is small; the ratio blows up when
-    transition structure leaks into the band (late in a divisor contraction)
-    or when the leading amplitude is not positive.  Dropping the innermost
-    quarter repeatedly finds the stretch where the model actually holds.
-    """
-    m = len(z)
-    while True:
-        wr, A = first if first is not None and m == len(z) else _design(w[:m])
-        if A is None:
-            fit, ratio = TailFit(float(z[0]), 0.0, 0.0), math.inf
-        else:
-            coef, *_ = np.linalg.lstsq(A, z[:m], rcond=None)
-            fit = TailFit(float(coef[0]), float(coef[1] / wr), float(coef[2] / wr**2))
-            ratio = abs(4.0 * fit.amp2 * wr) / fit.amp if fit.amp > 0.0 else math.inf
-        if ratio <= 0.5 or m <= MIN_FIT_NODES:
-            return fit
-        m = max(MIN_FIT_NODES, (3 * m) // 4)
-
-
-def fit_boundary_tails(
-    u: np.ndarray, grid: RhoGrid, cls: KahlerClass, k: int
-) -> tuple[TailFit, TailFit]:
-    """Least-squares fit of the two-mode boundary model at each end.
-
-    The nominal fit band is the outermost stretch of nodes of rho-width
-    3/k (capped at L/3); each side is trimmed toward the boundary until
-    the fitted second mode stays subordinate across the band.
-    """
-    rho = grid.nodes
-    (w_left, first_left), (w_right, first_right) = _geometry(grid, k).fits
-    m = len(w_left)
-    left = _fit_tail(u[:m] - cls.a * rho[:m], w_left, first_left)
-    right = _fit_tail((u[-m:] - cls.b * rho[-m:])[::-1], w_right, first_right)
-    return left, right
+def _ghosts(u: np.ndarray, h: float, k: int, a: float,
+            b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Three ghost samples beyond each end, in grid order: the one-mode tail
+    a*rho + D + E*e^(k*rho) (b and e^(-k*rho) on the right) through the two
+    end samples, g_-m = u_0 - a m h + (u_1 - u_0 - a h) expm1(-m k h) /
+    expm1(k h) for m = 1, 2, 3.  Every triple of consecutive samples that
+    reaches a ghost satisfies closure_rows, so on a flow state, whose end
+    triples satisfy them too, the ghosts continue the tail the stepper holds."""
+    m = np.array([3.0, 2.0, 1.0])
+    q = np.expm1(-k * h * m) / math.expm1(k * h)
+    (u0, u1), (v1, v0) = u[:2].tolist(), u[-2:].tolist()
+    return (u0 - a * h * m + (u1 - u0 - a * h) * q,
+            (v0 + b * h * m + (v1 - v0 + b * h) * q)[::-1])
 
 
 def profile_from_samples(
@@ -313,24 +230,21 @@ def profile_from_samples(
     n: int,
     k: int,
 ) -> CalabiProfile:
-    """Profile with fourth-order centered derivatives and tail fits.
+    """Profile with fourth-order centered derivatives.
 
-    Ghost nodes extend the samples by the boundary model fitted to each
-    tail; this keeps the stencils fourth-order right up to the ends for
-    admissible profiles.
+    Ghost nodes extend the samples along the boundary tail that the
+    closure rows impose (_ghosts); this keeps the stencils fourth-order
+    right up to the ends for admissible profiles.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.N,):
         raise ProfileError(f"sample array has shape {u.shape}, expected ({grid.N},)")
     h = grid.h
-    left, right = fit_boundary_tails(u, grid, cls, k)
-    ghosts = [end * g_rho + tail.base + tail.amp * e1 + tail.amp2 * e2 for end, tail,
-              (g_rho, e1, e2) in zip((cls.a, cls.b), (left, right), _geometry(grid, k).ghosts)]
-    padded = np.concatenate([ghosts[0], u, ghosts[1]])
+    left, right = _ghosts(u, h, k, cls.a, cls.b)
+    padded = np.concatenate([left, u, right])
     return CalabiProfile(grid=grid, cls=cls, t=t, n=n, k=k, u=u,
                          du=_apply_stencil(padded, 1, h), d2u=_apply_stencil(padded, 2, h),
-                         d3u=_apply_stencil(padded, 3, h), d4u=_apply_stencil(padded, 4, h),
-                         tail_left=left, tail_right=right)
+                         d3u=_apply_stencil(padded, 3, h), d4u=_apply_stencil(padded, 4, h))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +263,6 @@ def build_canonical_profile(
         u''  = k (b-a) sig (1-sig)
         u''' = k^2 (b-a) sig (1-sig) (1-2 sig)
         u'''' = k^3 (b-a) sig (1-sig) (1 - 6 sig + 6 sig^2)
-    The tail fits are the exact series coefficients of the seed.
     """
     rho = grid.nodes
     ba = cls.b - cls.a
@@ -363,10 +276,8 @@ def build_canonical_profile(
     d2u = k * ba * sp
     d3u = k**2 * ba * sp * (1.0 - 2.0 * sig)
     d4u = k**3 * ba * sp * (1.0 - 6.0 * sig + 6.0 * sig**2)
-    tail = TailFit(0.0, ba / k, -ba / (2.0 * k))
     return CalabiProfile(grid=grid, cls=cls, t=0.0, n=n, k=k,
-                         u=u, du=du, d2u=d2u, d3u=d3u, d4u=d4u,
-                         tail_left=tail, tail_right=tail)
+                         u=u, du=du, d2u=d2u, d3u=d3u, d4u=d4u)
 
 
 # ---------------------------------------------------------------------------
@@ -390,44 +301,32 @@ def closure_rows(u: np.ndarray, h: float, efac: float,
 def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tail-guarded (G, c4, trust) of a profile, as read-only arrays.
 
-    G = u'''/u'' and c4 = -u''''/u''^2 + u'''^2/u''^3 start as raw
-    differences, with rounding noise S3 eps sup|u| / (h^3 |u''|) and
+    G = u'''/u'' and c4 = -u''''/u''^2 + u'''^2/u''^3 are raw differences,
+    with rounding noise S3 eps sup|u| / (h^3 |u''|) and
     S4 eps sup|u| / (h^4 u''^2), S3 and S4 the stencils' absolute
-    coefficient sums.  Left of the center (s = +k) and right of it
-    (s = -k), that end's boundary model with w = e^(s*rho),
-    G = s (E + 8 F w) / (E + 4 F w) and c4 = -4 E F w^3 / (E w + 4 F w^2)^3,
-    replaces a raw value where it is finite and within that noise of it,
-    or at the three end nodes whose stencils read the ghosts.  Elsewhere
-    the raw value stands: the model does not describe the solution there.
+    coefficient sums.  Left of the center G takes the boundary tail's
+    limit s = +k, and right of it s = -k, where the raw value is within
+    that noise of s: there the samples cannot tell the two apart.  c4
+    stays raw, since the one-mode tail gives it no value to take.
 
-    trust marks the nodes where c4 is numerically credible: the model's,
-    and those where the raw noise stays below C4_TRUST_REL times the local
-    magnitude (referenced to the center value, so near-zero stretches of
-    an otherwise active profile are not spuriously trusted).  Between the
-    two there can be a genuine gap when a class endpoint degenerates.
+    trust marks the nodes where c4 is numerically credible: its noise stays
+    below C4_TRUST_REL times the local magnitude (referenced to the center
+    value, so near-zero stretches of an otherwise active profile are not
+    spuriously trusted), and its stencil reads no ghost.  Late in a
+    contraction an untrusted gap opens on the degenerating side.
     """
-    geo = _geometry(p.grid, p.k)
     d2u, d3u = p.d2u, p.d3u
+    N, c, k, h = p.grid.N, p.grid.center, p.k, p.grid.h
     scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
-    modelled = np.zeros(p.grid.N, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         G = d3u / d2u
         c4 = (d3u * d3u - p.d4u * d2u) / (d2u * d2u * d2u)
-        noises = (_NOISE_SUM[3] * scale / geo.h3 / np.abs(d2u),
-                  _NOISE_SUM[4] * scale / geo.h4 / (d2u * d2u))
-        for tail, (s, half, edge, w, w2, w3) in zip((p.tail_left, p.tail_right), geo.halves):
-            E, F = tail.amp, tail.amp2
-            models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
-                      -4.0 * E * F * w3 / (E * w + 4.0 * F * w2) ** 3)
-            for out, model, noise in zip((G, c4), models, noises):
-                raw = out[half]
-                use = np.abs(model - raw) <= noise[half]
-                use[edge] = True
-                use &= np.isfinite(model)
-                np.copyto(raw, model, where=use)
-            modelled[half] = use  # c4's, the last pass
-        ref = abs(float(c4[p.grid.center]))
-        trust = modelled | (noises[1] <= C4_TRUST_REL * (np.abs(c4) + ref))
+        noise_g = _NOISE_SUM[3] * scale / h**3 / np.abs(d2u)
+        for s, half in ((k, slice(0, c)), (-k, slice(c + 1, N))):
+            np.copyto(G[half], s, where=np.abs(G[half] - s) <= noise_g[half])
+        ref = abs(float(c4[c]))
+        trust = _NOISE_SUM[4] * scale / h**4 / (d2u * d2u) <= C4_TRUST_REL * (np.abs(c4) + ref)
+    trust[:3] = trust[-3:] = False
     return _read_only(G), _read_only(c4), _read_only(trust)
 
 
@@ -437,12 +336,12 @@ def ratio_h(p: CalabiProfile) -> np.ndarray:
 
 
 def ratio_g(p: CalabiProfile) -> np.ndarray:
-    """u'''/u'', switching to the boundary model where it describes the samples."""
+    """u'''/u'', taking the boundary tail's limit where the samples match it."""
     return p._guarded[0]
 
 
 def c4_combination(p: CalabiProfile) -> np.ndarray:
-    """The combination -u''''/u''^2 + u'''^2/u''^3, tail-guarded."""
+    """The combination -u''''/u''^2 + u'''^2/u''^3 of raw differences."""
     return p._guarded[1]
 
 

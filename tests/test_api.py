@@ -18,8 +18,7 @@ PUBLIC = {
     "blowup_report", "blowup_window",
     "build_canonical_profile", "c1_distance", "c4_combination", "c4_trust_mask",
     "checkpoint_times", "class_at", "curvature_sample",
-    "divisor_diameter", "evolution_residuals", "fik_reference",
-    "fit_boundary_tails", "gaussian_reference",
+    "divisor_diameter", "evolution_residuals", "fik_reference", "gaussian_reference",
     "infer_initial_class", "load_checkpoint", "moment_profile",
     "profile_from_samples", "ratio_g", "ratio_h", "read_trace",
     "regime_indicator", "run", "sample_row",

@@ -24,10 +24,8 @@ def _flat_profile(grid):
     """u = e^rho with exact derivative arrays; curvature vanishes identically."""
     u = np.exp(grid.nodes)
     cls = _flat_class(grid)
-    flat = cf.profile.TailFit(0.0, 0.0, 0.0)
     return cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=u,
-                            du=u.copy(), d2u=u.copy(), d3u=u.copy(),
-                            d4u=u.copy(), tail_left=flat, tail_right=flat)
+                            du=u.copy(), d2u=u.copy(), d3u=u.copy(), d4u=u.copy())
 
 
 def test_eigenvalues_and_scalar_center(contract_seed):
@@ -151,18 +149,21 @@ def test_flat_model_annihilation_finite_differences():
 
 
 def test_trust_mask_healthy_seed_and_late_gap(contract_seed, contract_default):
-    """On the seed every node is either raw-resolvable or model-covered.
-    Late in a contraction a gap of untrusted nodes opens between the two
-    on the degenerating side."""
+    """On the seed every node of the core |rho| <= 6 is trusted, and the
+    three end nodes at each end, whose stencils read ghosts, are not.  Late
+    in a contraction the center stays trusted while a gap of untrusted
+    inner nodes lies between it and the degenerating end."""
     mask = cf.c4_trust_mask(contract_seed)
     assert mask.dtype == bool
-    assert mask.all()
+    assert mask[np.abs(contract_seed.grid.nodes) <= 6.0].all()
+    assert not mask[:3].any() and not mask[-3:].any()
 
     trace, _ = contract_default
     late = next(c.profile for c in trace.checkpoints if c.j == 9)
     late_mask = cf.c4_trust_mask(late)
-    assert late_mask[late.grid.center]
-    assert not late_mask.all()
+    c = late.grid.center
+    assert late_mask[c]
+    assert not late_mask[3:c].all()
 
 
 def test_norm_proxy_bounds_components(contract_seed):

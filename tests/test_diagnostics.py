@@ -95,23 +95,34 @@ def test_run_writes_log_and_checkpoints(contract_default):
     assert len(files) == 9
 
 
+def _fine_seed():
+    """The contract seed rebuilt from its samples at (12, 8193)."""
+    grid = cf.RhoGrid(12.0, 8193)
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, 2, 1)
+    return cf.profile_from_samples(seed.u, grid, seed.cls, 0.0, 2, 1)
+
+
 def test_row_reductions_match_reference(contract_1025):
     """The curvature columns of a row, recomputed from the curvature sample,
     the trust mask and the fourth-order combination on the interior slice
-    (three nodes clipped at each end): the last row of a run, whose inner
-    nodes are all trusted, and two profiles whose untrusted inner nodes
-    hold unrestricted extremes.  On the seed rebuilt at N = 8193 they hold
-    those of r1111 and c4, and r11kk and rkkkk reach below r1111, so the
-    row shows the restriction of c4 but not of r1111.  On the j = 9
-    checkpoint of the run they hold the extreme of |sigma2|."""
-    grid = cf.RhoGrid(12.0, 8193)
-    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, 2, 1)
-    fine = cf.profile_from_samples(seed.u, grid, seed.cls, 0.0, 2, 1)
+    (three nodes clipped at each end).  The seed rebuilt on the short grid
+    (4, 513) is trusted on every inner node.  The other profiles have
+    untrusted inner nodes that hold unrestricted extremes: in the raw
+    tails of the last row of a run those of r1111 and c4, and on the seed
+    rebuilt at N = 8193 and the j = 9 checkpoint also that of |sigma2|.
+    r11kk and rkkkk reach below the trusted r1111, so the row shows the
+    restriction of c4 but not of r1111."""
+    short = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(4.0, 513), 2, 1)
+    short = cf.profile_from_samples(short.u, short.grid, short.cls, 0.0, 2, 1)
+    fine = _fine_seed()
     late = next(c.profile for c in contract_1025.checkpoints if c.j == 9)
-    cases = [(contract_1025.final_profile, contract_1025.rows[-1], contract_1025.T, ()),
-             (fine, cf.sample_row(fine, 1.0, cf.Regime.CONTRACT), 1.0, ("r1111", "c4")),
+    cases = [(contract_1025.final_profile, contract_1025.rows[-1], contract_1025.T,
+              ("r1111", "c4")),
+             (short, cf.sample_row(short, 1.0, cf.Regime.CONTRACT), 1.0, ()),
+             (fine, cf.sample_row(fine, 1.0, cf.Regime.CONTRACT), 1.0,
+              ("r1111", "c4", "sigma2")),
              (late, cf.sample_row(late, contract_1025.T, cf.Regime.CONTRACT),
-              contract_1025.T, ("sigma2",))]
+              contract_1025.T, ("r1111", "c4", "sigma2"))]
     for p, row, T, untrusted_extremes in cases:
         tau = T - p.t
         inner = slice(3, p.grid.N - 3)
@@ -168,24 +179,56 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
     assert len(evaluations) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the right tail fit's second mode "
-                   "amp2 rests on 1e-12 features of u, and ratio_g extrapolates it")
 def test_inf_g_does_not_follow_a_newton_sized_perturbation():
-    """Moving u by a tenth of TOL_NEWTON inside the right fit band moves a
-    row's inf G by less than 1e-6.  It fails today: on the contract seed at
-    (16, 2731) the refitted amp2 flips from -1.50 to +4.29, and inf G reads
-    -1.00029 at rho = 9.9 instead of -0.99999977, below criterion 4's bound
-    of -1: there the flipped model stays within the raw ratio's rounding
-    noise, so the guard takes it."""
+    """Moving u by a tenth of TOL_NEWTON inside the right tail moves a
+    row's inf G by less than 1e-6 and its typeI by less than 1e-6.  A
+    least-squares tail fit read a second mode from 1e-12 features of u
+    there: on the contract seed at (16, 2731) this bump flipped it, inf G
+    read -1.00029 instead of -0.99999977, below criterion 4's bound of -1,
+    and typeI moved from 1.000 to 1.658.  The ghosts now continue the
+    closure relation, and no monitor reads an unresolved tail mode."""
     params = cf.FlowParams(2, 1, 1.0, 4.0)
     seed = cf.build_canonical_profile(cf.class_at(params, 0.0), cf.RhoGrid(16.0, 2731), 2, 1)
     rho = seed.grid.nodes
     bump = 0.1 * flow.TOL_NEWTON * np.exp(-(((rho - 14.5) / 0.7) ** 2))
     T = cf.singular_time(params).T
-    g_inf = [diagnostics.sample_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1),
-                                    T, cf.Regime.CONTRACT).G_inf
-             for u in (seed.u, seed.u - bump)]
-    assert abs(g_inf[1] - g_inf[0]) < 1e-6
+    rows = [diagnostics.sample_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1),
+                                   T, cf.Regime.CONTRACT)
+            for u in (seed.u, seed.u - bump)]
+    assert abs(rows[1].G_inf - rows[0].G_inf) < 1e-6
+    assert abs(rows[1].typeI - rows[0].typeI) < 1e-6
+
+
+@pytest.mark.parametrize("params, ctl", [
+    (cf.FlowParams(2, 1, 0.997, 4.01), cf.StepControl()),
+    (cf.FlowParams(2, 1, 1.0, 4.0), cf.StepControl(tol_step=8e-7)),
+], ids=["class-0.997-4.01", "tol_step-8e-7"])
+def test_inf_g_keeps_criterion_4_bound_near_the_preset(params, ctl):
+    """Criterion 4's bound inf G >= min(inf G(0), -1) - 1e-6 holds on two
+    runs next to the scorecard's own at (16, 2731), whose verdicts used to
+    hang on the fitted second tail mode (-1.0000196 and -1.00023)."""
+    trace = cf.run(params, ctl=ctl, grid=cf.RhoGrid(16.0, 2731))
+    bound = min(trace.rows[0].G_inf, -1.0) - 1e-6
+    assert min(r.G_inf for r in trace.rows) >= bound
+
+
+def test_divisor_eigenvalue_stays_positive_on_the_default_grid(contract_default):
+    """(T - t) lambda2 at the left grid end stays above 0.5 on every row of
+    the contract preset at (12, 2049); fitted ghosts that missed the end
+    samples made it read -4.85 at t = 0.998."""
+    trace, _ = contract_default
+    assert min(r.lambda_div_scaled for r in trace.rows) > 0.5
+
+
+def test_fine_seed_monitors_read_the_seed():
+    """On the seed rebuilt at (12, 8193) the Type I monitor reads 1 to
+    1e-3, and the trusted c4 is within 1e-2 of the seed's exact 2/3: no
+    tail model stands in where it misses the solution."""
+    p = _fine_seed()
+    assert abs(cf.sample_row(p, 1.0, cf.Regime.CONTRACT).typeI - 1.0) < 1e-3
+    trust = cf.c4_trust_mask(p)
+    assert trust.any()
+    assert np.max(np.abs(cf.c4_combination(p)[trust] - 2.0 / 3.0)) < 1e-2
 
 
 def test_volume_identity_on_seed(contract_seed):
@@ -211,10 +254,9 @@ def test_total_volume_simpson():
     grid = cf.RhoGrid(1.0, 257)
     rho = grid.nodes
     du = rho**2 + rho + 2.0
-    flat = cf.profile.TailFit(0.0, 0.0, 0.0)
     cubic = cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=np.zeros_like(rho),
                              du=du, d2u=2.0 * rho + 1.0, d3u=np.full_like(rho, 2.0),
-                             d4u=np.zeros_like(rho), tail_left=flat, tail_right=flat)
+                             d4u=np.zeros_like(rho))
     vol_quad, vol_class = cf.total_volume(cubic)
     assert vol_class == 7.5
     assert_allclose(vol_quad, vol_class, rtol=1e-14)

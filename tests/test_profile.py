@@ -1,4 +1,4 @@
-"""Profile construction, derivatives, tail fits and admissibility checks."""
+"""Profile construction, derivatives, ghost nodes and admissibility checks."""
 import dataclasses
 import json
 import math
@@ -129,20 +129,10 @@ def test_canonical_logistic_matches_expit(k):
     assert wide.du[0] == 1.0 and wide.du[-1] == 4.0
 
 
-def test_seed_tail_coefficients(contract_seed):
-    tl, tr = contract_seed.tail_left, contract_seed.tail_right
-    assert abs(tl.base) < 1e-9
-    assert_allclose(tl.amp, 3.0, rtol=1e-9)
-    assert_allclose(tl.amp2, -1.5, rtol=1e-6)
-    assert abs(tr.base) < 1e-9
-    assert_allclose(tr.amp, 3.0, rtol=1e-9)
-    assert_allclose(tr.amp2, -1.5, rtol=1e-6)
-
-
 def test_seed_fourth_order_combination_two_tier(contract_seed):
     """The seed satisfies -u''''u'' + u'''^2 = (2k/(b-a)) u''^3 identically;
-    discretely this is rounding-exact in the interior while the soft blend
-    into the boundary tail model allows a small bounded deviation."""
+    discretely this is rounding-exact in the interior, and the closed-form
+    derivative arrays keep a small bounded deviation out to the ends."""
     p = contract_seed
     c4 = cf.c4_combination(p)
     rho = p.grid.nodes
@@ -160,7 +150,6 @@ def test_seed_scales_with_k():
     c = p.grid.center
     assert_allclose(p.du[c], 4.0, rtol=1e-12)       # (a+b)/2
     assert_allclose(p.d2u[c], 3.0, rtol=1e-12)      # k(b-a)/4
-    assert_allclose(p.tail_left.amp, 3.0, rtol=1e-9)   # (b-a)/k
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +168,6 @@ def test_interior_stencils_are_fourth_order():
                         np.max(np.abs(p.d2u[sl] + np.sin(g.nodes[sl])))))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 30.0
-
-
-def test_tail_fit_recovers_planted_coefficients():
-    g = cf.RhoGrid(12.0, 513)
-    rho = g.nodes
-    cls = cf.KahlerClass(1.0, 4.0)
-    u = np.where(rho <= 0.0,
-                 1.0 * rho + 3.0 * np.exp(rho) - 1.5 * np.exp(2.0 * rho),
-                 4.0 * rho + 3.0 * np.exp(-rho) - 1.5 * np.exp(-2.0 * rho))
-    tl, tr = cf.fit_boundary_tails(u, g, cls, k=1)
-    assert_allclose([tl.base, tl.amp, tl.amp2], [0.0, 3.0, -1.5],
-                    rtol=1e-7, atol=1e-9)
-    assert_allclose([tr.base, tr.amp, tr.amp2], [0.0, 3.0, -1.5],
-                    rtol=1e-7, atol=1e-9)
-
-
-def test_tail_fit_discards_contaminated_inner_band():
-    """A disturbance near the inner edge of the fitting band must not poison
-    the recovered amplitudes; the fit shrinks its window instead."""
-    g = cf.RhoGrid(12.0, 513)
-    rho = g.nodes
-    cls = cf.KahlerClass(1.0, 4.0)
-    u = np.where(rho <= 0.0,
-                 1.0 * rho + 3.0 * np.exp(rho) - 1.5 * np.exp(2.0 * rho),
-                 4.0 * rho + 3.0 * np.exp(-rho) - 1.5 * np.exp(-2.0 * rho))
-    u = u + 2e-3 * np.exp(-((rho + 9.3) / 0.15) ** 2)
-    tl, _ = cf.fit_boundary_tails(u, g, cls, k=1)
-    assert abs(tl.amp - 3.0) < 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -253,152 +214,48 @@ def test_validation_flags_non_finite_samples(contract_seed, bad):
     assert report.violations[0].nodes == (contract_seed.grid.center,)
 
 
-def _weights(kind):
-    w = np.exp(np.linspace(-10.0, -7.0, 20))
-    if kind == "zero":
-        return np.zeros_like(w)
-    if kind == "negative":
-        return -w
-    w[0] = math.inf if kind == "inf" else math.nan
-    return w
-
-
-@pytest.mark.parametrize("kind", ["zero", "negative", "inf", "nan"])
-def test_fit_tail_without_a_positive_finite_weight_is_flat(kind):
-    """A tail weight whose maximum is not positive and finite gets no
-    least-squares fit: the model is the outermost value, with no modes."""
-    z = np.linspace(2.0, 3.0, 20)
-    assert cf.profile._fit_tail(z, _weights(kind)) == cf.profile.TailFit(2.0, 0.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
-# position-only arrays, computed once per (grid, k)
+# ghost nodes and the tail guard
 
-def _perturbed_profile(grid, n, k):
-    """A profile rebuilt from a seed with a bump at the center, so that the
-    tail fits and the guards see a potential that is not the seed's."""
-    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, n, k)
-    u = seed.u + 1e-3 * np.exp(-grid.nodes**2)
-    return cf.profile_from_samples(u, grid, seed.cls, 0.0, n, k)
-
-
-def _bitwise_state(p):
-    """Every array and tail coefficient of a profile, its tail-guarded arrays
-    and its trace row, as bytes, so equal means bit for bit."""
-    arrays = (p.u, p.du, p.d2u, p.d3u, p.d4u, *p._guarded)
-    return ([a.tobytes() for a in arrays], p.tail_left, p.tail_right,
-            repr(cf.sample_row(p, 1.0, cf.Regime.CONTRACT)))
-
-
-def _geometry_arrays(geo):
-    def walk(item):
-        if isinstance(item, np.ndarray):
-            yield item
-        elif isinstance(item, tuple):
-            for sub in item:
-                yield from walk(sub)
-    return list(walk((geo.fits, geo.ghosts, geo.halves)))
+def test_ghost_triples_satisfy_the_closure_rows(contract_default):
+    """Every triple of consecutive samples that reaches a ghost satisfies
+    the flow's closure rows to rounding, on seeds and on the flow's own
+    checkpoints, whatever the end triple of the samples does."""
+    seeds = [cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(L, N), n, k)
+             for n, k, L, N in ((2, 1, 12.0, 1025), (3, 2, 6.0, 513), (3, 1, 16.0, 257))]
+    trace, _ = contract_default
+    for p in (*seeds, *(ck.profile for ck in trace.checkpoints)):
+        h = p.grid.h
+        left, right = profile._ghosts(p.u, h, p.k, p.cls.a, p.cls.b)
+        padded = np.concatenate([left, p.u, right])
+        tol = 1e-13 * max(float(np.max(np.abs(p.u))), 1.0)
+        for i in range(3):
+            rows = profile.closure_rows(padded[i:padded.size - i], h, math.expm1(p.k * h),
+                                        p.cls.a, p.cls.b)
+            assert max(map(abs, rows)) <= tol, (p.t, i, rows)
 
 
-def test_geometry_cache_is_invisible_in_the_results():
-    """A cold cache, a warm one and an equal but distinct grid object give
-    the same profile, guarded arrays and row, bit for bit."""
-    profile._geometry.cache_clear()
-    cold = _bitwise_state(_perturbed_profile(cf.RhoGrid(12.0, 1025), 2, 1))
-    assert profile._geometry.cache_info().misses == 1
-    warm = _bitwise_state(_perturbed_profile(cf.RhoGrid(12.0, 1025), 2, 1))
-    grid = cf.RhoGrid(12.0, 1025)
-    assert profile._geometry(grid, 1) is profile._geometry(cf.RhoGrid(12.0, 1025), 1)
-    distinct = _bitwise_state(_perturbed_profile(grid, 2, 1))
-    assert profile._geometry.cache_info().misses == 1
-    assert cold == warm == distinct
-
-
-def test_geometry_cache_keys_on_grid_and_k():
-    """Grids that differ in L or in N, and another k, each get their own
-    entry, and every cached array is read-only."""
-    profile._geometry.cache_clear()
-    keys = [(cf.RhoGrid(12.0, 1025), 1), (cf.RhoGrid(16.0, 1025), 1),
-            (cf.RhoGrid(12.0, 513), 1), (cf.RhoGrid(12.0, 1025), 2)]
-    entries = [profile._geometry(grid, k) for grid, k in keys]
-    assert profile._geometry.cache_info().currsize == len(keys)
-    assert len({id(geo) for geo in entries}) == len(keys)
-    for (grid, k), geo in zip(keys, entries):
-        assert geo.h3 == grid.h**3 and geo.h4 == grid.h**4
-        assert [s for s, *_ in geo.halves] == [k, -k]
-        arrays = _geometry_arrays(geo)
-        assert len(arrays) == 2 * (2 + 3 + 3)
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[...] = 0
-
-
-def _formula_profile(u, grid, cls, n, k):
-    """profile_from_samples with the fit bands, ghosts and guards formed on
-    the spot from the grid, by boolean masks: the formulas the cached
-    geometry stands for."""
+@pytest.mark.parametrize("k, L, N", [(1, 12.0, 1025), (1, 16.0, 2731), (2, 6.0, 513)])
+def test_ghosts_continue_an_exact_one_mode_tail(k, L, N):
+    """On u = a rho + D + E e^(k rho) at the left end and
+    b rho + D' + E' e^(-k rho) at the right, the ghosts are that tail's
+    values at the ghost nodes, to a few ulp of sup|u|."""
+    grid = cf.RhoGrid(L, N)
     rho, h = grid.nodes, grid.h
-    width = min(profile.TAIL_BAND_WIDTH / k, grid.L / 3.0)
-    m = min(max(int(round(width / h)) + 1, profile.MIN_FIT_NODES), grid.N // 3)
-    left = profile._fit_tail(u[:m] - cls.a * rho[:m], np.exp(k * rho[:m]))
-    right = profile._fit_tail((u[-m:] - cls.b * rho[-m:])[::-1], np.exp(-k * rho[-m:])[::-1])
-    gl = rho[0] + h * np.array([-3.0, -2.0, -1.0])
-    gr = rho[-1] + h * np.array([1.0, 2.0, 3.0])
-    padded = np.concatenate([
-        cls.a * gl + left.base + left.amp * np.exp(k * gl) + left.amp2 * np.exp(2 * k * gl), u,
-        cls.b * gr + right.base + right.amp * np.exp(-k * gr)
-        + right.amp2 * np.exp(-2 * k * gr)])
-    d = [profile._apply_stencil(padded, order, h) for order in (1, 2, 3, 4)]
-    return cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=n, k=k, u=u, du=d[0], d2u=d[1],
-                            d3u=d[2], d4u=d[3], tail_left=left, tail_right=right)
-
-
-def _formula_guard_tails(p):
-    """The guard's rule written with boolean masks over the whole grid: the
-    model replaces a raw value on its own side of the center where it is
-    finite and within the raw value's rounding noise, or at the three end
-    nodes whose stencils read the ghosts."""
-    N, c, rho = p.grid.N, p.grid.center, p.grid.nodes
-    d2u, d3u, d4u = p.d2u, p.d3u, p.d4u
-    scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
-    node = np.arange(N)
-    modelled = np.zeros(N, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = d3u / d2u
-        c4 = (d3u * d3u - d4u * d2u) / (d2u * d2u * d2u)
-        noises = (_coef_sum(3) * scale / p.grid.h**3 / np.abs(d2u),
-                  _coef_sum(4) * scale / p.grid.h**4 / (d2u * d2u))
-        for tail, s, side, end in ((p.tail_left, p.k, node < c, node < 3),
-                                   (p.tail_right, -p.k, node > c, node >= N - 3)):
-            E, F = tail.amp, tail.amp2
-            w = np.ones(N)
-            w[side] = np.exp(s * rho[side])
-            models = (s * (E + 8.0 * F * w) / (E + 4.0 * F * w),
-                      -4.0 * E * F * w**3 / (E * w + 4.0 * F * w**2) ** 3)
-            for out, model, noise in zip((G, c4), models, noises):
-                use = side & np.isfinite(model) & ((np.abs(model - out) <= noise) | end)
-                out[use] = model[use]
-            modelled |= use
-        ref = abs(float(c4[c]))
-        trust = modelled | (noises[1] <= profile.C4_TRUST_REL * (np.abs(c4) + ref))
-    return G, c4, trust
+    a, b = 0.5, 2.5
+    u = np.where(rho <= 0.0, a * rho + 0.7 + 3.0 * np.exp(k * rho),
+                 b * rho - 0.4 + 2.0 * np.exp(-k * rho))
+    left, right = profile._ghosts(u, h, k, a, b)
+    g_left = rho[0] + h * np.array([-3.0, -2.0, -1.0])
+    g_right = rho[-1] + h * np.array([1.0, 2.0, 3.0])
+    tol = 4.0 * np.finfo(float).eps * max(float(np.max(np.abs(u))), 1.0)
+    assert_allclose(left, a * g_left + 0.7 + 3.0 * np.exp(k * g_left), rtol=0.0, atol=tol)
+    assert_allclose(right, b * g_right - 0.4 + 2.0 * np.exp(-k * g_right), rtol=0.0, atol=tol)
 
 
 def _coef_sum(order):
     """Absolute coefficient sum of the order-3 or order-4 stencil: 5.5 or 26.67."""
     return float(np.abs(profile._STENCILS[order][1]).sum())
-
-
-@pytest.mark.parametrize("n, k, L", [(2, 1, 1.0), (2, 1, 2.0), (3, 2, 1.0), (2, 1, 12.0)])
-def test_geometry_matches_the_formulas(n, k, L, monkeypatch):
-    """The cached geometry gives what the formulas give on the spot, on
-    grids short and long against the tail scale 1/k."""
-    grid = cf.RhoGrid(L, 513)
-    p = _perturbed_profile(grid, n, k)
-    state = _bitwise_state(p)
-    monkeypatch.setattr(profile, "_guard_tails", _formula_guard_tails)
-    assert _bitwise_state(_formula_profile(p.u, grid, p.cls, n, k)) == state
 
 
 def test_guard_stays_within_rounding_noise_of_the_raw_ratios(contract_default):
