@@ -21,8 +21,9 @@ stage matrix I - d dt df/dw, is tridiagonal on the interior rows; each
 closure row reaches one column further into the grid.  One row operation
 against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
-by the one helper that the error filter uses too; dgtsv comes from
-scipy's compiled LAPACK module, loaded without the scipy.linalg package.
+by the one helper that the error filter uses too, and dgtsv takes several
+right-hand sides in one call; dgtsv comes from scipy's compiled LAPACK
+module, loaded without the scipy.linalg package.
 Updates are measured in the gauge-free sup norm sup|delta - delta[c]|,
 and Newton stops once eta |delta_k| <= TOL_NEWTON, with eta =
 theta/(1-theta) and theta = |delta_k|/|delta_(k-1)| after an undamped
@@ -53,23 +54,31 @@ Step size is controlled by the embedded estimate of Hosea and Shampine
 C = (-3 gamma^2 + 4 gamma - 2) / (6 (2 - gamma)), on the interior rows and
 0 on the closure rows.  f_n is the velocity the step computes once; f_gamma
 and f_1 follow from the stage equations without another evaluation.  The
-estimate is filtered by one more tridiagonal solve with the stage matrix
-at u_1, which damps the stiff components a raw estimate would overstate,
-and its center value is subtracted, since the gauge constant shifts the
-stage values of f.  Its sup norm is held to tol_step, and the dt proposal
-follows the cube-root rule of a second-order integrator; it is clipped
-only by 0.25 (T - t) and by the next event time.  A rejected
-attempt, a failed Newton solve or a missed estimate, shrinks dt through one
-retry path; below DT_MIN the step fails, and its FlowError carries the
-rejected attempts for the run log.
+estimate is filtered by a solve with the Newton iteration matrix, as
+Hosea and Shampine do, which damps the stiff components a raw estimate
+would overstate, and its center value is subtracted, since the gauge
+constant shifts the stage values of f.  The filter rides on the BDF2
+stage's last Newton solve: each BDF2 update with an undamped predecessor
+solves the estimate at the current iterate as a second column beside the
+residual, and when that update ends the stage, the second column is the
+filtered estimate, taken with the matrix and f_1 of the iterate before
+u_1, within O(|delta|) of u_1's.  A stage that ends on its first update,
+or the first after a damped one, filtered nothing, and its estimate at u_1
+takes one more solve with the stage matrix at u_1.  Its sup norm is held
+to tol_step, and the dt proposal follows the cube-root rule of a
+second-order integrator; it is clipped only by 0.25 (T - t) and by the
+next event time.  A rejected attempt, a failed Newton solve or a missed
+estimate, shrinks dt through one retry path; below DT_MIN the step fails,
+and its FlowError carries the rejected attempts for the run log.
 
 Admissibility is one rule, _rule: finite samples with u' > 0 and
 u'' > FLOOR_U2 by central differences at every interior node.  It runs
 once per sample vector, and the vector is then used with the differences
-it took: each damped Newton iterate, each predicted start, and the
-accepted stage solution (rejected if its gauge shift rounds it off the
-rule), whose differences serve the error filter and, carried by the
-returned state, the next step's f_n and first Newton step.  A state that
+it took: each Newton iterate that does not end its stage, each damped
+one, each predicted start, and each stage value, judged once after its
+gauge shift (rejected if the shift rounds it off the rule).  The BDF2
+stage value's differences serve the error filter at u_1 and, carried by
+the returned state, the next step's f_n and first Newton step.  A state that
 step() did not make is checked when a step starts from it.  run() applies
 the rule to the seed before sampling its row, and validate_profile
 reports it node by node from u, the class and k alone.
@@ -369,15 +378,17 @@ def _work(N: int) -> tuple[np.ndarray, ...]:
 
 def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
                         n: int, efac: float, b: np.ndarray, c: int,
-                        work: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
-    """Solve M x = b, M the stage Jacobian at differences (d1, d2), and
-    return x with sup|x - x[c]|, its size with the gauge constant removed,
-    which is finite exactly when x is.
+                        work: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[float]]:
+    """Solve M X = b, M the stage Jacobian at differences (d1, d2), for one
+    right-hand side b of shape (N,) or several, the columns of a Fortran-
+    ordered b of shape (N, m), in one dgtsv call.  Returns X with
+    sup|x - x[c]| of each column x, its size with the gauge constant
+    removed, which is finite exactly when x is.
 
     Interior rows of M are I - ddt df/dw, tridiagonal; each closure row's
     third entry is eliminated against its interior neighbour, in M and in
-    b (which is overwritten), so the system is one dgtsv call.  M is
-    written into the buffers work (see _work).
+    every column of b (which is overwritten), so the system is one dgtsv
+    call.  M is written into the buffers work (see _work).
     """
     dl, diag, du, curv, drift = work
     np.divide(ddt / h**2, d2, out=curv)
@@ -391,14 +402,17 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
     np.negative(upper, out=upper)
     # entries as Python floats, which round as numpy scalars do at less cost;
     # the reciprocals stay numpy's, so a zero pivot gives inf, not an exception
+    cols = (b,) if b.ndim == 1 else b.T
     r = float(1.0 / du[1])
     diag[0] = 1.0 + efac - r * dl.item(0)
     du[0] = -2.0 - efac - r * diag.item(1)
-    b[0] = b.item(0) - r * b.item(1)
+    for col in cols:
+        col[0] = col.item(0) - r * col.item(1)
     r = float(1.0 / dl[-2])
     diag[-1] = 1.0 + efac - r * du.item(-1)
     dl[-1] = -2.0 - efac - r * diag.item(-2)
-    b[-1] = b.item(-1) - r * b.item(-2)
+    for col in cols:
+        col[-1] = col.item(-1) - r * col.item(-2)
     _, _, _, x, info = dgtsv(dl, diag, du, b, overwrite_dl=True, overwrite_d=True,
                              overwrite_du=True, overwrite_b=True)
     if info != 0:
@@ -406,11 +420,26 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
     # sup|x - x[c]| from the extremes, with no temporary: rounding is
     # monotone and symmetric, so this is np.abs(x - x[c]).max() bit for bit,
     # and a non-finite entry leaves one of the two terms non-finite
-    xc = x.item(c)
-    size = max(float(_amax(x)) - xc, xc - float(_amin(x)))
-    if not math.isfinite(size):
-        raise _StepFailure("nonfinite tridiagonal solution")
-    return x, size
+    sizes = []
+    for col in (x,) if x.ndim == 1 else x.T:
+        xc = col.item(c)
+        size = max(float(_amax(col)) - xc, xc - float(_amin(col)))
+        if not math.isfinite(size):
+            raise _StepFailure("nonfinite tridiagonal solution")
+        sizes.append(size)
+    return x, sizes
+
+
+def _estimate(out: np.ndarray, w: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> None:
+    """The embedded estimate at the BDF2 stage value w, into out:
+    fixed + dt E_1 f_1 on the interior rows, f_1 = (w - rhs)/ddt from the
+    stage equation, and 0 on the closure rows; fixed is
+    dt (E_N f_n + E_G f_gamma)."""
+    interior = out[1:-1]
+    np.subtract(w[1:-1], rhs, out=interior)
+    interior *= _E_1 / _D
+    interior += fixed
+    out[0] = out[-1] = 0.0
 
 
 def _solve_stage(
@@ -424,12 +453,16 @@ def _solve_stage(
     n: int,
     k: int,
     contraction: tuple[float, float],
-) -> tuple[np.ndarray, int, float, tuple[float, float]]:
+    fixed: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, float, tuple[float, float],
+           tuple[np.ndarray, np.ndarray], float | None]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
     of cls_new, by damped Newton from the admissible start w, whose
     differences are diffs; f(w) = log w'' + (n-1) log w' - n rho.  Returns
-    (w, iterations, error, contraction): error is the estimate
-    eta |delta| of the error left that ended the iteration.
+    (w, iterations, error, contraction, diffs, err): error is the estimate
+    eta |delta| of the error left that ended the iteration, diffs are the
+    differences of the returned w, and err is the filtered error estimate
+    or None (see below).
 
     Updates are measured as |delta| = sup|delta - delta[c]|: one Newton
     step removes a constant error exactly, and the gauge shift discards
@@ -440,8 +473,18 @@ def _solve_stage(
     contraction as eta max(1, |delta|/s): Newton's theta grows with the
     update it contracts.  After a damped update eta is ETA_START.
 
-    The system is solved without the gauge constant, and the converged
-    solution is shifted so that its center value is center.
+    The system is solved without the gauge constant.  An undamped update
+    that passes the stop test is shifted so that its center value is
+    center, and the rule judges the shifted value once; the rule refuses
+    it after passing the unshifted iterate only through the rounding of
+    the shift, which fails the stage.
+
+    The BDF2 stage passes fixed = dt (E_N f_n + E_G f_gamma) on the
+    interior rows (see _estimate).  Each of its updates with an undamped
+    predecessor then solves the embedded estimate at the current iterate
+    as the second column of its dgtsv call, and err, when that update ends
+    the stage, is the size of the filtered column; a stage that ends on
+    any other update returns err None.
     """
     h, c, N = grid.h, grid.center, grid.N
     efac = math.expm1(k * h)
@@ -450,7 +493,9 @@ def _solve_stage(
     work = _work(N)
     log2, log1 = np.empty(N - 2), np.empty(N - 2)
 
-    F = np.empty(N)
+    # the residual F and the estimate, the two columns of one dgtsv call
+    both = np.empty((N, 2), order="F")
+    F, est = both[:, 0], both[:, 1]
     res = math.inf
     prev = None  # |delta| of the previous update, if undamped
     eta, ref = contraction
@@ -469,29 +514,45 @@ def _solve_stage(
             res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, nan if any entry is
             if not math.isfinite(res):
                 raise _StepFailure("nonfinite residual")
-            delta, size = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F, c, work)
-            lam = 1.0
-            for _ in range(9):
-                w_try = w - delta if lam == 1.0 else w - lam * delta
-                diffs = _valid(w_try, h)
-                if diffs is not None:
-                    break
-                lam *= 0.5
+            err = None
+            if fixed is None or prev is None:
+                delta, (size,) = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F, c, work)
             else:
-                raise _StepFailure("damping exhausted: iterate leaves admissible cone")
-            w, F = w_try, delta  # dgtsv's output holds the next residual
-            if lam < 1.0:
-                prev, (eta, ref) = None, _UNMEASURED
-                continue
+                _estimate(est, w, rhs, fixed)
+                x, (size, err) = _stage_matrix_solve(d1, d2, ddt, h, n, efac, both, c, work)
+                delta = x[:, 0]
             if prev is None:
                 judge = eta * max(1.0, size / ref)
             else:
                 theta = size / prev
                 eta = judge = theta / (1.0 - theta) if theta < 1.0 else math.inf
             error = judge * size if size > 0.0 else 0.0
+            w_try = w - delta
             if error <= TOL_NEWTON:
-                measured = prev is not None and size > 0.0
-                return w - (w[c] - center), it, error, (eta, prev) if measured else _UNMEASURED
+                w_try -= w_try.item(c) - center  # the stage value, gauge-shifted
+                diffs = _valid(w_try, h)
+                if diffs is not None:
+                    measured = prev is not None and size > 0.0
+                    return (w_try, it, error, (eta, prev) if measured else _UNMEASURED,
+                            diffs, err)
+                if _valid(w - delta, h) is not None:
+                    raise _StepFailure("stage solution inadmissible after the gauge shift")
+            else:
+                diffs = _valid(w_try, h)
+            lam = 1.0
+            if diffs is None:
+                for _ in range(8):
+                    lam *= 0.5
+                    w_try = w - lam * delta
+                    diffs = _valid(w_try, h)
+                    if diffs is not None:
+                        break
+                else:
+                    raise _StepFailure("damping exhausted: iterate leaves admissible cone")
+            w = w_try
+            if lam < 1.0:
+                prev, (eta, ref) = None, _UNMEASURED
+                continue
             prev = size
     raise _StepFailure(f"Newton stalled after {NEWTON_MAX_ITER} iterations "
                        f"(residual {res:.3e})")
@@ -577,26 +638,28 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             # TR stage to t + gamma dt, its first update judged by the
             # contraction the last BDF2 stage measured
             rhs = u_in + ddt * f_n
-            u_g, iters_g, _, _ = _solve_stage(
+            u_g, iters_g = _solve_stage(
                 *_start(past, t_g, u, diffs, h), u[c], rhs, ddt, grid,
-                class_at(params, t_g), n, k, contraction)
-            f_g = (u_g[1:-1] - rhs) / ddt
+                class_at(params, t_g), n, k, contraction)[:2]
+            # the part of the embedded estimate the BDF2 stage does not change
+            fixed = (dt * _E_N) * f_n
+            fixed += (_E_G / _D) * (u_g[1:-1] - rhs)
             # BDF2 stage to t + dt.  Its solution is the step's result, which
             # the monitors read, so it measures the contraction of its own
             # updates
             rhs = _BDF2_SCALE * u_g[1:-1] - b_old
-            u1, iters, res, contraction = _solve_stage(
+            u1, iters, res, contraction, diffs1, err = _solve_stage(
                 *_start(past[-2:] + ((t_g, u_g),), t + dt, u, diffs, h), u[c], rhs, ddt,
-                grid, class_at(params, t + dt), n, k, _UNMEASURED)
-            f_1 = (u1[1:-1] - rhs) / ddt
-            # embedded estimate, filtered through the stage matrix at u1
-            est = np.zeros(grid.N)
-            est[1:-1] = dt * (_E_N * f_n + _E_G * f_g + _E_1 * f_1)
-            diffs1 = _valid(u1, h)
-            if diffs1 is None:  # only the rounding of the gauge shift can do this
-                raise _StepFailure("stage solution inadmissible after the gauge shift")
-            # the gauge constant is invisible: the size has the center pinned
-            _, err = _stage_matrix_solve(*diffs1, ddt, h, n, efac, est, c, _work(grid.N))
+                grid, class_at(params, t + dt), n, k, _UNMEASURED, fixed)
+            if err is None:
+                # the stage ended on an update with no measured contraction,
+                # which filtered no estimate: filter it through the stage
+                # matrix at u1.  The gauge constant is invisible: the size
+                # has the center pinned
+                est = np.empty(grid.N)
+                _estimate(est, u1, rhs, fixed)
+                _, (err,) = _stage_matrix_solve(*diffs1, ddt, h, n, efac, est, c,
+                                                _work(grid.N))
         except _StepFailure as exc:
             reason, factor, contraction = str(exc), 0.5, _UNMEASURED
         else:
