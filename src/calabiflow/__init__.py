@@ -37,7 +37,6 @@ from .flow import (
     StepControl,
     StepStats,
     checkpoint_times,
-    evolution_residuals,
     run,
     step,
     validate_profile,
@@ -91,7 +90,6 @@ __all__ = [
     "class_at",
     "curvature_sample",
     "divisor_diameter",
-    "evolution_residuals",
     "fik_reference",
     "gaussian_reference",
     "infer_initial_class",

@@ -66,8 +66,14 @@ u_1, within O(|delta|) of u_1's.  A stage that ends on its first update,
 or the first after a damped one, filtered nothing, and its estimate at u_1
 takes one more solve with the stage matrix at u_1.  Its sup norm is held
 to tol_step, and the dt proposal follows the cube-root rule of a
-second-order integrator; it is clipped only by 0.25 (T - t) and by the
-next event time.  A rejected attempt, a failed Newton solve or a missed
+second-order integrator.  The first step from a state step() did not
+make tries DT_INIT (T - t): the flow is invariant under
+(u, t) -> (lambda u, lambda t), so T - t is its time scale, from the seed
+and from a late checkpoint alike.  A proposal is clipped only by
+0.25 (T - t) and by the next event time: one that reaches the event lands
+on it, and one that reaches past half the way to it is cut to half the
+way, so the event is reached by two equal steps, not by a full step and
+a fragment whose error estimate is far below tol_step.  A rejected attempt, a failed Newton solve or a missed
 estimate, shrinks dt through one retry path; below DT_MIN the step fails,
 and its FlowError carries the rejected attempts for the run log.
 
@@ -102,7 +108,6 @@ import numpy as np
 
 from . import diagnostics
 from .profile import (
-    _STENCILS,
     CalabiProfile,
     FlowParams,
     KahlerClass,
@@ -162,10 +167,10 @@ class _StepFailure(Exception):
     """Internal: Newton did not converge or produced an invalid iterate."""
 
 
-# step-size rule: a run's first step tries DT_INIT, a step fails below
-# DT_MIN, and dt changes by the factor SAFETY (tol_step / err)^(1/3),
+# step-size rule: a run's first step tries DT_INIT (T - t), a step fails
+# below DT_MIN, and dt changes by the factor SAFETY (tol_step / err)^(1/3),
 # clipped to [0.2, MAX_GROWTH]
-DT_INIT = 1e-6
+DT_INIT = 1e-2
 DT_MIN = 1e-13
 SAFETY = 0.9
 MAX_GROWTH = 4.0
@@ -592,7 +597,9 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     """Advance one accepted adaptive TR-BDF2 step (with internal retries).
 
     t_cap, when given, is an event time the step must not overshoot; the
-    step lands on it exactly when the proposal reaches it.  The returned
+    step lands on it exactly when the proposal reaches it, and takes half
+    the way to it when the proposal reaches past half the way, so that a
+    next proposal no shorter lands with the same dt.  The returned
     state builds its profile on first read.  An inadmissible u fails before
     any attempt; a failure after attempts carries them in FlowError.rejected.
     """
@@ -615,7 +622,8 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                             f"rho={grid.nodes[bad[0]]:.6g}")
         diffs = d1, d2
 
-    dt = min(state.stats.dt_next if state.stats is not None else DT_INIT, 0.25 * (T - t))
+    dt = min(state.stats.dt_next if state.stats is not None else DT_INIT * (T - t),
+             0.25 * (T - t))
     f_n = _velocity(*diffs, grid, n)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
@@ -632,6 +640,8 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
             hit_cap = True
             if dt <= 0.0:
                 raise FlowError(f"event time {t_cap} not ahead of t={t}")
+        elif t_cap is not None and t + 2.0 * dt >= t_cap * (1.0 - 1e-14):
+            dt = 0.5 * (t_cap - t)
         ddt = _D * dt
         t_g = t + _GAMMA * dt
         try:
@@ -813,60 +823,3 @@ def run(
         raise failure
     return trace
 
-
-# ---------------------------------------------------------------------------
-# consistency diagnostics
-
-def evolution_residuals(p_prev: CalabiProfile, p_next: CalabiProfile,
-                        dt: float) -> dict[str, float]:
-    """Sup-norm defects of the differentiated flow equations over one step.
-
-    Compares finite time differences of u', u'', u''' against the
-    trapezoidal average of their analytic evolution laws, e.g.
-    d(u')/dt = u'''/u'' + (n-1) u''/u' - n.  Restricted to nodes away from
-    both tails (raw stencils are exact there); the fifth derivative needed
-    for the u''' law is obtained by differencing d4u.  The profiles must
-    share grid, n and k, and dt must be finite and > 0.
-    """
-    if (p_prev.grid, p_prev.n, p_prev.k) != (p_next.grid, p_next.n, p_next.k):
-        raise ValueError(f"profiles on different grids or of different (n, k): {p_prev.grid}, "
-                         f"{(p_prev.n, p_prev.k)} and {p_next.grid}, {(p_next.n, p_next.k)}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"need a finite dt > 0, got {dt}")
-    n = p_prev.n
-    h = p_prev.grid.h
-    N = p_prev.grid.N
-    lo, hi = 4, N - 4
-
-    def pieces(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        du, d2u, d3u, d4u = p.du, p.d2u, p.d3u, p.d4u
-        r1 = d3u / d2u + (n - 1) * d2u / du - n
-        r2 = (d4u / d2u - (d3u / d2u) ** 2
-              + (n - 1) * (d3u / du - (d2u / du) ** 2))
-        radius, coeffs = _STENCILS[1]
-        d5_mid = np.convolve(d4u, coeffs[::-1], mode="valid") / h
-        d5 = np.full(N, np.nan)
-        d5[radius:N - radius] = d5_mid
-        r3 = (d5 / d2u - 3.0 * d3u * d4u / d2u**2 + 2.0 * d3u**3 / d2u**3
-              + (n - 1) * (d4u / du - 3.0 * d2u * d3u / du**2
-                           + 2.0 * d2u**3 / du**3))
-        return r1, r2, r3
-
-    prev_r = pieces(p_prev)
-    next_r = pieces(p_next)
-    # stay in the transition region: raw high-order stencils are only
-    # noise-free there, and that is where the dynamics happen anyway
-    krho = p_prev.k * p_prev.grid.nodes
-    band = np.abs(krho[lo:hi]) <= 2.0
-    interior = slice(lo, hi)
-    out = {}
-    for name, get_prev, get_next, arr_prev, arr_next in (
-        ("du", p_prev.du, p_next.du, prev_r[0], next_r[0]),
-        ("d2u", p_prev.d2u, p_next.d2u, prev_r[1], next_r[1]),
-        ("d3u", p_prev.d3u, p_next.d3u, prev_r[2], next_r[2]),
-    ):
-        lhs = (get_next[interior] - get_prev[interior]) / dt
-        rhs_avg = 0.5 * (arr_prev[interior] + arr_next[interior])
-        defect = np.abs(lhs - rhs_avg)[band]
-        out[name] = float(np.nanmax(defect))
-    return out
