@@ -23,7 +23,9 @@ against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
 by the one helper that the error filter uses too, and dgtsv takes several
 right-hand sides in one call; dgtsv comes from scipy's compiled LAPACK
-module, loaded without the scipy.linalg package.
+module, loaded without the scipy.linalg package.  Both stages, their
+Newton solves and the error filter of one step() call write into one
+workspace of buffers (_Workspace), which no returned state references.
 Updates are measured in the gauge-free sup norm sup|delta - delta[c]|,
 and Newton stops once eta |delta_k| <= TOL_NEWTON, with eta =
 theta/(1-theta) and theta = |delta_k|/|delta_(k-1)| after an undamped
@@ -69,20 +71,27 @@ to tol_step, and the dt proposal follows the cube-root rule of a
 second-order integrator.  The first step from a state step() did not
 make tries DT_INIT (T - t): the flow is invariant under
 (u, t) -> (lambda u, lambda t), so T - t is its time scale, from the seed
-and from a late checkpoint alike.  A proposal is clipped only by
-0.25 (T - t) and by the next event time: one that reaches the event lands
-on it, and one that reaches past half the way to it is cut to half the
-way, so the event is reached by two equal steps, not by a full step and
-a fragment whose error estimate is far below tol_step.  A rejected attempt, a failed Newton solve or a missed
-estimate, shrinks dt through one retry path; below DT_MIN the step fails,
-and its FlowError carries the rejected attempts for the run log.
+and from a late checkpoint alike.  A proposal is clipped only by the next
+event time, which is the stop time t_stop_fraction T unless an earlier
+one is given, so no step reaches T: one that reaches the event lands on
+it, and one that reaches past half the way to it is cut to half the way,
+so the event is reached by two equal steps, not by a full step and a
+fragment whose error estimate is far below tol_step.  A rejected attempt,
+a failed Newton solve or a missed estimate, shrinks dt through one retry
+path; below DT_MIN the step fails, and its FlowError carries the rejected
+attempts for the run log.
 
 Admissibility is one rule, _rule: finite samples with u' > 0 and
-u'' > FLOOR_U2 by central differences at every interior node.  It runs
-once per sample vector, and the vector is then used with the differences
-it took: each Newton iterate that does not end its stage, each damped
-one, each predicted start, and each stage value, judged once after its
-gauge shift (rejected if the shift rounds it off the rule).  The BDF2
+u'' > FLOOR_U2 by central differences at every interior node.  The
+stepper works with the unscaled differences d1 = w[2:] - w[:-2] = 2h u'
+and d2 = w[:-2] - 2 w[1:-1] + w[2:] = h^2 u'': the rule compares d2 with
+FLOOR_U2 h^2, the stage matrix divides ddt and ddt (n-1) by them, and the
+velocity is log d2 + (n-1) log d1 less one offset array, n rho plus the
+log h terms.  The rule runs once per sample vector, and the vector is
+then used with the differences it took: each Newton iterate that does not
+end its stage, each damped one, each predicted start, and each stage
+value, judged once after its gauge shift (rejected if the shift rounds it
+off the rule).  The BDF2
 stage value's differences serve the error filter at u_1 and, carried by
 the returned state, the next step's f_n and first Newton step.  A state that
 step() did not make is checked when a step starts from it.  run() applies
@@ -110,7 +119,6 @@ from . import diagnostics
 from .profile import (
     CalabiProfile,
     FlowParams,
-    KahlerClass,
     ProfileError,
     RhoGrid,
     build_canonical_profile,
@@ -255,39 +263,40 @@ class FlowState:
 # ---------------------------------------------------------------------------
 # admissibility: the one rule that step() and validate_profile() apply
 
-def _second_diffs(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d1, d2) at interior nodes 1..N-2 by central differences: d1 =
-    (w[2:] - w[:-2]) / (2h) and d2 = (w[:-2] - 2 w[1:-1] + w[2:]) / h^2,
-    evaluated in that order in place, so with one array allocated each."""
-    d1 = np.subtract(w[2:], w[:-2])
-    d1 /= 2.0 * h
+def _second_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled differences (d1, d2) at interior nodes 1..N-2: d1 =
+    w[2:] - w[:-2] and d2 = w[:-2] - 2 w[1:-1] + w[2:], which are 2h u' and
+    h^2 u'' by central differences, evaluated in that order in place, so
+    with one array allocated each."""
+    left, right = w[:-2], w[2:]
+    d1 = np.subtract(right, left)
     d2 = np.multiply(w[1:-1], 2.0)
-    np.subtract(w[:-2], d2, out=d2)
-    d2 += w[2:]
-    d2 /= h**2
+    np.subtract(left, d2, out=d2)
+    d2 += right
     return d1, d2
 
 
-def _admissible(w: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> bool:
+def _admissible(w: np.ndarray, d1: np.ndarray, d2: np.ndarray, h: float) -> bool:
     """The verdict of the rule on w with differences (d1, d2).  A non-finite
     interior sample leaves a difference at its node or a neighbour nan or
     of the wrong sign, and min() of an array holding nan is nan, so the
     minima of the differences and the two end samples decide."""
-    return (_amin(d1) > 0.0 and _amin(d2) > FLOOR_U2
+    return (_amin(d1) > 0.0 and _amin(d2) > FLOOR_U2 * h**2
             and math.isfinite(w.item(0)) and math.isfinite(w.item(-1)))
 
 
 def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The admissibility rule: the differences (d1, d2) at interior nodes
     1..N-2, and the mask of the nodes it refuses, a non-finite sample or an
-    interior node without u' > 0 and u'' > FLOOR_U2, or None if there are
-    none.  The mask is formed only for a refused w."""
+    interior node without u' > 0 and u'' > FLOOR_U2, that is d1 > 0 and
+    d2 > FLOOR_U2 h^2, or None if there are none.  The mask is formed only
+    for a refused w."""
     with np.errstate(invalid="ignore"):
-        d1, d2 = _second_diffs(w, h)
-    if _admissible(w, d1, d2):
+        d1, d2 = _second_diffs(w)
+    if _admissible(w, d1, d2, h):
         return d1, d2, None
     bad = ~np.isfinite(w)
-    bad[1:-1] |= ~((d1 > 0.0) & (d2 > FLOOR_U2))
+    bad[1:-1] |= ~((d1 > 0.0) & (d2 > FLOOR_U2 * h**2))
     return d1, d2, bad
 
 
@@ -295,8 +304,8 @@ def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
     """(d1, d2) of admissible samples, or None: the rule's verdict without
     its mask.  It leaves numpy's error state alone, so a caller that may
     pass non-finite samples holds np.errstate(invalid="ignore")."""
-    d1, d2 = _second_diffs(w, h)
-    return (d1, d2) if _admissible(w, d1, d2) else None
+    d1, d2 = _second_diffs(w)
+    return (d1, d2) if _admissible(w, d1, d2, h) else None
 
 
 @dataclass(frozen=True)
@@ -338,11 +347,12 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
         raise ProfileError(f"need a finite tol > 0, got {tol}")
     a, b, h = p.cls.a, p.cls.b, p.grid.h
     d1, _, refused = _rule(p.u, h)
+    du = d1 / (2.0 * h)
     violations: list[Violation] = []
     for invariant, bad, what in (
             ("finite", ~np.isfinite(p.u), "non-finite u"),
             ("convexity", refused, "u' <= 0, u'' <= FLOOR_U2 or a non-finite sample"),
-            ("class-range", np.pad((d1 <= a) | (d1 >= b), 1), f"u' outside ({a}, {b})")):
+            ("class-range", np.pad((du <= a) | (du >= b), 1), f"u' outside ({a}, {b})")):
         if bad is not None and bad.any():
             nodes = tuple(int(i) for i in np.flatnonzero(bad)[:16])
             violations.append(Violation(invariant, nodes, f"{what} at {int(bad.sum())} "
@@ -375,15 +385,33 @@ _E_G = -_ERR_COEF / (_GAMMA * (1.0 - _GAMMA))
 _E_1 = _ERR_COEF / (1.0 - _GAMMA)
 
 
-def _work(N: int) -> tuple[np.ndarray, ...]:
-    """Buffers for _stage_matrix_solve on N nodes: the three diagonals and
-    two interior arrays, overwritten by each call."""
-    return np.empty(N - 1), np.empty(N), np.empty(N - 1), np.empty(N - 2), np.empty(N - 2)
+class _Workspace:
+    """What the stages and solves of one step() call share: the grid
+    constants of the stage equations and the buffers each stage, solve and
+    attempt overwrites.  No array a step returns is one of these buffers."""
+
+    __slots__ = ("h", "c", "n", "efac", "offset", "dl", "diag", "du", "inner", "upper",
+                 "lower", "ncurv", "drift", "log2", "log1", "both", "F", "interior", "est",
+                 "rhs", "base", "fixed", "doff")
+
+    def __init__(self, grid: RhoGrid, n: int, k: int):
+        N, self.h, self.c, self.n = grid.N, grid.h, grid.center, n
+        self.efac = math.expm1(k * grid.h)
+        # f = log d2 + (n-1) log d1 - offset at the interior nodes, from the
+        # unscaled differences d1 = 2h u' and d2 = h^2 u''
+        self.offset = n * grid.nodes[1:-1] + (2.0 * math.log(grid.h)
+                                              + (n - 1) * math.log(2.0 * grid.h))
+        self.dl, self.diag, self.du = np.empty(N - 1), np.empty(N), np.empty(N - 1)
+        self.lower, self.inner, self.upper = self.dl[:-1], self.diag[1:-1], self.du[1:]
+        (self.ncurv, self.drift, self.log2, self.log1, self.rhs, self.base, self.fixed,
+         self.doff) = np.empty((8, N - 2))
+        self.both = np.empty((N, 2), order="F")
+        self.F, self.est = self.both[:, 0], self.both[:, 1]
+        self.interior = self.F[1:-1]
 
 
-def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
-                        n: int, efac: float, b: np.ndarray, c: int,
-                        work: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[float]]:
+def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, b: np.ndarray,
+                        ws: _Workspace) -> tuple[np.ndarray, list[float]]:
     """Solve M X = b, M the stage Jacobian at differences (d1, d2), for one
     right-hand side b of shape (N,) or several, the columns of a Fortran-
     ordered b of shape (N, m), in one dgtsv call.  Returns X with
@@ -393,18 +421,19 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
     Interior rows of M are I - ddt df/dw, tridiagonal; each closure row's
     third entry is eliminated against its interior neighbour, in M and in
     every column of b (which is overwritten), so the system is one dgtsv
-    call.  M is written into the buffers work (see _work).
+    call.  M is written into the diagonals of ws.
     """
-    dl, diag, du, curv, drift = work
-    np.divide(ddt / h**2, d2, out=curv)
-    np.divide(ddt * (n - 1) / (2.0 * h), d1, out=drift)
-    inner = diag[1:-1]
-    np.multiply(curv, 2.0, out=inner)
+    dl, diag, du, ncurv, drift = ws.dl, ws.diag, ws.du, ws.ncurv, ws.drift
+    efac = ws.efac
+    # with ncurv = -ddt/d2 the entries are 1 + 2 ddt/d2, drift - ddt/d2 and
+    # -(ddt/d2 + drift), bit for bit: negation is exact
+    np.divide(-ddt, d2, out=ncurv)
+    np.divide(ddt * (ws.n - 1), d1, out=drift)
+    inner = ws.inner
+    np.multiply(ncurv, -2.0, out=inner)
     inner += 1.0
-    np.subtract(drift, curv, out=dl[:-1])
-    upper = du[1:]
-    np.add(curv, drift, out=upper)
-    np.negative(upper, out=upper)
+    np.add(drift, ncurv, out=ws.lower)
+    np.subtract(ncurv, drift, out=ws.upper)
     # entries as Python floats, which round as numpy scalars do at less cost;
     # the reciprocals stay numpy's, so a zero pivot gives inf, not an exception
     cols = (b,) if b.ndim == 1 else b.T
@@ -418,14 +447,15 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, h: float,
     dl[-1] = -2.0 - efac - r * diag.item(-2)
     for col in cols:
         col[-1] = col.item(-1) - r * col.item(-2)
-    _, _, _, x, info = dgtsv(dl, diag, du, b, overwrite_dl=True, overwrite_d=True,
-                             overwrite_du=True, overwrite_b=True)
+    # the flags overwrite_dl, overwrite_d, overwrite_du and overwrite_b
+    _, _, _, x, info = dgtsv(dl, diag, du, b, 1, 1, 1, 1)
     if info != 0:
         raise _StepFailure(f"tridiagonal solve failed: info={info}")
     # sup|x - x[c]| from the extremes, with no temporary: rounding is
     # monotone and symmetric, so this is np.abs(x - x[c]).max() bit for bit,
     # and a non-finite entry leaves one of the two terms non-finite
     sizes = []
+    c = ws.c
     for col in (x,) if x.ndim == 1 else x.T:
         xc = col.item(c)
         size = max(float(_amax(col)) - xc, xc - float(_amin(col)))
@@ -452,22 +482,24 @@ def _solve_stage(
     diffs: tuple[np.ndarray, np.ndarray],
     center: float,
     rhs: np.ndarray,
+    base: np.ndarray,
     ddt: float,
-    grid: RhoGrid,
-    cls_new: KahlerClass,
-    n: int,
-    k: int,
+    a: float,
+    b: float,
     contraction: tuple[float, float],
+    ws: _Workspace,
     fixed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, tuple[float, float],
            tuple[np.ndarray, np.ndarray], float | None]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
-    of cls_new, by damped Newton from the admissible start w, whose
-    differences are diffs; f(w) = log w'' + (n-1) log w' - n rho.  Returns
-    (w, iterations, error, contraction, diffs, err): error is the estimate
-    eta |delta| of the error left that ended the iteration, diffs are the
-    differences of the returned w, and err is the filtered error estimate
-    or None (see below).
+    of the class (a, b), by damped Newton from the admissible start w,
+    whose differences are diffs; f(w) = log d2 + (n-1) log d1 - offset
+    (see _Workspace), and base = rhs - ddt offset.  Returns (w, iterations,
+    error, contraction, diffs, err): error is the estimate eta |delta| of
+    the error left that ended the iteration, diffs are the differences of
+    the returned w, and err is the filtered error estimate or None (see
+    below).  The residual and the stage matrix are written into ws; rhs,
+    base and fixed are read.
 
     Updates are measured as |delta| = sup|delta - delta[c]|: one Newton
     step removes a constant error exactly, and the gauge shift discards
@@ -489,76 +521,68 @@ def _solve_stage(
     predecessor then solves the embedded estimate at the current iterate
     as the second column of its dgtsv call, and err, when that update ends
     the stage, is the size of the filtered column; a stage that ends on
-    any other update returns err None.
+    any other update returns err None.  The caller holds
+    np.errstate(invalid="ignore").
     """
-    h, c, N = grid.h, grid.center, grid.N
-    efac = math.expm1(k * h)
-    # interior rows: F = w - (rhs - ddt n rho) - ddt (log u'' + (n-1) log u')
-    base = rhs - ddt * n * grid.nodes[1:-1]
-    work = _work(N)
-    log2, log1 = np.empty(N - 2), np.empty(N - 2)
-
-    # the residual F and the estimate, the two columns of one dgtsv call
-    both = np.empty((N, 2), order="F")
-    F, est = both[:, 0], both[:, 1]
+    h, c, efac, n = ws.h, ws.c, ws.efac, ws.n
+    log2, log1, both, F, interior = ws.log2, ws.log1, ws.both, ws.F, ws.interior
     res = math.inf
     prev = None  # |delta| of the previous update, if undamped
     eta, ref = contraction
-    with np.errstate(invalid="ignore"):
-        for it in range(1, NEWTON_MAX_ITER + 1):
-            d1, d2 = diffs
-            np.log(d2, out=log2)
-            np.log(d1, out=log1)
-            log1 *= n - 1
-            log2 += log1
-            log2 *= ddt
-            interior = F[1:-1]
-            np.subtract(w[1:-1], base, out=interior)
-            interior -= log2
-            F[0], F[-1] = closure_rows(w, h, efac, cls_new.a, cls_new.b)
-            res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, nan if any entry is
-            if not math.isfinite(res):
-                raise _StepFailure("nonfinite residual")
-            err = None
-            if fixed is None or prev is None:
-                delta, (size,) = _stage_matrix_solve(d1, d2, ddt, h, n, efac, F, c, work)
-            else:
-                _estimate(est, w, rhs, fixed)
-                x, (size, err) = _stage_matrix_solve(d1, d2, ddt, h, n, efac, both, c, work)
-                delta = x[:, 0]
-            if prev is None:
-                judge = eta * max(1.0, size / ref)
-            else:
-                theta = size / prev
-                eta = judge = theta / (1.0 - theta) if theta < 1.0 else math.inf
-            error = judge * size if size > 0.0 else 0.0
-            w_try = w - delta
-            if error <= TOL_NEWTON:
-                w_try -= w_try.item(c) - center  # the stage value, gauge-shifted
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        # interior rows: F = w - base - ddt (log d2 + (n-1) log d1)
+        d1, d2 = diffs
+        np.log(d2, out=log2)
+        np.log(d1, out=log1)
+        log1 *= n - 1
+        log2 += log1
+        log2 *= ddt
+        np.subtract(w[1:-1], base, out=interior)
+        interior -= log2
+        F[0], F[-1] = closure_rows(w, h, efac, a, b)
+        res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, nan if any entry is
+        if not math.isfinite(res):
+            raise _StepFailure("nonfinite residual")
+        err = None
+        if fixed is None or prev is None:
+            delta, (size,) = _stage_matrix_solve(d1, d2, ddt, F, ws)
+        else:
+            _estimate(ws.est, w, rhs, fixed)
+            x, (size, err) = _stage_matrix_solve(d1, d2, ddt, both, ws)
+            delta = x[:, 0]
+        if prev is None:
+            judge = eta * max(1.0, size / ref)
+        else:
+            theta = size / prev
+            eta = judge = theta / (1.0 - theta) if theta < 1.0 else math.inf
+        error = judge * size if size > 0.0 else 0.0
+        w_try = w - delta
+        if error <= TOL_NEWTON:
+            w_try -= w_try.item(c) - center  # the stage value, gauge-shifted
+            diffs = _valid(w_try, h)
+            if diffs is not None:
+                measured = prev is not None and size > 0.0
+                return (w_try, it, error, (eta, prev) if measured else _UNMEASURED,
+                        diffs, err)
+            if _valid(w - delta, h) is not None:
+                raise _StepFailure("stage solution inadmissible after the gauge shift")
+        else:
+            diffs = _valid(w_try, h)
+        lam = 1.0
+        if diffs is None:
+            for _ in range(8):
+                lam *= 0.5
+                w_try = w - lam * delta
                 diffs = _valid(w_try, h)
                 if diffs is not None:
-                    measured = prev is not None and size > 0.0
-                    return (w_try, it, error, (eta, prev) if measured else _UNMEASURED,
-                            diffs, err)
-                if _valid(w - delta, h) is not None:
-                    raise _StepFailure("stage solution inadmissible after the gauge shift")
+                    break
             else:
-                diffs = _valid(w_try, h)
-            lam = 1.0
-            if diffs is None:
-                for _ in range(8):
-                    lam *= 0.5
-                    w_try = w - lam * delta
-                    diffs = _valid(w_try, h)
-                    if diffs is not None:
-                        break
-                else:
-                    raise _StepFailure("damping exhausted: iterate leaves admissible cone")
-            w = w_try
-            if lam < 1.0:
-                prev, (eta, ref) = None, _UNMEASURED
-                continue
-            prev = size
+                raise _StepFailure("damping exhausted: iterate leaves admissible cone")
+        w = w_try
+        if lam < 1.0:
+            prev, (eta, ref) = None, _UNMEASURED
+            continue
+        prev = size
     raise _StepFailure(f"Newton stalled after {NEWTON_MAX_ITER} iterations "
                        f"(residual {res:.3e})")
 
@@ -567,39 +591,41 @@ def _start(points: tuple[tuple[float, np.ndarray], ...], t: float, u: np.ndarray
            diffs: tuple[np.ndarray, np.ndarray],
            h: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Start of a stage solve to time t, with its differences: the Lagrange
-    extrapolation through the solution points (t_i, u_i) to t, or u_n with
-    its differences diffs when there is one point or the rule refuses the
-    extrapolation."""
-    if len(points) > 1:
-        w = term = None
-        for i, (ti, ui) in enumerate(points):
-            weight = 1.0
-            for j, (tj, _) in enumerate(points):
-                if j != i:
-                    weight *= (t - tj) / (ti - tj)
-            if w is None:
-                w, term = np.multiply(ui, weight), np.empty_like(ui)
-            else:
-                w += np.multiply(ui, weight, out=term)
-        w_diffs = _valid(w, h)
-        if w_diffs is not None:
-            return w, w_diffs
-    return u, diffs
+    extrapolation through the two or three solution points (t_i, u_i) to t,
+    or u_n with its differences diffs when there is one point or the rule
+    refuses the extrapolation."""
+    if len(points) == 1:
+        return u, diffs
+    if len(points) == 2:
+        (t0, u0), (t1, u1) = points
+        w = np.multiply(u0, (t - t1) / (t0 - t1))
+        w += np.multiply(u1, (t - t0) / (t1 - t0))
+    else:
+        (t0, u0), (t1, u1), (t2, u2) = points
+        w = np.multiply(u0, (t - t1) / (t0 - t1) * ((t - t2) / (t0 - t2)))
+        term = np.multiply(u1, (t - t0) / (t1 - t0) * ((t - t2) / (t1 - t2)))
+        w += term
+        w += np.multiply(u2, (t - t0) / (t2 - t0) * ((t - t1) / (t2 - t1)), out=term)
+    w_diffs = _valid(w, h)
+    return (w, w_diffs) if w_diffs is not None else (u, diffs)
 
 
-def _velocity(d1: np.ndarray, d2: np.ndarray, grid: RhoGrid, n: int) -> np.ndarray:
-    """Explicit velocity f(u) at interior nodes from the differences of an
-    admissible u."""
-    return np.log(d2) + (n - 1) * np.log(d1) - n * grid.nodes[1:-1]
+def _velocity(d1: np.ndarray, d2: np.ndarray, n: int, offset: np.ndarray) -> np.ndarray:
+    """Explicit velocity f(u) = log d2 + (n-1) log d1 - offset, that is
+    log u'' + (n-1) log u' - n rho, at interior nodes from the unscaled
+    differences of an admissible u (see _Workspace)."""
+    return np.log(d2) + (n - 1) * np.log(d1) - offset
 
 
 def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
     """Advance one accepted adaptive TR-BDF2 step (with internal retries).
 
-    t_cap, when given, is an event time the step must not overshoot; the
-    step lands on it exactly when the proposal reaches it, and takes half
-    the way to it when the proposal reaches past half the way, so that a
-    next proposal no shorter lands with the same dt.  The returned
+    t_cap is an event time the step must not overshoot; the step lands on
+    it exactly when the proposal reaches it, and takes half the way to it
+    when the proposal reaches past half the way, so that a next proposal no
+    shorter lands with the same dt.  It is the stop time
+    ctl.t_stop_fraction T when not given, and no later than it when given,
+    so no step passes the stop time.  The returned
     state builds its profile on first read.  An inadmissible u fails before
     any attempt; a failure after attempts carries them in FlowError.rejected.
     """
@@ -608,8 +634,10 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     u, t, grid = state.u, state.t, state.grid
     c = grid.center
     T = singular_time(params).T
-    if t >= ctl.t_stop_fraction * T:
-        raise FlowError(f"t={t} already beyond the stop time {ctl.t_stop_fraction * T}")
+    t_stop = ctl.t_stop_fraction * T
+    if t >= t_stop:
+        raise FlowError(f"t={t} already beyond the stop time {t_stop}")
+    t_cap = t_stop if t_cap is None else min(t_cap, t_stop)
 
     h = grid.h
     diffs = state._diffs
@@ -622,69 +650,78 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                             f"rho={grid.nodes[bad[0]]:.6g}")
         diffs = d1, d2
 
-    dt = min(state.stats.dt_next if state.stats is not None else DT_INIT * (T - t),
-             0.25 * (T - t))
-    f_n = _velocity(*diffs, grid, n)
+    dt = state.stats.dt_next if state.stats is not None else DT_INIT * (T - t)
+    ws = _Workspace(grid, n, k)
+    f_n = _velocity(*diffs, n, ws.offset)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
+    # the class endpoints move as class_at has them
+    a0, da, b0, db = params.a0, n - k, params.b0, n + k
+    center = u[c]
     # solution points the stages are predicted from: the previous step's
     # start and trapezoidal stage value, if the state carries them, and u_n
     past = state._past + ((t, u),)
     contraction = state._contraction
-    efac = math.expm1(k * h)
+    rhs, base, fixed = ws.rhs, ws.base, ws.fixed
     rejected: list[str] = []
-    while True:
-        hit_cap = False
-        if t_cap is not None and t + dt >= t_cap * (1.0 - 1e-14):
-            dt = t_cap - t
-            hit_cap = True
-            if dt <= 0.0:
-                raise FlowError(f"event time {t_cap} not ahead of t={t}")
-        elif t_cap is not None and t + 2.0 * dt >= t_cap * (1.0 - 1e-14):
-            dt = 0.5 * (t_cap - t)
-        ddt = _D * dt
-        t_g = t + _GAMMA * dt
-        try:
-            # TR stage to t + gamma dt, its first update judged by the
-            # contraction the last BDF2 stage measured
-            rhs = u_in + ddt * f_n
-            u_g, iters_g = _solve_stage(
-                *_start(past, t_g, u, diffs, h), u[c], rhs, ddt, grid,
-                class_at(params, t_g), n, k, contraction)[:2]
-            # the part of the embedded estimate the BDF2 stage does not change
-            fixed = (dt * _E_N) * f_n
-            fixed += (_E_G / _D) * (u_g[1:-1] - rhs)
-            # BDF2 stage to t + dt.  Its solution is the step's result, which
-            # the monitors read, so it measures the contraction of its own
-            # updates
-            rhs = _BDF2_SCALE * u_g[1:-1] - b_old
-            u1, iters, res, contraction, diffs1, err = _solve_stage(
-                *_start(past[-2:] + ((t_g, u_g),), t + dt, u, diffs, h), u[c], rhs, ddt,
-                grid, class_at(params, t + dt), n, k, _UNMEASURED, fixed)
-            if err is None:
-                # the stage ended on an update with no measured contraction,
-                # which filtered no estimate: filter it through the stage
-                # matrix at u1.  The gauge constant is invisible: the size
-                # has the center pinned
-                est = np.empty(grid.N)
-                _estimate(est, u1, rhs, fixed)
-                _, (err,) = _stage_matrix_solve(*diffs1, ddt, h, n, efac, est, c,
-                                                _work(grid.N))
-        except _StepFailure as exc:
-            reason, factor, contraction = str(exc), 0.5, _UNMEASURED
-        else:
-            factor = MAX_GROWTH if err == 0.0 else min(
-                MAX_GROWTH, max(0.2, SAFETY * (ctl.tol_step / err) ** (1.0 / 3.0)))
-            if err <= ctl.tol_step:
-                break
-            reason = f"err={err:.6g} > tol"
-        rejected.append(f"dt={dt:.6g} {reason}")
-        dt *= factor
-        if dt < DT_MIN:
-            raise FlowError(f"profile degenerate: step size underflow at t={t:.12g} "
-                            f"({reason})", rejected=tuple(rejected))
+    with np.errstate(invalid="ignore"):
+        while True:
+            hit_cap = t + dt >= t_cap * (1.0 - 1e-14)
+            if hit_cap:
+                dt = t_cap - t
+                if dt <= 0.0:
+                    raise FlowError(f"event time {t_cap} not ahead of t={t}")
+            elif t + 2.0 * dt >= t_cap * (1.0 - 1e-14):
+                dt = 0.5 * (t_cap - t)
+            ddt = _D * dt
+            t_g, t_1 = t + _GAMMA * dt, t + dt
+            # base = rhs - ddt offset in both stages
+            doff = np.multiply(ws.offset, ddt, out=ws.doff)
+            try:
+                # TR stage to t + gamma dt, its first update judged by the
+                # contraction the last BDF2 stage measured
+                np.multiply(f_n, ddt, out=rhs)
+                rhs += u_in
+                np.subtract(rhs, doff, out=base)
+                u_g, iters_g = _solve_stage(
+                    *_start(past, t_g, u, diffs, h), center, rhs, base, ddt,
+                    a0 - da * t_g, b0 - db * t_g, contraction, ws)[:2]
+                # the part of the embedded estimate the BDF2 stage does not change
+                np.multiply(f_n, dt * _E_N, out=fixed)
+                np.subtract(u_g[1:-1], rhs, out=base)
+                base *= _E_G / _D
+                fixed += base
+                # BDF2 stage to t + dt.  Its solution is the step's result, which
+                # the monitors read, so it measures the contraction of its own
+                # updates
+                np.multiply(u_g[1:-1], _BDF2_SCALE, out=rhs)
+                rhs -= b_old
+                np.subtract(rhs, doff, out=base)
+                u1, iters, res, contraction, diffs1, err = _solve_stage(
+                    *_start(past[-2:] + ((t_g, u_g),), t_1, u, diffs, h), center, rhs, base,
+                    ddt, a0 - da * t_1, b0 - db * t_1, _UNMEASURED, ws, fixed)
+                if err is None:
+                    # the stage ended on an update with no measured contraction,
+                    # which filtered no estimate: filter it through the stage
+                    # matrix at u1.  The gauge constant is invisible: the size
+                    # has the center pinned
+                    _estimate(ws.est, u1, rhs, fixed)
+                    _, (err,) = _stage_matrix_solve(*diffs1, ddt, ws.est, ws)
+            except _StepFailure as exc:
+                reason, factor, contraction = str(exc), 0.5, _UNMEASURED
+            else:
+                factor = MAX_GROWTH if err == 0.0 else min(
+                    MAX_GROWTH, max(0.2, SAFETY * (ctl.tol_step / err) ** (1.0 / 3.0)))
+                if err <= ctl.tol_step:
+                    break
+                reason = f"err={err:.6g} > tol"
+            rejected.append(f"dt={dt:.6g} {reason}")
+            dt *= factor
+            if dt < DT_MIN:
+                raise FlowError(f"profile degenerate: step size underflow at t={t:.12g} "
+                                f"({reason})", rejected=tuple(rejected))
 
-    t_new = t_cap if hit_cap else t + dt
+    t_new = t_cap if hit_cap else t_1
     dt_next = max(dt * factor, DT_MIN)
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters_g + iters,
                       residual=res, error=err, retries=len(rejected),

@@ -95,11 +95,12 @@ def _tr_stage(u, dt, params, grid):
     starts it from a state without history: w - D dt f(w) = u + D dt f(u)
     at t = gamma dt, with no contraction measured."""
     ddt = flow._D * dt
-    diffs = flow._second_diffs(u, grid.h)
-    f = flow._velocity(*diffs, grid, params.n)
-    return flow._solve_stage(u, diffs, u[grid.center], u[1:-1] + ddt * f, ddt, grid,
-                             cf.class_at(params, flow._GAMMA * dt), params.n, params.k,
-                             flow._UNMEASURED)
+    ws = flow._Workspace(grid, params.n, params.k)
+    diffs = flow._second_diffs(u)
+    rhs = u[1:-1] + ddt * flow._velocity(*diffs, params.n, ws.offset)
+    cls = cf.class_at(params, flow._GAMMA * dt)
+    return flow._solve_stage(u, diffs, u[grid.center], rhs, rhs - ddt * ws.offset, ddt,
+                             cls.a, cls.b, flow._UNMEASURED, ws)
 
 
 def test_center_value_is_a_discrete_invariant(contract_default, contract_wide):
@@ -185,6 +186,34 @@ def test_step_cap_is_respected(contract_seed):
     assert out.profile.t == pytest.approx(2.5e-4, rel=1e-12)
 
 
+def test_step_without_a_cap_lands_on_the_stop_time():
+    """The stop time is step()'s default event: steps without t_cap never
+    pass it, the last one lands on it exactly, and no further step starts."""
+    ctl = cf.StepControl(t_stop_fraction=0.3)
+    t_stop = ctl.t_stop_fraction * cf.singular_time(CONTRACT).T
+    state = cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)
+    while state.t < t_stop:
+        state = cf.step(state, ctl)
+        assert state.t <= t_stop
+    assert state.t == t_stop
+    with pytest.raises(cf.FlowError, match="already beyond the stop time"):
+        cf.step(state, ctl)
+
+
+def test_collapse_takes_one_step_per_late_level(tmp_path):
+    """With no cap but the events and the error estimate, the collapse
+    preset at (12, 513) crosses each dyadic level from t = 0.96875 T on,
+    and the last one before the stop time, in one accepted step."""
+    params = cf.FlowParams(2, 1, 1.0, 2.0)
+    trace = cf.run(params, grid=cf.RhoGrid(12.0, 513), out_dir=tmp_path)
+    times = [float(ln.split()[0].removeprefix("t=")) for ln in
+             (tmp_path / "run.log").read_text().splitlines() if ln.startswith("t=")]
+    levels = [c.t for c in trace.checkpoints if c.j >= 5] + [0.999 * trace.T]
+    assert levels[0] == 0.96875 * trace.T and len(levels) == 6
+    for start, end in zip(levels, levels[1:]):
+        assert [t for t in times if start < t <= end] == [end]
+
+
 def test_failed_run_keeps_partial_trace(tmp_path, monkeypatch):
     """A FlowError still leaves the rows sampled so far and a summary that
     names the error; u'' never clears a floor of 1 on this seed."""
@@ -261,9 +290,9 @@ def test_failed_step_logs_its_rejected_attempts(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, fake, reason", [
-    ("dgtsv", lambda dl, d, du, b, **_: (dl, d, du, b, 2),
+    ("dgtsv", lambda dl, d, du, b, *_: (dl, d, du, b, 2),
      "tridiagonal solve failed: info=2"),
-    ("dgtsv", lambda dl, d, du, b, **_: (dl, d, du, np.full_like(b, np.nan), 0),
+    ("dgtsv", lambda dl, d, du, b, *_: (dl, d, du, np.full_like(b, np.nan), 0),
      "nonfinite tridiagonal solution"),
     ("closure_rows", lambda *_: (math.nan, 0.0), "nonfinite residual"),
 ], ids=["dgtsv-info", "nonfinite-solution", "nonfinite-residual"])
@@ -344,15 +373,16 @@ def _non_finite_samples():
 def test_valid_refuses_exactly_where_the_rule_flags_a_node():
     """_valid refuses a sample vector exactly when _rule's mask flags a
     node, and the mask is the node-by-node rule: the non-finite samples and
-    the interior nodes without u' > 0 and u'' > FLOOR_U2.  +inf at node N-1
-    is the one case whose differences pass; the end check refuses it."""
+    the interior nodes without u' > 0 and u'' > FLOOR_U2, on the unscaled
+    differences d1 = 2h u' and d2 = h^2 u''.  +inf at node N-1 is the one
+    case whose differences pass; the end check refuses it."""
     h = cf.RhoGrid(12.0, 257).h
     seed = _contract_seed_at(0.0).u
     assert flow._rule(seed, h)[2] is None and flow._valid(seed, h) is not None
     for label, w in _non_finite_samples():
         with np.errstate(invalid="ignore"):
-            d1, d2 = flow._second_diffs(w, h)
-            interior_ok = (d1 > 0.0) & (d2 > flow.FLOOR_U2)
+            d1, d2 = flow._second_diffs(w)
+            interior_ok = (d1 > 0.0) & (d2 > flow.FLOOR_U2 * h**2)
         expect = ~np.isfinite(w)
         expect[1:-1] |= ~interior_ok
         mask = flow._rule(w, h)[2]
@@ -382,6 +412,26 @@ def test_carried_differences_step_like_a_fresh_state(rejecting):
         retries += out.stats.retries
         state = out
     assert retries > 0
+
+
+def test_a_kept_state_steps_alike_after_later_steps(rejecting):
+    """A step from a kept state, repeated after the steps that follow it,
+    gives bitwise-equal samples, differences, solution points, time and
+    stats, also through rejected attempts: no array a returned state holds
+    is a buffer that a later step overwrites."""
+    chain = [cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)]
+    for _ in range(6):
+        chain.append(cf.step(chain[-1], rejecting))
+    assert chain[1].stats.retries > 0
+    for kept, first in reversed(list(zip(chain, chain[1:]))):
+        again = cf.step(kept, rejecting)
+        assert (again.t, again.stats, again._contraction) == (first.t, first.stats,
+                                                               first._contraction)
+        assert [p[0] for p in again._past] == [p[0] for p in first._past]
+        arrays = [(again.u, first.u), *zip(again._diffs, first._diffs)]
+        arrays += [(a[1], b[1]) for a, b in zip(again._past, first._past)]
+        for a, b in arrays:
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("flow_run", [
@@ -431,12 +481,12 @@ def test_inadmissible_stage_solution_is_a_rejected_attempt(contract_seed, monkey
     assert out.stats.dt == 0.5 * FIRST_DT and len(stages) == 4
 
 
-def _fail_info(dl, d, du, b, **_):
+def _fail_info(dl, d, du, b, *_):
     return dl, d, du, b, 2
 
 
-def _fail_estimate_column(dl, d, du, b, **kwargs):
-    *out, info = dgtsv(dl, d, du, b, **kwargs)
+def _fail_estimate_column(dl, d, du, b, *flags):
+    *out, info = dgtsv(dl, d, du, b, *flags)
     out[3][:, 1] = np.nan
     return (*out, info)
 
@@ -454,11 +504,11 @@ def test_two_column_solve_refusals_are_logged_rejected_attempts(tmp_path, monkey
     its stop time."""
     calls = []
 
-    def failing_once(dl, d, du, b, **kwargs):
+    def failing_once(dl, d, du, b, *flags):
         calls.append(b.ndim)
         if calls.count(2) == 1 and b.ndim == 2:
-            return fail(dl, d, du, b, **kwargs)
-        return dgtsv(dl, d, du, b, **kwargs)
+            return fail(dl, d, du, b, *flags)
+        return dgtsv(dl, d, du, b, *flags)
 
     monkeypatch.setattr(flow, "dgtsv", failing_once)
     ctl = cf.StepControl(t_stop_fraction=0.2)
@@ -793,11 +843,13 @@ def test_predicted_stage_stops_after_one_solve(monkeypatch):
     grid, c = state.grid, state.grid.center
     dt = state.stats.dt_next
     ddt, t_g = flow._D * dt, state.t + flow._GAMMA * dt
-    rhs = state.u[1:-1] + ddt * flow._velocity(*state._diffs, grid, 2)
+    ws = flow._Workspace(grid, 2, 1)
+    rhs = state.u[1:-1] + ddt * flow._velocity(*state._diffs, 2, ws.offset)
     start = flow._start(state._past + ((state.t, state.u),), t_g, state.u, state._diffs,
                         grid.h)
     assert start[0] is not state.u
-    stage = (state.u[c], rhs, ddt, grid, cf.class_at(CONTRACT, t_g), 2, 1, state._contraction)
+    cls = cf.class_at(CONTRACT, t_g)
+    stage = (state.u[c], rhs, rhs - ddt * ws.offset, ddt, cls.a, cls.b)
     solves = []
 
     def counting_dgtsv(*args, **kwargs):
@@ -805,16 +857,41 @@ def test_predicted_stage_stops_after_one_solve(monkeypatch):
         return dgtsv(*args, **kwargs)
 
     monkeypatch.setattr(flow, "dgtsv", counting_dgtsv)
-    w, iters, error = flow._solve_stage(*start, *stage)[:3]
+    w, iters, error = flow._solve_stage(*start, *stage, state._contraction, ws)[:3]
     assert iters == 1 and len(solves) == 1 and error <= flow.TOL_NEWTON
     # the same factor, measured on an update a millionth the size of this
     # first one, is scaled up with it and does not end the stage
     moved = w - start[0]
     small = (state._contraction[0], 1e-6 * float(np.max(np.abs(moved - moved[c]))))
-    assert flow._solve_stage(*start, *stage[:-1], small)[1] >= 2
+    assert flow._solve_stage(*start, *stage, small, ws)[1] >= 2
     monkeypatch.setattr(flow, "TOL_NEWTON", 1e-13)
-    d = w - flow._solve_stage(*start, *stage)[0]
+    d = w - flow._solve_stage(*start, *stage, state._contraction, ws)[0]
     assert float(np.max(np.abs(d - d[c]))) <= 1e-10
+
+
+def test_start_is_the_lagrange_extrapolation_bit_for_bit():
+    """_start's closed-form weights for two and three solution points give
+    the samples of the Lagrange loop, each weight a running product of
+    (t - t_j) / (t_i - t_j) over j != i and the terms summed in order, bit
+    for bit, on the solution points of steps of the contract preset."""
+    state = cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)
+    for _ in range(4):
+        state = cf.step(state, cf.StepControl())
+    points = state._past + ((state.t, state.u),)
+    dt = state.stats.dt_next
+    for points, t in ((points, state.t + flow._GAMMA * dt), (points[1:], state.t + dt)):
+        terms = []
+        for i, (ti, ui) in enumerate(points):
+            weight = 1.0
+            for j, (tj, _) in enumerate(points):
+                if j != i:
+                    weight *= (t - tj) / (ti - tj)
+            terms.append(ui * weight)
+        expect = terms[0]
+        for term in terms[1:]:
+            expect = expect + term
+        w = flow._start(points, t, state.u, state._diffs, state.grid.h)[0]
+        assert w is not state.u and w.tobytes() == expect.tobytes()
 
 
 def test_predicted_starts_save_solves_at_the_same_accuracy(monkeypatch):
@@ -848,23 +925,22 @@ def test_ridden_error_filter_matches_a_filter_solve_at_the_stage_value(monkeypat
     estimate is within 1 % of the estimate filtered by a separate solve
     with the stage matrix at the stage value u_1."""
     solve = flow._solve_stage
+    grid = cf.RhoGrid(12.0, 513)
     ratios = []
 
-    def checking_solve(w, diffs, center, rhs, ddt, grid, cls, n, k, contraction,
-                       fixed=None):
-        out = solve(w, diffs, center, rhs, ddt, grid, cls, n, k, contraction, fixed)
+    def checking_solve(w, diffs, center, rhs, base, ddt, a, b, contraction, ws, fixed=None):
+        out = solve(w, diffs, center, rhs, base, ddt, a, b, contraction, ws, fixed)
         u1, diffs1, err = out[0], out[4], out[5]
         if err is not None:
             est = np.empty(grid.N)
             flow._estimate(est, u1, rhs, fixed)
-            _, (alone,) = flow._stage_matrix_solve(*diffs1, ddt, grid.h, n,
-                                                   math.expm1(k * grid.h), est,
-                                                   grid.center, flow._work(grid.N))
+            _, (alone,) = flow._stage_matrix_solve(*diffs1, ddt, est,
+                                                   flow._Workspace(grid, 2, 1))
             ratios.append(err / alone)
         return out
 
     monkeypatch.setattr(flow, "_solve_stage", checking_solve)
-    trace = cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 513))
+    trace = cf.run(CONTRACT, grid=grid)
     assert len(ratios) >= 0.8 * (trace.steps + trace.retries)
     assert max(abs(r - 1.0) for r in ratios) <= 0.01
 
