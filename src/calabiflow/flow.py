@@ -62,11 +62,9 @@ would overstate, and its center value is subtracted, since the gauge
 constant shifts the stage values of f.  The filter rides on the BDF2
 stage's last Newton solve: each BDF2 update with an undamped predecessor
 solves the estimate at the current iterate as a second column beside the
-residual, and when that update ends the stage, the second column is the
-filtered estimate, taken with the matrix and f_1 of the iterate before
-u_1, within O(|delta|) of u_1's.  A stage that ends on its first update,
-or the first after a damped one, filtered nothing, and its estimate at u_1
-takes one more solve with the stage matrix at u_1.  Its sup norm is held
+residual, and only such an update ends the stage, so the second column of
+the last one is the filtered estimate, taken with the matrix and f_1 of
+the iterate before u_1, within O(|delta|) of u_1's.  Its sup norm is held
 to tol_step, and the dt proposal follows the cube-root rule of a
 second-order integrator.  The first step from a state step() did not
 make tries DT_INIT (T - t): the flow is invariant under
@@ -92,8 +90,8 @@ then used with the differences it took: each Newton iterate that does not
 end its stage, each damped one, each predicted start, and each stage
 value, judged once after its gauge shift (rejected if the shift rounds it
 off the rule).  The BDF2
-stage value's differences serve the error filter at u_1 and, carried by
-the returned state, the next step's f_n and first Newton step.  A state that
+stage value's differences, carried by the returned state, serve the next
+step's f_n and first Newton step.  A state that
 step() did not make is checked when a step starts from it.  run() applies
 the rule to the seed before sampling its row, and validate_profile
 reports it node by node from u, the class and k alone.
@@ -465,18 +463,6 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, b: np.ndarra
     return x, sizes
 
 
-def _estimate(out: np.ndarray, w: np.ndarray, rhs: np.ndarray, fixed: np.ndarray) -> None:
-    """The embedded estimate at the BDF2 stage value w, into out:
-    fixed + dt E_1 f_1 on the interior rows, f_1 = (w - rhs)/ddt from the
-    stage equation, and 0 on the closure rows; fixed is
-    dt (E_N f_n + E_G f_gamma)."""
-    interior = out[1:-1]
-    np.subtract(w[1:-1], rhs, out=interior)
-    interior *= _E_1 / _D
-    interior += fixed
-    out[0] = out[-1] = 0.0
-
-
 def _solve_stage(
     w: np.ndarray,
     diffs: tuple[np.ndarray, np.ndarray],
@@ -497,8 +483,8 @@ def _solve_stage(
     (see _Workspace), and base = rhs - ddt offset.  Returns (w, iterations,
     error, contraction, diffs, err): error is the estimate eta |delta| of
     the error left that ended the iteration, diffs are the differences of
-    the returned w, and err is the filtered error estimate or None (see
-    below).  The residual and the stage matrix are written into ws; rhs,
+    the returned w, and err is the filtered error estimate of the BDF2 stage
+    (see below).  The residual and the stage matrix are written into ws; rhs,
     base and fixed are read.
 
     Updates are measured as |delta| = sup|delta - delta[c]|: one Newton
@@ -517,16 +503,19 @@ def _solve_stage(
     the shift, which fails the stage.
 
     The BDF2 stage passes fixed = dt (E_N f_n + E_G f_gamma) on the
-    interior rows (see _estimate).  Each of its updates with an undamped
-    predecessor then solves the embedded estimate at the current iterate
-    as the second column of its dgtsv call, and err, when that update ends
-    the stage, is the size of the filtered column; a stage that ends on
-    any other update returns err None.  The caller holds
+    interior rows.  Each of its updates with an undamped predecessor then
+    solves the embedded estimate at the current iterate w, fixed + dt E_1 f_1
+    with f_1 = (w - rhs)/ddt from the stage equation on the interior rows
+    and 0 on the closure rows, as the second column of its dgtsv call.
+    Only such an update ends the stage: one that passes the stop test
+    without that column becomes the next iterate, and theta after an update
+    of size 0 is 0.  err is the size of the filtered column of the update
+    that ended the stage, and None for the TR stage.  The caller holds
     np.errstate(invalid="ignore").
     """
     h, c, efac, n = ws.h, ws.c, ws.efac, ws.n
     log2, log1, both, F, interior = ws.log2, ws.log1, ws.both, ws.F, ws.interior
-    res = math.inf
+    res, err = math.inf, None
     prev = None  # |delta| of the previous update, if undamped
     eta, ref = contraction
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -543,25 +532,30 @@ def _solve_stage(
         res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, nan if any entry is
         if not math.isfinite(res):
             raise _StepFailure("nonfinite residual")
-        err = None
-        if fixed is None or prev is None:
-            delta, (size,) = _stage_matrix_solve(d1, d2, ddt, F, ws)
-        else:
-            _estimate(ws.est, w, rhs, fixed)
+        filters = fixed is not None and prev is not None
+        if filters:
+            # the estimate at w: fixed + dt E_1 f_1, f_1 = (w - rhs)/ddt
+            est = ws.est[1:-1]
+            np.subtract(w[1:-1], rhs, out=est)
+            est *= _E_1 / _D
+            est += fixed
+            ws.est[0] = ws.est[-1] = 0.0
             x, (size, err) = _stage_matrix_solve(d1, d2, ddt, both, ws)
             delta = x[:, 0]
+        else:
+            delta, (size,) = _stage_matrix_solve(d1, d2, ddt, F, ws)
         if prev is None:
             judge = eta * max(1.0, size / ref)
         else:
-            theta = size / prev
+            theta = size / prev if prev > 0.0 else 0.0
             eta = judge = theta / (1.0 - theta) if theta < 1.0 else math.inf
         error = judge * size if size > 0.0 else 0.0
         w_try = w - delta
-        if error <= TOL_NEWTON:
+        if error <= TOL_NEWTON and (filters or fixed is None):
             w_try -= w_try.item(c) - center  # the stage value, gauge-shifted
             diffs = _valid(w_try, h)
             if diffs is not None:
-                measured = prev is not None and size > 0.0
+                measured = prev is not None and prev > 0.0 and size > 0.0
                 return (w_try, it, error, (eta, prev) if measured else _UNMEASURED,
                         diffs, err)
             if _valid(w - delta, h) is not None:
@@ -700,13 +694,6 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                 u1, iters, res, contraction, diffs1, err = _solve_stage(
                     *_start(past[-2:] + ((t_g, u_g),), t_1, u, diffs, h), center, rhs, base,
                     ddt, a0 - da * t_1, b0 - db * t_1, _UNMEASURED, ws, fixed)
-                if err is None:
-                    # the stage ended on an update with no measured contraction,
-                    # which filtered no estimate: filter it through the stage
-                    # matrix at u1.  The gauge constant is invisible: the size
-                    # has the center pinned
-                    _estimate(ws.est, u1, rhs, fixed)
-                    _, (err,) = _stage_matrix_solve(*diffs1, ddt, ws.est, ws)
             except _StepFailure as exc:
                 reason, factor, contraction = str(exc), 0.5, _UNMEASURED
             else:
@@ -734,12 +721,14 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
 # full runs
 
 def checkpoint_times(T: float, t_stop: float, count: int) -> list[tuple[float, int]]:
-    """Dyadic approach times T*(1 - 2^-j) that fall inside the run."""
+    """Dyadic approach times T*(1 - 2^-j), j <= count, that fall inside the
+    run; the times increase with j, so the first one past t_stop ends them."""
     out = []
     for j in range(1, count + 1):
         tj = T * (1.0 - 0.5**j)
-        if tj <= t_stop * (1.0 + 1e-12):
-            out.append((tj, j))
+        if tj > t_stop * (1.0 + 1e-12):
+            break
+        out.append((tj, j))
     return out
 
 
