@@ -23,9 +23,9 @@ against its interior neighbour removes that entry, so every Newton step
 is a single tridiagonal solve (LAPACK dgtsv, partial pivoting), assembled
 by the one helper that the error filter uses too, and dgtsv takes several
 right-hand sides in one call; dgtsv comes from scipy's compiled LAPACK
-module, loaded without the scipy.linalg package.  Both stages, their
-Newton solves and the error filter of one step() call write into one
-workspace of buffers (_Workspace), which no returned state references.
+module, loaded without the scipy.linalg package.  Every step of a run
+writes into one workspace of buffers (_Workspace), which each returned
+state carries to the next step and whose memory no state's array shares.
 Updates are measured in the gauge-free sup norm sup|delta - delta[c]|,
 and Newton stops once eta |delta_k| <= TOL_NEWTON, with eta =
 theta/(1-theta) and theta = |delta_k|/|delta_(k-1)| after an undamped
@@ -33,7 +33,8 @@ delta_(k-1) (Hairer-Wanner, Solving ODEs II, IV.8).  The trapezoidal
 stage judges its first update by the eta the previous BDF2 stage measured
 (see _solve_stage), so it mostly ends after one solve; the BDF2 stage,
 whose solution the monitors read, measures its own.
-StepStats.residual is the eta |delta| that ended the BDF2 stage.  Each
+StepStats.residual is the eta |delta| that ended the BDF2 stage; the
+residual's own sup norm is formed only for a stalled stage's message.  Each
 stage starts from the Lagrange extrapolation of the last solution points
 to its time (Hosea and Shampine, cited below): the previous step's start
 and trapezoidal stage value and u_n for the trapezoidal stage, that stage
@@ -82,19 +83,21 @@ attempts for the run log.
 Admissibility is one rule, _rule: finite samples with u' > 0 and
 u'' > FLOOR_U2 by central differences at every interior node.  The
 stepper works with the unscaled differences d1 = w[2:] - w[:-2] = 2h u'
-and d2 = w[:-2] - 2 w[1:-1] + w[2:] = h^2 u'': the rule compares d2 with
-FLOOR_U2 h^2, the stage matrix divides ddt and ddt (n-1) by them, and the
-velocity is log d2 + (n-1) log d1 less one offset array, n rho plus the
-log h terms.  The rule runs once per sample vector, and the vector is
-then used with the differences it took: each Newton iterate that does not
-end its stage, each damped one, each predicted start, and each stage
-value, judged once after its gauge shift (rejected if the shift rounds it
-off the rule).  The BDF2
-stage value's differences, carried by the returned state, serve the next
-step's f_n and first Newton step.  A state that
-step() did not make is checked when a step starts from it.  run() applies
-the rule to the seed before sampling its row, and validate_profile
-reports it node by node from u, the class and k alone.
+and d2 = w[:-2] - 2 w[1:-1] + w[2:] = h^2 u'', the rows of one (2, N-2)
+array, so one numpy call serves both: the rule compares their row minima
+with 0 and FLOOR_U2 h^2, the stage matrix divides (ddt (n-1), -ddt) by
+them, and a Newton iterate takes their logs; the velocity is log d2 +
+(n-1) log d1 less one offset array, n rho plus the log h terms.  The rule
+runs once per sample vector, and the vector is then used with the
+differences it took: each Newton iterate that does not end its stage,
+each damped one, each predicted start, and each stage value, judged once
+after its gauge shift (rejected if the shift rounds it off the rule).
+The BDF2 stage value's differences, carried by the returned state, serve
+the next step's f_n and first Newton step.  A state that step() did not
+make is checked when a step starts from it, and a refusal counts the
+nodes of each cause.  run() applies the rule to the seed before sampling
+its row, and validate_profile reports it node by node from u, the class
+and k alone.
 Stepping reads only the samples u; the full CalabiProfile (ghost nodes and
 four derivative arrays) of an accepted state is built on first read, so a
 run builds it only for monitor rows, checkpoints and the final profile.
@@ -223,28 +226,29 @@ class FlowState:
     on first read and kept.  A state step() returns also carries the
     differences of u, so the next step does not take them again, the
     solution points (t, u) of the step that made it, its start and its
-    trapezoidal stage value, from which the next stages are predicted, and
-    the Newton contraction that its BDF2 stage measured (see
-    _solve_stage)."""
+    trapezoidal stage value, from which the next stages are predicted, the
+    Newton contraction that its BDF2 stage measured (see _solve_stage), and
+    the workspace it wrote, which the next step reuses."""
 
     def __init__(self, profile: CalabiProfile, params: FlowParams,
                  stats: StepStats | None = None):
         self._profile: CalabiProfile | None = profile
-        self._diffs: tuple[np.ndarray, np.ndarray] | None = None
+        self._diffs: np.ndarray | None = None
         self._past: tuple[tuple[float, np.ndarray], ...] = ()
         self._contraction = _UNMEASURED
+        self._ws: _Workspace | None = None
         self.params = params
         self.stats = stats
         self.u, self.t, self.grid = profile.u, profile.t, profile.grid
 
     @classmethod
-    def _from_samples(cls, u: np.ndarray, diffs: tuple[np.ndarray, np.ndarray],
-                      t: float, grid: RhoGrid, params: FlowParams, stats: StepStats,
+    def _from_samples(cls, u: np.ndarray, diffs: np.ndarray, t: float, grid: RhoGrid,
+                      params: FlowParams, stats: StepStats,
                       past: tuple[tuple[float, np.ndarray], ...],
-                      contraction: tuple[float, float]) -> "FlowState":
+                      contraction: tuple[float, float], ws: "_Workspace") -> "FlowState":
         state = cls.__new__(cls)
         state._profile, state._diffs = None, diffs
-        state._past, state._contraction = past, contraction
+        state._past, state._contraction, state._ws = past, contraction, ws
         state.params, state.stats = params, stats
         state.u, state.t, state.grid = u, t, grid
         return state
@@ -261,49 +265,61 @@ class FlowState:
 # ---------------------------------------------------------------------------
 # admissibility: the one rule that step() and validate_profile() apply
 
-def _second_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unscaled differences (d1, d2) at interior nodes 1..N-2: d1 =
-    w[2:] - w[:-2] and d2 = w[:-2] - 2 w[1:-1] + w[2:], which are 2h u' and
-    h^2 u'' by central differences, evaluated in that order in place, so
-    with one array allocated each."""
+def _second_diffs(w: np.ndarray) -> np.ndarray:
+    """The unscaled differences at interior nodes 1..N-2 as the rows of one
+    (2, N-2) array: d1 = w[2:] - w[:-2] and d2 = w[:-2] - 2 w[1:-1] + w[2:],
+    which are 2h u' and h^2 u'' by central differences, evaluated in that
+    order in place."""
     left, right = w[:-2], w[2:]
-    d1 = np.subtract(right, left)
-    d2 = np.multiply(w[1:-1], 2.0)
+    d1, d2 = diffs = np.empty((2, left.size))
+    np.subtract(right, left, out=d1)
+    np.multiply(w[1:-1], 2.0, out=d2)
     np.subtract(left, d2, out=d2)
     d2 += right
-    return d1, d2
+    return diffs
 
 
-def _admissible(w: np.ndarray, d1: np.ndarray, d2: np.ndarray, h: float) -> bool:
-    """The verdict of the rule on w with differences (d1, d2).  A non-finite
+def _admissible(w: np.ndarray, diffs: np.ndarray, h: float) -> bool:
+    """The verdict of the rule on w with differences diffs.  A non-finite
     interior sample leaves a difference at its node or a neighbour nan or
-    of the wrong sign, and min() of an array holding nan is nan, so the
-    minima of the differences and the two end samples decide."""
-    return (_amin(d1) > 0.0 and _amin(d2) > FLOOR_U2 * h**2
+    of the wrong sign, and the minimum of a row holding nan is nan, so the
+    row minima of diffs, one reduction, and the two end samples decide."""
+    min1, min2 = _amin(diffs, axis=1).tolist()
+    return (min1 > 0.0 and min2 > FLOOR_U2 * h**2
             and math.isfinite(w.item(0)) and math.isfinite(w.item(-1)))
 
 
-def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _rule(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray | None]:
     """The admissibility rule: the differences (d1, d2) at interior nodes
     1..N-2, and the mask of the nodes it refuses, a non-finite sample or an
     interior node without u' > 0 and u'' > FLOOR_U2, that is d1 > 0 and
     d2 > FLOOR_U2 h^2, or None if there are none.  The mask is formed only
     for a refused w."""
     with np.errstate(invalid="ignore"):
-        d1, d2 = _second_diffs(w)
-    if _admissible(w, d1, d2, h):
-        return d1, d2, None
+        diffs = _second_diffs(w)
+    if _admissible(w, diffs, h):
+        return diffs, None
     bad = ~np.isfinite(w)
-    bad[1:-1] |= ~((d1 > 0.0) & (d2 > FLOOR_U2 * h**2))
-    return d1, d2, bad
+    bad[1:-1] |= ~((diffs[0] > 0.0) & (diffs[1] > FLOOR_U2 * h**2))
+    return diffs, bad
 
 
-def _valid(w: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(d1, d2) of admissible samples, or None: the rule's verdict without
-    its mask.  It leaves numpy's error state alone, so a caller that may
-    pass non-finite samples holds np.errstate(invalid="ignore")."""
-    d1, d2 = _second_diffs(w)
-    return (d1, d2) if _admissible(w, d1, d2, h) else None
+def _causes(w: np.ndarray, diffs: np.ndarray, h: float) -> str:
+    """Why the rule refuses w: the nodes of each cause, which may overlap (a
+    nan difference is non-finite), and the least u'' = d2/h^2, on one line."""
+    nonfinite = ~np.isfinite(w)
+    nonfinite[1:-1] |= np.isnan(diffs).any(axis=0)
+    low1, low2 = (diffs <= [[0.0], [FLOOR_U2 * h**2]]).sum(axis=1).tolist()
+    return (f"(u' <= 0 at {low1}, u'' <= FLOOR_U2 at {low2}, non-finite at {nonfinite.sum()}; "
+            f"min u'' {np.fmin.reduce(diffs[1]) / h**2:.3g} vs FLOOR_U2 {FLOOR_U2:g})")
+
+
+def _valid(w: np.ndarray, h: float) -> np.ndarray | None:
+    """The differences of admissible samples, or None: the rule's verdict
+    without its mask.  It leaves numpy's error state alone, so a caller that
+    may pass non-finite samples holds np.errstate(invalid="ignore")."""
+    diffs = _second_diffs(w)
+    return diffs if _admissible(w, diffs, h) else None
 
 
 @dataclass(frozen=True)
@@ -344,8 +360,8 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ProfileError(f"need a finite tol > 0, got {tol}")
     a, b, h = p.cls.a, p.cls.b, p.grid.h
-    d1, _, refused = _rule(p.u, h)
-    du = d1 / (2.0 * h)
+    diffs, refused = _rule(p.u, h)
+    du = diffs[0] / (2.0 * h)
     violations: list[Violation] = []
     for invariant, bad, what in (
             ("finite", ~np.isfinite(p.u), "non-finite u"),
@@ -353,8 +369,9 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
             ("class-range", np.pad((du <= a) | (du >= b), 1), f"u' outside ({a}, {b})")):
         if bad is not None and bad.any():
             nodes = tuple(int(i) for i in np.flatnonzero(bad)[:16])
+            why = f" {_causes(p.u, diffs, h)}" if bad is refused else ""
             violations.append(Violation(invariant, nodes, f"{what} at {int(bad.sum())} "
-                                        f"node(s), first at index {nodes[0]}"))
+                                        f"node(s), first at index {nodes[0]}{why}"))
 
     efac = math.expm1(p.k * h)
     rows = closure_rows(p.u, h, efac, a, b)
@@ -384,13 +401,14 @@ _E_1 = _ERR_COEF / (1.0 - _GAMMA)
 
 
 class _Workspace:
-    """What the stages and solves of one step() call share: the grid
-    constants of the stage equations and the buffers each stage, solve and
-    attempt overwrites.  No array a step returns is one of these buffers."""
+    """What the steps of one run share, carried from state to state: the
+    grid constants of the stage equations and the buffers each stage, solve
+    and attempt overwrites, whose memory no state's array shares.  Rows as
+    in diffs: ratios = coef / diffs = (ddt (n-1)/d1, -ddt/d2), logs = log diffs."""
 
     __slots__ = ("h", "c", "n", "efac", "offset", "dl", "diag", "du", "inner", "upper",
-                 "lower", "ncurv", "drift", "log2", "log1", "both", "F", "interior", "est",
-                 "rhs", "base", "fixed", "doff")
+                 "lower", "coef", "ratios", "drift", "ncurv", "logs", "log1", "log2", "both",
+                 "F", "interior", "est", "rhs", "base", "fixed", "doff")
 
     def __init__(self, grid: RhoGrid, n: int, k: int):
         N, self.h, self.c, self.n = grid.N, grid.h, grid.center, n
@@ -401,32 +419,34 @@ class _Workspace:
                                               + (n - 1) * math.log(2.0 * grid.h))
         self.dl, self.diag, self.du = np.empty(N - 1), np.empty(N), np.empty(N - 1)
         self.lower, self.inner, self.upper = self.dl[:-1], self.diag[1:-1], self.du[1:]
-        (self.ncurv, self.drift, self.log2, self.log1, self.rhs, self.base, self.fixed,
-         self.doff) = np.empty((8, N - 2))
+        self.ratios, self.logs, rest = np.split(np.empty((8, N - 2)), (2, 4))
+        (self.drift, self.ncurv), (self.log1, self.log2) = self.ratios, self.logs
+        self.rhs, self.base, self.fixed, self.doff = rest
+        self.coef = np.empty((2, 1))
         self.both = np.empty((N, 2), order="F")
         self.F, self.est = self.both[:, 0], self.both[:, 1]
         self.interior = self.F[1:-1]
 
 
-def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, b: np.ndarray,
+def _stage_matrix_solve(diffs: np.ndarray, ddt: float, b: np.ndarray,
                         ws: _Workspace) -> tuple[np.ndarray, list[float]]:
-    """Solve M X = b, M the stage Jacobian at differences (d1, d2), for one
+    """Solve M X = b, M the stage Jacobian at differences diffs, for one
     right-hand side b of shape (N,) or several, the columns of a Fortran-
     ordered b of shape (N, m), in one dgtsv call.  Returns X with
     sup|x - x[c]| of each column x, its size with the gauge constant
-    removed, which is finite exactly when x is.
+    removed, which is finite exactly when x is (one reduction per extreme).
 
     Interior rows of M are I - ddt df/dw, tridiagonal; each closure row's
     third entry is eliminated against its interior neighbour, in M and in
     every column of b (which is overwritten), so the system is one dgtsv
     call.  M is written into the diagonals of ws.
     """
-    dl, diag, du, ncurv, drift = ws.dl, ws.diag, ws.du, ws.ncurv, ws.drift
+    dl, diag, du, ncurv, drift, coef = ws.dl, ws.diag, ws.du, ws.ncurv, ws.drift, ws.coef
     efac = ws.efac
     # with ncurv = -ddt/d2 the entries are 1 + 2 ddt/d2, drift - ddt/d2 and
     # -(ddt/d2 + drift), bit for bit: negation is exact
-    np.divide(-ddt, d2, out=ncurv)
-    np.divide(ddt * (ws.n - 1), d1, out=drift)
+    coef[0, 0], coef[1, 0] = ddt * (ws.n - 1), -ddt
+    np.divide(coef, diffs, out=ws.ratios)
     inner = ws.inner
     np.multiply(ncurv, -2.0, out=inner)
     inner += 1.0
@@ -452,20 +472,20 @@ def _stage_matrix_solve(d1: np.ndarray, d2: np.ndarray, ddt: float, b: np.ndarra
     # sup|x - x[c]| from the extremes, with no temporary: rounding is
     # monotone and symmetric, so this is np.abs(x - x[c]).max() bit for bit,
     # and a non-finite entry leaves one of the two terms non-finite
-    sizes = []
-    c = ws.c
-    for col in (x,) if x.ndim == 1 else x.T:
-        xc = col.item(c)
-        size = max(float(_amax(col)) - xc, xc - float(_amin(col)))
-        if not math.isfinite(size):
-            raise _StepFailure("nonfinite tridiagonal solution")
-        sizes.append(size)
+    if x.ndim == 1:
+        xc = x.item(ws.c)
+        sizes = [max(float(_amax(x)) - xc, xc - float(_amin(x)))]
+    else:
+        sizes = [max(hi - xc, xc - lo) for hi, lo, xc in zip(
+            _amax(x, axis=0).tolist(), _amin(x, axis=0).tolist(), x[ws.c].tolist())]
+    if not all(map(math.isfinite, sizes)):
+        raise _StepFailure("nonfinite tridiagonal solution")
     return x, sizes
 
 
 def _solve_stage(
     w: np.ndarray,
-    diffs: tuple[np.ndarray, np.ndarray],
+    diffs: np.ndarray,
     center: float,
     rhs: np.ndarray,
     base: np.ndarray,
@@ -476,7 +496,7 @@ def _solve_stage(
     ws: _Workspace,
     fixed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float, tuple[float, float],
-           tuple[np.ndarray, np.ndarray], float | None]:
+           np.ndarray, float | None]:
     """Solve w - ddt f(w) = rhs on the interior rows, with the closure rows
     of the class (a, b), by damped Newton from the admissible start w,
     whose differences are diffs; f(w) = log d2 + (n-1) log d1 - offset
@@ -485,7 +505,9 @@ def _solve_stage(
     the error left that ended the iteration, diffs are the differences of
     the returned w, and err is the filtered error estimate of the BDF2 stage
     (see below).  The residual and the stage matrix are written into ws; rhs,
-    base and fixed are read.
+    base and fixed are read.  An admissible iterate's interior residual is
+    finite, so only the closure entries are checked, and sup|F| is formed
+    only for the message of a stall, on the last permitted iteration.
 
     Updates are measured as |delta| = sup|delta - delta[c]|: one Newton
     step removes a constant error exactly, and the gauge shift discards
@@ -514,24 +536,24 @@ def _solve_stage(
     np.errstate(invalid="ignore").
     """
     h, c, efac, n = ws.h, ws.c, ws.efac, ws.n
-    log2, log1, both, F, interior = ws.log2, ws.log1, ws.both, ws.F, ws.interior
+    logs, log1, log2, both, F, interior = ws.logs, ws.log1, ws.log2, ws.both, ws.F, ws.interior
     res, err = math.inf, None
     prev = None  # |delta| of the previous update, if undamped
     eta, ref = contraction
     for it in range(1, NEWTON_MAX_ITER + 1):
         # interior rows: F = w - base - ddt (log d2 + (n-1) log d1)
-        d1, d2 = diffs
-        np.log(d2, out=log2)
-        np.log(d1, out=log1)
-        log1 *= n - 1
+        np.log(diffs, out=logs)
+        if n != 2:
+            log1 *= n - 1
         log2 += log1
         log2 *= ddt
         np.subtract(w[1:-1], base, out=interior)
         interior -= log2
-        F[0], F[-1] = closure_rows(w, h, efac, a, b)
-        res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, nan if any entry is
-        if not math.isfinite(res):
+        F[0], F[-1] = left, right = closure_rows(w, h, efac, a, b)
+        if not (math.isfinite(left) and math.isfinite(right)):
             raise _StepFailure("nonfinite residual")
+        if it == NEWTON_MAX_ITER:
+            res = max(float(_amax(F)), -float(_amin(F)))  # sup|F|, before dgtsv overwrites F
         filters = fixed is not None and prev is not None
         if filters:
             # the estimate at w: fixed + dt E_1 f_1, f_1 = (w - rhs)/ddt
@@ -540,10 +562,10 @@ def _solve_stage(
             est *= _E_1 / _D
             est += fixed
             ws.est[0] = ws.est[-1] = 0.0
-            x, (size, err) = _stage_matrix_solve(d1, d2, ddt, both, ws)
+            x, (size, err) = _stage_matrix_solve(diffs, ddt, both, ws)
             delta = x[:, 0]
         else:
-            delta, (size,) = _stage_matrix_solve(d1, d2, ddt, F, ws)
+            delta, (size,) = _stage_matrix_solve(diffs, ddt, F, ws)
         if prev is None:
             judge = eta * max(1.0, size / ref)
         else:
@@ -582,8 +604,7 @@ def _solve_stage(
 
 
 def _start(points: tuple[tuple[float, np.ndarray], ...], t: float, u: np.ndarray,
-           diffs: tuple[np.ndarray, np.ndarray],
-           h: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+           diffs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Start of a stage solve to time t, with its differences: the Lagrange
     extrapolation through the two or three solution points (t_i, u_i) to t,
     or u_n with its differences diffs when there is one point or the rule
@@ -604,11 +625,11 @@ def _start(points: tuple[tuple[float, np.ndarray], ...], t: float, u: np.ndarray
     return (w, w_diffs) if w_diffs is not None else (u, diffs)
 
 
-def _velocity(d1: np.ndarray, d2: np.ndarray, n: int, offset: np.ndarray) -> np.ndarray:
+def _velocity(diffs: np.ndarray, n: int, offset: np.ndarray) -> np.ndarray:
     """Explicit velocity f(u) = log d2 + (n-1) log d1 - offset, that is
     log u'' + (n-1) log u' - n rho, at interior nodes from the unscaled
-    differences of an admissible u (see _Workspace)."""
-    return np.log(d2) + (n - 1) * np.log(d1) - offset
+    differences (d1, d2) of an admissible u (see _Workspace)."""
+    return np.log(diffs[1]) + (n - 1) * np.log(diffs[0]) - offset
 
 
 def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
@@ -636,17 +657,16 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     h = grid.h
     diffs = state._diffs
     if diffs is None:
-        d1, d2, bad = _rule(u, h)
+        diffs, bad = _rule(u, h)
         if bad is not None:
             bad = np.flatnonzero(bad)
             raise FlowError(f"profile inadmissible at t={t:.12g}: u' <= 0, u'' <= FLOOR_U2 "
                             f"or a non-finite sample at {bad.size} node(s), first at "
-                            f"rho={grid.nodes[bad[0]]:.6g}")
-        diffs = d1, d2
+                            f"rho={grid.nodes[bad[0]]:.6g} {_causes(u, diffs, h)}")
 
     dt = state.stats.dt_next if state.stats is not None else DT_INIT * (T - t)
-    ws = _Workspace(grid, n, k)
-    f_n = _velocity(*diffs, n, ws.offset)
+    ws = state._ws or _Workspace(grid, n, k)
+    f_n = _velocity(diffs, n, ws.offset)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
     # the class endpoints move as class_at has them
@@ -714,7 +734,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                       residual=res, error=err, retries=len(rejected),
                       rejected=tuple(rejected))
     return FlowState._from_samples(u1, diffs1, t_new, grid, params, stats,
-                                   ((t, u), (t_g, u_g)), contraction)
+                                   ((t, u), (t_g, u_g)), contraction, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +806,7 @@ def run(
     clock, phases = time.perf_counter, trace.phase_seconds
     # a seed the rule refuses may have u'' = 0, where the monitors are
     # undefined: its row is sampled quietly, and the first step refuses it
-    refused = _rule(seed_profile.u, seed_profile.grid.h)[2] is not None
+    refused = _rule(seed_profile.u, seed_profile.grid.h)[1] is not None
     started = clock()
     with np.errstate(all="ignore" if refused else None):
         trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,

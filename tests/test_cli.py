@@ -488,7 +488,8 @@ def test_validate_applies_the_stepper_rule(capsys):
     assert rc == cli.EXIT_NUMERICAL
     assert capsys.readouterr().out == (
         "profile inadmissible\nconvexity: u' <= 0, u'' <= FLOOR_U2 or a non-finite sample "
-        "at 71 node(s), first at index 1\n")
+        "at 71 node(s), first at index 1 (u' <= 0 at 0, u'' <= FLOOR_U2 at 71, non-finite "
+        "at 0; min u'' 0 vs FLOOR_U2 1e-10)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _tr_stage(u, dt, params, grid):
     ddt = flow._D * dt
     ws = flow._Workspace(grid, params.n, params.k)
     diffs = flow._second_diffs(u)
-    rhs = u[1:-1] + ddt * flow._velocity(*diffs, params.n, ws.offset)
+    rhs = u[1:-1] + ddt * flow._velocity(diffs, params.n, ws.offset)
     cls = cf.class_at(params, flow._GAMMA * dt)
     return flow._solve_stage(u, diffs, u[grid.center], rhs, rhs - ddt * ws.offset, ddt,
                              cls.a, cls.b, flow._UNMEASURED, ws)
@@ -337,6 +337,35 @@ def test_validate_and_step_refuse_the_same_nodes(seed, count):
         cf.step(cf.FlowState(profile=p, params=CONTRACT), cf.StepControl())
 
 
+@pytest.mark.parametrize("params, seed, match", [
+    (cf.FlowParams(5, 4, 2.387, 2.995),
+     lambda: cf.build_canonical_profile(cf.class_at(cf.FlowParams(5, 4, 2.387, 2.995), 0.0),
+                                        cf.RhoGrid(12.0, 513), 5, 4),
+     r"at 256 node\(s\), first at rho=-11\.9531 \(u' <= 0 at 0, u'' <= FLOOR_U2 at 256, "
+     r"non-finite at 0; min u'' (\S+) vs FLOOR_U2 1e-10\)"),
+    (CONTRACT, lambda: _with_nan_sample(0.0),
+     r"at 3 node\(s\), first at rho=\S+ \(u' <= 0 at 0, u'' <= FLOOR_U2 at 0, "
+     r"non-finite at 3; min u'' (\S+) vs FLOOR_U2 1e-10\)"),
+], ids=["5-4-2.387-2.995", "nan-sample"])
+def test_refusal_names_the_nodes_of_each_cause(params, seed, match):
+    """A refused state's message counts the nodes of each cause and gives
+    the smallest u'' on one line, in step's refusal and in validate's
+    convexity line alike.  The canonical seed of (5, 4, 2.387, 2.995) at
+    (12, 513) has u'' at or below FLOOR_U2 at all 256 refused nodes, the
+    least of them negative; a nan sample leaves 3 nodes non-finite."""
+    p = seed()
+    with pytest.raises(cf.FlowError) as info:
+        cf.run(params, seed_profile=p)
+    message = str(info.value)
+    assert message.startswith("profile inadmissible at t=0: ") and "\n" not in message
+    found = re.search(match + "$", message)
+    # the nan sample leaves the finite u'' of the contract seed, all above the floor
+    assert found and (float(found[1]) < 0.0 if params is not CONTRACT
+                      else float(found[1]) > flow.FLOOR_U2)
+    detail = {v.invariant: v.detail for v in cf.validate_profile(p).violations}["convexity"]
+    assert detail.endswith(message[message.index(" (u' <= 0 at "):])
+
+
 def _non_finite_samples():
     """(label, u) for the (12, 257) contract seed with nan, +inf or -inf at
     single nodes near both ends and the center, and at adjacent pairs at
@@ -362,18 +391,89 @@ def test_valid_refuses_exactly_where_the_rule_flags_a_node():
     case whose differences pass; the end check refuses it."""
     h = cf.RhoGrid(12.0, 257).h
     seed = _contract_seed_at(0.0).u
-    assert flow._rule(seed, h)[2] is None and flow._valid(seed, h) is not None
+    assert flow._rule(seed, h)[1] is None and flow._valid(seed, h) is not None
     for label, w in _non_finite_samples():
         with np.errstate(invalid="ignore"):
             d1, d2 = flow._second_diffs(w)
             interior_ok = (d1 > 0.0) & (d2 > flow.FLOOR_U2 * h**2)
         expect = ~np.isfinite(w)
         expect[1:-1] |= ~interior_ok
-        mask = flow._rule(w, h)[2]
+        mask = flow._rule(w, h)[1]
         assert mask is not None and np.array_equal(mask, expect), label
         with np.errstate(invalid="ignore"):  # _valid leaves the error state to its caller
             assert flow._valid(w, h) is None, label
         assert interior_ok.all() == (label == f"+inf@{w.size - 1}"), label
+
+
+def test_one_verdict_call_is_the_node_by_node_rule():
+    """_admissible's one reduction over both rows of the differences gives
+    the verdict of the node-by-node rule, and _rule forms its mask exactly
+    when that verdict refuses: on crafted samples with nan, +inf or -inf at
+    an interior node and at each end, d1 = 0 at one node, and d2 equal to
+    FLOOR_U2 h^2 and one ulp above it at one node."""
+    h = 2.0**-4
+    floor = flow.FLOOR_U2 * h**2
+    base = np.cumsum(np.arange(12.0))  # d1 = 2j, d2 = 1 at interior node j
+    cases = [("admissible", base, True)]
+    for value in (np.nan, np.inf, -np.inf):
+        for node in (0, 5, base.size - 1):
+            w = base.copy()
+            w[node] = value
+            cases.append((f"{value}@{node}", w, False))
+    w = base.copy()
+    w[0] = w[2]
+    cases.append(("d1=0@1", w, False))
+    for label, d2, ok in (("d2=floor@1", floor, False),
+                          ("d2=floor+ulp@1", np.nextafter(floor, 1.0), True)):
+        # d2 at node 1 is (0 - 0) + w[2], exactly w[2]
+        cases.append((label, np.concatenate(([0.0, 0.0, d2], base[1:])), ok))
+    for label, w, ok in cases:
+        with np.errstate(invalid="ignore"):
+            diffs = flow._second_diffs(w)
+        d1, d2 = diffs
+        expect = ~np.isfinite(w)
+        expect[1:-1] |= ~((d1 > 0.0) & (d2 > floor))
+        assert (not expect.any()) == ok, label
+        assert flow._admissible(w, diffs, h) == ok, label
+        mask = flow._rule(w, h)[1]
+        assert (mask is None) == ok and (ok or np.array_equal(mask, expect)), label
+
+
+def test_two_column_solve_sizes_match_one_column_solves(contract_seed):
+    """A two-column solve, whose sizes come from one maximum and one
+    minimum reduction over both columns, returns the columns and sizes of
+    two one-column solves of the same matrix, bit for bit."""
+    grid = contract_seed.grid
+    diffs = flow._second_diffs(contract_seed.u)
+    ws = flow._Workspace(grid, 2, 1)
+    b = np.random.default_rng(0).standard_normal((grid.N, 2))
+    x, sizes = flow._stage_matrix_solve(diffs, 1e-3, np.asfortranarray(b), ws)
+    x = x.copy()
+    for j in range(2):
+        col, (size,) = flow._stage_matrix_solve(diffs, 1e-3, b[:, j].copy(), ws)
+        assert size == sizes[j] and col.tobytes() == x[:, j].tobytes()
+
+
+def test_a_run_carries_one_workspace(monkeypatch):
+    """Over a run of the contract preset at (12, 513) every step after the
+    first writes into the workspace the first step made, and no array a
+    returned state holds (u, its differences, its solution points) shares
+    memory with a workspace buffer."""
+    states, step = [], flow.step
+
+    def recording_step(state, ctl, t_cap=None):
+        states.append(step(state, ctl, t_cap))
+        return states[-1]
+
+    monkeypatch.setattr(flow, "step", recording_step)
+    cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 513))
+    ws = states[0]._ws
+    assert len(states) > 1 and all(s._ws is ws for s in states)
+    buffers = [b for b in (getattr(ws, name) for name in flow._Workspace.__slots__)
+               if isinstance(b, np.ndarray)]
+    for state in states:
+        for array in (state.u, state._diffs, *(u for _, u in state._past)):
+            assert not any(np.shares_memory(array, b) for b in buffers), state.t
 
 
 def test_carried_differences_step_like_a_fresh_state(rejecting):
@@ -828,7 +928,7 @@ def test_predicted_stage_stops_after_one_solve(monkeypatch):
     dt = state.stats.dt_next
     ddt, t_g = flow._D * dt, state.t + flow._GAMMA * dt
     ws = flow._Workspace(grid, 2, 1)
-    rhs = state.u[1:-1] + ddt * flow._velocity(*state._diffs, 2, ws.offset)
+    rhs = state.u[1:-1] + ddt * flow._velocity(state._diffs, 2, ws.offset)
     start = flow._start(state._past + ((state.t, state.u),), t_g, state.u, state._diffs,
                         grid.h)
     assert start[0] is not state.u
@@ -919,7 +1019,7 @@ def _bdf2_estimates(params, grid, monkeypatch):
             est = np.zeros(grid.N)
             est[1:-1] = fixed + (u1[1:-1] - rhs) * (flow._E_1 / flow._D)
             _, (alone,) = flow._stage_matrix_solve(
-                *diffs1, ddt, est, flow._Workspace(grid, params.n, params.k))
+                diffs1, ddt, est, flow._Workspace(grid, params.n, params.k))
             ratios.append(err / alone)
         return out
 
