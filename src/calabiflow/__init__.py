@@ -56,7 +56,6 @@ from .profile import (
     load_checkpoint,
     profile_from_samples,
     ratio_g,
-    ratio_h,
     save_checkpoint,
     singular_time,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "moment_profile",
     "profile_from_samples",
     "ratio_g",
-    "ratio_h",
     "read_trace",
     "regime_indicator",
     "run",

@@ -2,12 +2,15 @@
 
 A trace row is one sampled instant of the flow.  Scaled quantities carry a
 factor (T - t) per curvature power, so a type-I singularity shows up as
-rows with bounded entries.  The curvature columns, H_sup and the G
-columns included, are reductions of one curvature_sample per row, made in
-sample_row and nowhere else.  Every reduction over nodes that involves a
-raw fourth difference is restricted to the trust mask from profile.py
-(the sample's rm_proxy already is); in a degenerating tail those stencils
-are rounding noise and would otherwise pollute suprema and minima.
+rows with bounded entries.  sample_row makes a row from moment arrays
+(x, phi, phi', phi'', trust) that any solver can fill: its curvature
+columns are reductions of one curvature_sample over exactly the nodes it
+is given, those of fourth-order pieces over trusted nodes only (in a
+degenerating tail those pieces are rounding noise).  The one rho adapter,
+profile_row, reads a profile through moment_arrays, keeps the three
+ghost-supported nodes at each end out of the reductions, takes the base
+eigenvalue at the left grid end for lambda_div_scaled, and supplies
+u'(-L), u'(+L), the volume and the divisor diameter.
 
 The trace table layout is fixed:
 
@@ -29,8 +32,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import curvature_sample
-from .profile import CalabiProfile, FlowParams, Regime, c4_trust_mask, write_atomic
+from .curvature import base_eigenvalue, curvature_sample
+from .profile import (
+    CalabiProfile,
+    FlowParams,
+    Regime,
+    c4_combination,
+    c4_trust_mask,
+    ratio_g,
+    write_atomic,
+)
 
 
 class DiagnosticsError(RuntimeError):
@@ -168,59 +179,60 @@ def regime_indicator(trace: FlowTrace) -> Regime:
 # ---------------------------------------------------------------------------
 # row assembly
 
-def sample_row(p: CalabiProfile, T: float, regime: Regime,
-               dt: float = 0.0, iters: int = 0) -> TraceRow:
-    """One trace row at the profile's time.
+def sample_row(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarray,
+               trust: np.ndarray, n: int, *, t: float, T: float, regime: Regime,
+               ends: tuple[float, float], volume: tuple[float, float], diam: float,
+               lam_edge: float, dt: float = 0.0, iters: int = 0) -> TraceRow:
+    """One trace row at time t, reduced over every node of the moment arrays.
 
     typeI is (T - t) times the trusted sup of the curvature proxy,
-    bisec_min the min over interior nodes and components of the
-    holomorphic-frame curvatures, c4_min_scaled (T - t) times the trusted
-    min of the fourth-order combination, lambda_div_scaled (T - t) times
-    the base eigenvalue at the left edge (contraction only), and sigma_j
-    the trusted max of |sigma_j| (T - t)^(j-1) relative to supRm.
+    bisec_min the min over nodes and components of the holomorphic-frame
+    curvatures, c4_min_scaled (T - t) times the trusted min of the
+    fourth-order combination, lambda_div_scaled (T - t) times lam_edge, the
+    base eigenvalue at the divisor end (contraction only), and sigma_j the
+    trusted max of |sigma_j| (T - t)^(j-1) relative to supRm.  ends are
+    the boundary slopes (a, b), volume the (quadrature, class) pair.
     """
-    nan = float("nan")
-    tau = T - p.t
-    n = p.n
-
-    # the outermost three nodes at each end lean on ghost extrapolation;
-    # sup/min reductions stay on stencil-supported interior nodes
-    inner = slice(3, p.grid.N - 3)
-    # read before curvature_sample, so that perfbench's profile.trust_mask
-    # span times the profile's tail-guard pass
-    itrust = c4_trust_mask(p)[inner]
-    cs = curvature_sample(p)
-    supRm = float(np.max(cs.rm_proxy[inner]))
-    typeI = tau * supRm
-
-    H_sup = float(np.max(cs.H[inner]))
-    G_sup = float(np.max(cs.G[inner]))
-    G_inf = float(np.min(cs.G[inner]))
-
-    cands = [float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner]))]
-    c4min = nan
-    sigma = tuple(nan for _ in range(2, n + 1))
-    if itrust.any():
-        cands.append(float(cs.r1111[inner].min(where=itrust, initial=math.inf)))
-        c4min = tau * float(cs.c4[inner].min(where=itrust, initial=math.inf))
+    tau = T - t
+    cs = curvature_sample(x, phi, dphi, d2phi, trust, n)
+    supRm = float(cs.rm_proxy.max())
+    cands = [float(cs.r11kk.min()), float(cs.rkkkk.min())]
+    c4min, sigma = math.nan, (math.nan,) * (n - 1)
+    if trust.any():
+        cands.append(float(cs.r1111.min(where=trust, initial=math.inf)))
+        c4min = tau * float(cs.c4.min(where=trust, initial=math.inf))
         sigma = tuple(
             tau ** (j - 1)
-            * float(np.abs(cs.sigma[j][inner]).max(where=itrust, initial=-math.inf))
+            * float(np.abs(cs.sigma[j]).max(where=trust, initial=-math.inf))
             / max(supRm, 1e-30) for j in range(2, n + 1))
     bmin = min(cands)
-    bmin_scaled = tau * bmin
-    lam_div = tau * float(cs.lambda2[0]) if regime is Regime.CONTRACT else nan
+    lam_div = tau * lam_edge if regime is Regime.CONTRACT else math.nan
+    return TraceRow(t=t, a=ends[0], b=ends[1], supRm=supRm, typeI=tau * supRm,
+                    H_sup=float(cs.H.max()), G_sup=float(cs.G.max()),
+                    G_inf=float(cs.G.min()), bisec_min=bmin, bisec_min_scaled=tau * bmin,
+                    c4_min_scaled=c4min, lambda_div_scaled=lam_div, sigma=sigma,
+                    vol_quad=volume[0], vol_class=volume[1], vol_ratio=volume[0] / tau,
+                    diam=diam, dt=dt, iters=iters)
 
-    vol_quad, vol_class = total_volume(p)
-    vol_ratio = vol_quad / tau
-    diam = divisor_diameter(p)
 
-    return TraceRow(t=p.t, a=float(p.du[0]), b=float(p.du[-1]), supRm=supRm, typeI=typeI,
-                    H_sup=H_sup, G_sup=G_sup, G_inf=G_inf, bisec_min=bmin,
-                    bisec_min_scaled=bmin_scaled, c4_min_scaled=c4min,
-                    lambda_div_scaled=lam_div, sigma=sigma, vol_quad=vol_quad,
-                    vol_class=vol_class, vol_ratio=vol_ratio, diam=diam,
-                    dt=dt, iters=iters)
+def moment_arrays(p: CalabiProfile) -> tuple[np.ndarray, ...]:
+    """A rho profile as curvature_sample's arrays on every node: u', u'', the
+    guarded u'''/u'', minus the fourth-order combination, the trust mask."""
+    return p.du, p.d2u, ratio_g(p), -c4_combination(p), c4_trust_mask(p)
+
+
+def profile_row(p: CalabiProfile, T: float, regime: Regime,
+                dt: float = 0.0, iters: int = 0) -> TraceRow:
+    """sample_row of a rho profile at its time.  The outermost three nodes
+    at each end lean on ghost extrapolation, so the reductions stay on the
+    stencil-supported interior; lambda_div_scaled reads the left grid end."""
+    x, phi, dphi, d2phi, trust = moment_arrays(p)
+    inner = slice(3, p.grid.N - 3)
+    return sample_row(x[inner], phi[inner], dphi[inner], d2phi[inner], trust[inner], p.n,
+                      t=p.t, T=T, regime=regime, ends=(float(x[0]), float(x[-1])),
+                      volume=total_volume(p), diam=divisor_diameter(p),
+                      lam_edge=float(base_eigenvalue(x[0], phi[0] / x[0], dphi[0], p.n)),
+                      dt=dt, iters=iters)
 
 
 # ---------------------------------------------------------------------------

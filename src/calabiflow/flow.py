@@ -809,8 +809,7 @@ def run(
     refused = _rule(seed_profile.u, seed_profile.grid.h)[1] is not None
     started = clock()
     with np.errstate(all="ignore" if refused else None):
-        trace.rows.append(diagnostics.sample_row(seed_profile, T, info.regime,
-                                                 dt=0.0, iters=0))
+        trace.rows.append(diagnostics.profile_row(seed_profile, T, info.regime))
     phases["monitors"] += clock() - started
     log_fh = (out / "run.log").open("w") if out is not None else None
     failure: FlowError | None = None
@@ -841,7 +840,7 @@ def run(
                     phases["checkpoints"] += clock() - t0
                 if landed or trace.steps % monitors.cadence == 0:
                     t0 = clock()
-                    trace.rows.append(diagnostics.sample_row(
+                    trace.rows.append(diagnostics.profile_row(
                         state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
                     phases["monitors"] += clock() - t0
     except FlowError as exc:

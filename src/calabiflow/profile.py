@@ -2,7 +2,7 @@
 
 A metric in the symmetric ansatz is a convex potential u(rho) of the log
 fiber radius rho with u' increasing from a to b, the endpoints of the Kahler
-class.  Everything downstream (flow, curvature, blow-up analysis) consumes
+class.  Everything downstream (flow, monitors, blow-up analysis) consumes
 the sampled potential together with its first four derivatives on a uniform
 truncated grid rho in [-L, L].
 
@@ -330,11 +330,6 @@ def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         trust = _NOISE_SUM[4] * scale / h**4 / (d2u * d2u) <= C4_TRUST_REL * (np.abs(c4) + ref)
     trust[:3] = trust[-3:] = False
     return _read_only(G), _read_only(c4), _read_only(trust)
-
-
-def ratio_h(p: CalabiProfile) -> np.ndarray:
-    """u''/u', the fiber-to-base metric ratio."""
-    return p.d2u / p.du
 
 
 def ratio_g(p: CalabiProfile) -> np.ndarray:

@@ -20,7 +20,7 @@ PUBLIC = {
     "checkpoint_times", "class_at", "curvature_sample",
     "divisor_diameter", "fik_reference", "gaussian_reference",
     "infer_initial_class", "load_checkpoint", "moment_profile",
-    "profile_from_samples", "ratio_g", "ratio_h", "read_trace",
+    "profile_from_samples", "ratio_g", "read_trace",
     "regime_indicator", "run", "sample_row",
     "save_checkpoint", "scalar_curvature", "singular_time", "soliton_residual",
     "step", "total_volume", "trace_header", "validate_profile",

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 import calabiflow as cf
+from calabiflow import diagnostics
 from calabiflow.moment import MomentProfile
 
 BLOWUP_CSV_HEADER = ["j", "t", "K", "a_hat", "selfsim_prev", "soliton_rms",
@@ -359,5 +360,6 @@ def test_type_one_constant_matches_the_fik_shrinker(contract_wide):
         tau = contract_wide.T - p.t
         inner = slice(3, p.grid.N - 3)
         X = p.du[inner] / tau
-        proxy = cf.curvature_sample(p).rm_proxy[inner][(X >= 1.05) & (X <= 8.0)]
+        proxy = cf.curvature_sample(*diagnostics.moment_arrays(p), p.n).rm_proxy[inner]
+        proxy = proxy[(X >= 1.05) & (X <= 8.0)]
         assert abs(tau * float(np.max(proxy)) / exact - 1.0) <= 0.01, ck.j

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import calabiflow as cf
+from calabiflow import diagnostics
 
 # center values for the (a, b) = (1, 4), n = 2, k = 1 seed, where
 # u' = 5/2, u'' = 3/4, u''' = 0 and u'''' = -3/8
@@ -13,6 +14,11 @@ LAMBDA1 = 59.0 / 75.0
 LAMBDA2 = 0.68
 SCALAR_R = 22.0 / 15.0
 SIGMA2 = LAMBDA1 * LAMBDA2
+
+
+def _sample(p):
+    """curvature_sample of a rho profile, read through the monitors' adapter."""
+    return cf.curvature_sample(*diagnostics.moment_arrays(p), p.n)
 
 
 def _flat_class(grid):
@@ -31,7 +37,7 @@ def _flat_profile(grid):
 def test_eigenvalues_and_scalar_center(contract_seed):
     """lambda2 = v'/u' and lambda1 = v''/u'' with v' = 1.7 and v'' = 0.59
     at the center; both scalar-curvature routes give 22/15 there."""
-    cs = cf.curvature_sample(contract_seed)
+    cs = _sample(contract_seed)
     c = contract_seed.grid.center
     assert_allclose(cs.lambda1[c], LAMBDA1, rtol=1e-9)
     assert_allclose(cs.lambda2[c], LAMBDA2, rtol=1e-10)
@@ -40,7 +46,7 @@ def test_eigenvalues_and_scalar_center(contract_seed):
 
 
 def test_bisectional_components_center(contract_seed):
-    cs = cf.curvature_sample(contract_seed)
+    cs = _sample(contract_seed)
     c = contract_seed.grid.center
     assert_allclose(cs.r1111[c], 1.0 / 3.0, rtol=1e-9)
     assert_allclose(cs.r11kk[c], 0.12, rtol=1e-10)
@@ -48,7 +54,7 @@ def test_bisectional_components_center(contract_seed):
 
 
 def test_sigma2_center(contract_seed):
-    cs = cf.curvature_sample(contract_seed)
+    cs = _sample(contract_seed)
     c = contract_seed.grid.center
     assert set(cs.sigma) == {1, 2}
     assert np.array_equal(cs.sigma[1], cs.lambda1 + cs.lambda2, equal_nan=True)
@@ -58,7 +64,7 @@ def test_sigma2_center(contract_seed):
 def test_sigma_definition_matches_eigenvalues():
     p = cf.build_canonical_profile(cf.KahlerClass(1.0, 7.0), cf.RhoGrid(12.0, 513),
                                    n=3, k=2)
-    cs = cf.curvature_sample(p)
+    cs = _sample(p)
     lam1, lam2, sigma = cs.lambda1, cs.lambda2, cs.sigma
     c = p.grid.center
     s2, s3 = sigma[2], sigma[3]
@@ -74,7 +80,7 @@ def test_sigma_is_the_general_term_bit_for_bit(n, k, b):
     C(n-1, j) lambda2^j + C(n-1, j-1) lambda1 lambda2^(j-1) at j = 1 bit
     for bit, and so does every other sigma[j]."""
     p = cf.build_canonical_profile(cf.KahlerClass(1.0, b), cf.RhoGrid(12.0, 513), n=n, k=k)
-    cs = cf.curvature_sample(p)
+    cs = _sample(p)
     lam1, lam2 = cs.lambda1, cs.lambda2
     assert list(cs.sigma) == list(range(1, n + 1))
     for j, sigma in cs.sigma.items():
@@ -90,7 +96,7 @@ def test_scalar_routes_agree_on_moment_interior(contract_seed, contract_default)
     profiles = [contract_seed]
     profiles += [c.profile for c in trace.checkpoints if c.j in (1, 5, 9)]
     for p in profiles:
-        Re = cf.curvature_sample(p).sigma[1]
+        Re = _sample(p).sigma[1]
         Rx = cf.scalar_curvature(p)
         a, b = p.cls.a, p.cls.b
         lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
@@ -107,26 +113,48 @@ def test_curvature_homogeneity(contract_seed):
     K = math.e
     p = contract_seed
     q = cf.build_canonical_profile(cf.KahlerClass(K * p.cls.a, K * p.cls.b), p.grid, 2, 1)
-    cp, cq = cf.curvature_sample(p), cf.curvature_sample(q)
+    cp, cq = _sample(p), _sample(q)
     for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
         assert_allclose(K * getattr(cq, name), getattr(cp, name), rtol=1e-10,
                         err_msg=name)
     assert_allclose(K * cq.sigma[1], cp.sigma[1], rtol=1e-10)
     assert_allclose(K * cf.scalar_curvature(q), cf.scalar_curvature(p), rtol=1e-10)
     assert_allclose(K * cf.c4_combination(q), cf.c4_combination(p), rtol=1e-10)
-    assert_allclose(cf.ratio_h(q), cf.ratio_h(p), rtol=1e-12)
+    assert_allclose(cq.H, cp.H, rtol=1e-12)
     assert_allclose(cf.ratio_g(q), cf.ratio_g(p), rtol=1e-10)
     assert np.array_equal(cf.c4_trust_mask(q), cf.c4_trust_mask(p))
 
 
 def test_flat_model_annihilation_exact():
     p = _flat_profile(cf.RhoGrid(12.0, 1025))
-    cs = cf.curvature_sample(p)
+    cs = _sample(p)
     assert np.max(np.abs(cf.scalar_curvature(p))) < 1e-9
     assert np.max(np.abs(cf.c4_combination(p))) == 0.0
     for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
         assert np.max(np.abs(getattr(cs, name))) == 0.0, name
     assert np.max(np.abs(cs.sigma[1])) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_moment_arrays_have_no_curvature(n):
+    """Flat C^n in moment coordinates, phi = x, phi' = 1 and phi'' = 0 with
+    every node trusted, fed to the array interface with no rho profile:
+    every curvature component, eigenvalue, sigma_j and rm_proxy is exactly
+    0, and so is every curvature column of the row made from the arrays."""
+    x = np.linspace(0.5, 4.0, 64)
+    ones, trust = np.ones_like(x), np.ones_like(x, dtype=bool)
+    cs = cf.curvature_sample(x, x, ones, np.zeros_like(x), trust, n)
+    for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
+        assert np.max(np.abs(getattr(cs, name))) == 0.0, name
+    assert list(cs.sigma) == list(range(1, n + 1))
+    assert all(np.max(np.abs(sigma)) == 0.0 for sigma in cs.sigma.values())
+
+    row = cf.sample_row(x, x, ones, np.zeros_like(x), trust, n, t=0.0, T=1.0,
+                        regime=cf.Regime.CONTRACT, ends=(0.5, 4.0), volume=(1.0, 1.0),
+                        diam=1.0, lam_edge=0.0)
+    assert row.H_sup == row.G_sup == row.G_inf == 1.0
+    assert row.supRm == row.typeI == row.bisec_min == row.c4_min_scaled == 0.0
+    assert row.sigma == (0.0,) * (n - 1)
 
 
 def test_flat_model_annihilation_finite_differences():
@@ -167,7 +195,7 @@ def test_trust_mask_healthy_seed_and_late_gap(contract_seed, contract_default):
 
 
 def test_norm_proxy_bounds_components(contract_seed):
-    cs = cf.curvature_sample(contract_seed)
+    cs = _sample(contract_seed)
     c = contract_seed.grid.center
     assert_allclose(cs.rm_proxy[c],
                     max(abs(cs.r1111[c]), abs(cs.r11kk[c]), abs(cs.rkkkk[c]),

@@ -109,26 +109,31 @@ def test_row_reductions_match_reference(contract_1025):
     (4, 513) is trusted on every inner node.  The other profiles have
     untrusted inner nodes that hold unrestricted extremes: in the raw
     tails of the last row of a run those of r1111 and c4, and on the seed
-    rebuilt at N = 8193 and the j = 9 checkpoint also that of |sigma2|.
-    r11kk and rkkkk reach below the trusted r1111, so the row shows the
-    restriction of c4 but not of r1111."""
+    rebuilt at N = 8193, the j = 9 checkpoint and the n = 3 seed (3,1,1,6)
+    rebuilt at (12, 1025) also those of every |sigma_j|.  The n = 3 seed
+    pins both sigma columns.  r11kk and rkkkk reach below the trusted
+    r1111, so the row shows the restriction of c4 but not of r1111."""
     short = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(4.0, 513), 2, 1)
     short = cf.profile_from_samples(short.u, short.grid, short.cls, 0.0, 2, 1)
     fine = _fine_seed()
     late = next(c.profile for c in contract_1025.checkpoints if c.j == 9)
+    n3 = cf.build_canonical_profile(cf.KahlerClass(1.0, 6.0), cf.RhoGrid(12.0, 1025), 3, 1)
+    n3 = cf.profile_from_samples(n3.u, n3.grid, n3.cls, 0.0, 3, 1)
     cases = [(contract_1025.final_profile, contract_1025.rows[-1], contract_1025.T,
               ("r1111", "c4")),
-             (short, cf.sample_row(short, 1.0, cf.Regime.CONTRACT), 1.0, ()),
-             (fine, cf.sample_row(fine, 1.0, cf.Regime.CONTRACT), 1.0,
+             (short, diagnostics.profile_row(short, 1.0, cf.Regime.CONTRACT), 1.0, ()),
+             (fine, diagnostics.profile_row(fine, 1.0, cf.Regime.CONTRACT), 1.0,
               ("r1111", "c4", "sigma2")),
-             (late, cf.sample_row(late, contract_1025.T, cf.Regime.CONTRACT),
-              contract_1025.T, ("r1111", "c4", "sigma2"))]
+             (late, diagnostics.profile_row(late, contract_1025.T, cf.Regime.CONTRACT),
+              contract_1025.T, ("r1111", "c4", "sigma2")),
+             (n3, diagnostics.profile_row(n3, 0.5, cf.Regime.CONTRACT), 0.5,
+              ("r1111", "c4", "sigma2", "sigma3"))]
     for p, row, T, untrusted_extremes in cases:
         tau = T - p.t
         inner = slice(3, p.grid.N - 3)
         trust = cf.c4_trust_mask(p)
         itrust = trust[inner]
-        cs = cf.curvature_sample(p)
+        cs = cf.curvature_sample(*diagnostics.moment_arrays(p), p.n)
         assert itrust.any() and itrust.all() == (not untrusted_extremes)
 
         # fourth-difference pieces (r1111, lambda1) count on trusted nodes only
@@ -140,7 +145,8 @@ def test_row_reductions_match_reference(contract_1025):
         bisec = min(float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner])),
                     float(np.min(cs.r1111[inner][itrust])))
         c4min = float(np.min(cf.c4_combination(p)[inner][itrust]))
-        sigma2 = float(np.max(np.abs(cs.sigma[2])[inner][itrust]))
+        sigma = {j: float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
+                 for j in range(2, p.n + 1)}
 
         assert row.supRm == sup
         assert row.typeI == tau * sup
@@ -148,19 +154,21 @@ def test_row_reductions_match_reference(contract_1025):
         assert row.bisec_min_scaled == tau * bisec
         assert row.c4_min_scaled == tau * c4min
         assert row.lambda_div_scaled == tau * float(cs.lambda2[0])
-        assert row.sigma == (tau * sigma2 / sup,)
+        assert row.sigma == tuple(tau ** (j - 1) * s / sup for j, s in sigma.items())
         if "r1111" in untrusted_extremes:
             assert np.min(cs.r1111[inner]) < np.min(cs.r1111[inner][itrust])
         if "c4" in untrusted_extremes:
             assert np.min(cs.c4[inner]) < c4min
-        if "sigma2" in untrusted_extremes:
-            assert np.max(np.abs(cs.sigma[2][inner])) > sigma2
+        for j, s in sigma.items():
+            if f"sigma{j}" in untrusted_extremes:
+                assert np.max(np.abs(cs.sigma[j][inner])) > s
 
 
 def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch):
-    """One row runs the tail-guard pass, which forms the guarded u'''/u'',
-    the fourth-order combination and the trust mask together, once however
-    many monitors read them; the shared arrays are read-only."""
+    """One row of a rho profile, read through profile_row, runs the
+    tail-guard pass, which forms the guarded u'''/u'', the fourth-order
+    combination and the trust mask together, once however many monitors
+    read them; the shared arrays are read-only."""
     p = cf.profile_from_samples(contract_seed.u, contract_seed.grid,
                                 contract_seed.cls, 0.0, 2, 1)
     evaluations = []
@@ -171,7 +179,7 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
         return guard(q)
 
     monkeypatch.setattr(profile, "_guard_tails", counting_guard)
-    cf.sample_row(p, 1.0, cf.Regime.CONTRACT)
+    diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT)
     assert len(evaluations) == 1 and evaluations[0] is p
     for arr in (cf.ratio_g(p), cf.c4_combination(p), cf.c4_trust_mask(p)):
         assert not arr.flags.writeable
@@ -192,8 +200,8 @@ def test_inf_g_does_not_follow_a_newton_sized_perturbation():
     rho = seed.grid.nodes
     bump = 0.1 * flow.TOL_NEWTON * np.exp(-(((rho - 14.5) / 0.7) ** 2))
     T = cf.singular_time(params).T
-    rows = [diagnostics.sample_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1),
-                                   T, cf.Regime.CONTRACT)
+    rows = [diagnostics.profile_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1),
+                                    T, cf.Regime.CONTRACT)
             for u in (seed.u, seed.u - bump)]
     assert abs(rows[1].G_inf - rows[0].G_inf) < 1e-6
     assert abs(rows[1].typeI - rows[0].typeI) < 1e-6
@@ -225,7 +233,7 @@ def test_fine_seed_monitors_read_the_seed():
     1e-3, and the trusted c4 is within 1e-2 of the seed's exact 2/3: no
     tail model stands in where it misses the solution."""
     p = _fine_seed()
-    assert abs(cf.sample_row(p, 1.0, cf.Regime.CONTRACT).typeI - 1.0) < 1e-3
+    assert abs(diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT).typeI - 1.0) < 1e-3
     trust = cf.c4_trust_mask(p)
     assert trust.any()
     assert np.max(np.abs(cf.c4_combination(p)[trust] - 2.0 / 3.0)) < 1e-2
