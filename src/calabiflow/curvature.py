@@ -63,9 +63,14 @@ def scalar_curvature(p: CalabiProfile) -> np.ndarray:
                 + n * (n - 1) / du)
 
 
+def _times(c: int, x):
+    """c * x, skipping the exact no-op c = 1; arrays or scalars."""
+    return x if c == 1 else c * x
+
+
 def base_eigenvalue(x, H, G, n: int):
     """lambda2 = v'/x, with v' = n - (n-1) H - G; arrays or scalars."""
-    return (n - (n - 1) * H - G) / x
+    return (n - _times(n - 1, H) - G) / x
 
 
 def curvature_sample(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarray,
@@ -86,15 +91,14 @@ def curvature_sample(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np
     its fourth-order pieces lambda1 and r1111 count only where trust holds.
     """
     H, G, c4 = phi / x, dphi, -d2phi
-    d2v = -(n - 1) * H * (G - H) + phi * c4
-    lam1, lam2 = d2v / phi, base_eigenvalue(x, H, G, n)
-    r1111 = 0.5 * c4
-    r11kk = (H - G) / x
-    rkkkk = (x - phi) / x**2
-    # sigma[1] without the exact no-ops of the general term (x**1, 1 * x,
-    # x * x**0): the same values at a fraction of the cost
-    sigma = {1: (lam2 if n == 2 else (n - 1) * lam2) + lam1}
-    sigma.update((j, comb(n - 1, j) * lam2**j + comb(n - 1, j - 1) * lam1 * lam2 ** (j - 1))
+    hg = H - G
+    # v'' as (n-1) H (H - G) + phi c4, exactly the form above: IEEE negation is exact
+    lam1, lam2 = (_times(n - 1, H) * hg + phi * c4) / phi, base_eigenvalue(x, H, G, n)
+    r1111, r11kk, rkkkk = 0.5 * c4, hg / x, (x - phi) / x**2
+    # the general terms less their exact no-ops (1 * x, x**1): same values, less cost
+    sigma = {1: _times(n - 1, lam2) + lam1}
+    sigma.update((j, _times(comb(n - 1, j), lam2**j)
+                  + _times(comb(n - 1, j - 1), lam1) * (lam2 if j == 2 else lam2 ** (j - 1)))
                  for j in range(2, n + 1))
     fourth = np.where(trust, np.maximum(np.abs(r1111), np.abs(lam1)), 0.0)
     proxy = np.maximum(np.maximum(np.maximum(np.abs(r11kk), np.abs(rkkkk)), np.abs(lam2)),

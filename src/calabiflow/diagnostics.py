@@ -6,11 +6,10 @@ rows with bounded entries.  sample_row makes a row from moment arrays
 (x, phi, phi', phi'', trust) that any solver can fill: its curvature
 columns are reductions of one curvature_sample over exactly the nodes it
 is given, those of fourth-order pieces over trusted nodes only (in a
-degenerating tail those pieces are rounding noise).  The one rho adapter,
-profile_row, reads a profile through moment_arrays, keeps the three
-ghost-supported nodes at each end out of the reductions, takes the base
-eigenvalue at the left grid end for lambda_div_scaled, and supplies
-u'(-L), u'(+L), the volume and the divisor diameter.
+degenerating tail those pieces are rounding noise).  A rho state reaches
+it through one body, _row: profile_row reads a profile's arrays, and
+row_from_samples derives the same arrays from the samples u, with no
+profile built.
 
 The trace table layout is fixed:
 
@@ -39,7 +38,10 @@ from .profile import (
     Regime,
     c4_combination,
     c4_trust_mask,
+    class_at,
+    guard_tails,
     ratio_g,
+    stencil_derivatives,
     write_atomic,
 )
 
@@ -129,13 +131,15 @@ def total_volume(p: CalabiProfile) -> tuple[float, float]:
     interval count even) plus the closed-form contribution of the truncated
     tails.
     """
-    n = p.n
-    f = p.du ** (n - 1) * p.d2u
-    core = float(np.sum(f[0:-1:2] + 4.0 * f[1::2] + f[2::2]) * (p.grid.h / 3.0))
-    left = (float(p.du[0]) ** n - p.cls.a**n) / n
-    right = (p.cls.b**n - float(p.du[-1]) ** n) / n
-    vol_class = (p.cls.b**n - p.cls.a**n) / n
-    return core + left + right, vol_class
+    return _volume(p.du, p.d2u, p.grid.h, p.cls.a, p.cls.b, p.n)
+
+
+def _volume(du: np.ndarray, d2u: np.ndarray, h: float, a: float, b: float,
+            n: int) -> tuple[float, float]:
+    f = (du if n == 2 else du ** (n - 1)) * d2u
+    core = float(np.add.reduce(f[0:-1:2] + 4.0 * f[1::2] + f[2::2]) * (h / 3.0))
+    x0, x1 = float(du[0]), float(du[-1])
+    return core + (x0**n - a**n) / n + (b**n - x1**n) / n, (b**n - a**n) / n
 
 
 # integral of sqrt(sig(1-sig)/2) drho over the line
@@ -195,21 +199,22 @@ def sample_row(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarr
     """
     tau = T - t
     cs = curvature_sample(x, phi, dphi, d2phi, trust, n)
-    supRm = float(cs.rm_proxy.max())
-    cands = [float(cs.r11kk.min()), float(cs.rkkkk.min())]
+    # ufunc reductions: NaN propagates as in np.max, without np.max's wrapper cost
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    supRm = float(hi(cs.rm_proxy))
+    cands = [float(lo(cs.r11kk)), float(lo(cs.rkkkk))]
     c4min, sigma = math.nan, (math.nan,) * (n - 1)
-    if trust.any():
-        cands.append(float(cs.r1111.min(where=trust, initial=math.inf)))
-        c4min = tau * float(cs.c4.min(where=trust, initial=math.inf))
-        sigma = tuple(
-            tau ** (j - 1)
-            * float(np.abs(cs.sigma[j]).max(where=trust, initial=-math.inf))
-            / max(supRm, 1e-30) for j in range(2, n + 1))
+    trusted, = trust.nonzero()
+    if trusted.size:
+        cands.append(float(lo(cs.r1111[trusted])))
+        c4min = tau * float(lo(cs.c4[trusted]))
+        sigma = tuple(tau ** (j - 1) * float(hi(np.abs(cs.sigma[j][trusted])))
+                      / max(supRm, 1e-30) for j in range(2, n + 1))
     bmin = min(cands)
     lam_div = tau * lam_edge if regime is Regime.CONTRACT else math.nan
     return TraceRow(t=t, a=ends[0], b=ends[1], supRm=supRm, typeI=tau * supRm,
-                    H_sup=float(cs.H.max()), G_sup=float(cs.G.max()),
-                    G_inf=float(cs.G.min()), bisec_min=bmin, bisec_min_scaled=tau * bmin,
+                    H_sup=float(hi(cs.H)), G_sup=float(hi(cs.G)),
+                    G_inf=float(lo(cs.G)), bisec_min=bmin, bisec_min_scaled=tau * bmin,
                     c4_min_scaled=c4min, lambda_div_scaled=lam_div, sigma=sigma,
                     vol_quad=volume[0], vol_class=volume[1], vol_ratio=volume[0] / tau,
                     diam=diam, dt=dt, iters=iters)
@@ -221,18 +226,29 @@ def moment_arrays(p: CalabiProfile) -> tuple[np.ndarray, ...]:
     return p.du, p.d2u, ratio_g(p), -c4_combination(p), c4_trust_mask(p)
 
 
+def _row(x, phi, dphi, d2phi, trust, n, t, h, a, b, T, regime, dt, iters) -> TraceRow:
+    """sample_row of a rho state's arrays, reduced off the 3 ghost-supported end nodes."""
+    inner, x0 = slice(3, len(x) - 3), float(x[0])
+    return sample_row(x[inner], phi[inner], dphi[inner], d2phi[inner], trust[inner], n,
+                      t=t, T=T, regime=regime, ends=(x0, float(x[-1])),
+                      volume=_volume(x, phi, h, a, b, n), diam=_DIAMETER_ALPHA * math.sqrt(a),
+                      lam_edge=base_eigenvalue(x0, float(phi[0]) / x0, float(dphi[0]), n),
+                      dt=dt, iters=iters)
+
+
 def profile_row(p: CalabiProfile, T: float, regime: Regime,
                 dt: float = 0.0, iters: int = 0) -> TraceRow:
-    """sample_row of a rho profile at its time.  The outermost three nodes
-    at each end lean on ghost extrapolation, so the reductions stay on the
-    stencil-supported interior; lambda_div_scaled reads the left grid end."""
-    x, phi, dphi, d2phi, trust = moment_arrays(p)
-    inner = slice(3, p.grid.N - 3)
-    return sample_row(x[inner], phi[inner], dphi[inner], d2phi[inner], trust[inner], p.n,
-                      t=p.t, T=T, regime=regime, ends=(float(x[0]), float(x[-1])),
-                      volume=total_volume(p), diam=divisor_diameter(p),
-                      lam_edge=float(base_eigenvalue(x[0], phi[0] / x[0], dphi[0], p.n)),
-                      dt=dt, iters=iters)
+    """The row of a rho profile at its time, read through moment_arrays."""
+    return _row(*moment_arrays(p), p.n, p.t, p.grid.h, p.cls.a, p.cls.b, T, regime, dt, iters)
+
+
+def row_from_samples(u: np.ndarray, h: float, params: FlowParams, t: float, T: float,
+                     regime: Regime, dt: float = 0.0, iters: int = 0) -> TraceRow:
+    """profile_row(profile_from_samples(u, ...)) at time t, bit for bit, building none."""
+    cls, k = class_at(params, t), params.k
+    du, d2u, d3u, d4u = stencil_derivatives(u, h, k, cls.a, cls.b)
+    G, c4, trust = guard_tails(u, d2u, d3u, d4u, h, k)
+    return _row(du, d2u, G, -c4, trust, params.n, t, h, cls.a, cls.b, T, regime, dt, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +266,12 @@ def trace_header(n: int) -> str:
 def export_trace(trace: FlowTrace, path: str | Path) -> None:
     """Write the trace as CSV with %.17g floats; fully deterministic."""
     n = trace.params.n
-    lines = [trace_header(n)]
-    for r in trace.rows:
-        vals = [r.t, r.a, r.b, r.supRm, r.typeI, r.H_sup, r.G_sup, r.G_inf,
-                r.bisec_min, r.bisec_min_scaled, r.c4_min_scaled,
-                r.lambda_div_scaled, *r.sigma, r.vol_quad, r.vol_class,
-                r.vol_ratio, r.diam, r.dt]
-        lines.append(",".join("%.17g" % v for v in vals) + ",%d" % r.iters)
-    write_atomic(path, "\n".join(lines) + "\n")
+    fmt = ",".join(["%.17g"] * (n + 16)) + ",%d"
+    rows = (fmt % (r.t, r.a, r.b, r.supRm, r.typeI, r.H_sup, r.G_sup, r.G_inf,
+                   r.bisec_min, r.bisec_min_scaled, r.c4_min_scaled, r.lambda_div_scaled,
+                   *r.sigma, r.vol_quad, r.vol_class, r.vol_ratio, r.diam, r.dt, r.iters)
+            for r in trace.rows)
+    write_atomic(path, "\n".join([trace_header(n), *rows]) + "\n")
 
 
 def read_trace(path: str | Path) -> dict[str, np.ndarray]:

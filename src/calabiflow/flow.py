@@ -98,9 +98,10 @@ make is checked when a step starts from it, and a refusal counts the
 nodes of each cause.  run() applies the rule to the seed before sampling
 its row, and validate_profile reports it node by node from u, the class
 and k alone.
-Stepping reads only the samples u; the full CalabiProfile (ghost nodes and
-four derivative arrays) of an accepted state is built on first read, so a
-run builds it only for monitor rows, checkpoints and the final profile.
+Stepping reads only the samples u, and so does a monitor row
+(diagnostics.row_from_samples).  run() builds the full CalabiProfile (ghost
+nodes and four derivative arrays) only for the states it keeps, the
+checkpoints and the final state, and the rows landing on them read it.
 """
 
 from __future__ import annotations
@@ -841,7 +842,9 @@ def run(
                 if landed or trace.steps % monitors.cadence == 0:
                     t0 = clock()
                     trace.rows.append(diagnostics.profile_row(
-                        state.profile, T, info.regime, dt=st.dt, iters=st.newton_iters))
+                        state.profile, T, info.regime, st.dt, st.newton_iters) if landed else
+                        diagnostics.row_from_samples(state.u, state.grid.h, params, t, T,
+                                                     info.regime, st.dt, st.newton_iters))
                     phases["monitors"] += clock() - t0
     except FlowError as exc:
         phases["step"] += clock() - t_step

@@ -148,7 +148,7 @@ class CalabiProfile:
 
     @functools.cached_property
     def _guarded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _guard_tails(self)
+        return guard_tails(self.u, self.d2u, self.d3u, self.d4u, self.grid.h, self.k)
 
 
 def class_at(params: FlowParams, t: float) -> KahlerClass:
@@ -197,31 +197,35 @@ _STENCILS = {
 _NOISE_SUM = {order: float(np.abs(_STENCILS[order][1]).sum()) for order in (3, 4)}
 
 
-def _apply_stencil(padded: np.ndarray, order: int, h: float) -> np.ndarray:
-    radius, coeffs = _STENCILS[order]
-    trim = 3 - radius
-    arr = padded[trim: len(padded) - trim] if trim else padded
-    return np.convolve(arr, coeffs[::-1], mode="valid") / h**order
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+@functools.lru_cache(maxsize=64)
+def _ghost_weights(k: int, h: float) -> tuple[tuple[float, float], ...]:
+    m = np.array([3.0, 2.0, 1.0])
+    return tuple(zip(m.tolist(), (np.expm1(-k * h * m) / math.expm1(k * h)).tolist()))
 
 
 def _ghosts(u: np.ndarray, h: float, k: int, a: float,
-            b: float) -> tuple[np.ndarray, np.ndarray]:
+            b: float) -> tuple[list[float], list[float]]:
     """Three ghost samples beyond each end, in grid order: the one-mode tail
     a*rho + D + E*e^(k*rho) (b and e^(-k*rho) on the right) through the two
     end samples, g_-m = u_0 - a m h + (u_1 - u_0 - a h) expm1(-m k h) /
     expm1(k h) for m = 1, 2, 3.  Every triple of consecutive samples that
     reaches a ghost satisfies closure_rows, so on a flow state, whose end
     triples satisfy them too, the ghosts continue the tail the stepper holds."""
-    m = np.array([3.0, 2.0, 1.0])
-    q = np.expm1(-k * h * m) / math.expm1(k * h)
-    (u0, u1), (v1, v0) = u[:2].tolist(), u[-2:].tolist()
-    return (u0 - a * h * m + (u1 - u0 - a * h) * q,
-            (v0 + b * h * m + (v1 - v0 + b * h) * q)[::-1])
+    (u0, u1), (v1, v0), mq = u[:2].tolist(), u[-2:].tolist(), _ghost_weights(k, h)
+    return ([u0 - a * h * m + (u1 - u0 - a * h) * q for m, q in mq],
+            [v0 + b * h * m + (v1 - v0 + b * h) * q for m, q in mq][::-1])
+
+
+def stencil_derivatives(u: np.ndarray, h: float, k: int, a: float,
+                        b: float) -> tuple[np.ndarray, ...]:
+    """u', u'', u''' and u'''' of samples u of the class (a, b), by centered
+    stencils.  Ghost nodes extend u along the boundary tail that the
+    closure rows impose (_ghosts); this keeps the stencils fourth-order
+    right up to the ends for admissible profiles."""
+    left, right = _ghosts(u, h, k, a, b)
+    padded = np.concatenate([left, u, right])
+    return tuple(np.correlate(padded[3 - r: len(padded) - 3 + r], c, "valid") / h**order
+                 for order, (r, c) in _STENCILS.items())
 
 
 def profile_from_samples(
@@ -232,21 +236,13 @@ def profile_from_samples(
     n: int,
     k: int,
 ) -> CalabiProfile:
-    """Profile with fourth-order centered derivatives.
-
-    Ghost nodes extend the samples along the boundary tail that the
-    closure rows impose (_ghosts); this keeps the stencils fourth-order
-    right up to the ends for admissible profiles.
-    """
+    """Profile with the fourth-order derivatives of stencil_derivatives."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.N,):
         raise ProfileError(f"sample array has shape {u.shape}, expected ({grid.N},)")
-    h = grid.h
-    left, right = _ghosts(u, h, k, cls.a, cls.b)
-    padded = np.concatenate([left, u, right])
+    du, d2u, d3u, d4u = stencil_derivatives(u, grid.h, k, cls.a, cls.b)
     return CalabiProfile(grid=grid, cls=cls, t=t, n=n, k=k, u=u,
-                         du=_apply_stencil(padded, 1, h), d2u=_apply_stencil(padded, 2, h),
-                         d3u=_apply_stencil(padded, 3, h), d4u=_apply_stencil(padded, 4, h))
+                         du=du, d2u=d2u, d3u=d3u, d4u=d4u)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +296,17 @@ def closure_rows(u: np.ndarray, h: float, efac: float,
 # ---------------------------------------------------------------------------
 # guarded tail evaluation
 
-def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tail-guarded (G, c4, trust) of a profile, as read-only arrays.
+@functools.lru_cache(maxsize=64)
+def _tail_limits(N: int, k: int) -> np.ndarray:
+    """Limits of u'''/u'' in the tails: +k left of the center, -k right, NaN at it."""
+    s = np.repeat([float(k), math.nan, -float(k)], [N // 2, 1, N // 2])
+    s.flags.writeable = False
+    return s
+
+
+def guard_tails(u: np.ndarray, d2u: np.ndarray, d3u: np.ndarray, d4u: np.ndarray,
+                h: float, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tail-guarded, read-only (G, c4, trust) of samples u and derivatives.
 
     G = u'''/u'' and c4 = -u''''/u''^2 + u'''^2/u''^3 are raw differences,
     with rounding noise S3 eps sup|u| / (h^3 |u''|) and
@@ -317,19 +322,18 @@ def _guard_tails(p: CalabiProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spuriously trusted), and its stencil reads no ghost.  Late in a
     contraction an untrusted gap opens on the degenerating side.
     """
-    d2u, d3u = p.d2u, p.d3u
-    N, c, k, h = p.grid.N, p.grid.center, p.k, p.grid.h
-    scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
+    scale = sys.float_info.epsilon * float(np.maximum.reduce(np.abs(u)))
+    sq = d2u * d2u
     with np.errstate(divide="ignore", invalid="ignore"):
         G = d3u / d2u
-        c4 = (d3u * d3u - p.d4u * d2u) / (d2u * d2u * d2u)
-        noise_g = _NOISE_SUM[3] * scale / h**3 / np.abs(d2u)
-        for s, half in ((k, slice(0, c)), (-k, slice(c + 1, N))):
-            np.copyto(G[half], s, where=np.abs(G[half] - s) <= noise_g[half])
-        ref = abs(float(c4[c]))
-        trust = _NOISE_SUM[4] * scale / h**4 / (d2u * d2u) <= C4_TRUST_REL * (np.abs(c4) + ref)
+        c4 = (d3u * d3u - d4u * d2u) / (sq * d2u)
+        s = _tail_limits(len(u), k)
+        G = np.where(np.abs(G - s) <= _NOISE_SUM[3] * scale / h**3 / np.abs(d2u), s, G)
+        ref = abs(float(c4[len(u) // 2]))
+        trust = _NOISE_SUM[4] * scale / h**4 / sq <= C4_TRUST_REL * (np.abs(c4) + ref)
     trust[:3] = trust[-3:] = False
-    return _read_only(G), _read_only(c4), _read_only(trust)
+    G.flags.writeable = c4.flags.writeable = trust.flags.writeable = False
+    return G, c4, trust
 
 
 def ratio_g(p: CalabiProfile) -> np.ndarray:

@@ -172,19 +172,99 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
     p = cf.profile_from_samples(contract_seed.u, contract_seed.grid,
                                 contract_seed.cls, 0.0, 2, 1)
     evaluations = []
-    guard = profile._guard_tails
+    guard = profile.guard_tails
 
-    def counting_guard(q):
-        evaluations.append(q)
-        return guard(q)
+    def counting_guard(u, *args):
+        evaluations.append(u)
+        return guard(u, *args)
 
-    monkeypatch.setattr(profile, "_guard_tails", counting_guard)
+    monkeypatch.setattr(profile, "guard_tails", counting_guard)
     diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT)
-    assert len(evaluations) == 1 and evaluations[0] is p
+    assert len(evaluations) == 1 and evaluations[0] is p.u
     for arr in (cf.ratio_g(p), cf.c4_combination(p), cf.c4_trust_mask(p)):
         assert not arr.flags.writeable
     assert cf.ratio_g(p) is cf.ratio_g(p)
     assert len(evaluations) == 1
+
+
+def _reference_sigma(cs, n):
+    """sigma_j by the general term, no exact no-op skipped or regrouped."""
+    lam1, lam2 = cs.lambda1, cs.lambda2
+    return {j: math.comb(n - 1, j) * lam2**j + math.comb(n - 1, j - 1) * lam1 * lam2 ** (j - 1)
+            for j in range(1, n + 1)}
+
+
+def _accepted_states(params, grid, monkeypatch):
+    """A cadence-1 run of params on grid, a failed one included, with every
+    state step() accepted."""
+    states, step = [], flow.step
+
+    def recording_step(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(flow, "step", recording_step)
+    try:
+        trace = cf.run(params, grid=grid, monitors=cf.MonitorSet(cadence=1))
+    except cf.FlowError as exc:
+        trace = exc.trace
+    return trace, states
+
+
+@pytest.mark.parametrize("params, L, N", [
+    (cf.FlowParams(2, 1, 1.0, 4.0), 12.0, 513),
+    (cf.FlowParams(2, 1, 1.0, 2.0), 12.0, 513),
+    (cf.FlowParams(2, 1, 1.0, 3.0), 12.0, 513),
+    (cf.FlowParams(3, 1, 1.0, 6.0), 12.0, 1025),
+    (cf.FlowParams(3, 2, 1.0, 6.0), 12.0, 1025),
+], ids=["contract", "collapse", "shrink", "3-1-1-6", "3-2-1-6"])
+def test_rows_from_samples_are_rows_of_the_rebuilt_profiles(params, L, N, monkeypatch):
+    """Every row a cadence-1 run samples after the seed is, bit for bit
+    (repr of the TraceRow), profile_row of profile_from_samples on the
+    accepted state's samples, though only the kept states build a
+    profile.  Its sigma columns come from curvature_sample's sigma_j,
+    which equal the general term C(n-1, j) l2^j + C(n-1, j-1) l1 l2^(j-1)
+    evaluated as written: on (3,2,1,6), which fails at 0.6046 T, a
+    regrouped (l1 l2) l2 moves sigma3 by one ulp."""
+    grid = cf.RhoGrid(L, N)
+    trace, states = _accepted_states(params, grid, monkeypatch)
+    assert len(trace.rows) == len(states) + 1
+    if params.k == 2:
+        assert trace.error and abs(trace.rows[-1].t / trace.T - 0.6046) < 1e-4
+    else:
+        assert trace.error is None
+    for row, state in zip(trace.rows[1:], states):
+        p = cf.profile_from_samples(state.u, grid, cf.class_at(params, state.t), state.t,
+                                    params.n, params.k)
+        st = state.stats
+        assert repr(row) == repr(diagnostics.profile_row(p, trace.T, trace.regime, st.dt,
+                                                         st.newton_iters))
+        cs = cf.curvature_sample(*diagnostics.moment_arrays(p), p.n)
+        for j, ref in _reference_sigma(cs, p.n).items():
+            assert np.array_equal(cs.sigma[j], ref, equal_nan=True), (state.t, j)
+
+
+def test_row_from_samples_propagates_nan_and_inf(contract_1025):
+    """Seven samples set to zero inside the j = 5 checkpoint give u'' < 0
+    beside them and u' = u'' = 0 at the middle three, where H and G are
+    0/0 and the trusted c4 is inf.  The row from the samples is still
+    profile_row of the rebuilt profile, bit for bit, and its sups and
+    infs carry the NaN as np.max and np.min do (Python's max would drop
+    it)."""
+    ck = next(c.profile for c in contract_1025.checkpoints if c.j == 5)
+    u = ck.u.copy()
+    u[600:607] = 0.0
+    params, T = cf.FlowParams(2, 1, 1.0, 4.0), contract_1025.T
+    with np.errstate(all="ignore"):
+        p = cf.profile_from_samples(u, ck.grid, ck.cls, ck.t, 2, 1)
+        ref = diagnostics.profile_row(p, T, cf.Regime.CONTRACT, 1e-3, 4)
+        row = diagnostics.row_from_samples(u, ck.grid.h, params, ck.t, T, cf.Regime.CONTRACT,
+                                           1e-3, 4)
+    assert np.any(p.d2u < 0.0) and not p.du[602:605].any() and not p.d2u[602:605].any()
+    assert np.isnan(cf.ratio_g(p)[603]) and np.isinf(cf.c4_combination(p)[602])
+    assert cf.c4_trust_mask(p)[602]
+    assert repr(row) == repr(ref)
+    assert all(math.isnan(v) for v in (row.supRm, row.typeI, row.H_sup, row.G_sup, row.G_inf))
 
 
 def test_inf_g_does_not_follow_a_newton_sized_perturbation():

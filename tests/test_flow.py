@@ -1050,13 +1050,14 @@ def test_bdf2_stage_never_ends_without_its_filtered_estimate(monkeypatch):
 
 
 def test_profiles_are_built_only_where_read(monkeypatch):
-    """A run builds one profile per row sampled after the seed.  Stepping
-    reads the samples alone, so the monitor cadence, which decides which
-    profiles get built, leaves the checkpoints and the final samples
-    bitwise unchanged; each checkpoint profile is the rebuild of its own
-    samples."""
-    grid = cf.RhoGrid(12.0, 257)
-    dense = cf.run(CONTRACT, grid=grid, monitors=cf.MonitorSet(cadence=1))
+    """A cadence-1 run builds a profile once per checkpoint and once for the
+    final profile, which the rows at those landings read; every other row
+    is sampled from the accepted samples.  Stepping reads the samples
+    alone, so the monitor cadence leaves the checkpoints and the final
+    samples bitwise unchanged; each checkpoint profile is the rebuild of
+    its own samples."""
+    grid = cf.RhoGrid(12.0, 513)
+    sparse = cf.run(CONTRACT, grid=grid, monitors=cf.MonitorSet(cadence=10))
     builds = []
 
     def counting_rebuild(*args, **kwargs):
@@ -1064,9 +1065,9 @@ def test_profiles_are_built_only_where_read(monkeypatch):
         return cf.profile_from_samples(*args, **kwargs)
 
     monkeypatch.setattr(flow, "profile_from_samples", counting_rebuild)
-    sparse = cf.run(CONTRACT, grid=grid, monitors=cf.MonitorSet(cadence=10))
-    assert builds == [r.t for r in sparse.rows[1:]]
-    assert len(dense.rows) > len(sparse.rows)
+    dense = cf.run(CONTRACT, grid=grid, monitors=cf.MonitorSet(cadence=1))
+    assert builds == [c.t for c in dense.checkpoints] + [dense.final_profile.t]
+    assert len(builds) == 10 and len(dense.rows) == dense.steps + 1 > len(sparse.rows)
     assert [c.j for c in dense.checkpoints] == [c.j for c in sparse.checkpoints]
     for a, b in zip(dense.checkpoints, sparse.checkpoints):
         assert np.array_equal(a.profile.u, b.profile.u)
