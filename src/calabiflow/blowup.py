@@ -2,9 +2,10 @@
 
 When the zero divisor contracts, profiles approaching T are magnified by
 K = 1/(T - t), which sends the left class endpoint to the fixed value
-n - k; moment.moment_profile magnifies in moment coordinates, scaling x
-and phi by K.  Convergence of the magnified moment profiles in C^1 on a
-fixed window, together with a shrinking residual of the shrinker relation
+n - k; moment.moment_profile magnifies a checkpoint's moment arrays, read
+by the monitors' adapter diagnostics.moment_arrays, scaling x and phi by
+K.  Convergence of the magnified moment profiles in C^1 on a fixed window,
+together with a shrinking residual of the shrinker relation
 
     phi'(x) = n - (n-1) phi(x)/x - lambda x + mu phi(x) - alpha,
 
@@ -54,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CheckpointRecord, json_number
+from .diagnostics import CheckpointRecord, json_number, moment_arrays
 from .moment import (
     WINDOW_SAMPLES,
     MomentDomainError,
@@ -142,8 +143,7 @@ def soliton_residual(m: MomentProfile, n: int,
         window = (m.x_min, m.x_max)
     m.check_window(window)
     xs = np.linspace(window[0], window[1], WINDOW_SAMPLES)
-    phi = m.eval(xs)
-    dphi = m.eval_slope(xs)
+    phi, dphi = m.sample(xs)
     base = n - (n - 1) * phi / xs - lam * xs - dphi
     A = np.stack([phi, -np.ones_like(xs)], axis=1)
     coef, *_ = np.linalg.lstsq(A, -base, rcond=None)
@@ -239,7 +239,7 @@ def blowup_report(
         K = 1.0 / (T - p.t)
         a_hat = K * p.cls.a
         try:
-            m = moment_profile(p, K)
+            m = moment_profile(*moment_arrays(p)[:3], K)
             win = blowup_window(m, a_hat, K * p.cls.b)
         except (MomentDomainError, BlowupError) as exc:
             raise BlowupError(f"level j={rec.j}: {exc}") from exc

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,6 +58,10 @@ class MonitorSet:
     cadence: int = 10
 
     def __post_init__(self):
+        try:  # numpy integers pass; 2.5 is refused, not truncated
+            object.__setattr__(self, "cadence", operator.index(self.cadence))
+        except TypeError:
+            raise ValueError(f"cadence must be an integer, got {self.cadence!r}") from None
         if self.cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {self.cadence}")
 

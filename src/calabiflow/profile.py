@@ -23,6 +23,7 @@ import base64
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -63,6 +64,12 @@ class FlowParams:
     b0: float
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            try:  # numpy integers pass; 2.0 and 2.5 are refused, not truncated
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ProfileError(f"need an integer {name}, got {name}={value!r}") from None
         if self.n < 2:
             raise ProfileError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.k < self.n:
@@ -377,19 +384,13 @@ def save_checkpoint(p: CalabiProfile, path: str | Path) -> None:
     if bad:
         raise ProfileError(f"cannot write checkpoint {path}: "
                            f"u has {bad} non-finite sample(s)")
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "n": p.n,
-        "k": p.k,
-        "t": p.t,
-        "a": p.cls.a,
-        "b": p.cls.b,
-        "L": p.grid.L,
-        "N": p.grid.N,
-        "u": base64.b64encode(np.asarray(p.u, dtype="<f8").tobytes()).decode("ascii"),
-    }
-    try:  # json refuses a non-finite header value before the file is opened
-        write_atomic(path, json.dumps(payload, allow_nan=False) + "\n")
+    header = {"version": CHECKPOINT_VERSION, "n": p.n, "k": p.k, "t": p.t,
+              "a": p.cls.a, "b": p.cls.b, "L": p.grid.L, "N": p.grid.N}
+    b64 = base64.b64encode(np.asarray(p.u, dtype="<f8").tobytes()).decode("ascii")
+    try:  # json refuses a non-finite header value before the file is opened;
+        # base64 needs no escaping, so the samples skip json's escape scan
+        text = json.dumps(header, allow_nan=False)[:-1] + ', "u": "' + b64 + '"}\n'
+        write_atomic(path, text)
     except (OSError, ValueError) as exc:
         raise ProfileError(f"cannot write checkpoint {path}: {exc}") from exc
 

@@ -29,8 +29,8 @@ def test_rescale_magnification(contract_default):
     K = 1.0 / (1.0 - p.t)
     assert K == 2.0**6
     assert K * p.cls.a == pytest.approx(1.0, abs=1e-12)
-    m1 = cf.moment_profile(p)
-    mK = cf.moment_profile(p, K)
+    m1 = cf.moment_profile(*diagnostics.moment_arrays(p)[:3])
+    mK = cf.moment_profile(*diagnostics.moment_arrays(p)[:3], K)
     assert_allclose(mK.x, K * m1.x, rtol=1e-15)
     assert_allclose(mK.phi, K * m1.phi, rtol=1e-15)
     assert np.array_equal(mK.dphi, m1.dphi)
@@ -46,7 +46,7 @@ def test_blowup_window_tracks_rescaled_class(contract_default):
     for j, hi_expected in ((1, 2.5), (6, 10.0)):   # half of b_hat = 5; capped
         p = next(c.profile for c in trace.checkpoints if c.j == j)
         K = 1.0 / (1.0 - p.t)
-        m = cf.moment_profile(p, K)
+        m = cf.moment_profile(*diagnostics.moment_arrays(p)[:3], K)
         lo, hi = cf.blowup_window(m, K * p.cls.a, K * p.cls.b)
         assert lo == pytest.approx(1.1, abs=1e-9)
         assert hi == pytest.approx(hi_expected, abs=1e-9)
@@ -111,10 +111,10 @@ def test_soliton_residual_recovers_shrinker_relation():
 def test_cone_reference_shape():
     m = cf.fik_reference(2, 1)
     assert m.x[0] == 1.0 and m.x[-1] == 12.0
-    assert abs(m.eval(np.array([1.0]))[0]) < 1e-12
+    assert abs(m.sample(np.array([1.0]))[0, 0]) < 1e-12
     # phi(x) = (x - 1/x)/2 for n = 2, k = 1, a_hat = 1
     xs = np.linspace(1.5, 7.5, 25)
-    assert_allclose(m.eval(xs), 0.5 * (xs - 1.0 / xs), rtol=1e-6)
+    assert_allclose(m.sample(xs)[0], 0.5 * (xs - 1.0 / xs), rtol=1e-6)
     assert_allclose(m.dphi[0], 1.0, rtol=1e-9)
 
 

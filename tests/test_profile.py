@@ -66,6 +66,16 @@ def test_class_and_params_validation():
             cf.KahlerClass(a, b)
         with pytest.raises(cf.ProfileError, match="need finite"):
             cf.FlowParams(2, 1, a, b)
+    # a count is an integer: refused by name here, not as a bare TypeError in the first row
+    for n, k, name in [(2.5, 1, "n"), (2.0, 1, "n"), (2, 1.0, "k"), (3, "1", "k")]:
+        with pytest.raises(cf.ProfileError, match=f"need an integer {name}, got {name}="):
+            cf.FlowParams(n, k, 1.0, 4.0)
+    params = cf.FlowParams(np.int64(3), np.int32(1), 1.0, 4.0)
+    assert (type(params.n), type(params.k)) == (int, int)
+    assert params == cf.FlowParams(3, 1, 1.0, 4.0)
+    with pytest.raises(ValueError, match="cadence must be an integer, got 2.5"):
+        cf.MonitorSet(cadence=2.5)
+    assert type(cf.MonitorSet(cadence=np.int64(5)).cadence) is int
 
 
 def test_class_evolution_is_exact_affine():
