@@ -24,11 +24,9 @@ from .diagnostics import (
     CheckpointRecord,
     DiagnosticsError,
     MonitorSet,
-    divisor_diameter,
     read_trace,
     regime_indicator,
     sample_row,
-    total_volume,
     trace_header,
 )
 from .flow import (
@@ -50,12 +48,9 @@ from .profile import (
     Regime,
     RhoGrid,
     build_canonical_profile,
-    c4_combination,
-    c4_trust_mask,
     class_at,
     load_checkpoint,
     profile_from_samples,
-    ratio_g,
     save_checkpoint,
     singular_time,
 )
@@ -83,19 +78,15 @@ __all__ = [
     "blowup_window",
     "build_canonical_profile",
     "c1_distance",
-    "c4_combination",
-    "c4_trust_mask",
     "checkpoint_times",
     "class_at",
     "curvature_sample",
-    "divisor_diameter",
     "fik_reference",
     "gaussian_reference",
     "infer_initial_class",
     "load_checkpoint",
     "moment_profile",
     "profile_from_samples",
-    "ratio_g",
     "read_trace",
     "regime_indicator",
     "run",
@@ -105,7 +96,6 @@ __all__ = [
     "singular_time",
     "soliton_residual",
     "step",
-    "total_volume",
     "trace_header",
     "validate_profile",
 ]

@@ -7,9 +7,9 @@ rows with bounded entries.  sample_row makes a row from moment arrays
 columns are reductions of one curvature_sample over exactly the nodes it
 is given, those of fourth-order pieces over trusted nodes only (in a
 degenerating tail those pieces are rounding noise).  A rho state reaches
-it through one body, _row: profile_row reads a profile's arrays, and
-row_from_samples derives the same arrays from the samples u, with no
-profile built.
+it through one body, _row: profile_row reads a profile's arrays through
+moment_arrays, as the blow-up report does, and row_from_samples derives
+the same arrays from the samples u, with no profile built.
 
 The trace table layout is fixed:
 
@@ -37,11 +37,10 @@ from .profile import (
     CalabiProfile,
     FlowParams,
     Regime,
-    c4_combination,
+    _GHOST,
     c4_trust_mask,
     class_at,
     guard_tails,
-    ratio_g,
     stencil_derivatives,
     write_atomic,
 )
@@ -101,12 +100,13 @@ class CheckpointRecord:
 
 @dataclass
 class FlowTrace:
-    """Rows and checkpoints of one run; error holds the FlowError text of a
-    run that stopped early, and is None otherwise.  steps and retries count
-    accepted steps and rejected attempts, newton_iters the Newton
-    iterations of every stage of every accepted step.  phase_seconds
-    holds the part of elapsed that run() spent in steps (a failing one
-    included), monitor rows, checkpoints and the trace.csv export."""
+    """Rows and checkpoints of one run; error holds the text of the FlowError
+    (or a checkpoint write's ProfileError) that stopped it early, or None.
+    steps and retries count accepted steps and rejected attempts,
+    newton_iters the Newton iterations of every stage of every accepted
+    step.  phase_seconds holds the part of elapsed that run() spent in
+    steps (a failing one included), monitor rows, checkpoints and the
+    trace.csv export."""
 
     params: FlowParams
     T: float
@@ -127,8 +127,10 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 # volume and diameter monitors
 
-def total_volume(p: CalabiProfile) -> tuple[float, float]:
-    """(quadrature volume, class volume), both per unit angular factor.
+def _volume(du: np.ndarray, d2u: np.ndarray, h: float, a: float, b: float,
+            n: int) -> tuple[float, float]:
+    """(quadrature volume, class volume), both per unit angular factor, of
+    the samples u', u'' with spacing h of a profile in the class (a, b).
 
     The density (u')^(n-1) u'' integrates in the moment variable to
     (b^n - a^n)/n exactly; the quadrature value is the composite Simpson
@@ -136,11 +138,6 @@ def total_volume(p: CalabiProfile) -> tuple[float, float]:
     interval count even) plus the closed-form contribution of the truncated
     tails.
     """
-    return _volume(p.du, p.d2u, p.grid.h, p.cls.a, p.cls.b, p.n)
-
-
-def _volume(du: np.ndarray, d2u: np.ndarray, h: float, a: float, b: float,
-            n: int) -> tuple[float, float]:
     f = (du if n == 2 else du ** (n - 1)) * d2u
     core = float(np.add.reduce(f[0:-1:2] + 4.0 * f[1::2] + f[2::2]) * (h / 3.0))
     x0, x1 = float(du[0]), float(du[-1])
@@ -149,11 +146,6 @@ def _volume(du: np.ndarray, d2u: np.ndarray, h: float, a: float, b: float,
 
 # integral of sqrt(sig(1-sig)/2) drho over the line
 _DIAMETER_ALPHA = math.pi / math.sqrt(2.0)
-
-
-def divisor_diameter(p: CalabiProfile) -> float:
-    """Diameter scale of the zero divisor, proportional to sqrt(a)."""
-    return _DIAMETER_ALPHA * math.sqrt(p.cls.a)
 
 
 def regime_indicator(trace: FlowTrace) -> Regime:
@@ -227,13 +219,14 @@ def sample_row(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarr
 
 def moment_arrays(p: CalabiProfile) -> tuple[np.ndarray, ...]:
     """A rho profile as curvature_sample's arrays on every node: u', u'', the
-    guarded u'''/u'', minus the fourth-order combination, the trust mask."""
-    return p.du, p.d2u, ratio_g(p), -c4_combination(p), c4_trust_mask(p)
+    guarded u'''/u'', minus the fourth-order combination, the trust mask:
+    the one reader of the profile's guard pass, CalabiProfile.guarded."""
+    return p.du, p.d2u, p.guarded[0], -p.guarded[1], c4_trust_mask(p)
 
 
 def _row(x, phi, dphi, d2phi, trust, n, t, h, a, b, T, regime, dt, iters) -> TraceRow:
-    """sample_row of a rho state's arrays, reduced off the 3 ghost-supported end nodes."""
-    inner, x0 = slice(3, len(x) - 3), float(x[0])
+    """sample_row of a rho state's arrays, reduced off the ghost-supported end nodes."""
+    inner, x0 = slice(_GHOST, len(x) - _GHOST), float(x[0])
     return sample_row(x[inner], phi[inner], dphi[inner], d2phi[inner], trust[inner], n,
                       t=t, T=T, regime=regime, ends=(x0, float(x[-1])),
                       volume=_volume(x, phi, h, a, b, n), diam=_DIAMETER_ALPHA * math.sqrt(a),

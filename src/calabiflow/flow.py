@@ -123,6 +123,7 @@ from .profile import (
     FlowParams,
     ProfileError,
     RhoGrid,
+    _number,
     build_canonical_profile,
     class_at,
     closure_rows,
@@ -769,11 +770,13 @@ def run(
     cadence-th accepted step, at each dyadic checkpoint time, and at the
     stop time.  With out_dir set, the trace table, a JSON summary, per-step
     log lines and the checkpoint profiles are written there.  A run that
-    fails with FlowError still writes the trace and summary of the rows
-    sampled so far; the summary then carries the error text under "error".
+    fails with FlowError, or whose checkpoint write fails with ProfileError,
+    still writes the trace and summary of the rows sampled so far; run.log
+    ends on an "error:" line and the summary carries the text under "error".
     trace.elapsed runs from the first row to the written trace.csv, and
     trace.phase_seconds splits it.
     """
+    checkpoints_j = _number("checkpoints_j", checkpoints_j, integer=True)
     ctl = ctl or StepControl()
     monitors = monitors or diagnostics.MonitorSet()
     info = singular_time(params)
@@ -813,7 +816,7 @@ def run(
         trace.rows.append(diagnostics.profile_row(seed_profile, T, info.regime))
     phases["monitors"] += clock() - started
     log_fh = (out / "run.log").open("w") if out is not None else None
-    failure: FlowError | None = None
+    failure: FlowError | ProfileError | None = None
     try:
         for t_cap, j in events:
             while state.t < t_cap:
@@ -834,11 +837,13 @@ def run(
                 landed = t >= t_cap
                 if landed and j > 0:
                     t0 = clock()
+                    try:
+                        if out is not None:
+                            save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
+                    finally:
+                        phases["checkpoints"] += clock() - t0
                     trace.checkpoints.append(
                         diagnostics.CheckpointRecord(j=j, t=t, profile=state.profile))
-                    if out is not None:
-                        save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
-                    phases["checkpoints"] += clock() - t0
                 if landed or trace.steps % monitors.cadence == 0:
                     t0 = clock()
                     trace.rows.append(diagnostics.profile_row(
@@ -846,13 +851,15 @@ def run(
                         diagnostics.row_from_samples(state.u, state.grid.h, params, t, T,
                                                      info.regime, st.dt, st.newton_iters))
                     phases["monitors"] += clock() - t0
-    except FlowError as exc:
-        phases["step"] += clock() - t_step
+    except (FlowError, ProfileError) as exc:  # a step failed, or a checkpoint write
         failure = exc
-        trace.retries += len(exc.rejected)
+        if isinstance(exc, FlowError):
+            phases["step"] += clock() - t_step
+            trace.retries += len(exc.rejected)
+            if log_fh is not None:
+                log_fh.writelines(f"reject {entry}\n" for entry in exc.rejected)
         trace.error = str(exc)
         if log_fh is not None:
-            log_fh.writelines(f"reject {entry}\n" for entry in exc.rejected)
             log_fh.write(f"error: {exc}\n")
     finally:
         if log_fh is not None:

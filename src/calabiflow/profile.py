@@ -13,8 +13,9 @@ flow's closure rows hold each end on that model, and the ghost nodes for
 the high-order stencils continue it through the two end samples; nothing
 is fitted.  The guarded u'''/u'' takes the model's limit +-k only where
 the raw difference is within rounding noise of it, c4 stays the raw
-difference, and c4_trust_mask marks the nodes where that fourth-difference
-output is credible at all.
+difference, and a trust mask marks the nodes where that fourth-difference
+output is credible.  A profile keeps the three as CalabiProfile.guarded,
+which diagnostics.moment_arrays reads for the monitors and blow-up report.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import base64
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -48,6 +50,20 @@ class ProfileError(ValueError):
     Admissibility is judged by flow.validate_profile, which reports it."""
 
 
+def _number(name: str, value, integer: bool = False) -> int | float:
+    """value as the Python int (integer=True) or float that JSON can hold: numpy
+    scalars pass, and 2.5 as a count or "1" as a number is refused by name."""
+    try:
+        if integer:
+            return operator.index(value)
+        if isinstance(value, numbers.Real):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    kind = "an integer" if integer else "a number"
+    raise ProfileError(f"need {kind} {name}, got {name}={value!r}")
+
+
 class Regime(str, Enum):
     CONTRACT = "Contract"
     COLLAPSE = "Collapse"
@@ -64,12 +80,8 @@ class FlowParams:
     b0: float
 
     def __post_init__(self):
-        for name in ("n", "k"):
-            value = getattr(self, name)
-            try:  # numpy integers pass; 2.0 and 2.5 are refused, not truncated
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ProfileError(f"need an integer {name}, got {name}={value!r}") from None
+        for name in ("n", "k", "a0", "b0"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), name in ("n", "k")))
         if self.n < 2:
             raise ProfileError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.k < self.n:
@@ -99,6 +111,8 @@ class RhoGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("L", "N"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), name == "N"))
         # L < 1 misses the tails the closure rows assume; beyond L ~ 733 no
         # seed passes the flow's u'' floor at the ends; N is bounded before allocation
         if not 1.0 <= self.L <= 1000.0:
@@ -129,11 +143,9 @@ class CalabiProfile:
     """Potential samples and derivative arrays at one flow time.
 
     The arrays are treated as immutable after construction.  d3u and d4u
-    are raw centered differences; tail-sensitive combinations should go
-    through ratio_g / c4_combination below, whose u'''/u'' takes the
-    boundary tail's limit where the samples cannot tell them apart.  One
-    pass forms those two together with c4_trust_mask, the first time any
-    of them is read, and the profile keeps its read-only result.
+    are raw centered differences; tail-sensitive combinations are read
+    from guarded, whose u'''/u'' takes the boundary tail's limit where the
+    samples cannot tell them apart.
     """
 
     grid: RhoGrid
@@ -154,7 +166,8 @@ class CalabiProfile:
                 raise ProfileError(f"{name} has shape {arr.shape}, expected ({self.grid.N},)")
 
     @functools.cached_property
-    def _guarded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def guarded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """guard_tails' read-only (G, c4, trust), formed on the first read."""
         return guard_tails(self.u, self.d2u, self.d3u, self.d4u, self.grid.h, self.k)
 
 
@@ -200,22 +213,24 @@ _STENCILS = {
     3: (3, np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0),
     4: (3, np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0),
 }
+# ghost nodes beyond each end: the widest stencil's radius
+_GHOST = max(r for r, _ in _STENCILS.values())
 # rounding noise of the order-3 and order-4 differences, per eps sup|u| / h^order
 _NOISE_SUM = {order: float(np.abs(_STENCILS[order][1]).sum()) for order in (3, 4)}
 
 
 @functools.lru_cache(maxsize=64)
 def _ghost_weights(k: int, h: float) -> tuple[tuple[float, float], ...]:
-    m = np.array([3.0, 2.0, 1.0])
+    m = np.arange(_GHOST, 0, -1, dtype=float)
     return tuple(zip(m.tolist(), (np.expm1(-k * h * m) / math.expm1(k * h)).tolist()))
 
 
 def _ghosts(u: np.ndarray, h: float, k: int, a: float,
             b: float) -> tuple[list[float], list[float]]:
-    """Three ghost samples beyond each end, in grid order: the one-mode tail
+    """_GHOST ghost samples beyond each end, in grid order: the one-mode tail
     a*rho + D + E*e^(k*rho) (b and e^(-k*rho) on the right) through the two
     end samples, g_-m = u_0 - a m h + (u_1 - u_0 - a h) expm1(-m k h) /
-    expm1(k h) for m = 1, 2, 3.  Every triple of consecutive samples that
+    expm1(k h) for m = 1, ..., _GHOST.  Every triple of consecutive samples that
     reaches a ghost satisfies closure_rows, so on a flow state, whose end
     triples satisfy them too, the ghosts continue the tail the stepper holds."""
     (u0, u1), (v1, v0), mq = u[:2].tolist(), u[-2:].tolist(), _ghost_weights(k, h)
@@ -231,7 +246,7 @@ def stencil_derivatives(u: np.ndarray, h: float, k: int, a: float,
     right up to the ends for admissible profiles."""
     left, right = _ghosts(u, h, k, a, b)
     padded = np.concatenate([left, u, right])
-    return tuple(np.correlate(padded[3 - r: len(padded) - 3 + r], c, "valid") / h**order
+    return tuple(np.correlate(padded[_GHOST - r: len(padded) - _GHOST + r], c, "valid") / h**order
                  for order, (r, c) in _STENCILS.items())
 
 
@@ -338,25 +353,15 @@ def guard_tails(u: np.ndarray, d2u: np.ndarray, d3u: np.ndarray, d4u: np.ndarray
         G = np.where(np.abs(G - s) <= _NOISE_SUM[3] * scale / h**3 / np.abs(d2u), s, G)
         ref = abs(float(c4[len(u) // 2]))
         trust = _NOISE_SUM[4] * scale / h**4 / sq <= C4_TRUST_REL * (np.abs(c4) + ref)
-    trust[:3] = trust[-3:] = False
+    trust[:_GHOST] = trust[-_GHOST:] = False
     G.flags.writeable = c4.flags.writeable = trust.flags.writeable = False
     return G, c4, trust
-
-
-def ratio_g(p: CalabiProfile) -> np.ndarray:
-    """u'''/u'', taking the boundary tail's limit where the samples match it."""
-    return p._guarded[0]
-
-
-def c4_combination(p: CalabiProfile) -> np.ndarray:
-    """The combination -u''''/u''^2 + u'''^2/u''^3 of raw differences."""
-    return p._guarded[1]
 
 
 def c4_trust_mask(p: CalabiProfile) -> np.ndarray:
     """Nodes where the fourth-order combination is numerically credible;
     minima and suprema of fourth-difference quantities restrict to them."""
-    return p._guarded[2]
+    return p.guarded[2]
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,13 @@ def _finite(rows, attr, lo=0.0):
 def test_criterion_01_singular_time_and_class_law(contract_default, capfd):
     trace, _ = contract_default
     worst = max(abs(r.a - (1.0 - r.t)) for r in trace.rows)
-    ok = trace.T == 1.0 and worst <= 1e-3 and trace.elapsed < 300.0
+    fast = trace.elapsed < 300.0
+    ok = trace.T == 1.0 and worst <= 1e-3 and fast
+    # the wall time is printed only when it fails the gate: the line of
+    # unchanged code then reads the same on every run
     _gate(capfd, 1, "singular time and class law", ok,
-          f"T={trace.T:g}, max|u'(-L)-a_t|={worst:.2e} (tol 1e-3), "
-          f"elapsed {trace.elapsed:.1f}s (limit 300s)")
+          f"T={trace.T:g}, max|u'(-L)-a_t|={worst:.2e} (tol 1e-3)"
+          + ("" if fast else f", elapsed {trace.elapsed:.1f}s (limit 300s)"))
 
 
 def test_criterion_02_divisor_eigenvalue_law(contract_wide, capfd):
@@ -137,13 +140,14 @@ def _homogeneity(seed, trusted=True):
     q = cf.build_canonical_profile(cf.KahlerClass(K * seed.cls.a, K * seed.cls.b), seed.grid,
                                    seed.n, seed.k)
     cp, cq = _sample(seed), _sample(q)
-    m = cf.c4_trust_mask(seed) & cf.c4_trust_mask(q) if trusted else slice(None)
+    # (x, phi, G, -c4, trust): the defect of -c4 is that of c4
+    ap, aq = diagnostics.moment_arrays(seed), diagnostics.moment_arrays(q)
+    m = ap[4] & aq[4] if trusted else slice(None)
     pairs = [(np.concatenate((cp.lambda1[m], cp.lambda2)),
               np.concatenate((cq.lambda1[m], cq.lambda2))),
-             (cp.sigma[1][m], cq.sigma[1][m]),
-             (cf.c4_combination(seed)[m], cf.c4_combination(q)[m]),
+             (cp.sigma[1][m], cq.sigma[1][m]), (ap[3][m], aq[3][m]),
              (cp.r1111[m], cq.r1111[m]), (cp.r11kk, cq.r11kk), (cp.rkkkk, cq.rkkkk)]
-    invariant = [(cp.H, cq.H), (cf.ratio_g(seed), cf.ratio_g(q))]
+    invariant = [(cp.H, cq.H), (ap[2], aq[2])]
     return max([float(np.max(np.abs(K * scaled - base)) / np.max(np.abs(base)))
                 for base, scaled in pairs]
                + [float(np.max(np.abs(scaled - base)) / np.max(np.abs(base)))

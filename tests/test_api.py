@@ -16,14 +16,14 @@ PUBLIC = {
     "MomentDomainError", "MonitorSet", "ProfileError", "Regime",
     "RegimeMismatchError", "RhoGrid", "StepControl", "StepStats",
     "blowup_report", "blowup_window",
-    "build_canonical_profile", "c1_distance", "c4_combination", "c4_trust_mask",
+    "build_canonical_profile", "c1_distance",
     "checkpoint_times", "class_at", "curvature_sample",
-    "divisor_diameter", "fik_reference", "gaussian_reference",
+    "fik_reference", "gaussian_reference",
     "infer_initial_class", "load_checkpoint", "moment_profile",
-    "profile_from_samples", "ratio_g", "read_trace",
+    "profile_from_samples", "read_trace",
     "regime_indicator", "run", "sample_row",
     "save_checkpoint", "scalar_curvature", "singular_time", "soliton_residual",
-    "step", "total_volume", "trace_header", "validate_profile",
+    "step", "trace_header", "validate_profile",
 }
 
 

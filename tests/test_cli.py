@@ -60,6 +60,14 @@ def test_run_status_line(tmp_path, capsys):
     assert f"out={tmp_path}" in line
 
 
+def test_run_with_unwritable_checkpoint_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "checkpoint_j01.json").mkdir()
+    rc = cli.main(["run", "--preset", "contract", "--N", "257", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "error: cannot write checkpoint" in capsys.readouterr().err
+    assert (tmp_path / "summary.json").exists() and (tmp_path / "trace.csv").exists()
+
+
 def test_run_rejects_even_grid(tmp_path, capsys):
     rc = cli.main(["run", "--N", "256", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

@@ -119,17 +119,19 @@ def test_curvature_homogeneity(contract_seed):
                         err_msg=name)
     assert_allclose(K * cq.sigma[1], cp.sigma[1], rtol=1e-10)
     assert_allclose(K * cf.scalar_curvature(q), cf.scalar_curvature(p), rtol=1e-10)
-    assert_allclose(K * cf.c4_combination(q), cf.c4_combination(p), rtol=1e-10)
+    # moment arrays (x, phi, G, -c4, trust)
+    ap, aq = diagnostics.moment_arrays(p), diagnostics.moment_arrays(q)
+    assert_allclose(K * aq[3], ap[3], rtol=1e-10)
     assert_allclose(cq.H, cp.H, rtol=1e-12)
-    assert_allclose(cf.ratio_g(q), cf.ratio_g(p), rtol=1e-10)
-    assert np.array_equal(cf.c4_trust_mask(q), cf.c4_trust_mask(p))
+    assert_allclose(aq[2], ap[2], rtol=1e-10)
+    assert np.array_equal(aq[4], ap[4])
 
 
 def test_flat_model_annihilation_exact():
     p = _flat_profile(cf.RhoGrid(12.0, 1025))
     cs = _sample(p)
     assert np.max(np.abs(cf.scalar_curvature(p))) < 1e-9
-    assert np.max(np.abs(cf.c4_combination(p))) == 0.0
+    assert np.max(np.abs(diagnostics.moment_arrays(p)[3])) == 0.0  # c4
     for name in ("lambda1", "lambda2", "r1111", "r11kk", "rkkkk", "rm_proxy"):
         assert np.max(np.abs(getattr(cs, name))) == 0.0, name
     assert np.max(np.abs(cs.sigma[1])) == 0.0
@@ -181,14 +183,14 @@ def test_trust_mask_healthy_seed_and_late_gap(contract_seed, contract_default):
     three end nodes at each end, whose stencils read ghosts, are not.  Late
     in a contraction the center stays trusted while a gap of untrusted
     inner nodes lies between it and the degenerating end."""
-    mask = cf.c4_trust_mask(contract_seed)
+    mask = diagnostics.moment_arrays(contract_seed)[4]
     assert mask.dtype == bool
     assert mask[np.abs(contract_seed.grid.nodes) <= 6.0].all()
     assert not mask[:3].any() and not mask[-3:].any()
 
     trace, _ = contract_default
     late = next(c.profile for c in trace.checkpoints if c.j == 9)
-    late_mask = cf.c4_trust_mask(late)
+    late_mask = diagnostics.moment_arrays(late)[4]
     c = late.grid.center
     assert late_mask[c]
     assert not late_mask[3:c].all()

@@ -131,9 +131,10 @@ def test_row_reductions_match_reference(contract_1025):
     for p, row, T, untrusted_extremes in cases:
         tau = T - p.t
         inner = slice(3, p.grid.N - 3)
-        trust = cf.c4_trust_mask(p)
+        arrays = diagnostics.moment_arrays(p)  # (x, phi, G, -c4, trust)
+        trust = arrays[4]
         itrust = trust[inner]
-        cs = cf.curvature_sample(*diagnostics.moment_arrays(p), p.n)
+        cs = cf.curvature_sample(*arrays, p.n)
         assert itrust.any() and itrust.all() == (not untrusted_extremes)
 
         # fourth-difference pieces (r1111, lambda1) count on trusted nodes only
@@ -144,7 +145,7 @@ def test_row_reductions_match_reference(contract_1025):
         sup = float(np.max(proxy[inner]))
         bisec = min(float(np.min(cs.r11kk[inner])), float(np.min(cs.rkkkk[inner])),
                     float(np.min(cs.r1111[inner][itrust])))
-        c4min = float(np.min(cf.c4_combination(p)[inner][itrust]))
+        c4min = float(np.min(-arrays[3][inner][itrust]))
         sigma = {j: float(np.max(np.abs(cs.sigma[j])[inner][itrust]))
                  for j in range(2, p.n + 1)}
 
@@ -181,9 +182,11 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
     monkeypatch.setattr(profile, "guard_tails", counting_guard)
     diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT)
     assert len(evaluations) == 1 and evaluations[0] is p.u
-    for arr in (cf.ratio_g(p), cf.c4_combination(p), cf.c4_trust_mask(p)):
+    for arr in p.guarded:
         assert not arr.flags.writeable
-    assert cf.ratio_g(p) is cf.ratio_g(p)
+    G, _, trust = p.guarded
+    arrays = diagnostics.moment_arrays(p)
+    assert arrays[2] is G and arrays[4] is trust
     assert len(evaluations) == 1
 
 
@@ -261,8 +264,8 @@ def test_row_from_samples_propagates_nan_and_inf(contract_1025):
         row = diagnostics.row_from_samples(u, ck.grid.h, params, ck.t, T, cf.Regime.CONTRACT,
                                            1e-3, 4)
     assert np.any(p.d2u < 0.0) and not p.du[602:605].any() and not p.d2u[602:605].any()
-    assert np.isnan(cf.ratio_g(p)[603]) and np.isinf(cf.c4_combination(p)[602])
-    assert cf.c4_trust_mask(p)[602]
+    _, _, G, minus_c4, trust = diagnostics.moment_arrays(p)
+    assert np.isnan(G[603]) and np.isinf(minus_c4[602]) and trust[602]
     assert repr(row) == repr(ref)
     assert all(math.isnan(v) for v in (row.supRm, row.typeI, row.H_sup, row.G_sup, row.G_inf))
 
@@ -314,50 +317,51 @@ def test_fine_seed_monitors_read_the_seed():
     tail model stands in where it misses the solution."""
     p = _fine_seed()
     assert abs(diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT).typeI - 1.0) < 1e-3
-    trust = cf.c4_trust_mask(p)
+    _, _, _, minus_c4, trust = diagnostics.moment_arrays(p)
     assert trust.any()
-    assert np.max(np.abs(cf.c4_combination(p)[trust] - 2.0 / 3.0)) < 1e-2
+    assert np.max(np.abs(-minus_c4[trust] - 2.0 / 3.0)) < 1e-2
+
+
+def _row_at_seed_time(p):
+    return diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT)
 
 
 def test_volume_identity_on_seed(contract_seed):
-    vq, vc = cf.total_volume(contract_seed)
-    assert_allclose(vq, vc, rtol=1e-12)
-    assert_allclose(vc, (4.0**2 - 1.0**2) / 2.0, rtol=1e-12)
+    row = _row_at_seed_time(contract_seed)
+    assert_allclose(row.vol_quad, row.vol_class, rtol=1e-12)
+    assert_allclose(row.vol_class, (4.0**2 - 1.0**2) / 2.0, rtol=1e-12)
 
 
 def test_total_volume_simpson():
     """The quadrature volume is the composite Simpson sum of
-    (u')^(n-1) u'' plus the closed-form tails: it agrees with scipy's
-    simpson on the odd-N grid, and a cubic integrand is integrated exactly,
-    which pins the 1, 4, 2, ..., 4, 1 weights."""
+    (u')^(n-1) u'' plus the closed-form tails: a row's vol_quad agrees with
+    scipy's simpson on the odd-N grid, and a cubic integrand is integrated
+    exactly, which pins the 1, 4, 2, ..., 4, 1 weights."""
     cls = cf.KahlerClass(1.0, 4.0)
     for n, k in [(2, 1), (3, 1), (3, 2)]:
         p = cf.build_canonical_profile(cls, cf.RhoGrid(12.0, 1025), n=n, k=k)
         core = simpson(p.du ** (n - 1) * p.d2u, dx=p.grid.h)
         tails = (p.du[0] ** n - cls.a**n + cls.b**n - p.du[-1] ** n) / n
-        assert_allclose(cf.total_volume(p)[0], core + tails, rtol=1e-14)
+        assert_allclose(_row_at_seed_time(p).vol_quad, core + tails, rtol=1e-14)
 
     # u' = rho^2 + rho + 2 makes (u')^(n-1) u'' a cubic for n = 2, and its
-    # integral telescopes with the tails to the class volume (b^2 - a^2)/2
+    # integral telescopes with the tails to the class volume (b^2 - a^2)/2;
+    # its u'' vanishes at rho = -1/2, where a row's curvatures divide by it
     grid = cf.RhoGrid(1.0, 257)
     rho = grid.nodes
-    du = rho**2 + rho + 2.0
-    cubic = cf.CalabiProfile(grid=grid, cls=cls, t=0.0, n=2, k=1, u=np.zeros_like(rho),
-                             du=du, d2u=2.0 * rho + 1.0, d3u=np.full_like(rho, 2.0),
-                             d4u=np.zeros_like(rho))
-    vol_quad, vol_class = cf.total_volume(cubic)
+    vol_quad, vol_class = diagnostics._volume(rho**2 + rho + 2.0, 2.0 * rho + 1.0, grid.h,
+                                              cls.a, cls.b, 2)
     assert vol_class == 7.5
     assert_allclose(vol_quad, vol_class, rtol=1e-14)
 
 
 def test_divisor_diameter_oracle(contract_seed):
-    """The induced metric on the divisor is round: diameter = pi sqrt(a/2)
-    for k = 1, checked against the quadrature route."""
-    assert_allclose(cf.divisor_diameter(contract_seed),
-                    math.pi / math.sqrt(2.0), rtol=1e-12)
+    """The induced metric on the divisor is round: a row's diam is
+    pi sqrt(a/2) for k = 1, and it scales like sqrt(a)."""
+    diam = _row_at_seed_time(contract_seed).diam
+    assert_allclose(diam, math.pi / math.sqrt(2.0), rtol=1e-12)
     q = cf.build_canonical_profile(cf.KahlerClass(4.0, 16.0), contract_seed.grid, 2, 1)
-    assert_allclose(cf.divisor_diameter(q),
-                    2.0 * cf.divisor_diameter(contract_seed), rtol=1e-12)
+    assert_allclose(_row_at_seed_time(q).diam, 2.0 * diam, rtol=1e-12)
 
 
 def test_regime_indicator_matches_prediction(contract_default, collapse_run,

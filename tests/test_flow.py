@@ -216,6 +216,47 @@ def test_failed_run_keeps_partial_trace(tmp_path, monkeypatch):
     assert f"error: {info.value}" in (tmp_path / "run.log").read_text()
 
 
+def test_failed_checkpoint_write_keeps_partial_trace(tmp_path):
+    """A checkpoint that cannot be written stops the run as a failed step
+    does: with a directory in the way of checkpoint_j01.json, run() raises
+    ProfileError with the trace attached, after writing the rows so far,
+    a summary that names the error and run.log's error line.  The write's
+    time counts as checkpoints, and the summary lists no checkpoint."""
+    (tmp_path / "checkpoint_j01.json").mkdir()
+    with pytest.raises(cf.ProfileError,
+                       match="cannot write checkpoint .*Is a directory") as info:
+        cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 257), out_dir=tmp_path)
+    trace = info.value.trace
+    assert trace.steps >= 1 and trace.checkpoints == []
+    assert trace.phase_seconds["checkpoints"] > 0.0
+    cols = cf.read_trace(tmp_path / "trace.csv")
+    assert np.array_equal(cols["t"], [r.t for r in trace.rows])
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["error"] == str(info.value) and summary["checkpoints"] == []
+    assert (tmp_path / "run.log").read_text().splitlines()[-1] == f"error: {info.value}"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "checkpoint_j01.json", "run.log", "summary.json", "trace.csv"]
+
+
+def test_numpy_inputs_run_and_write_their_checkpoints(tmp_path):
+    """A class, grid and checkpoint count given as numpy scalars are stored
+    as Python numbers: the run writes its checkpoints and summary (a numpy
+    N once failed the first checkpoint's JSON header), bit for bit as the
+    run of the same Python numbers does."""
+    runs = {"numpy": (cf.FlowParams(np.int64(2), np.int32(1), np.float32(1.0), np.float64(4.0)),
+                      cf.RhoGrid(np.float32(12.0), np.int64(513)), np.int64(3)),
+            "python": (CONTRACT, cf.RhoGrid(12.0, 513), 3)}
+    for name, (params, grid, levels) in runs.items():
+        trace = cf.run(params, grid=grid, out_dir=tmp_path / name, checkpoints_j=levels)
+        assert [c.j for c in trace.checkpoints] == [1, 2, 3]
+    for name in ("trace.csv", "run.log", "checkpoint_j01.json", "checkpoint_j03.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
+    with open(tmp_path / "numpy" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert (summary["n"], summary["a0"], summary["checkpoints"]) == (2, 1.0, [1, 2, 3])
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_summary_phase_seconds_split_elapsed(tmp_path, monkeypatch, fails):
     """summary.json times the steps, monitor rows, checkpoints and trace

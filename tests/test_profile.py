@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import calabiflow as cf
-from calabiflow import profile
+from calabiflow import diagnostics, profile
 from checkpoint_codec import decode_samples, encode_samples
 
 THREE_LOG_TWO = 3.0 * math.log(2.0)
@@ -73,6 +73,21 @@ def test_class_and_params_validation():
     params = cf.FlowParams(np.int64(3), np.int32(1), 1.0, 4.0)
     assert (type(params.n), type(params.k)) == (int, int)
     assert params == cf.FlowParams(3, 1, 1.0, 4.0)
+    # a number is stored as a Python number, which a run's JSON files can hold
+    params = cf.FlowParams(2, 1, np.float32(1.0), 4)
+    assert (type(params.a0), type(params.b0)) == (float, float)
+    grid = cf.RhoGrid(np.float32(12.0), np.int64(513))
+    assert (type(grid.L), type(grid.N), grid.nodes.dtype) == (float, int, np.float64)
+    with pytest.raises(cf.ProfileError, match="need an integer N, got N=2049.0"):
+        cf.RhoGrid(12.0, 2049.0)
+    with pytest.raises(cf.ProfileError, match="need a number L, got L='12'"):
+        cf.RhoGrid("12", 513)
+    for a0, b0, name in [("1", 4.0, "a0"), (1.0, None, "b0"), (1.0, 1j, "b0")]:
+        with pytest.raises(cf.ProfileError, match=f"need a number {name}, got {name}="):
+            cf.FlowParams(2, 1, a0, b0)
+    with pytest.raises(cf.ProfileError,
+                       match="need an integer checkpoints_j, got checkpoints_j=2.5"):
+        cf.run(cf.FlowParams(2, 1, 1.0, 4.0), grid=cf.RhoGrid(12.0, 257), checkpoints_j=2.5)
     with pytest.raises(ValueError, match="cadence must be an integer, got 2.5"):
         cf.MonitorSet(cadence=2.5)
     assert type(cf.MonitorSet(cadence=np.int64(5)).cadence) is int
@@ -144,7 +159,7 @@ def test_seed_fourth_order_combination_two_tier(contract_seed):
     discretely this is rounding-exact in the interior, and the closed-form
     derivative arrays keep a small bounded deviation out to the ends."""
     p = contract_seed
-    c4 = cf.c4_combination(p)
+    c4 = -diagnostics.moment_arrays(p)[3]
     rho = p.grid.nodes
     target = 2.0 / 3.0
     assert np.max(np.abs(c4[np.abs(rho) <= 2.0] - target)) < 1e-12
@@ -282,10 +297,11 @@ def test_guard_stays_within_rounding_noise_of_the_raw_ratios(contract_default):
         scale = np.finfo(float).eps * float(np.max(np.abs(p.u)))
         inner = slice(3, p.grid.N - 3)
         d2u, d3u, d4u = p.d2u[inner], p.d3u[inner], p.d4u[inner]
+        _, _, G, minus_c4, _ = diagnostics.moment_arrays(p)
         for guarded, raw, noise in (
-                (cf.ratio_g(p), d3u / d2u,
+                (G, d3u / d2u,
                  _coef_sum(3) * scale / p.grid.h**3 / np.abs(d2u)),
-                (cf.c4_combination(p), (d3u * d3u - d4u * d2u) / (d2u * d2u * d2u),
+                (-minus_c4, (d3u * d3u - d4u * d2u) / (d2u * d2u * d2u),
                  _coef_sum(4) * scale / p.grid.h**4 / (d2u * d2u))):
             assert np.all(np.abs(guarded[inner] - raw) <= noise), ck.j
 
