@@ -15,7 +15,6 @@ from .blowup import (
     blowup_report,
     blowup_window,
     fik_reference,
-    gaussian_reference,
     infer_initial_class,
     soliton_residual,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "class_at",
     "curvature_sample",
     "fik_reference",
-    "gaussian_reference",
     "infer_initial_class",
     "load_checkpoint",
     "moment_profile",

@@ -21,30 +21,22 @@ i ddbar F(rho) is F'(rho).  Since d/drho = phi d/dx,
 A gradient Kaehler-Ricci soliton Ric + i ddbar f = lambda omega with a
 rotationally symmetric holomorphic soliton field has that field a multiple
 of the Euler field, whose Hamiltonian is the moment map x; so f = mu x
-and f'(rho) = mu phi.  Taking the moment variable of the soliton
-equation, P' + mu phi - lambda x is a constant alpha, which is the
-relation above (the rotationally symmetric shrinkers of Feldman, Ilmanen
-and Knopf satisfy it).
+and f'(rho) = mu phi.  Taking the moment variable of the soliton equation,
+P' + mu phi - lambda x is a constant alpha: the relation above.
 
 - lambda = 1.  Under d omega/dt = -Ric a self-similar solution is
   omega(t) = (T - t) omega_inf up to diffeomorphism, so the limit of the
-  1/(T - t) magnification solves the soliton equation with lambda = 1
-  (acceptance criterion 2 measures the same normalization: (T - t) times
-  the divisor eigenvalue tends to 1).
-- alpha = (n - k)(1 - lambda).  At the rescaled divisor x = n - k the
-  profile vanishes with slope k; putting phi = 0, phi' = k there gives
-  alpha = (n - k)(1 - lambda), so alpha = 0 for the blow-up limit.
+  1/(T - t) magnification solves the soliton equation with lambda = 1.
+- alpha = 0.  The limit vanishes with slope k at x = n - k, and phi = 0,
+  phi' = k there give alpha = (n - k)(1 - lambda) = 0.
 
-The relation is fitted for (mu, alpha) by least squares at fixed lambda
-(``soliton_residual``; alpha is reported as ``c``).  Two exact references
-check the fit: the flat model phi(x) = x satisfies it with
-mu = lambda, alpha = 0, and the Ricci-flat cone
+The complete solution with a = n - k is the Feldman-Ilmanen-Knopf shrinker
 
-    phi(x) = (k/n) (x - a^n x^(1-n)),   x >= a,
+    phi(x) = (n!/mu^(n+1)) x^(1-n) [e_n(mu x) - mu e_(n-1)(mu x)],   x >= a,
 
-with conical slope k at the collapsed divisor satisfies it with
-lambda = mu = 0 and alpha = n - k.  Distances to the cone are reported
-alongside the fit so drift relative to it is visible row by row.
+with e_m(z) = sum_(j <= m) z^j/j!; completeness, phi(a) = 0, fixes mu by
+mu e_(n-1)(mu a) = e_n(mu a).  It is the blow-up limit along the
+exceptional divisor, and the report's one reference (``fik_reference``).
 """
 
 from __future__ import annotations
@@ -85,7 +77,6 @@ class RegimeMismatchError(BlowupError):
 class SolitonFit:
     mu: float
     c: float
-    lam: float
     rms: float
 
 
@@ -128,56 +119,67 @@ def blowup_window(m: MomentProfile, a_hat: float,
 
 
 def soliton_residual(m: MomentProfile, n: int,
-                     window: tuple[float, float] | None = None,
-                     lam: float = 1.0) -> SolitonFit:
-    """Least-squares fit of (mu, alpha) in the shrinker relation; rms residual.
-
-    The relation is phi' = n - (n-1) phi/x - lam x + mu phi - alpha (derived
-    in the module docstring).  lam is held fixed: lam = 1 is the
-    normalization of a Type I blow-up under 1/(T - t) magnification, lam = 0
-    a steady (Ricci-flat) profile.  mu is the strength of the soliton
-    potential f = mu x, and alpha = (n - k)(1 - lam) for a profile vanishing
-    with slope k at x = n - k; the fitted alpha is returned as ``c``.
-    """
+                     window: tuple[float, float] | None = None) -> SolitonFit:
+    """Least-squares fit of (mu, alpha) in the shrinker relation at
+    lambda = 1 (module docstring), with the rms residual; mu is the
+    strength of the soliton potential f = mu x, and alpha is returned as c."""
     if window is None:
         window = (m.x_min, m.x_max)
     m.check_window(window)
     xs = np.linspace(window[0], window[1], WINDOW_SAMPLES)
     phi, dphi = m.sample(xs)
-    base = n - (n - 1) * phi / xs - lam * xs - dphi
+    base = n - (n - 1) * phi / xs - xs - dphi
     A = np.stack([phi, -np.ones_like(xs)], axis=1)
     coef, *_ = np.linalg.lstsq(A, -base, rcond=None)
     mu, alpha = float(coef[0]), float(coef[1])
     resid = base + mu * phi - alpha
-    return SolitonFit(mu=mu, c=alpha, lam=lam,
-                      rms=float(np.sqrt(np.mean(resid**2))))
+    return SolitonFit(mu=mu, c=alpha, rms=float(np.sqrt(np.mean(resid**2))))
+
+
+def _scaled_exp_sum(m: int, z):
+    """S_m(z) = e_m(z) m!/z^m = sum_i prod_(l<i) (m - l)/z, summed until a term
+    falls below 1e-17 of the total or it overflows: no power or factorial."""
+    term = total = 1.0
+    for l in range(m):
+        term = term * ((m - l) / z)
+        total = total + term
+        if np.all(term <= 1e-17 * total):  # inf <= inf ends an overflowed sum
+            break
+    return total
 
 
 def fik_reference(n: int, k: int) -> MomentProfile:
-    """Cone-slope reference phi(x) = (k/n)(x - a^n x^(1-n)) on [a, max(12, 4a)].
+    """The Feldman-Ilmanen-Knopf shrinker on [a, max(12, 4a)], a = n - k.
 
-    a = n - k is the rescaled divisor, where phi vanishes with slope k; k < n
-    so that slope matches an admissible closure.  Evaluated through a/x <= 1,
-    it cannot overflow; a is at most 1e6, beyond which a fit on its samples
-    loses its constant column.
+    With z = mu x, nu = mu - 1 and t = nu n S_(n-1)(z)/mu (S_m: _scaled_exp_sum),
+    the closed form is phi = (x/mu) [1 - nu (n/z) S_(n-1)(z)] = (x - t)/mu, and
+    its derivative, with S_(n-1) = 1 + ((n-1)/z) S_(n-2) so that no terms of size
+    S cancel, is phi' = (1 - n) phi/x + n - t.  Completeness, nu n S_(n-1)(mu a)
+    = mu a, is bisected geometrically in nu, which keeps its digits below the
+    rounding of 1.  Refused: nu below the smallest normal double (n >= 171 at
+    k = n - 1, where S overflows), and a > 1e6 (a fit loses its constant column).
     """
     if not 0 < k < n:
         raise BlowupError(f"reference needs 0 < k < n, got k={k}, n={n}")
     a = float(n - k)
     if a > 1e6:
         raise BlowupError(f"reference needs n - k <= 1e6, got {n - k}")
+
+    def gap(nu: float) -> float:
+        return nu * n * _scaled_exp_sum(n - 1, (1.0 + nu) * a) - (1.0 + nu) * a
+
+    lo, hi = float(np.finfo(float).tiny), 49.0
+    if not gap(lo) < 0.0:
+        raise BlowupError(f"reference needs mu - 1 >= {lo:.1e}, got less for n={n}, k={k}")
+    if not gap(hi) > 0.0:
+        raise BlowupError(f"no shrinker with mu in (1, 50] for n={n}, k={k}")
+    while lo < (mid := lo**0.5 * hi**0.5) < hi:
+        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+    nu, mu = hi, 1.0 + hi
     xs = np.linspace(a, max(12.0, 4.0 * a), 2001)
-    ratio = a / xs
-    phi = (k / n) * (xs - a * ratio ** (n - 1))
-    dphi = (k / n) * (1.0 + (n - 1) * ratio**n)
-    return MomentProfile(x=xs, phi=phi, dphi=dphi)
-
-
-def gaussian_reference() -> MomentProfile:
-    """The flat model phi(x) = x on [0.5, 10]; satisfies the shrinker
-    relation with mu = lambda, alpha = 0."""
-    xs = np.linspace(0.5, 10.0, 801)
-    return MomentProfile(x=xs, phi=xs.copy(), dphi=np.ones_like(xs))
+    t = nu * n * _scaled_exp_sum(n - 1, mu * xs) / mu
+    phi = (xs - t) / mu
+    return MomentProfile(x=xs, phi=phi, dphi=(1 - n) * phi / xs + n - t)
 
 
 def infer_initial_class(p: CalabiProfile, n: int, k: int) -> FlowParams:
@@ -200,7 +202,7 @@ def blowup_report(
     Rows, one per checkpoint with j >= min_j: magnification K, rescaled
     left endpoint, C^1 distance to the previous rescaled profile on the
     overlap window, soliton fit residual at lambda = 1, and C^1 distance
-    to the cone reference with a_hat = n - k.  Requires the divisor-contraction
+    to the shrinker ``fik_reference(n, k)``.  Requires the divisor-contraction
     regime and at least three usable checkpoints.  A level whose n, k or
     class is not that of the first level's flow, or whose samples miss its
     window, raises a BlowupError that names the level.

@@ -6,7 +6,7 @@ Subcommands:
               and dyadic checkpoint files into the output directory
     validate  admissibility checks on a seed or saved checkpoint
     blowup    rescaled self-similarity report from saved checkpoints
-    soliton   residuals of the built-in reference profiles
+    soliton   shrinker fit on the report's reference, the FIK shrinker
     sweep     run every preset and compare measured vs predicted regime
 
 Exit codes: 0 success, 2 configuration problem or a path that cannot be
@@ -28,7 +28,6 @@ from .blowup import (
     RegimeMismatchError,
     blowup_report,
     fik_reference,
-    gaussian_reference,
     infer_initial_class,
     soliton_residual,
 )
@@ -176,14 +175,12 @@ def cmd_blowup(args: argparse.Namespace) -> int:
 def cmd_soliton(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     try:
-        cone = fik_reference(n, k)
+        reference = fik_reference(n, k)
     except BlowupError as exc:  # a bad reference is a bad option, not a failed flow
         raise ConfigError(str(exc)) from exc
-    fit = soliton_residual(cone, n, lam=0.0)
-    print(f"cone(n={n}, k={k}, a_hat={n - k:g}): lam=0 "
+    fit = soliton_residual(reference, n)
+    print(f"fik(n={n}, k={k}, a_hat={n - k:g}): lam=1 "
           f"rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
-    fit = soliton_residual(gaussian_reference(), n, lam=1.0)
-    print(f"flat model: lam=1 rms={fit.rms:.3e} mu={fit.mu:.9g} c={fit.c:.9g}")
     return EXIT_OK
 
 
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first dyadic level to use")
     p.set_defaults(func=cmd_blowup)
 
-    p = sub.add_parser("soliton", help="residuals of the reference profiles")
+    p = sub.add_parser("soliton", help="shrinker fit on the FIK reference")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(func=cmd_soliton)

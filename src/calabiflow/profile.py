@@ -98,6 +98,8 @@ class KahlerClass:
     b: float
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not (0.0 < self.a < self.b and math.isfinite(self.b)):
             raise ProfileError(f"need finite 0 < a < b, got a={self.a}, b={self.b}")
 

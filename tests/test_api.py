@@ -18,7 +18,7 @@ PUBLIC = {
     "blowup_report", "blowup_window",
     "build_canonical_profile", "c1_distance",
     "checkpoint_times", "class_at", "curvature_sample",
-    "fik_reference", "gaussian_reference",
+    "fik_reference",
     "infer_initial_class", "load_checkpoint", "moment_profile",
     "profile_from_samples", "read_trace",
     "regime_indicator", "run", "sample_row",

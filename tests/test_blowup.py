@@ -1,8 +1,9 @@
-"""Parabolic rescaling, soliton references and the blow-up report."""
+"""Parabolic rescaling, the reference shrinker and the blow-up report."""
 import csv
 import dataclasses
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -57,34 +58,7 @@ def test_blowup_window_tracks_rescaled_class(contract_default):
 
 
 # ---------------------------------------------------------------------------
-# reference solitons
-
-def test_gaussian_reference_oracle():
-    m = cf.gaussian_reference()
-    assert np.array_equal(m.phi, m.x)
-    fit = cf.soliton_residual(m, n=2)
-    assert fit.rms < 1e-12
-    assert fit.lam == 1.0
-    assert_allclose(fit.mu, fit.lam, rtol=1e-9)
-    assert abs(fit.c) < 1e-12
-
-
-def test_cone_reference_oracle():
-    # Ricci-flat: the relation holds at lambda = mu = 0 with alpha = n - k.
-    m = cf.fik_reference(2, 1)
-    fit = cf.soliton_residual(m, n=2, lam=0.0)
-    assert fit.rms < 1e-10
-    assert abs(fit.mu) < 1e-6
-    assert_allclose(fit.c, 2 - 1, rtol=1e-6)
-
-
-def test_cone_reference_higher_dimension():
-    m = cf.fik_reference(3, 2)
-    fit = cf.soliton_residual(m, n=3, lam=0.0)
-    assert fit.rms < 1e-10
-    assert abs(fit.mu) < 1e-6
-    assert_allclose(fit.c, 3 - 2, rtol=1e-6)
-
+# the shrinker relation and the reference shrinker
 
 def test_soliton_residual_recovers_shrinker_relation():
     """A profile solving phi' = n - (n-1) phi/x - x + mu phi - alpha is
@@ -102,40 +76,124 @@ def test_soliton_residual_recovers_shrinker_relation():
     assert sol.success and np.all(phi > 0.0)
     dphi = rhs(xs, phi)
     m = MomentProfile(x=xs, phi=phi, dphi=dphi)
-    fit = cf.soliton_residual(m, n=n, lam=1.0)
+    fit = cf.soliton_residual(m, n=n)
     assert fit.rms < 1e-6
     assert_allclose(fit.mu, mu, atol=1e-6)
     assert_allclose(fit.c, alpha, atol=1e-6)
 
 
-def test_cone_reference_shape():
-    m = cf.fik_reference(2, 1)
-    assert m.x[0] == 1.0 and m.x[-1] == 12.0
-    assert abs(m.sample(np.array([1.0]))[0, 0]) < 1e-12
-    # phi(x) = (x - 1/x)/2 for n = 2, k = 1, a_hat = 1
-    xs = np.linspace(1.5, 7.5, 25)
-    assert_allclose(m.sample(xs)[0], 0.5 * (xs - 1.0 / xs), rtol=1e-6)
-    assert_allclose(m.dphi[0], 1.0, rtol=1e-9)
+def _exp_sum(m, z):
+    """e_m(z) = sum_{j <= m} z^j / j!."""
+    return sum(z**j / math.factorial(j) for j in range(m + 1))
+
+
+def _fik_mu(n, k):
+    """mu solving mu e_(n-1)(mu a) = e_n(mu a), a = n - k, by bisection on
+    the unscaled sums in 60-digit decimals, which resolve mu - 1 far below
+    the rounding of 1."""
+    a = n - k
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi = Decimal(1), Decimal(50)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mid * _exp_sum(n - 1, mid * a) < _exp_sum(n, mid * a):
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _fik_closed_form(n, mu, x):
+    """phi = (n!/mu^(n+1)) x^(1-n) [e_n(mu x) - mu e_(n-1)(mu x)] and its
+    derivative phi' = (1-n) phi/x + (n!/mu^n) x^(1-n) [e_(n-1)(mu x) -
+    mu e_(n-2)(mu x)] at one x, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(float(x))
+        z = mu * x
+        phi = (math.factorial(n) / mu ** (n + 1) * x ** (1 - n)
+               * (_exp_sum(n, z) - mu * _exp_sum(n - 1, z)))
+        dphi = ((1 - n) * phi / x + math.factorial(n) / mu**n * x ** (1 - n)
+                * (_exp_sum(n - 1, z) - mu * _exp_sum(n - 2, z)))
+        return float(phi), float(dphi)
+
+
+FIK_MU = [(2, 1, math.sqrt(2.0)), (3, 1, 1.567468), (3, 2, 1.078617),
+          (4, 1, 1.653396), (5, 2, 1.191703)]
+
+
+@pytest.mark.parametrize("n, k, mu", FIK_MU, ids=[f"{n}-{k}" for n, k, _ in FIK_MU])
+def test_fik_reference_mu_table(n, k, mu):
+    """Completeness fixes mu; the fit on the reference returns that mu with
+    alpha = 0."""
+    mu_fik = float(_fik_mu(n, k))
+    assert mu_fik == pytest.approx(mu, abs=5e-7)
+    fit = cf.soliton_residual(cf.fik_reference(n, k), n=n)
+    assert fit.rms < 1e-10
+    assert_allclose(fit.mu, mu_fik, atol=1e-9)
+    assert abs(fit.c) < 1e-10
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2), (20, 19)])
+def test_fik_reference_is_the_closed_form(n, k):
+    """phi and phi' equal the unscaled closed form on every 50th sample, with
+    mu from a bisection of their own.  At (20, 19) mu - 1 = 1.5e-19 is below
+    the rounding of 1, and a mu - 1 rounded to 2.2e-16 gives phi(a) = -1452."""
+    mu = _fik_mu(n, k)
+    if (n, k) == (20, 19):
+        assert float(mu - 1) == pytest.approx(1.5121e-19, rel=1e-4)
+    m = cf.fik_reference(n, k)
+    for x, phi, dphi in zip(m.x[::50], m.phi[::50], m.dphi[::50]):
+        phi_c, dphi_c = _fik_closed_form(n, mu, x)
+        assert phi == pytest.approx(phi_c, rel=1e-12, abs=1e-13)
+        assert dphi == pytest.approx(dphi_c, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 1), (5, 2), (7, 5)])
+def test_fik_reference_vanishes_with_slope_k(n, k):
+    """The shrinker starts at a = n - k, where it vanishes with slope k, on
+    [a, max(12, 4a)]."""
+    m = cf.fik_reference(n, k)
+    assert m.x[0] == n - k and m.x[-1] == max(12.0, 4.0 * (n - k))
+    assert abs(m.phi[0]) < 1e-12
+    assert_allclose(m.dphi[0], k, rtol=1e-12)
+    assert np.all(m.phi[1:] > 0.0)
 
 
 @pytest.mark.parametrize("n, k, match", [
     (2, 2, "0 < k < n"),
     (3, 0, "0 < k < n"),
     (10**6 + 2, 1, "n - k <= 1e6"),
-], ids=["k=n", "k=0", "n-k=1000001"])
-def test_cone_reference_rejects_bad_arguments(n, k, match):
+    (171, 170, r"mu - 1 >= 2\.2e-308, got less for n=171, k=170"),
+    (200, 199, r"mu - 1 >= 2\.2e-308, got less for n=200, k=199"),
+    (10**6, 10**6 - 1, r"mu - 1 >= 2\.2e-308, got less for n=1000000"),
+], ids=["k=n", "k=0", "n-k=1000001", "mu-1<tiny-171", "mu-1<tiny-200",
+        "mu-1<tiny-1000000"])
+def test_fik_reference_rejects_bad_arguments(n, k, match):
     with pytest.raises(cf.BlowupError, match=match):
         cf.fik_reference(n, k)
 
 
-@pytest.mark.parametrize("n, a_hat", [(300, 299.0), (10**6 + 1, 1e6)])
-def test_cone_reference_is_finite_at_extremes(n, a_hat):
-    """The reference is evaluated through a/x <= 1, so a large n does not
-    overflow; it starts at a = n - k with phi(a) = 0 and slope k there."""
-    m = cf.fik_reference(n, 1)
+def test_fik_reference_needs_a_sign_change_for_mu(monkeypatch):
+    """mu is bracketed before it is bisected: with the sums forced to zero
+    the completeness gap has no root in (1, 50], and no profile is built."""
+    monkeypatch.setattr(cf.blowup, "_scaled_exp_sum", lambda m, z: 0.0)
+    with pytest.raises(cf.BlowupError, match=r"no shrinker with mu in \(1, 50\] for n=2, k=1"):
+        cf.fik_reference(2, 1)
+
+
+@pytest.mark.parametrize("n, a_hat", [(20, 1.0), (300, 299.0), (10**6 + 1, 1e6)])
+def test_fik_reference_is_finite_at_extremes(n, a_hat):
+    """The exponential sums are scaled by their last terms and mu - 1 is
+    bisected in itself, so neither a large k nor a large n = k + a_hat loses
+    the shrinker: it is complete, phi(a) = 0, with slope k at a = n - k."""
+    k = n - int(a_hat)
+    m = cf.fik_reference(n, k)
     assert np.all(np.isfinite(m.phi)) and np.all(np.isfinite(m.dphi))
-    assert m.x[0] == a_hat and m.phi[0] == 0.0
-    assert_allclose(m.dphi[0], 1.0, rtol=1e-12)
+    assert m.x[0] == a_hat
+    assert abs(m.phi[0]) <= 1e-9 * a_hat
+    assert abs(m.dphi[0] - k) <= 1e-9
 
 
 def test_soliton_residual_rejects_bad_window():
@@ -272,11 +330,6 @@ def test_blowup_report_rejects_other_regimes(collapse_run):
 
 # ---------------------------------------------------------------------------
 # Type I constant against exact solitons
-
-def _exp_sum(m, z):
-    """e_m(z) = sum_{j <= m} z^j / j!."""
-    return sum(z**j / math.factorial(j) for j in range(m + 1))
-
 
 def _moment_rm_proxy(x, phi, n):
     """The curvature proxy of curvature_sample for a profile phi(x) in

@@ -443,6 +443,7 @@ def bad_inputs(cli_contract, cli_collapse, tmp_path):
 
 @pytest.mark.parametrize("argv, code", [
     ("soliton --n 1000002", cli.EXIT_CONFIG),
+    ("soliton --n 200 --k 199", cli.EXIT_CONFIG),
     ("run --config {tmp}/past_T.ini --out {tmp}/out", cli.EXIT_CONFIG),
     ("run --config {tmp}/off_class.ini --out {tmp}/out", cli.EXIT_NUMERICAL),
     ("run --config {tmp}/headless.ini", cli.EXIT_CONFIG),
@@ -503,7 +504,7 @@ def test_validate_applies_the_stepper_rule(capsys):
 # ---------------------------------------------------------------------------
 # soliton and sweep
 
-@pytest.mark.parametrize("argv", ["--n 300"])
+@pytest.mark.parametrize("argv", ["--n 300", "--n 20 --k 19"])
 def test_soliton_extremes_give_a_finite_residual(capsys, argv):
     rc = cli.main(["soliton", *argv.split()])
     assert rc == cli.EXIT_OK
@@ -512,17 +513,21 @@ def test_soliton_extremes_give_a_finite_residual(capsys, argv):
 
 
 def test_soliton_reports_residuals(capsys):
+    """One line: the fit on the FIK shrinker of (2, 1), whose mu is sqrt(2)."""
     rc = cli.main(["soliton"])
     assert rc == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("rms=") == 2
-    assert "flat model:" in out
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("fik(n=2, k=1, a_hat=1): lam=1 rms=")
+    fields = dict(item.split("=") for item in line.split(": ")[1].split())
+    assert float(fields["rms"]) <= 1e-10
+    assert fields["mu"] == "1.41421356"
+    assert abs(float(fields["c"])) <= 1e-10
 
 
 @pytest.mark.parametrize("flag, value", [("--lam", "2"), ("--a-hat", "1")])
 def test_soliton_has_no_lambda_or_endpoint_option(capsys, flag, value):
-    """The cone is fitted at lambda = 0 from a = n - k and the flat model at
-    lambda = 1; neither value is an option."""
+    """The shrinker is fitted at lambda = 1 from a = n - k; neither value is
+    an option."""
     with pytest.raises(SystemExit) as info:
         cli.main(["soliton", flag, value])
     assert info.value.code == cli.EXIT_CONFIG
@@ -532,7 +537,7 @@ def test_soliton_has_no_lambda_or_endpoint_option(capsys, flag, value):
 def test_soliton_higher_dimension(capsys):
     rc = cli.main(["soliton", "--n", "3", "--k", "2"])
     assert rc == cli.EXIT_OK
-    assert "cone(n=3, k=2" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("fik(n=3, k=2, a_hat=1): lam=1 ")
 
 
 def test_sweep_matches_predictions(capsys):

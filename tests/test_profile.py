@@ -323,6 +323,22 @@ def test_checkpoint_round_trip(tmp_path, contract_seed):
     assert_allclose(back.du, contract_seed.du, rtol=0.0, atol=1e-7)
 
 
+@pytest.mark.parametrize("a, b, name", [("1", 4.0, "a"), (1.0, None, "b")])
+def test_kahler_class_refuses_a_non_number_by_name(a, b, name):
+    with pytest.raises(cf.ProfileError, match=f"need a number {name}, got {name}="):
+        cf.KahlerClass(a, b)
+
+
+def test_checkpoint_of_a_class_from_numpy_scalars(tmp_path):
+    """A class stores Python floats, so a profile whose class was built from
+    numpy scalars is written and read back like any other."""
+    cls = cf.KahlerClass(np.float32(1.0), np.int64(4))
+    assert (type(cls.a), type(cls.b)) == (float, float)
+    p = cf.build_canonical_profile(cls, cf.RhoGrid(12.0, 257), 2, 1)
+    cf.save_checkpoint(p, tmp_path / "seed.json")
+    assert cf.load_checkpoint(tmp_path / "seed.json").cls == cf.KahlerClass(1.0, 4.0)
+
+
 def test_load_checkpoint_missing_file(tmp_path):
     with pytest.raises((OSError, cf.ProfileError)):
         cf.load_checkpoint(tmp_path / "absent.json")
