@@ -114,12 +114,11 @@ def _settings(args: argparse.Namespace):
         section, _, key = dest.rpartition(".")
         if section and value is not None:
             cfg[section][key] = value
-    grid = {"L": 12.0, "N": 2049}
     if args.command == "run" and cfg["output"].get("seed_profile"):
         seed = cfg["output"]["seed_profile"] = load_checkpoint(cfg["output"]["seed_profile"])
-        grid = {"L": seed.grid.L, "N": seed.grid.N}
+        cfg["grid"] = {"L": seed.grid.L, "N": seed.grid.N, **cfg["grid"]}
     try:
-        return (FlowParams(**cfg["params"]), RhoGrid(**{**grid, **cfg["grid"]}),
+        return (FlowParams(**cfg["params"]), RhoGrid(**cfg["grid"]),
                 StepControl(**cfg["control"]), MonitorSet(**cfg["monitors"]),
                 cfg["output"])
     except ValueError as exc:
@@ -259,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_soliton)
 
     p = sub.add_parser("sweep", help="run all presets, compare regimes")
-    _setting(p, "--L", "grid.L", type=float, default=12.0)
+    _setting(p, "--L", "grid.L", type=float)
     _setting(p, "--N", "grid.N", type=int, default=513)
-    _setting(p, "--stop-frac", "control.t_stop_fraction", type=float, default=0.999)
+    _setting(p, "--stop-frac", "control.t_stop_fraction", type=float)
     _setting(p, "--out", "output.dir", help="parent directory for per-preset output")
     p.set_defaults(func=cmd_sweep)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,8 +35,10 @@ from .curvature import base_eigenvalue, curvature_sample
 from .profile import (
     CalabiProfile,
     FlowParams,
+    ProfileError,
     Regime,
     _GHOST,
+    _number,
     c4_trust_mask,
     class_at,
     guard_tails,
@@ -57,12 +58,9 @@ class MonitorSet:
     cadence: int = 10
 
     def __post_init__(self):
-        try:  # numpy integers pass; 2.5 is refused, not truncated
-            object.__setattr__(self, "cadence", operator.index(self.cadence))
-        except TypeError:
-            raise ValueError(f"cadence must be an integer, got {self.cadence!r}") from None
+        object.__setattr__(self, "cadence", _number("cadence", self.cadence, integer=True))
         if self.cadence < 1:
-            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
+            raise ProfileError(f"cadence must be >= 1, got {self.cadence}")
 
 
 @dataclass(frozen=True)

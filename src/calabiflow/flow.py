@@ -106,6 +106,7 @@ checkpoints and the final state, and the rows landing on them read it.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -201,10 +202,12 @@ class StepControl:
     t_stop_fraction: float = 0.999
 
     def __post_init__(self):
+        for name in ("tol_step", "t_stop_fraction"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not (math.isfinite(self.tol_step) and self.tol_step > 0.0):
-            raise ValueError(f"need a finite tol_step > 0, got {self.tol_step}")
+            raise ProfileError(f"need a finite tol_step > 0, got {self.tol_step}")
         if not 0.0 < self.t_stop_fraction < 1.0:
-            raise ValueError("need 0 < t_stop_fraction < 1")
+            raise ProfileError("need 0 < t_stop_fraction < 1")
 
 
 @dataclass(frozen=True)
@@ -222,46 +225,32 @@ class StepStats:
     rejected: tuple[str, ...] = ()
 
 
+@dataclass(eq=False, repr=False)
 class FlowState:
     """Samples u at time t on grid, with the stats of the step that made
-    them.  Stepping reads only u, t and grid; `profile` is built from them
-    on first read and kept.  A state step() returns also carries the
-    differences of u, so the next step does not take them again, the
-    solution points (t, u) of the step that made it, its start and its
-    trapezoidal stage value, from which the next stages are predicted, the
-    Newton contraction that its BDF2 stage measured (see _solve_stage), and
-    the workspace it wrote, which the next step reuses."""
+    them; FlowState(u, t, grid, params) starts a flow from any samples.
+    Stepping reads only u, t and grid; `profile` is built from them on first
+    read and kept.  A state step() returns also carries the differences of
+    u, so the next step does not take them again, the solution points
+    (t, u) of the step that made it, its start and its trapezoidal stage
+    value, from which the next stages are predicted, the Newton contraction
+    that its BDF2 stage measured (see _solve_stage), and the workspace it
+    wrote, which the next step reuses."""
 
-    def __init__(self, profile: CalabiProfile, params: FlowParams,
-                 stats: StepStats | None = None):
-        self._profile: CalabiProfile | None = profile
-        self._diffs: np.ndarray | None = None
-        self._past: tuple[tuple[float, np.ndarray], ...] = ()
-        self._contraction = _UNMEASURED
-        self._ws: _Workspace | None = None
-        self.params = params
-        self.stats = stats
-        self.u, self.t, self.grid = profile.u, profile.t, profile.grid
+    u: np.ndarray
+    t: float
+    grid: RhoGrid
+    params: FlowParams
+    stats: StepStats | None = None
+    _diffs: np.ndarray | None = None
+    _past: tuple[tuple[float, np.ndarray], ...] = ()
+    _contraction: tuple[float, float] = _UNMEASURED
+    _ws: _Workspace | None = None
 
-    @classmethod
-    def _from_samples(cls, u: np.ndarray, diffs: np.ndarray, t: float, grid: RhoGrid,
-                      params: FlowParams, stats: StepStats,
-                      past: tuple[tuple[float, np.ndarray], ...],
-                      contraction: tuple[float, float], ws: "_Workspace") -> "FlowState":
-        state = cls.__new__(cls)
-        state._profile, state._diffs = None, diffs
-        state._past, state._contraction, state._ws = past, contraction, ws
-        state.params, state.stats = params, stats
-        state.u, state.t, state.grid = u, t, grid
-        return state
-
-    @property
+    @functools.cached_property
     def profile(self) -> CalabiProfile:
-        if self._profile is None:
-            p = self.params
-            self._profile = profile_from_samples(self.u, self.grid, class_at(p, self.t),
-                                                 self.t, p.n, p.k)
-        return self._profile
+        p = self.params
+        return profile_from_samples(self.u, self.grid, class_at(p, self.t), self.t, p.n, p.k)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +348,7 @@ def validate_profile(p: CalabiProfile, tol: float = 1e-8) -> ValidationReport:
     are held to tol times the nearest class endpoint.  tol must be finite
     and > 0.
     """
+    tol = _number("tol", tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ProfileError(f"need a finite tol > 0, got {tol}")
     a, b, h = p.cls.a, p.cls.b, p.grid.h
@@ -637,7 +627,8 @@ def _velocity(diffs: np.ndarray, n: int, offset: np.ndarray) -> np.ndarray:
 def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> FlowState:
     """Advance one accepted adaptive TR-BDF2 step (with internal retries).
 
-    t_cap is an event time the step must not overshoot; the step lands on
+    t_cap is an event time the step must not overshoot, taken as a Python
+    float (a numpy scalar passes, a string is refused); the step lands on
     it exactly when the proposal reaches it, and takes half the way to it
     when the proposal reaches past half the way, so that a next proposal no
     shorter lands with the same dt.  It is the stop time
@@ -654,7 +645,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     t_stop = ctl.t_stop_fraction * T
     if t >= t_stop:
         raise FlowError(f"t={t} already beyond the stop time {t_stop}")
-    t_cap = t_stop if t_cap is None else min(t_cap, t_stop)
+    t_cap = t_stop if t_cap is None else min(_number("t_cap", t_cap), t_stop)
 
     h = grid.h
     diffs = state._diffs
@@ -735,8 +726,8 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     stats = StepStats(dt=dt, dt_next=dt_next, newton_iters=iters_g + iters,
                       residual=res, error=err, retries=len(rejected),
                       rejected=tuple(rejected))
-    return FlowState._from_samples(u1, diffs1, t_new, grid, params, stats,
-                                   ((t, u), (t_g, u_g)), contraction, ws)
+    return FlowState(u1, t_new, grid, params, stats, diffs1, ((t, u), (t_g, u_g)),
+                     contraction, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +756,9 @@ def run(
 ) -> "diagnostics.FlowTrace":
     """Integrate from t=0 (or the seed's time) to the stop fraction of T.
 
-    The grid defaults to (L, N) = (12, 2049), or to the seed's grid; a grid
-    other than the seed's is refused.  Rows are sampled at t=0, at every
+    The flow starts from the canonical seed on grid, by default RhoGrid(),
+    or from the samples, time and grid of seed_profile; a grid other than
+    the seed's is refused.  Rows are sampled at t=0, at every
     cadence-th accepted step, at each dyadic checkpoint time, and at the
     stop time.  With out_dir set, the trace table, a JSON summary, per-step
     log lines and the checkpoint profiles are written there.  A run that
@@ -784,8 +776,8 @@ def run(
     t_stop = ctl.t_stop_fraction * T
 
     if seed_profile is None:
-        seed_profile = build_canonical_profile(class_at(params, 0.0),
-                                               grid or RhoGrid(12.0, 2049), params.n, params.k)
+        seed_profile = build_canonical_profile(class_at(params, 0.0), grid or RhoGrid(),
+                                               params.n, params.k)
     elif grid is not None and grid != seed_profile.grid:
         raise ProfileError(f"grid {grid} differs from the seed's grid {seed_profile.grid}")
     elif not on_class_motion(params, seed_profile):
@@ -804,7 +796,7 @@ def run(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    state = FlowState(profile=seed_profile, params=params)
+    state = FlowState(seed_profile.u, seed_profile.t, seed_profile.grid, params)
     trace = diagnostics.FlowTrace(params=params, T=T, regime=info.regime)
     # one clock pair per call site; a failing step is timed in the handler
     clock, phases = time.perf_counter, trace.phase_seconds

@@ -108,8 +108,8 @@ class KahlerClass:
 class RhoGrid:
     """Uniform grid on [-L, L] with an odd node count, so rho=0 is a node."""
 
-    L: float
-    N: int
+    L: float = 12.0
+    N: int = 2049
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -135,7 +135,7 @@ def test_checkpoint_times_stop_at_the_stop_time():
 
 def test_single_step_mechanics(contract_seed):
     ctl = cf.StepControl()
-    state = cf.FlowState(profile=contract_seed, params=CONTRACT,
+    state = cf.FlowState(contract_seed.u, contract_seed.t, contract_seed.grid, CONTRACT,
                          stats=cf.StepStats(flow.DT_INIT, flow.DT_INIT, 0, 0.0, 0.0, 0))
     out = cf.step(state, ctl)
     assert out.profile.t > 0.0
@@ -149,7 +149,7 @@ def test_single_step_mechanics(contract_seed):
 def test_evolution_residuals_shrink_with_dt(contract_seed):
     resids = {}
     for dt in (1e-3, 1e-4):
-        state = cf.FlowState(profile=contract_seed, params=CONTRACT,
+        state = cf.FlowState(contract_seed.u, contract_seed.t, contract_seed.grid, CONTRACT,
                              stats=cf.StepStats(dt, dt, 0, 0.0, 0.0, 0))
         out = cf.step(state, cf.StepControl(), t_cap=state.t + dt)
         resids[dt] = _evolution_residuals(contract_seed, out.profile, out.stats.dt)
@@ -164,10 +164,28 @@ def test_evolution_residuals_shrink_with_dt(contract_seed):
 
 
 def test_step_cap_is_respected(contract_seed):
-    state = cf.FlowState(profile=contract_seed, params=CONTRACT,
+    state = cf.FlowState(contract_seed.u, contract_seed.t, contract_seed.grid, CONTRACT,
                          stats=cf.StepStats(1e-3, 1e-3, 0, 0.0, 0.0, 0))
     out = cf.step(state, cf.StepControl(), t_cap=2.5e-4)
     assert out.profile.t == pytest.approx(2.5e-4, rel=1e-12)
+
+
+def test_numpy_event_time_steps_as_a_python_float():
+    """A float32 event time is taken as the Python float it equals: the
+    contract seed at (12, 513) reaches t = 0.5 in the same 18 steps, with
+    no retry, as with t_cap = 0.5, every time a Python float.  Kept as a
+    float32, t_cap would pull dt and t to float32 resolution near it."""
+    seed = _contract_seed_at(0.0, N=513)
+    runs = []
+    for t_cap in (0.5, np.float32(0.5)):
+        state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
+        steps = retries = 0
+        while state.t < 0.5:
+            state = cf.step(state, cf.StepControl(), t_cap=t_cap)
+            steps, retries = steps + 1, retries + state.stats.retries
+            assert type(state.t) is float
+        runs.append((state.t, steps, retries, state.u.tobytes()))
+    assert runs[0][:3] == (0.5, 18, 0) and runs[1] == runs[0]
 
 
 def test_step_without_a_cap_lands_on_the_stop_time():
@@ -175,7 +193,8 @@ def test_step_without_a_cap_lands_on_the_stop_time():
     pass it, the last one lands on it exactly, and no further step starts."""
     ctl = cf.StepControl(t_stop_fraction=0.3)
     t_stop = ctl.t_stop_fraction * cf.singular_time(CONTRACT).T
-    state = cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)
+    seed = _contract_seed_at(0.0)
+    state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
     while state.t < t_stop:
         state = cf.step(state, ctl)
         assert state.t <= t_stop
@@ -375,7 +394,7 @@ def test_validate_and_step_refuse_the_same_nodes(seed, count):
     violations = {v.invariant: v for v in cf.validate_profile(p).violations}
     assert f" at {count} node(s), " in violations["convexity"].detail
     with pytest.raises(cf.FlowError, match=rf"inadmissible at t=0: .* at {count} node\(s\)"):
-        cf.step(cf.FlowState(profile=p, params=CONTRACT), cf.StepControl())
+        cf.step(cf.FlowState(p.u, p.t, p.grid, CONTRACT), cf.StepControl())
 
 
 @pytest.mark.parametrize("params, seed, match", [
@@ -523,13 +542,11 @@ def test_carried_differences_step_like_a_fresh_state(rejecting):
     time and stats, given the same solution history and contraction factor,
     give bitwise-equal samples, time and stats, also after steps with
     rejected attempts."""
-    state = cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)
+    seed = _contract_seed_at(0.0)
+    state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
     retries = 0
     for _ in range(8):
-        fresh = cf.FlowState(
-            profile=cf.profile_from_samples(state.u, state.grid, cf.class_at(CONTRACT, state.t),
-                                            state.t, 2, 1),
-            params=CONTRACT, stats=state.stats)
+        fresh = cf.FlowState(state.u, state.t, state.grid, CONTRACT, state.stats)
         fresh._past, fresh._contraction = state._past, state._contraction
         out, ref = cf.step(state, rejecting), cf.step(fresh, rejecting)
         assert out.u.tobytes() == ref.u.tobytes()
@@ -544,7 +561,8 @@ def test_a_kept_state_steps_alike_after_later_steps(rejecting):
     gives bitwise-equal samples, differences, solution points, time and
     stats, also through rejected attempts: no array a returned state holds
     is a buffer that a later step overwrites."""
-    chain = [cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)]
+    seed = _contract_seed_at(0.0)
+    chain = [cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)]
     for _ in range(6):
         chain.append(cf.step(chain[-1], rejecting))
     assert chain[1].stats.retries > 0
@@ -573,7 +591,8 @@ def test_validate_passes_every_checkpoint_step_starts_from(request, flow_run):
     assert [c.j for c in trace.checkpoints] == list(range(1, 10))
     for c in trace.checkpoints:
         assert cf.validate_profile(c.profile).ok, c.j
-        state = cf.step(cf.FlowState(profile=c.profile, params=CONTRACT), cf.StepControl())
+        p = c.profile
+        state = cf.step(cf.FlowState(p.u, p.t, p.grid, CONTRACT), cf.StepControl())
         assert state.t > c.t
 
 
@@ -599,7 +618,8 @@ def test_inadmissible_stage_solution_is_a_rejected_attempt(contract_seed, monkey
 
     monkeypatch.setattr(flow, "_solve_stage", counting_solve)
     monkeypatch.setattr(flow, "_valid", refuse_first_stage_value)
-    out = cf.step(cf.FlowState(profile=contract_seed, params=CONTRACT), cf.StepControl())
+    out = cf.step(cf.FlowState(contract_seed.u, contract_seed.t, contract_seed.grid, CONTRACT),
+                  cf.StepControl())
     assert len(refused) == 1 and refused[0][contract_seed.grid.center] == stages[1][2]
     assert out.stats.rejected == (
         f"dt={FIRST_DT:.6g} stage solution inadmissible after the gauge shift",)
@@ -666,7 +686,8 @@ def _with_nan_sample(t):
 def test_step_refuses_before_any_attempt(seed, t_cap, match):
     """A state at or past the stop time, an event time not ahead of t and
     a non-finite sample each end the step with no attempt made."""
-    state = cf.FlowState(profile=seed(), params=CONTRACT)
+    p = seed()
+    state = cf.FlowState(p.u, p.t, p.grid, CONTRACT)
     with pytest.raises(cf.FlowError, match=match) as info:
         cf.step(state, cf.StepControl(), t_cap=t_cap)
     assert info.value.rejected == ()
@@ -684,7 +705,8 @@ def test_step_size_underflow_is_never_accepted():
     DT_MIN, and then fails instead of accepting an attempt whose error
     estimate exceeds tol_step.  The last attempt is the last cut at or
     above DT_MIN."""
-    state = cf.FlowState(profile=_contract_seed_at(0.0, N=513), params=CONTRACT)
+    seed = _contract_seed_at(0.0, N=513)
+    state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
     with pytest.raises(cf.FlowError,
                        match=r"step size underflow at t=0 \(err=\S+ > tol\)") as info:
         cf.step(state, cf.StepControl(tol_step=1e-300))
@@ -862,7 +884,7 @@ def test_step_is_second_order():
     ctl = cf.StepControl(tol_step=1.0)
 
     def final_u(dt):
-        state = cf.FlowState(profile=seed, params=CONTRACT,
+        state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT,
                              stats=cf.StepStats(dt, dt, 0, 0.0, 0.0, 0))
         for _ in range(round(0.064 / dt)):
             state = cf.step(state, ctl, t_cap=state.t + dt)
@@ -961,7 +983,8 @@ def test_predicted_stage_stops_after_one_solve(monkeypatch):
     extrapolation of the last three solution points and stops after one
     linear solve, within 1e-10 (gauge-free) of the same stage solved to
     TOL_NEWTON = 1e-13."""
-    state = cf.FlowState(profile=_contract_seed_at(0.0, N=1025), params=CONTRACT)
+    seed = _contract_seed_at(0.0, N=1025)
+    state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
     for _ in range(20):
         state = cf.step(state, cf.StepControl())
     assert len(state._past) == 2 and state._contraction[0] < flow.ETA_START
@@ -999,7 +1022,8 @@ def test_start_is_the_lagrange_extrapolation_bit_for_bit():
     the samples of the Lagrange loop, each weight a running product of
     (t - t_j) / (t_i - t_j) over j != i and the terms summed in order, bit
     for bit, on the solution points of steps of the contract preset."""
-    state = cf.FlowState(profile=_contract_seed_at(0.0), params=CONTRACT)
+    seed = _contract_seed_at(0.0)
+    state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
     for _ in range(4):
         state = cf.step(state, cf.StepControl())
     points = state._past + ((state.t, state.u),)

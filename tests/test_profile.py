@@ -88,9 +88,20 @@ def test_class_and_params_validation():
     with pytest.raises(cf.ProfileError,
                        match="need an integer checkpoints_j, got checkpoints_j=2.5"):
         cf.run(cf.FlowParams(2, 1, 1.0, 4.0), grid=cf.RhoGrid(12.0, 257), checkpoints_j=2.5)
-    with pytest.raises(ValueError, match="cadence must be an integer, got 2.5"):
+    with pytest.raises(cf.ProfileError, match="need an integer cadence, got cadence=2.5"):
         cf.MonitorSet(cadence=2.5)
     assert type(cf.MonitorSet(cadence=np.int64(5)).cadence) is int
+    # the step controller and the validator store and read Python numbers too
+    ctl = cf.StepControl(tol_step=np.float32(1e-6), t_stop_fraction=np.float64(0.5))
+    assert (type(ctl.tol_step), type(ctl.t_stop_fraction)) == (float, float)
+    seed = cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), cf.RhoGrid(12.0, 257), 2, 1)
+    for make, name in [(lambda: cf.StepControl(tol_step="1e-6"), "tol_step"),
+                       (lambda: cf.StepControl(t_stop_fraction=None), "t_stop_fraction"),
+                       (lambda: cf.MonitorSet("3"), "cadence"),
+                       (lambda: cf.validate_profile(seed, tol="1e-8"), "tol")]:
+        with pytest.raises(cf.ProfileError, match=f"need an? \\w+ {name}, got {name}="):
+            make()
+    assert cf.RhoGrid() == cf.RhoGrid(12.0, 2049)
 
 
 def test_class_evolution_is_exact_affine():
