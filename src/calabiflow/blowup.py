@@ -42,8 +42,8 @@ exceptional divisor, and the report's one reference (``fik_reference``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,15 +73,13 @@ class RegimeMismatchError(BlowupError):
     """The class evolution is not in the divisor-contraction regime."""
 
 
-@dataclass(frozen=True)
-class SolitonFit:
+class SolitonFit(NamedTuple):
     mu: float
     c: float
     rms: float
 
 
-@dataclass(frozen=True)
-class BlowupRow:
+class BlowupRow(NamedTuple):
     j: int
     t: float
     K: float
@@ -93,8 +91,7 @@ class BlowupRow:
     c: float
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(NamedTuple):
     n: int
     k: int
     T: float
@@ -265,13 +262,13 @@ def blowup_report(
 
 
 def write_report(report: BlowupReport, out_dir: str | Path) -> None:
+    """blowup.csv holds the first seven fields of each BlowupRow, in field
+    order; blowup.json holds every field, with a NaN selfsim_prev as null."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["j,t,K,a_hat,selfsim_prev,soliton_rms,fik_dist"]
-    for r in report.rows:
-        lines.append("%d," % r.j + ",".join(
-            "%.17g" % v for v in (r.t, r.K, r.a_hat, r.selfsim_prev,
-                                  r.soliton_rms, r.fik_dist)))
+    columns = BlowupRow._fields[:7]
+    fmt = ",".join(["%.17g"] * len(columns))  # prints the integer j as %d does
+    lines = [",".join(columns), *(fmt % r[:len(columns)] for r in report.rows)]
     write_atomic(out / "blowup.csv", "\n".join(lines) + "\n")
 
     payload = {
@@ -279,12 +276,7 @@ def write_report(report: BlowupReport, out_dir: str | Path) -> None:
         "k": report.k,
         "T": report.T,
         "lambda": 1.0,
-        "rows": [
-            {"j": r.j, "t": r.t, "K": r.K, "a_hat": r.a_hat,
-             "selfsim_prev": json_number(r.selfsim_prev),
-             "soliton_rms": r.soliton_rms, "fik_dist": r.fik_dist,
-             "mu": r.mu, "c": r.c}
-            for r in report.rows
-        ],
+        "rows": [{**r._asdict(), "selfsim_prev": json_number(r.selfsim_prev)}
+                 for r in report.rows],
     }
     write_atomic(out / "blowup.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

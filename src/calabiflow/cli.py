@@ -125,12 +125,18 @@ def _settings(args: argparse.Namespace):
         raise ConfigError(str(exc)) from exc
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments the user gave, so that the called function
+    keeps its own default for each one left out."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     params, grid, ctl, monitors, output = _settings(args)
     out_dir = output.get("dir", "flow_out")
     trace = run(params, ctl=ctl, grid=grid, monitors=monitors,
                 seed_profile=output.get("seed_profile"),
-                out_dir=out_dir, checkpoints_j=output.get("checkpoints", 10))
+                out_dir=out_dir, **_given(checkpoints_j=output.get("checkpoints")))
     print(f"regime={trace.regime.value} T={trace.T:.9g} "
           f"t_final={trace.rows[-1].t:.9g} rows={len(trace.rows)} "
           f"checkpoints={len(trace.checkpoints)} out={out_dir}")
@@ -143,7 +149,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         params, grid, *_ = _settings(args)
         prof = build_canonical_profile(class_at(params, 0.0), grid, params.n, params.k)
-    report = validate_profile(prof, tol=args.tol)
+    report = validate_profile(prof, **_given(tol=args.tol))
     print(str(report))
     return EXIT_OK if report.ok else EXIT_NUMERICAL
 
@@ -160,7 +166,8 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         raise ConfigError(f"no checkpoint_j*.json files in {args.src}")
     first = records[0].profile
     T = singular_time(infer_initial_class(first, first.n, first.k)).T
-    report = blowup_report(records, T, first.n, first.k, min_j=args.min_j, out_dir=args.out)
+    report = blowup_report(records, T, first.n, first.k, out_dir=args.out,
+                           **_given(min_j=args.min_j))
     print("   j          t            K      a_hat   selfsim_prev  soliton_rms     fik_dist")
     for r in report.rows:
         print(f"{r.j:4d} {r.t:10.7f} {r.K:12.5g} {r.a_hat:10.7f} "
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--checkpoint", default=None, metavar="FILE",
                    help="validate a saved checkpoint instead of the seed")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float,
                    help="closure tolerance relative to the divisor area")
     p.set_defaults(func=cmd_validate)
 
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True, metavar="DIR",
                    help="directory containing checkpoint_j*.json")
     p.add_argument("--out", default=None, help="write blowup.csv/blowup.json here")
-    p.add_argument("--min-j", type=int, default=4, dest="min_j",
+    p.add_argument("--min-j", type=int, dest="min_j",
                    help="first dyadic level to use")
     p.set_defaults(func=cmd_blowup)
 

@@ -23,16 +23,15 @@ it expands R in raw finite differences of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .profile import CalabiProfile
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     H: np.ndarray
     G: np.ndarray
     c4: np.ndarray

@@ -11,14 +11,10 @@ it through one body, _row: profile_row reads a profile's arrays through
 moment_arrays, as the blow-up report does, and row_from_samples derives
 the same arrays from the samples u, with no profile built.
 
-The trace table layout is fixed:
-
-    t,a,b,supRm,typeI,H_sup,G_sup,G_inf,bisec_min,bisec_min_scaled,
-    c4_min_scaled,lambda_div_scaled,sigma2,...,sigmaN,
-    vol_quad,vol_class,vol_ratio,diam,dt,iters
-
-with one sigma column per symmetric function from 2 to n.  c4_min_scaled
-and the sigma columns are NaN in a row with no trusted node, and
+The trace table's columns are TraceRow's fields in field order, with
+sigma expanded to one column per symmetric function, sigma2 ... sigmaN;
+trace_header and export_trace read that order.  c4_min_scaled and the
+sigma columns are NaN in a row with no trusted node, and
 lambda_div_scaled outside the contraction regime.
 """
 
@@ -28,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +60,10 @@ class MonitorSet:
             raise ProfileError(f"cadence must be >= 1, got {self.cadence}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One monitor sample; a and b are the measured boundary slopes
-    u'(-L) and u'(+L), to be compared against the class endpoints."""
+    u'(-L) and u'(+L), to be compared against the class endpoints.  The
+    field order is trace.csv's column order (trace_header)."""
 
     t: float
     a: float
@@ -89,8 +86,7 @@ class TraceRow:
     iters: int
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     j: int
     t: float
     profile: CalabiProfile
@@ -250,24 +246,27 @@ def row_from_samples(u: np.ndarray, h: float, params: FlowParams, t: float, T: f
 # ---------------------------------------------------------------------------
 # export
 
+_SIGMA = TraceRow._fields.index("sigma")
+
+
+def _columns(row: tuple, sigma) -> tuple:
+    """row, in TraceRow's field order, with its sigma entry expanded to sigma."""
+    return (*row[:_SIGMA], *sigma, *row[_SIGMA + 1:])
+
+
 def trace_header(n: int) -> str:
-    cols = ["t", "a", "b", "supRm", "typeI", "H_sup", "G_sup", "G_inf",
-            "bisec_min", "bisec_min_scaled", "c4_min_scaled",
-            "lambda_div_scaled"]
-    cols += [f"sigma{j}" for j in range(2, n + 1)]
-    cols += ["vol_quad", "vol_class", "vol_ratio", "diam", "dt", "iters"]
-    return ",".join(cols)
+    """trace.csv's header: TraceRow's fields in order, with sigma expanded to
+    one column per symmetric function, sigma2 ... sigman."""
+    return ",".join(_columns(TraceRow._fields, (f"sigma{j}" for j in range(2, n + 1))))
 
 
 def export_trace(trace: FlowTrace, path: str | Path) -> None:
-    """Write the trace as CSV with %.17g floats; fully deterministic."""
-    n = trace.params.n
-    fmt = ",".join(["%.17g"] * (n + 16)) + ",%d"
-    rows = (fmt % (r.t, r.a, r.b, r.supRm, r.typeI, r.H_sup, r.G_sup, r.G_inf,
-                   r.bisec_min, r.bisec_min_scaled, r.c4_min_scaled, r.lambda_div_scaled,
-                   *r.sigma, r.vol_quad, r.vol_class, r.vol_ratio, r.diam, r.dt, r.iters)
-            for r in trace.rows)
-    write_atomic(path, "\n".join([trace_header(n), *rows]) + "\n")
+    """Write the trace as CSV under trace_header, every column with %.17g,
+    which prints the integer iters as %d does; fully deterministic."""
+    header = trace_header(trace.params.n)
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+    rows = (fmt % _columns(r, r.sigma) for r in trace.rows)
+    write_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def read_trace(path: str | Path) -> dict[str, np.ndarray]:

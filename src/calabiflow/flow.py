@@ -115,6 +115,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,8 +211,7 @@ class StepControl:
             raise ProfileError("need 0 < t_stop_fraction < 1")
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(NamedTuple):
     """One accepted step.  newton_iters sums the Newton iterations of both
     stages; residual is the estimate eta |delta| of the error left in the
     last (BDF2) stage that ended its Newton iteration."""
@@ -313,15 +313,13 @@ def _valid(w: np.ndarray, h: float) -> np.ndarray | None:
     return diffs if _admissible(w, diffs, h) else None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     invariant: str
     nodes: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -628,10 +626,10 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     """Advance one accepted adaptive TR-BDF2 step (with internal retries).
 
     t_cap is an event time the step must not overshoot, taken as a Python
-    float (a numpy scalar passes, a string is refused); the step lands on
-    it exactly when the proposal reaches it, and takes half the way to it
-    when the proposal reaches past half the way, so that a next proposal no
-    shorter lands with the same dt.  It is the stop time
+    float (a numpy scalar passes, a string or NaN is refused); the step
+    lands on it exactly when the proposal reaches it, and takes half the way
+    to it when the proposal reaches past half the way, so that a next
+    proposal no shorter lands with the same dt.  It is the stop time
     ctl.t_stop_fraction T when not given, and no later than it when given,
     so no step passes the stop time.  The returned
     state builds its profile on first read.  An inadmissible u fails before
@@ -645,7 +643,10 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     t_stop = ctl.t_stop_fraction * T
     if t >= t_stop:
         raise FlowError(f"t={t} already beyond the stop time {t_stop}")
-    t_cap = t_stop if t_cap is None else min(_number("t_cap", t_cap), t_stop)
+    t_cap = t_stop if t_cap is None else _number("t_cap", t_cap)
+    if math.isnan(t_cap):  # min(nan, t_stop) is nan, which no landing test matches
+        raise ProfileError(f"need a t_cap that is not NaN, got t_cap={t_cap}")
+    t_cap = min(t_cap, t_stop)
 
     h = grid.h
     diffs = state._diffs

@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +133,7 @@ class RhoGrid:
         return (self.N - 1) // 2
 
 
-@dataclass(frozen=True)
-class SingularTimeInfo:
+class SingularTimeInfo(NamedTuple):
     T: float
     regime: Regime
     Ta: float

@@ -1,4 +1,5 @@
-"""The package namespace: an explicit list of exports, each one resolvable.
+"""The package namespace: an explicit list of exports, each one resolvable,
+and the result records, each an immutable named tuple with pinned fields.
 
 The list is what the command line, the tests, the README and the benchmark
 use.  A new export is a deliberate change to this file.
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import calabiflow as cf
 
@@ -90,3 +93,41 @@ def test_benchmark_probes_resolve():
     for module, attr, _ in tracing.PROBES:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     assert tracing._linear_solvers(importlib.import_module("calabiflow.flow"))
+
+
+# each immutable result record and its fields in order; a trace.csv or
+# blowup.csv column follows this order
+RECORDS = {
+    "blowup.SolitonFit": ("mu", "c", "rms"),
+    "blowup.BlowupRow": ("j", "t", "K", "a_hat", "selfsim_prev", "soliton_rms", "fik_dist",
+                         "mu", "c"),
+    "blowup.BlowupReport": ("n", "k", "T", "rows"),
+    "curvature.CurvatureSample": ("H", "G", "c4", "lambda1", "lambda2", "r1111", "r11kk",
+                                  "rkkkk", "sigma", "rm_proxy"),
+    "diagnostics.TraceRow": ("t", "a", "b", "supRm", "typeI", "H_sup", "G_sup", "G_inf",
+                             "bisec_min", "bisec_min_scaled", "c4_min_scaled",
+                             "lambda_div_scaled", "sigma", "vol_quad", "vol_class",
+                             "vol_ratio", "diam", "dt", "iters"),
+    "diagnostics.CheckpointRecord": ("j", "t", "profile"),
+    "flow.StepStats": ("dt", "dt_next", "newton_iters", "residual", "error", "retries",
+                       "rejected"),
+    "flow.Violation": ("invariant", "nodes", "detail"),
+    "flow.ValidationReport": ("violations",),
+    "profile.SingularTimeInfo": ("T", "regime", "Ta", "Tb"),
+}
+
+
+def test_result_records_are_immutable_named_tuples():
+    """Each record is a tuple whose fields keep their order, reads back as
+    Name(field=value, ...), and refuses assignment to a field or a new name."""
+    import importlib
+
+    for path, fields in RECORDS.items():
+        module, name = path.split(".")
+        cls = getattr(importlib.import_module(f"calabiflow.{module}"), name)
+        assert issubclass(cls, tuple) and cls._fields == fields, path
+        record = cls(*fields)
+        assert repr(record) == f"{name}(" + ", ".join(f"{f}={f!r}" for f in fields) + ")"
+        for attr in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 0)

@@ -289,8 +289,8 @@ def test_blowup_report_refuses_a_level_of_another_flow(contract_default, change)
 
 @pytest.mark.parametrize("records, match", [
     (lambda recs: [], "no checkpoints given"),
-    (lambda recs: [*recs[:-1], dataclasses.replace(
-        recs[-1], profile=dataclasses.replace(recs[-1].profile, t=1.0))],
+    (lambda recs: [*recs[:-1], recs[-1]._replace(
+        profile=dataclasses.replace(recs[-1].profile, t=1.0))],
      "profile time 1.0 is not before T=1.0"),
 ], ids=["empty", "at-T"])
 def test_blowup_report_refuses_bad_levels(contract_default, records, match):

@@ -95,6 +95,26 @@ def test_options_are_pinned():
     assert found == {name: flags | {"-h", "--help"} for name, flags in OPTIONS.items()}
 
 
+@pytest.mark.parametrize("argv, target, key", [
+    ("run --preset contract --N 257 --stop-frac 0.6 --out {tmp}", "run", "checkpoints_j"),
+    ("validate --preset contract --N 257", "validate_profile", "tol"),
+    ("blowup --from {src}", "blowup_report", "min_j"),
+], ids=["run", "validate", "blowup"])
+def test_omitted_option_keeps_the_function_default(cli_contract, tmp_path, monkeypatch,
+                                                   argv, target, key):
+    """An option left out is not passed on: the called function's own
+    default holds, stated in one place."""
+    calls, real = [], getattr(cli, target)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, spy)
+    assert cli.main(argv.format(tmp=tmp_path, src=cli_contract).split()) == cli.EXIT_OK
+    assert len(calls) == 1 and key not in calls[0]
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

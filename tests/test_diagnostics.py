@@ -383,7 +383,7 @@ def test_regime_indicator_needs_late_data():
 
 
 @pytest.mark.parametrize("rows, match", [
-    (lambda rows: [dataclasses.replace(r, vol_quad=math.nan) for r in rows],
+    (lambda rows: [r._replace(vol_quad=math.nan) for r in rows],
      "no volume samples"),
     (lambda rows: rows[-1:], "insufficient sampling near the singular time"),
 ], ids=["no-volume", "one-late-row"])

@@ -189,18 +189,30 @@ def test_numpy_event_time_steps_as_a_python_float():
 
 
 def test_step_without_a_cap_lands_on_the_stop_time():
-    """The stop time is step()'s default event: steps without t_cap never
-    pass it, the last one lands on it exactly, and no further step starts."""
+    """The stop time is step()'s default event: steps without t_cap, or
+    with t_cap = inf, never pass it, the last one lands on it exactly, and
+    no further step starts."""
     ctl = cf.StepControl(t_stop_fraction=0.3)
     t_stop = ctl.t_stop_fraction * cf.singular_time(CONTRACT).T
     seed = _contract_seed_at(0.0)
+    for t_cap in (None, math.inf):
+        state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
+        while state.t < t_stop:
+            state = cf.step(state, ctl, t_cap=t_cap)
+            assert state.t <= t_stop
+        assert state.t == t_stop
+        with pytest.raises(cf.FlowError, match="already beyond the stop time"):
+            cf.step(state, ctl, t_cap=t_cap)
+
+
+def test_nan_event_time_is_refused():
+    """A NaN t_cap is refused by name before any attempt: min(nan, t_stop)
+    is nan, which neither the landing nor the halving test matches, so its
+    steps would pass the stop time (t = 0.3293 > 0.3 T after 12 steps)."""
+    seed = _contract_seed_at(0.0)
     state = cf.FlowState(seed.u, seed.t, seed.grid, CONTRACT)
-    while state.t < t_stop:
-        state = cf.step(state, ctl)
-        assert state.t <= t_stop
-    assert state.t == t_stop
-    with pytest.raises(cf.FlowError, match="already beyond the stop time"):
-        cf.step(state, ctl)
+    with pytest.raises(cf.ProfileError, match="t_cap=nan"):
+        cf.step(state, cf.StepControl(t_stop_fraction=0.3), t_cap=math.nan)
 
 
 def test_collapse_takes_one_step_per_late_level(tmp_path):
