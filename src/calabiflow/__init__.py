@@ -15,7 +15,6 @@ from .blowup import (
     blowup_report,
     blowup_window,
     fik_reference,
-    infer_initial_class,
     soliton_residual,
 )
 from .curvature import curvature_sample, scalar_curvature
@@ -48,6 +47,7 @@ from .profile import (
     RhoGrid,
     build_canonical_profile,
     class_at,
+    infer_initial_class,
     load_checkpoint,
     profile_from_samples,
     save_checkpoint,

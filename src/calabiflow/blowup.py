@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import CheckpointRecord, json_number, moment_arrays
+from .diagnostics import CheckpointRecord, _write_table, json_number, moment_arrays
 from .moment import (
     WINDOW_SAMPLES,
     MomentDomainError,
@@ -56,9 +56,9 @@ from .moment import (
     moment_profile,
 )
 from .profile import (
-    CalabiProfile,
-    FlowParams,
     Regime,
+    _number,
+    infer_initial_class,
     on_class_motion,
     singular_time,
     write_atomic,
@@ -89,6 +89,10 @@ class BlowupRow(NamedTuple):
     fik_dist: float
     mu: float
     c: float
+
+
+# the columns of blowup.csv and of the blowup command's table
+_TABLE_COLUMNS = BlowupRow._fields[:7]
 
 
 class BlowupReport(NamedTuple):
@@ -179,13 +183,6 @@ def fik_reference(n: int, k: int) -> MomentProfile:
     return MomentProfile(x=xs, phi=phi, dphi=(1 - n) * phi / xs + n - t)
 
 
-def infer_initial_class(p: CalabiProfile, n: int, k: int) -> FlowParams:
-    """Undo the linear class motion to recover the t=0 endpoints."""
-    return FlowParams(n=n, k=k,
-                      a0=p.cls.a + (n - k) * p.t,
-                      b0=p.cls.b + (n + k) * p.t)
-
-
 def blowup_report(
     checkpoints: list[CheckpointRecord],
     T: float,
@@ -200,13 +197,18 @@ def blowup_report(
     left endpoint, C^1 distance to the previous rescaled profile on the
     overlap window, soliton fit residual at lambda = 1, and C^1 distance
     to the shrinker ``fik_reference(n, k)``.  Requires the divisor-contraction
-    regime and at least three usable checkpoints.  A level whose n, k or
-    class is not that of the first level's flow, or whose samples miss its
-    window, raises a BlowupError that names the level.
+    regime, an integer min_j and at least three usable checkpoints.  A level
+    given twice, off the first level's flow (its n, k or class), or whose
+    samples miss its window raises a BlowupError that names the level.
     """
+    min_j = _number("min_j", min_j, integer=True)
     if not checkpoints:
         raise BlowupError("no checkpoints given")
-    first = min(checkpoints, key=lambda c: c.j)
+    levels = sorted(checkpoints, key=lambda c: c.j)
+    for prev, rec in zip(levels, levels[1:]):
+        if rec.j == prev.j:
+            raise BlowupError(f"two checkpoints of level j={rec.j}")
+    first = levels[0]
     params = infer_initial_class(first.profile, n, k)
     info = singular_time(params)
     if info.regime is not Regime.CONTRACT:
@@ -217,7 +219,7 @@ def blowup_report(
         raise BlowupError(
             f"stated T={T} inconsistent with class data (T={info.T:.9g})")
 
-    usable = sorted((c for c in checkpoints if c.j >= min_j), key=lambda c: c.j)
+    usable = [c for c in levels if c.j >= min_j]
     if len(usable) < 3:
         raise BlowupError(
             f"need at least 3 checkpoints with j >= {min_j}, have {len(usable)}")
@@ -262,21 +264,12 @@ def blowup_report(
 
 
 def write_report(report: BlowupReport, out_dir: str | Path) -> None:
-    """blowup.csv holds the first seven fields of each BlowupRow, in field
-    order; blowup.json holds every field, with a NaN selfsim_prev as null."""
+    """blowup.csv holds the _TABLE_COLUMNS of each row; blowup.json holds every
+    field of the report and of its rows, with a NaN selfsim_prev as null."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    columns = BlowupRow._fields[:7]
-    fmt = ",".join(["%.17g"] * len(columns))  # prints the integer j as %d does
-    lines = [",".join(columns), *(fmt % r[:len(columns)] for r in report.rows)]
-    write_atomic(out / "blowup.csv", "\n".join(lines) + "\n")
-
-    payload = {
-        "n": report.n,
-        "k": report.k,
-        "T": report.T,
-        "lambda": 1.0,
-        "rows": [{**r._asdict(), "selfsim_prev": json_number(r.selfsim_prev)}
-                 for r in report.rows],
-    }
+    _write_table(out / "blowup.csv", ",".join(_TABLE_COLUMNS),
+                 (r[:len(_TABLE_COLUMNS)] for r in report.rows))
+    rows = [{**r._asdict(), "selfsim_prev": json_number(r.selfsim_prev)} for r in report.rows]
+    payload = {**report._asdict(), "lambda": 1.0, "rows": rows}
     write_atomic(out / "blowup.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -26,9 +26,9 @@ from pathlib import Path
 from .blowup import (
     BlowupError,
     RegimeMismatchError,
+    _TABLE_COLUMNS,
     blowup_report,
     fik_reference,
-    infer_initial_class,
     soliton_residual,
 )
 from .diagnostics import CheckpointRecord, DiagnosticsError, MonitorSet, regime_indicator
@@ -37,8 +37,10 @@ from .profile import (
     FlowParams,
     ProfileError,
     RhoGrid,
+    _CHECKPOINT_PREFIX,
     build_canonical_profile,
     class_at,
+    infer_initial_class,
     load_checkpoint,
     singular_time,
 )
@@ -156,22 +158,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_blowup(args: argparse.Namespace) -> int:
     records = []
-    for path in sorted(Path(args.src).glob("checkpoint_j*.json")):
-        level = path.stem.removeprefix("checkpoint_j")
+    for path in sorted(Path(args.src).glob(f"{_CHECKPOINT_PREFIX}*.json")):
+        level = path.stem.removeprefix(_CHECKPOINT_PREFIX)
         if not level.isdecimal():
             raise ProfileError(f"checkpoint file name {path} has no level number")
         prof = load_checkpoint(path)
         records.append(CheckpointRecord(j=int(level), t=prof.t, profile=prof))
     if not records:
-        raise ConfigError(f"no checkpoint_j*.json files in {args.src}")
+        raise ConfigError(f"no {_CHECKPOINT_PREFIX}*.json files in {args.src}")
     first = records[0].profile
     T = singular_time(infer_initial_class(first, first.n, first.k)).T
     report = blowup_report(records, T, first.n, first.k, out_dir=args.out,
                            **_given(min_j=args.min_j))
-    print("   j          t            K      a_hat   selfsim_prev  soliton_rms     fik_dist")
+    print(" ".join(f"{name:>13}" for name in _TABLE_COLUMNS))
     for r in report.rows:
-        print(f"{r.j:4d} {r.t:10.7f} {r.K:12.5g} {r.a_hat:10.7f} "
-              f"{r.selfsim_prev:14.6g} {r.soliton_rms:12.6g} {r.fik_dist:12.6g}")
+        print(" ".join(f"{value:13.7g}" for value in r[:len(_TABLE_COLUMNS)]))
     if args.out:
         print(f"written: {Path(args.out) / 'blowup.csv'}, "
               f"{Path(args.out) / 'blowup.json'}")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="rescaling report from saved checkpoints")
     p.add_argument("--from", dest="src", required=True, metavar="DIR",
-                   help="directory containing checkpoint_j*.json")
+                   help=f"directory containing {_CHECKPOINT_PREFIX}*.json")
     p.add_argument("--out", default=None, help="write blowup.csv/blowup.json here")
     p.add_argument("--min-j", type=int, dest="min_j",
                    help="first dyadic level to use")

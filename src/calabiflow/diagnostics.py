@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -260,13 +260,16 @@ def trace_header(n: int) -> str:
     return ",".join(_columns(TraceRow._fields, (f"sigma{j}" for j in range(2, n + 1))))
 
 
-def export_trace(trace: FlowTrace, path: str | Path) -> None:
-    """Write the trace as CSV under trace_header, every column with %.17g,
-    which prints the integer iters as %d does; fully deterministic."""
-    header = trace_header(trace.params.n)
+def _write_table(path: str | Path, header: str, rows) -> None:
+    """trace.csv and blowup.csv: rows under header, each value to 17 significant
+    digits, which prints an integer as %d does."""
     fmt = ",".join(["%.17g"] * (header.count(",") + 1))
-    rows = (fmt % _columns(r, r.sigma) for r in trace.rows)
-    write_atomic(path, "\n".join([header, *rows]) + "\n")
+    write_atomic(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
+
+
+def export_trace(trace: FlowTrace, path: str | Path) -> None:
+    """Write the trace as a table (_write_table) under trace_header."""
+    _write_table(path, trace_header(trace.params.n), (_columns(r, r.sigma) for r in trace.rows))
 
 
 def read_trace(path: str | Path) -> dict[str, np.ndarray]:
@@ -283,20 +286,18 @@ def json_number(x: float) -> float | None:
 
 
 def write_summary(trace: FlowTrace, path: str | Path) -> None:
-    rows = trace.rows
+    """summary.json; its final values are the last row's (a run holds its seed's)."""
+    rows, last = trace.rows, trace.rows[-1]
     typeI = [r.typeI for r in rows if math.isfinite(r.typeI)]
     summary = {
         "regime": trace.regime.value,
         "T": trace.T,
-        "n": trace.params.n,
-        "k": trace.params.k,
-        "a0": trace.params.a0,
-        "b0": trace.params.b0,
-        "t_final": json_number(rows[-1].t if rows else float("nan")),
+        **asdict(trace.params),
+        "t_final": json_number(last.t),
         "typeI_max": json_number(max(typeI) if typeI else float("nan")),
-        "supRm_final": json_number(rows[-1].supRm if rows else float("nan")),
-        "lambda_div_final": json_number(rows[-1].lambda_div_scaled if rows else float("nan")),
-        "vol_ratio_final": json_number(rows[-1].vol_ratio if rows else float("nan")),
+        "supRm_final": json_number(last.supRm),
+        "lambda_div_final": json_number(last.lambda_div_scaled),
+        "vol_ratio_final": json_number(last.vol_ratio),
         "num_rows": len(rows),
         "checkpoints": [c.j for c in trace.checkpoints],
         "elapsed_seconds": round(trace.elapsed, 3),

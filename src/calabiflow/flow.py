@@ -125,6 +125,8 @@ from .profile import (
     FlowParams,
     ProfileError,
     RhoGrid,
+    _CHECKPOINT_PREFIX,
+    _class_law,
     _number,
     build_canonical_profile,
     class_at,
@@ -663,8 +665,6 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
     f_n = _velocity(diffs, n, ws.offset)
     u_in = u[1:-1]
     b_old = (_BDF2_SCALE * _BDF2_OLD) * u_in
-    # the class endpoints move as class_at has them
-    a0, da, b0, db = params.a0, n - k, params.b0, n + k
     center = u[c]
     # solution points the stages are predicted from: the previous step's
     # start and trapezoidal stage value, if the state carries them, and u_n
@@ -693,7 +693,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                 np.subtract(rhs, doff, out=base)
                 u_g, iters_g = _solve_stage(
                     *_start(past, t_g, u, diffs, h), center, rhs, base, ddt,
-                    a0 - da * t_g, b0 - db * t_g, contraction, ws)[:2]
+                    *_class_law(n, k, params.a0, params.b0, t_g), contraction, ws)[:2]
                 # the part of the embedded estimate the BDF2 stage does not change
                 np.multiply(f_n, dt * _E_N, out=fixed)
                 np.subtract(u_g[1:-1], rhs, out=base)
@@ -707,7 +707,7 @@ def step(state: FlowState, ctl: StepControl, t_cap: float | None = None) -> Flow
                 np.subtract(rhs, doff, out=base)
                 u1, iters, res, contraction, diffs1, err = _solve_stage(
                     *_start(past[-2:] + ((t_g, u_g),), t_1, u, diffs, h), center, rhs, base,
-                    ddt, a0 - da * t_1, b0 - db * t_1, _UNMEASURED, ws, fixed)
+                    ddt, *_class_law(n, k, params.a0, params.b0, t_1), _UNMEASURED, ws, fixed)
             except _StepFailure as exc:
                 reason, factor, contraction = str(exc), 0.5, _UNMEASURED
             else:
@@ -759,17 +759,19 @@ def run(
 
     The flow starts from the canonical seed on grid, by default RhoGrid(),
     or from the samples, time and grid of seed_profile; a grid other than
-    the seed's is refused.  Rows are sampled at t=0, at every
-    cadence-th accepted step, at each dyadic checkpoint time, and at the
-    stop time.  With out_dir set, the trace table, a JSON summary, per-step
-    log lines and the checkpoint profiles are written there.  A run that
-    fails with FlowError, or whose checkpoint write fails with ProfileError,
-    still writes the trace and summary of the rows sampled so far; run.log
-    ends on an "error:" line and the summary carries the text under "error".
-    trace.elapsed runs from the first row to the written trace.csv, and
-    trace.phase_seconds splits it.
+    the seed's is refused.  Rows are sampled at t=0, at every cadence-th
+    accepted step, at each dyadic checkpoint time (levels 1 ... checkpoints_j,
+    a count >= 0), and at the stop time.  With out_dir set, the trace table,
+    a JSON summary, per-step log lines and the checkpoint profiles are
+    written there.  A run that fails with FlowError, or whose checkpoint
+    write fails with ProfileError, still writes the trace and summary of
+    the rows sampled so far; run.log ends on an "error:" line and the
+    summary carries the text under "error".  trace.elapsed runs from the
+    first row to the written trace.csv, and trace.phase_seconds splits it.
     """
     checkpoints_j = _number("checkpoints_j", checkpoints_j, integer=True)
+    if checkpoints_j < 0:
+        raise ProfileError(f"need checkpoints_j >= 0, got checkpoints_j={checkpoints_j}")
     ctl = ctl or StepControl()
     monitors = monitors or diagnostics.MonitorSet()
     info = singular_time(params)
@@ -832,7 +834,8 @@ def run(
                     t0 = clock()
                     try:
                         if out is not None:
-                            save_checkpoint(state.profile, out / f"checkpoint_j{j:02d}.json")
+                            save_checkpoint(state.profile,
+                                            out / f"{_CHECKPOINT_PREFIX}{j:02d}.json")
                     finally:
                         phases["checkpoints"] += clock() - t0
                     trace.checkpoints.append(

@@ -37,6 +37,8 @@ import numpy as np
 
 # version 2 stores u as base64 of its little-endian float64 bytes
 CHECKPOINT_VERSION = 2
+# the checkpoint file of level j is _CHECKPOINT_PREFIX + "%02d.json"
+_CHECKPOINT_PREFIX = "checkpoint_j"
 
 # A node is trusted when the rounding noise of the fourth difference,
 # carried through the fourth-order combination, stays below this fraction
@@ -173,13 +175,22 @@ class CalabiProfile:
         return guard_tails(self.u, self.d2u, self.d3u, self.d4u, self.grid.h, self.k)
 
 
+def _class_law(n: int, k: int, a: float, b: float, t: float) -> tuple[float, float]:
+    """The endpoints of the class (a, b) a time t later: [omega_t] = [omega_0] - t c_1."""
+    return a - (n - k) * t, b - (n + k) * t
+
+
 def class_at(params: FlowParams, t: float) -> KahlerClass:
     """Kahler class at time t; endpoints shrink at rates (n-k) and (n+k)."""
     info = singular_time(params)
     if t < 0.0 or t >= info.T:
         raise ProfileError(f"t={t} outside [0, T) with T={info.T}")
-    return KahlerClass(params.a0 - (params.n - params.k) * t,
-                       params.b0 - (params.n + params.k) * t)
+    return KahlerClass(*_class_law(params.n, params.k, params.a0, params.b0, t))
+
+
+def infer_initial_class(p: CalabiProfile, n: int, k: int) -> FlowParams:
+    """The flow through p at t = 0: the class law at -t, exactly a + (n - k) t."""
+    return FlowParams(n, k, *_class_law(n, k, p.cls.a, p.cls.b, -p.t))
 
 
 def on_class_motion(params: FlowParams, p: CalabiProfile) -> bool:

@@ -292,7 +292,8 @@ def test_blowup_report_refuses_a_level_of_another_flow(contract_default, change)
     (lambda recs: [*recs[:-1], recs[-1]._replace(
         profile=dataclasses.replace(recs[-1].profile, t=1.0))],
      "profile time 1.0 is not before T=1.0"),
-], ids=["empty", "at-T"])
+    (lambda recs: [*recs, recs[4]], "two checkpoints of level j=5"),
+], ids=["empty", "at-T", "repeated"])
 def test_blowup_report_refuses_bad_levels(contract_default, records, match):
     trace, _ = contract_default
     with pytest.raises(cf.BlowupError, match=match):

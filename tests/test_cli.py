@@ -391,12 +391,30 @@ def test_checkpoint_header_value_that_is_not_a_number_is_a_config_error(
 # ---------------------------------------------------------------------------
 # blowup
 
+def _printed_as(text: str, value: float) -> bool:
+    """Whether text, a number as the table prints it, is value rounded to
+    the significant digits text shows."""
+    if text == "nan":
+        return math.isnan(value)
+    digits = text.lower().split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+    return float(text) == float(f"{value:.{max(len(digits), 1)}g}")
+
+
 def test_blowup_table_and_files(cli_contract, tmp_path, capsys):
+    """The printed table has blowup.csv's columns and one row per level of
+    it, with the same values to the printed precision."""
     rc = cli.main(["blowup", "--from", str(cli_contract), "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "soliton_rms" in out
-    assert "written:" in out
+    header, *rows, written = capsys.readouterr().out.splitlines()
+    assert header.split() == list(calabiflow.blowup.BlowupRow._fields[:7])
+    assert written.startswith("written:")
+    csv_rows = (tmp_path / "blowup.csv").read_text().splitlines()
+    assert csv_rows[0].split(",") == header.split()
+    assert len(rows) == len(csv_rows) - 1
+    for row, csv_row in zip(rows, csv_rows[1:]):
+        values = [float(v) for v in csv_row.split(",")]
+        assert len(row.split()) == len(values)
+        assert all(_printed_as(text, v) for text, v in zip(row.split(), values)), row
     with open(tmp_path / "blowup.json") as fh:
         payload = json.load(fh)
     assert [row["j"] for row in payload["rows"]] == list(range(4, 10))
@@ -451,6 +469,9 @@ def bad_inputs(cli_contract, cli_collapse, tmp_path):
     (tmp_path / "negative").mkdir()
     (tmp_path / "negative" / "checkpoint_j05.json").write_text(json.dumps({**checkpoint,
                                                                            "t": -5.0}))
+    # level 5 twice: checkpoint_j5.json beside checkpoint_j05.json
+    shutil.copytree(cli_contract, tmp_path / "repeated")
+    shutil.copy(cli_contract / "checkpoint_j05.json", tmp_path / "repeated" / "checkpoint_j5.json")
     # j09 lies past the collapse class's T = 0.5; j01 is off the b0 = 5 class motion
     for name, b0, j in (("past_T", 2.0, 9), ("off_class", 5.0, 1)):
         (tmp_path / f"{name}.ini").write_text(
@@ -470,6 +491,8 @@ def bad_inputs(cli_contract, cli_collapse, tmp_path):
     ("validate --checkpoint {tmp}/negative/checkpoint_j05.json", cli.EXIT_CONFIG),
     ("blowup --from {tmp}/negative", cli.EXIT_CONFIG),
     ("blowup --from {tmp}/unnumbered", cli.EXIT_CONFIG),
+    ("blowup --from {tmp}/repeated", cli.EXIT_NUMERICAL),
+    ("run --N 257 --checkpoints -1 --out {tmp}/out", cli.EXIT_CONFIG),
     ("blowup --from {collapse}", cli.EXIT_REGIME),
     ("run --N 257 --out {file}", cli.EXIT_CONFIG),
     ("run --N 257 --out {file}/out", cli.EXIT_CONFIG),

@@ -85,9 +85,11 @@ def test_class_and_params_validation():
     for a0, b0, name in [("1", 4.0, "a0"), (1.0, None, "b0"), (1.0, 1j, "b0")]:
         with pytest.raises(cf.ProfileError, match=f"need a number {name}, got {name}="):
             cf.FlowParams(2, 1, a0, b0)
-    with pytest.raises(cf.ProfileError,
-                       match="need an integer checkpoints_j, got checkpoints_j=2.5"):
-        cf.run(cf.FlowParams(2, 1, 1.0, 4.0), grid=cf.RhoGrid(12.0, 257), checkpoints_j=2.5)
+    for count, match in [(2.5, "need an integer checkpoints_j, got checkpoints_j=2.5"),
+                         (-1, "need checkpoints_j >= 0, got checkpoints_j=-1")]:
+        with pytest.raises(cf.ProfileError, match=match):
+            cf.run(cf.FlowParams(2, 1, 1.0, 4.0), grid=cf.RhoGrid(12.0, 257),
+                   checkpoints_j=count)
     with pytest.raises(cf.ProfileError, match="need an integer cadence, got cadence=2.5"):
         cf.MonitorSet(cadence=2.5)
     assert type(cf.MonitorSet(cadence=np.int64(5)).cadence) is int
@@ -98,7 +100,10 @@ def test_class_and_params_validation():
     for make, name in [(lambda: cf.StepControl(tol_step="1e-6"), "tol_step"),
                        (lambda: cf.StepControl(t_stop_fraction=None), "t_stop_fraction"),
                        (lambda: cf.MonitorSet("3"), "cadence"),
-                       (lambda: cf.validate_profile(seed, tol="1e-8"), "tol")]:
+                       (lambda: cf.validate_profile(seed, tol="1e-8"), "tol"),
+                       (lambda: cf.blowup_report([], T=1.0, n=2, k=1, min_j="4"), "min_j"),
+                       (lambda: cf.blowup_report([], T=1.0, n=2, k=1, min_j=None), "min_j"),
+                       (lambda: cf.blowup_report([], T=1.0, n=2, k=1, min_j=4.5), "min_j")]:
         with pytest.raises(cf.ProfileError, match=f"need an? \\w+ {name}, got {name}="):
             make()
     assert cf.RhoGrid() == cf.RhoGrid(12.0, 2049)
