@@ -55,11 +55,13 @@ class ProfileError(ValueError):
 
 def _number(name: str, value, integer: bool = False) -> int | float:
     """value as the Python int (integer=True) or float that JSON can hold: numpy
-    scalars pass, and 2.5 as a count or "1" as a number is refused by name."""
+    scalars pass, and a bool, 2.5 as a count or "1" as a number is refused by name."""
     try:
-        if integer:
+        if isinstance(value, bool):
+            pass
+        elif integer:
             return operator.index(value)
-        if isinstance(value, numbers.Real):
+        elif isinstance(value, numbers.Real):
             return float(value)
     except (TypeError, OverflowError):
         pass
@@ -431,37 +433,26 @@ def load_checkpoint(path: str | Path) -> CalabiProfile:
     if version != CHECKPOINT_VERSION:
         raise ProfileError(
             f"checkpoint {path} has version {version!r}, expected {CHECKPOINT_VERSION}")
+    # each header value is checked by the constructor that stores it, t here:
+    # 2.9 as n, true or "513" is refused, not truncated or parsed
     try:
-        fields = {key: payload[key] for key in ("N", "n", "k", "L", "a", "b", "t")}
+        N = _number("N", payload["N"], integer=True)
         raw = base64.b64decode(payload["u"], validate=True)  # base64 alphabet only
         u = np.frombuffer(raw, "<f8").astype(float)  # writable, native byte order
+        # before the grid, which allocates N nodes
+        if u.shape != (N,):
+            raise ProfileError(f"u has {u.size} samples, header says {N}")
+        grid = RhoGrid(payload["L"], N)
+        cls = KahlerClass(payload["a"], payload["b"])
+        params = FlowParams(payload["n"], payload["k"], cls.a, cls.b)
+        t = _number("t", payload["t"])
+        if not 0.0 <= t < math.inf:
+            raise ProfileError(f"non-finite or negative time t={t}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ProfileError(f"checkpoint {path} missing or malformed field: {exc}") from exc
-    # a count is a JSON integer and a header value a JSON number in the float
-    # range: 2.9 as n, true or "513" is refused, not truncated or parsed
-    bad_fields = [f"{key}={val!r}" for key, val in fields.items()
-                  if not (type(val) is int if key in ("N", "n", "k") else type(val) is float
-                          or type(val) is int and abs(val) <= sys.float_info.max)]
-    if bad_fields:
-        raise ProfileError(f"checkpoint {path}: malformed field(s) {', '.join(bad_fields)}, "
-                           "need integers N, n, k and numbers L, a, b, t")
-    N, n, k = fields["N"], fields["n"], fields["k"]
-    header = {key: float(fields[key]) for key in ("L", "a", "b", "t")}
-    bad_keys = [key for key, val in header.items() if not math.isfinite(val)]
-    if bad_keys:
-        raise ProfileError(
-            f"checkpoint {path}: non-finite header field(s) {', '.join(bad_keys)}")
-    if header["t"] < 0.0:
-        raise ProfileError(f"checkpoint {path}: negative time t={header['t']}")
-    # before the grid, which allocates N nodes
-    if u.shape != (N,):
-        raise ProfileError(f"checkpoint {path}: u has {u.size} samples, header says {N}")
-    grid = RhoGrid(L=header["L"], N=N)
-    cls = KahlerClass(a=header["a"], b=header["b"])
-    FlowParams(n, k, cls.a, cls.b)  # rejects n < 2 and k outside [1, n)
     bad = ~np.isfinite(u)
     if bad.any():
         raise ProfileError(
             f"checkpoint {path}: u has {int(bad.sum())} non-finite sample(s), "
             f"first at index {int(np.flatnonzero(bad)[0])}")
-    return profile_from_samples(u, grid, cls, header["t"], n, k)
+    return profile_from_samples(u, grid, cls, t, params.n, params.k)

@@ -293,7 +293,8 @@ def test_validate_rejects_inadmissible_dimension(cli_contract, tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "admissible" not in captured.out
-    assert "error: need" in captured.err
+    assert f"malformed field: need {'n >= 2' if key == 'n' else '1 <= k < n'}, got {key}={bad}" \
+        in captured.err
 
 
 def test_checkpoint_with_non_integer_count_is_a_config_error(cli_contract, tmp_path,
@@ -309,7 +310,7 @@ def test_checkpoint_with_non_integer_count_is_a_config_error(cli_contract, tmp_p
     for argv in (["validate", "--checkpoint", str(target)],
                  ["blowup", "--from", str(tmp_path)]):
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert "malformed field(s) n=2.9" in capsys.readouterr().err
+        assert "malformed field: need an integer n, got n=2.9" in capsys.readouterr().err
 
 
 def test_checkpoint_that_is_not_an_object_is_a_config_error(cli_contract, tmp_path,

@@ -106,6 +106,27 @@ def test_class_and_params_validation():
                        (lambda: cf.blowup_report([], T=1.0, n=2, k=1, min_j=4.5), "min_j")]:
         with pytest.raises(cf.ProfileError, match=f"need an? \\w+ {name}, got {name}="):
             make()
+    # a bool is an int to Python, but neither a count nor a number here
+    params, grid = cf.FlowParams(2, 1, 1.0, 4.0), cf.RhoGrid(12.0, 257)
+    state = cf.FlowState(seed.u, seed.t, seed.grid, params)
+    for make, name in [(lambda v: cf.FlowParams(v, 1, 1.0, 4.0), "n"),
+                       (lambda v: cf.FlowParams(2, v, 1.0, 4.0), "k"),
+                       (lambda v: cf.RhoGrid(12.0, v), "N"),
+                       (lambda v: cf.MonitorSet(cadence=v), "cadence"),
+                       (lambda v: cf.run(params, grid=grid, checkpoints_j=v), "checkpoints_j"),
+                       (lambda v: cf.blowup_report([], T=1.0, n=2, k=1, min_j=v), "min_j"),
+                       (lambda v: cf.FlowParams(2, 1, v, 4.0), "a0"),
+                       (lambda v: cf.FlowParams(2, 1, 1.0, v), "b0"),
+                       (lambda v: cf.KahlerClass(v, 4.0), "a"),
+                       (lambda v: cf.KahlerClass(1.0, v), "b"),
+                       (lambda v: cf.RhoGrid(v, 257), "L"),
+                       (lambda v: cf.StepControl(tol_step=v), "tol_step"),
+                       (lambda v: cf.StepControl(t_stop_fraction=v), "t_stop_fraction"),
+                       (lambda v: cf.validate_profile(seed, tol=v), "tol"),
+                       (lambda v: cf.step(state, cf.StepControl(), t_cap=v), "t_cap")]:
+        for flag in (True, False):
+            with pytest.raises(cf.ProfileError, match=f"need an? \\w+ {name}, got {name}={flag}"):
+                make(flag)
     assert cf.RhoGrid() == cf.RhoGrid(12.0, 2049)
 
 
@@ -385,7 +406,8 @@ def test_load_checkpoint_rejects_non_finite_samples(tmp_path, contract_seed, bad
                                       ("b", math.inf), ("t", math.nan), ("t", -5.0)])
 def test_load_checkpoint_rejects_non_finite_header(tmp_path, contract_seed, key, bad):
     path = _corrupted_checkpoint(tmp_path, contract_seed, key, bad)
-    with pytest.raises(cf.ProfileError, match=f"(non-finite header field.*|negative time ){key}"):
+    with pytest.raises(cf.ProfileError,
+                       match=f"malformed field: (need finite .*|non-finite or negative time ){key}="):
         cf.load_checkpoint(path)
 
 
@@ -426,6 +448,53 @@ def test_load_checkpoint_rejects_non_integer_counts(tmp_path, contract_seed, key
     path = _corrupted_checkpoint(tmp_path, contract_seed, key, bad)
     with pytest.raises(cf.ProfileError, match="malformed field.*" + re.escape(f"{key}={bad!r}")):
         cf.load_checkpoint(path)
+
+
+# each header field with the constructor that rules on it, given the other
+# fields of the header h, and values of every kind for it
+_HEADER_RULES = {
+    "n": (lambda h, v: cf.FlowParams(v, h["k"], h["a"], h["b"]), lambda p: p),
+    "k": (lambda h, v: cf.FlowParams(h["n"], v, h["a"], h["b"]), lambda p: p),
+    "a": (lambda h, v: cf.KahlerClass(v, h["b"]), lambda p: p.cls),
+    "b": (lambda h, v: cf.KahlerClass(h["a"], v), lambda p: p.cls),
+    "L": (lambda h, v: cf.RhoGrid(v, h["N"]), lambda p: p.grid),
+    "N": (lambda h, v: cf.RhoGrid(h["L"], v), lambda p: p.grid),
+}
+_ANY_KIND = [True, False, None, math.nan, math.inf, -math.inf]
+_HEADER_VALUES = {
+    "n": _ANY_KIND + ["2", 2.0, 2.5, -1, 0, 1, 2, 3, 5],
+    "k": _ANY_KIND + ["1", 1.0, 1.5, -1, 0, 1, 2],
+    "a": _ANY_KIND + ["1.0", -1.0, 0, 0.5, 1, 3.5, 4, 12.0, 10**400],
+    "b": _ANY_KIND + ["4.0", -1.0, 0, 1, 1.5, 4, 12.0, 1e300, 10**400],
+    "L": _ANY_KIND + ["12", -12.0, 0, 0.5, 1, 12.0, 999.5, 1000, 1000.5, 10**400],
+    # integers get as many samples, so the sample count does not rule first
+    "N": _ANY_KIND + ["1025", 1025.0, 1025.5, 0, 255, 256, 257, 1024, 1025],
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, v, id=f"{key}={v!r}"[:20]) for key, values in _HEADER_VALUES.items()
+    for v in values])
+def test_load_checkpoint_refuses_what_the_constructors_refuse(tmp_path, contract_seed,
+                                                              key, value):
+    """load_checkpoint refuses a header value exactly when the constructor
+    that stores it does, with that constructor's message, and otherwise
+    stores what the constructor stores."""
+    path = _corrupted_checkpoint(tmp_path, contract_seed, key, value)
+    payload = json.loads(path.read_text())
+    if key == "N" and type(value) is int:
+        payload["u"] = encode_samples(np.resize(contract_seed.u, value))
+        path.write_text(json.dumps(payload))
+    make, stored = _HEADER_RULES[key]
+    try:
+        made = make(payload, value)
+    except cf.ProfileError as exc:
+        with pytest.raises(cf.ProfileError) as refused:
+            cf.load_checkpoint(path)
+        assert str(refused.value) == f"checkpoint {path} missing or malformed field: {exc}"
+    else:
+        got = getattr(stored(cf.load_checkpoint(path)), key)
+        assert (type(got), got) == (type(getattr(made, key)), getattr(made, key))
 
 
 @pytest.mark.parametrize("N", [1027, 10**12 + 1])
