@@ -160,6 +160,7 @@ def fik_reference(n: int, k: int) -> MomentProfile:
     rounding of 1.  Refused: nu below the smallest normal double (n >= 171 at
     k = n - 1, where S overflows), and a > 1e6 (a fit loses its constant column).
     """
+    n, k = _number("n", n, integer=True), _number("k", k, integer=True)
     if not 0 < k < n:
         raise BlowupError(f"reference needs 0 < k < n, got k={k}, n={n}")
     a = float(n - k)
@@ -201,7 +202,7 @@ def blowup_report(
     given twice, off the first level's flow (its n, k or class), or whose
     samples miss its window raises a BlowupError that names the level.
     """
-    min_j = _number("min_j", min_j, integer=True)
+    T, min_j = _number("T", T), _number("min_j", min_j, integer=True)
     if not checkpoints:
         raise BlowupError("no checkpoints given")
     levels = sorted(checkpoints, key=lambda c: c.j)
@@ -215,7 +216,7 @@ def blowup_report(
         raise RegimeMismatchError(
             f"blow-up analysis needs the {Regime.CONTRACT.value} regime, "
             f"class evolution is {info.regime.value}")
-    if abs(info.T - T) > 1e-6 * max(T, 1.0):
+    if not abs(info.T - T) <= 1e-6 * max(info.T, 1.0):
         raise BlowupError(
             f"stated T={T} inconsistent with class data (T={info.T:.9g})")
 

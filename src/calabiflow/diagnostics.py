@@ -16,6 +16,9 @@ sigma expanded to one column per symmetric function, sigma2 ... sigmaN;
 trace_header and export_trace read that order.  c4_min_scaled and the
 sigma columns are NaN in a row with no trusted node, and
 lambda_div_scaled outside the contraction regime.
+
+The regime classifier, regime_indicator, reads the last row's measured
+ends alone, so the monitor cadence cannot change its verdict.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .profile import (
     c4_trust_mask,
     class_at,
     guard_tails,
+    singular_time,
     stencil_derivatives,
     write_atomic,
 )
@@ -143,32 +147,26 @@ _DIAMETER_ALPHA = math.pi / math.sqrt(2.0)
 
 
 def regime_indicator(trace: FlowTrace) -> Regime:
-    """Classify the singularity from the volume decay rate near T.
+    """Classify the singularity by which end of the moment domain closes.
 
-    Fits the log-log slope of vol/(T-t) between the rows closest to
-    T-t = 0.01 T and T-t = 0.001 T: slopes below -0.5 mean the volume
-    survives (divisor contraction), above +0.5 the volume vanishes at
-    order n (global shrink), in between it vanishes linearly (fibration
-    collapse).
+    singular_time of the last row's measured ends (a, b), a row run() takes
+    at the stop time, gives the time each end has left, T_a = a/(n-k) and
+    T_b = (b-a)/(2k); the end with less names the regime.  If |T_a - T_b|
+    <= min(T_a, T_b), the run stopped before either end could close alone:
+    Shrink.  That time left, about 1e-3 T at the default stop fraction, is
+    the resolution, so (2,1,1,2.9999) reads Shrink.  A trace with no rows,
+    ending before 0.99 T or on ends that are not a class is refused.
     """
-    rows = [r for r in trace.rows if math.isfinite(r.vol_quad) and r.vol_quad > 0.0]
-    if not rows:
-        raise DiagnosticsError("trace has no volume samples")
-    if rows[-1].t < 0.99 * trace.T:
-        raise DiagnosticsError(
-            f"trace ends at t={rows[-1].t:.6g}, need at least 0.99 T to classify")
-    taus = trace.T - np.array([r.t for r in rows])
-    vr = np.array([r.vol_ratio for r in rows])
-    i1 = int(np.argmin(np.abs(taus - 0.01 * trace.T)))
-    i2 = int(np.argmin(np.abs(taus - 0.001 * trace.T)))
-    if i1 == i2 or taus[i1] <= taus[i2] * (1.0 + 1e-9):
-        raise DiagnosticsError("insufficient sampling near the singular time")
-    slope = (math.log(vr[i2]) - math.log(vr[i1])) / (math.log(taus[i2]) - math.log(taus[i1]))
-    if slope < -0.5:
-        return Regime.CONTRACT
-    if slope > 0.5:
-        return Regime.SHRINK
-    return Regime.COLLAPSE
+    if not trace.rows:
+        raise DiagnosticsError("trace has no rows")
+    last = trace.rows[-1]
+    if last.t < 0.99 * trace.T:
+        raise DiagnosticsError(f"trace ends at t={last.t:.6g}, need 0.99 T to classify")
+    try:
+        left = singular_time(FlowParams(trace.params.n, trace.params.k, last.a, last.b))
+    except ProfileError as exc:
+        raise DiagnosticsError(f"last row's ends are not a class: {exc}") from None
+    return Regime.SHRINK if abs(left.Ta - left.Tb) <= left.T else left.regime
 
 
 # ---------------------------------------------------------------------------

@@ -161,17 +161,19 @@ def test_fik_reference_vanishes_with_slope_k(n, k):
     assert np.all(m.phi[1:] > 0.0)
 
 
-@pytest.mark.parametrize("n, k, match", [
-    (2, 2, "0 < k < n"),
-    (3, 0, "0 < k < n"),
-    (10**6 + 2, 1, "n - k <= 1e6"),
-    (171, 170, r"mu - 1 >= 2\.2e-308, got less for n=171, k=170"),
-    (200, 199, r"mu - 1 >= 2\.2e-308, got less for n=200, k=199"),
-    (10**6, 10**6 - 1, r"mu - 1 >= 2\.2e-308, got less for n=1000000"),
+@pytest.mark.parametrize("n, k, error, match", [
+    (2, 2, cf.BlowupError, "0 < k < n"),
+    (3, 0, cf.BlowupError, "0 < k < n"),
+    (10**6 + 2, 1, cf.BlowupError, "n - k <= 1e6"),
+    (171, 170, cf.BlowupError, r"mu - 1 >= 2\.2e-308, got less for n=171, k=170"),
+    (200, 199, cf.BlowupError, r"mu - 1 >= 2\.2e-308, got less for n=200, k=199"),
+    (10**6, 10**6 - 1, cf.BlowupError, r"mu - 1 >= 2\.2e-308, got less for n=1000000"),
+    (3, True, cf.ProfileError, "need an integer k, got k=True"),
+    (2.0, 1, cf.ProfileError, r"need an integer n, got n=2\.0"),
 ], ids=["k=n", "k=0", "n-k=1000001", "mu-1<tiny-171", "mu-1<tiny-200",
-        "mu-1<tiny-1000000"])
-def test_fik_reference_rejects_bad_arguments(n, k, match):
-    with pytest.raises(cf.BlowupError, match=match):
+        "mu-1<tiny-1000000", "k=True", "n=2.0"])
+def test_fik_reference_rejects_bad_arguments(n, k, error, match):
+    with pytest.raises(error, match=match):
         cf.fik_reference(n, k)
 
 
@@ -319,9 +321,15 @@ def test_blowup_report_refuses_disjoint_windows(contract_default, monkeypatch):
 
 
 def test_blowup_report_checks_singular_time(contract_default):
+    """A stated T off the class's singular time, NaN and infinity included,
+    is inconsistent; a bool or a string is not a number."""
     trace, _ = contract_default
-    with pytest.raises(cf.BlowupError):
-        cf.blowup_report(list(trace.checkpoints), T=2.0, n=2, k=1)
+    for T in (2.0, math.nan, math.inf):
+        with pytest.raises(cf.BlowupError, match=f"stated T={T} inconsistent"):
+            cf.blowup_report(list(trace.checkpoints), T=T, n=2, k=1)
+    for T in (True, "1.0"):
+        with pytest.raises(cf.ProfileError, match=f"need a number T, got T={T!r}"):
+            cf.blowup_report(list(trace.checkpoints), T=T, n=2, k=1)
 
 
 def test_blowup_report_rejects_other_regimes(collapse_run):

@@ -364,6 +364,13 @@ def test_divisor_diameter_oracle(contract_seed):
     assert_allclose(_row_at_seed_time(q).diam, 2.0 * diam, rtol=1e-12)
 
 
+# classes 0.5 % to 5 % off the shrink line on both sides, for n = 2, 3 and 4,
+# and (3,1,2,4) on it
+NEAR_LINE = [(2, 1, 1.0, 2.99), (2, 1, 1.0, 3.01), (2, 1, 1.0, 3.03), (3, 1, 1.0, 1.99),
+             (3, 1, 1.0, 2.01), (3, 1, 1.0, 2.03), (4, 1, 1.0, 1.68), (4, 1, 1.0, 1.7),
+             (3, 1, 2.0, 4.0)]
+
+
 def test_regime_indicator_matches_prediction(contract_default, collapse_run,
                                              shrink_run):
     for trace, params in [(contract_default[0], cf.FlowParams(2, 1, 1.0, 4.0)),
@@ -372,6 +379,13 @@ def test_regime_indicator_matches_prediction(contract_default, collapse_run,
         predicted = cf.singular_time(params).regime
         assert cf.regime_indicator(trace) is predicted
         assert trace.regime is predicted
+    # the verdict reads the last row, which every cadence samples at the stop time
+    for args in NEAR_LINE:
+        params = cf.FlowParams(*args)
+        predicted = cf.singular_time(params).regime
+        for cadence in (1, 10):
+            trace = cf.run(params, grid=cf.RhoGrid(12.0, 513), monitors=cf.MonitorSet(cadence))
+            assert cf.regime_indicator(trace) is predicted, (args, cadence)
 
 
 def test_regime_indicator_needs_late_data():
@@ -383,10 +397,10 @@ def test_regime_indicator_needs_late_data():
 
 
 @pytest.mark.parametrize("rows, match", [
-    (lambda rows: [r._replace(vol_quad=math.nan) for r in rows],
-     "no volume samples"),
-    (lambda rows: rows[-1:], "insufficient sampling near the singular time"),
-], ids=["no-volume", "one-late-row"])
+    (lambda rows: [*rows[:-1], rows[-1]._replace(a=math.nan)],
+     r"last row's ends are not a class: need finite 0 < a0 < b0, got a0=nan"),
+    (lambda rows: [], "trace has no rows"),
+], ids=["ends-not-a-class", "no-rows"])
 def test_regime_indicator_refuses_thin_traces(contract_1025, rows, match):
     trace = dataclasses.replace(contract_1025, rows=rows(contract_1025.rows))
     with pytest.raises(cf.DiagnosticsError, match=match):

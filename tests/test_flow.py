@@ -1159,7 +1159,7 @@ def test_profiles_are_built_only_where_read(monkeypatch):
 @pytest.mark.parametrize("params", SWEEP, ids=lambda p: f"{p.n}-{p.k}-{p.a0}-{p.b0}")
 def test_parameter_sweep_reaches_stop_time(params):
     """Classes with n = 3, 4, a small a0 and a thin gap b0 - a0 run to the
-    stop time, and the volume decay classifies the predicted regime.
+    stop time, and the last row's ends classify the predicted regime.
 
     In the contraction regime the blow-up report over j <= 6 sends the
     divisor to n - k and its soliton rms and C^1 distances fall.  At
