@@ -233,7 +233,7 @@ def blowup_report(
         p = rec.profile
         if p.t >= T:
             raise BlowupError(f"profile time {p.t} is not before T={T}")
-        if (p.n, p.k) != (n, k) or not on_class_motion(params, p):
+        if not on_class_motion(params, p):
             raise BlowupError(
                 f"level j={rec.j}: n={p.n}, k={p.k}, class ({p.cls.a:.9g}, {p.cls.b:.9g}) "
                 f"at t={p.t:.9g} is off the flow of level j={first.j} (n={n}, k={k}, "
@@ -253,7 +253,7 @@ def blowup_report(
             selfsim = c1_distance(prev_m, m, overlap)
         fit = soliton_residual(m, n, window=win)
         fik_d = c1_distance(m, reference, win)
-        rows.append(BlowupRow(j=rec.j, t=rec.t, K=K, a_hat=a_hat,
+        rows.append(BlowupRow(j=rec.j, t=p.t, K=K, a_hat=a_hat,
                               selfsim_prev=selfsim, soliton_rms=fit.rms,
                               fik_dist=fik_d, mu=fit.mu, c=fit.c))
         prev_m, prev_win = m, win

@@ -14,8 +14,8 @@ the same arrays from the samples u, with no profile built.
 The trace table's columns are TraceRow's fields in field order, with
 sigma expanded to one column per symmetric function, sigma2 ... sigmaN;
 trace_header and export_trace read that order.  c4_min_scaled and the
-sigma columns are NaN in a row with no trusted node, and
-lambda_div_scaled outside the contraction regime.
+sigma columns are NaN in a row with no trusted node; lambda_div_scaled
+tends to 1 where the divisor closes at T, else like (T - t)(n - k)/a_t.
 
 The regime classifier, regime_indicator, reads the last row's measured
 ends alone, so the monitor cadence cannot change its verdict.
@@ -173,7 +173,7 @@ def regime_indicator(trace: FlowTrace) -> Regime:
 # row assembly
 
 def sample_row(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarray,
-               trust: np.ndarray, n: int, *, t: float, T: float, regime: Regime,
+               trust: np.ndarray, n: int, *, t: float, T: float,
                ends: tuple[float, float], volume: tuple[float, float], diam: float,
                lam_edge: float, dt: float = 0.0, iters: int = 0) -> TraceRow:
     """One trace row at time t, reduced over every node of the moment arrays.
@@ -182,9 +182,10 @@ def sample_row(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarr
     bisec_min the min over nodes and components of the holomorphic-frame
     curvatures, c4_min_scaled (T - t) times the trusted min of the
     fourth-order combination, lambda_div_scaled (T - t) times lam_edge, the
-    base eigenvalue at the divisor end (contraction only), and sigma_j the
-    trusted max of |sigma_j| (T - t)^(j-1) relative to supRm.  ends are
-    the boundary slopes (a, b), volume the (quadrature, class) pair.
+    base eigenvalue at the divisor end (to 1 where the divisor closes at T,
+    like (T - t)(n - k)/a_t where it does not), and sigma_j the trusted max
+    of |sigma_j| (T - t)^(j-1) relative to supRm.  ends are the boundary
+    slopes (a, b), volume the (quadrature, class) pair.
     """
     tau = T - t
     cs = curvature_sample(x, phi, dphi, d2phi, trust, n)
@@ -200,11 +201,10 @@ def sample_row(x: np.ndarray, phi: np.ndarray, dphi: np.ndarray, d2phi: np.ndarr
         sigma = tuple(tau ** (j - 1) * float(hi(np.abs(cs.sigma[j][trusted])))
                       / max(supRm, 1e-30) for j in range(2, n + 1))
     bmin = min(cands)
-    lam_div = tau * lam_edge if regime is Regime.CONTRACT else math.nan
     return TraceRow(t=t, a=ends[0], b=ends[1], supRm=supRm, typeI=tau * supRm,
                     H_sup=float(hi(cs.H)), G_sup=float(hi(cs.G)),
                     G_inf=float(lo(cs.G)), bisec_min=bmin, bisec_min_scaled=tau * bmin,
-                    c4_min_scaled=c4min, lambda_div_scaled=lam_div, sigma=sigma,
+                    c4_min_scaled=c4min, lambda_div_scaled=tau * lam_edge, sigma=sigma,
                     vol_quad=volume[0], vol_class=volume[1], vol_ratio=volume[0] / tau,
                     diam=diam, dt=dt, iters=iters)
 
@@ -216,29 +216,27 @@ def moment_arrays(p: CalabiProfile) -> tuple[np.ndarray, ...]:
     return p.du, p.d2u, p.guarded[0], -p.guarded[1], c4_trust_mask(p)
 
 
-def _row(x, phi, dphi, d2phi, trust, n, t, h, a, b, T, regime, dt, iters) -> TraceRow:
+def _row(x, phi, dphi, d2phi, trust, n, t, h, a, b, T, dt, iters) -> TraceRow:
     """sample_row of a rho state's arrays, reduced off the ghost-supported end nodes."""
     inner, x0 = slice(_GHOST, len(x) - _GHOST), float(x[0])
     return sample_row(x[inner], phi[inner], dphi[inner], d2phi[inner], trust[inner], n,
-                      t=t, T=T, regime=regime, ends=(x0, float(x[-1])),
-                      volume=_volume(x, phi, h, a, b, n), diam=_DIAMETER_ALPHA * math.sqrt(a),
+                      t=t, T=T, ends=(x0, float(x[-1])), volume=_volume(x, phi, h, a, b, n),
                       lam_edge=base_eigenvalue(x0, float(phi[0]) / x0, float(dphi[0]), n),
-                      dt=dt, iters=iters)
+                      diam=_DIAMETER_ALPHA * math.sqrt(a), dt=dt, iters=iters)
 
 
-def profile_row(p: CalabiProfile, T: float, regime: Regime,
-                dt: float = 0.0, iters: int = 0) -> TraceRow:
+def profile_row(p: CalabiProfile, T: float, *, dt: float = 0.0, iters: int = 0) -> TraceRow:
     """The row of a rho profile at its time, read through moment_arrays."""
-    return _row(*moment_arrays(p), p.n, p.t, p.grid.h, p.cls.a, p.cls.b, T, regime, dt, iters)
+    return _row(*moment_arrays(p), p.n, p.t, p.grid.h, p.cls.a, p.cls.b, T, dt, iters)
 
 
-def row_from_samples(u: np.ndarray, h: float, params: FlowParams, t: float, T: float,
-                     regime: Regime, dt: float = 0.0, iters: int = 0) -> TraceRow:
+def row_from_samples(u: np.ndarray, h: float, params: FlowParams, t: float, T: float, *,
+                     dt: float = 0.0, iters: int = 0) -> TraceRow:
     """profile_row(profile_from_samples(u, ...)) at time t, bit for bit, building none."""
     cls, k = class_at(params, t), params.k
     du, d2u, d3u, d4u = stencil_derivatives(u, h, k, cls.a, cls.b)
     G, c4, trust = guard_tails(u, d2u, d3u, d4u, h, k)
-    return _row(du, d2u, G, -c4, trust, params.n, t, h, cls.a, cls.b, T, regime, dt, iters)
+    return _row(du, d2u, G, -c4, trust, params.n, t, h, cls.a, cls.b, T, dt, iters)
 
 
 # ---------------------------------------------------------------------------

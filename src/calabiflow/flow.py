@@ -757,16 +757,16 @@ def run(
 ) -> "diagnostics.FlowTrace":
     """Integrate from t=0 (or the seed's time) to the stop fraction of T.
 
-    The flow starts from the canonical seed on grid, by default RhoGrid(),
-    or from the samples, time and grid of seed_profile; a grid other than
-    the seed's is refused.  Rows are sampled at t=0, at every cadence-th
-    accepted step, at each dyadic checkpoint time (levels 1 ... checkpoints_j,
-    a count >= 0), and at the stop time.  With out_dir set, the trace table,
-    a JSON summary, per-step log lines and the checkpoint profiles are
-    written there.  A run that fails with FlowError, or whose checkpoint
-    write fails with ProfileError, still writes the trace and summary of
-    the rows sampled so far; run.log ends on an "error:" line and the
-    summary carries the text under "error".  trace.elapsed runs from the
+    The flow starts from the canonical seed on grid, by default RhoGrid(), or
+    from the samples, time and grid of seed_profile; a seed off the flow
+    (another n, k or class) or off grid is refused.  Rows are sampled at t=0,
+    at every cadence-th accepted step, at each dyadic checkpoint time (levels
+    1 ... checkpoints_j, a count >= 0), and at the stop time.  With out_dir set,
+    the trace table, a JSON summary, per-step log lines and the checkpoint
+    profiles are written there.  A run that fails with FlowError, or whose
+    checkpoint write fails with ProfileError, still writes the trace and
+    summary of the rows sampled so far; run.log ends on an "error:" line and
+    the summary carries the text under "error".  trace.elapsed runs from the
     first row to the written trace.csv, and trace.phase_seconds splits it.
     """
     checkpoints_j = _number("checkpoints_j", checkpoints_j, integer=True)
@@ -784,9 +784,9 @@ def run(
     elif grid is not None and grid != seed_profile.grid:
         raise ProfileError(f"grid {grid} differs from the seed's grid {seed_profile.grid}")
     elif not on_class_motion(params, seed_profile):
-        raise FlowError(
-            f"seed class ({seed_profile.cls.a:.9g}, {seed_profile.cls.b:.9g}) "
-            f"does not match the class motion at t={seed_profile.t:.9g}")
+        raise FlowError(f"seed n={seed_profile.n}, k={seed_profile.k}, class "
+                        f"({seed_profile.cls.a:.9g}, {seed_profile.cls.b:.9g}) at "
+                        f"t={seed_profile.t:.9g} is off the flow n={params.n}, k={params.k}")
     if seed_profile.t >= t_stop:
         raise FlowError(f"seed time {seed_profile.t} is past the stop time {t_stop}")
 
@@ -808,7 +808,7 @@ def run(
     refused = _rule(seed_profile.u, seed_profile.grid.h)[1] is not None
     started = clock()
     with np.errstate(all="ignore" if refused else None):
-        trace.rows.append(diagnostics.profile_row(seed_profile, T, info.regime))
+        trace.rows.append(diagnostics.profile_row(seed_profile, T))
     phases["monitors"] += clock() - started
     log_fh = (out / "run.log").open("w") if out is not None else None
     failure: FlowError | ProfileError | None = None
@@ -842,10 +842,10 @@ def run(
                         diagnostics.CheckpointRecord(j=j, t=t, profile=state.profile))
                 if landed or trace.steps % monitors.cadence == 0:
                     t0 = clock()
-                    trace.rows.append(diagnostics.profile_row(
-                        state.profile, T, info.regime, st.dt, st.newton_iters) if landed else
-                        diagnostics.row_from_samples(state.u, state.grid.h, params, t, T,
-                                                     info.regime, st.dt, st.newton_iters))
+                    trace.rows.append(
+                        diagnostics.profile_row(state.profile, T, dt=st.dt, iters=st.newton_iters)
+                        if landed else diagnostics.row_from_samples(
+                            state.u, state.grid.h, params, t, T, dt=st.dt, iters=st.newton_iters))
                     phases["monitors"] += clock() - t0
     except (FlowError, ProfileError) as exc:  # a step failed, or a checkpoint write
         failure = exc

@@ -196,11 +196,12 @@ def infer_initial_class(p: CalabiProfile, n: int, k: int) -> FlowParams:
 
 
 def on_class_motion(params: FlowParams, p: CalabiProfile) -> bool:
-    """Whether p's class is class_at(params, p.t) up to rounding,
-    1e-9 max(b0, 1) in either endpoint."""
+    """Whether p lies on the flow params: p has its n and k, and p's class is
+    class_at(params, p.t) up to rounding, 1e-9 max(b0, 1) in either endpoint."""
+    if (p.n, p.k) != (params.n, params.k):
+        return False
     expect = class_at(params, p.t)
-    drift = max(abs(p.cls.a - expect.a), abs(p.cls.b - expect.b))
-    return drift <= 1e-9 * max(params.b0, 1.0)
+    return max(abs(p.cls.a - expect.a), abs(p.cls.b - expect.b)) <= 1e-9 * max(params.b0, 1.0)
 
 
 @functools.lru_cache(maxsize=64)

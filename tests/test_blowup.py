@@ -235,6 +235,18 @@ def test_blowup_report_rows(contract_default, tmp_path):
     assert "mu" in payload["rows"][0] and "c" in payload["rows"][0]
 
 
+def test_blowup_report_rows_take_t_from_the_profile(contract_default):
+    """A row's t is that of the profile it magnifies, not the record's: with
+    every record's t halved, each row still reads K = 1/(T - t) (the rows
+    read t = 0.4688 beside K = 16, the magnification of t = 0.9375)."""
+    trace, _ = contract_default
+    records = [c._replace(t=0.5 * c.t) for c in trace.checkpoints]
+    report = cf.blowup_report(records, T=1.0, n=2, k=1)
+    assert [r.j for r in report.rows] == [4, 5, 6, 7, 8, 9]
+    for r in report.rows:
+        assert r.K == 1.0 / (1.0 - r.t)
+
+
 def test_blowup_report_independent_of_grid_half_width(contract_default,
                                                      wide_report):
     """The magnified window reaches rho far into the tails, where slopes

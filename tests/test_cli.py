@@ -477,6 +477,10 @@ def bad_inputs(cli_contract, cli_collapse, tmp_path):
         (tmp_path / f"{name}.ini").write_text(
             f"[params]\nb0 = {b0}\n\n[grid]\nN = 257\n\n"
             f"[output]\nseed_profile = {cli_contract / f'checkpoint_j{j:02d}.json'}\n")
+    # a contract checkpoint at t = 0.96875 given flags of n = 3 whose class matches it
+    (tmp_path / "restart.ini").write_text(
+        f"[output]\nseed_profile = {cli_contract / 'checkpoint_j05.json'}\n"
+        f"dir = {tmp_path / 'restart'}\n")
     (tmp_path / "headless.ini").write_text("x = 1\n")
     return {"tmp": tmp_path, "file": tmp_path / "file", "contract": cli_contract,
             "collapse": cli_collapse}
@@ -487,6 +491,7 @@ def bad_inputs(cli_contract, cli_collapse, tmp_path):
     ("soliton --n 200 --k 199", cli.EXIT_CONFIG),
     ("run --config {tmp}/past_T.ini --out {tmp}/out", cli.EXIT_CONFIG),
     ("run --config {tmp}/off_class.ini --out {tmp}/out", cli.EXIT_NUMERICAL),
+    ("run --config {tmp}/restart.ini --n 3 --a0 1.96875 --b0 4.96875", cli.EXIT_NUMERICAL),
     ("run --config {tmp}/headless.ini", cli.EXIT_CONFIG),
     ("validate --checkpoint {tmp}/negative/checkpoint_j05.json", cli.EXIT_CONFIG),
     ("blowup --from {tmp}/negative", cli.EXIT_CONFIG),

@@ -152,8 +152,7 @@ def test_flat_moment_arrays_have_no_curvature(n):
     assert all(np.max(np.abs(sigma)) == 0.0 for sigma in cs.sigma.values())
 
     row = cf.sample_row(x, x, ones, np.zeros_like(x), trust, n, t=0.0, T=1.0,
-                        regime=cf.Regime.CONTRACT, ends=(0.5, 4.0), volume=(1.0, 1.0),
-                        diam=1.0, lam_edge=0.0)
+                        ends=(0.5, 4.0), volume=(1.0, 1.0), diam=1.0, lam_edge=0.0)
     assert row.H_sup == row.G_sup == row.G_inf == 1.0
     assert row.supRm == row.typeI == row.bisec_min == row.c4_min_scaled == 0.0
     assert row.sigma == (0.0,) * (n - 1)

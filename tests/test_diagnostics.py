@@ -121,12 +121,12 @@ def test_row_reductions_match_reference(contract_1025):
     n3 = cf.profile_from_samples(n3.u, n3.grid, n3.cls, 0.0, 3, 1)
     cases = [(contract_1025.final_profile, contract_1025.rows[-1], contract_1025.T,
               ("r1111", "c4")),
-             (short, diagnostics.profile_row(short, 1.0, cf.Regime.CONTRACT), 1.0, ()),
-             (fine, diagnostics.profile_row(fine, 1.0, cf.Regime.CONTRACT), 1.0,
+             (short, diagnostics.profile_row(short, 1.0), 1.0, ()),
+             (fine, diagnostics.profile_row(fine, 1.0), 1.0,
               ("r1111", "c4", "sigma2")),
-             (late, diagnostics.profile_row(late, contract_1025.T, cf.Regime.CONTRACT),
+             (late, diagnostics.profile_row(late, contract_1025.T),
               contract_1025.T, ("r1111", "c4", "sigma2")),
-             (n3, diagnostics.profile_row(n3, 0.5, cf.Regime.CONTRACT), 0.5,
+             (n3, diagnostics.profile_row(n3, 0.5), 0.5,
               ("r1111", "c4", "sigma2", "sigma3"))]
     for p, row, T, untrusted_extremes in cases:
         tau = T - p.t
@@ -180,7 +180,7 @@ def test_sample_row_evaluates_guarded_quantities_once(contract_seed, monkeypatch
         return guard(u, *args)
 
     monkeypatch.setattr(profile, "guard_tails", counting_guard)
-    diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT)
+    diagnostics.profile_row(p, 1.0)
     assert len(evaluations) == 1 and evaluations[0] is p.u
     for arr in p.guarded:
         assert not arr.flags.writeable
@@ -240,8 +240,8 @@ def test_rows_from_samples_are_rows_of_the_rebuilt_profiles(params, L, N, monkey
         p = cf.profile_from_samples(state.u, grid, cf.class_at(params, state.t), state.t,
                                     params.n, params.k)
         st = state.stats
-        assert repr(row) == repr(diagnostics.profile_row(p, trace.T, trace.regime, st.dt,
-                                                         st.newton_iters))
+        assert repr(row) == repr(diagnostics.profile_row(p, trace.T, dt=st.dt,
+                                                         iters=st.newton_iters))
         cs = cf.curvature_sample(*diagnostics.moment_arrays(p), p.n)
         for j, ref in _reference_sigma(cs, p.n).items():
             assert np.array_equal(cs.sigma[j], ref, equal_nan=True), (state.t, j)
@@ -260,9 +260,8 @@ def test_row_from_samples_propagates_nan_and_inf(contract_1025):
     params, T = cf.FlowParams(2, 1, 1.0, 4.0), contract_1025.T
     with np.errstate(all="ignore"):
         p = cf.profile_from_samples(u, ck.grid, ck.cls, ck.t, 2, 1)
-        ref = diagnostics.profile_row(p, T, cf.Regime.CONTRACT, 1e-3, 4)
-        row = diagnostics.row_from_samples(u, ck.grid.h, params, ck.t, T, cf.Regime.CONTRACT,
-                                           1e-3, 4)
+        ref = diagnostics.profile_row(p, T, dt=1e-3, iters=4)
+        row = diagnostics.row_from_samples(u, ck.grid.h, params, ck.t, T, dt=1e-3, iters=4)
     assert np.any(p.d2u < 0.0) and not p.du[602:605].any() and not p.d2u[602:605].any()
     _, _, G, minus_c4, trust = diagnostics.moment_arrays(p)
     assert np.isnan(G[603]) and np.isinf(minus_c4[602]) and trust[602]
@@ -283,8 +282,7 @@ def test_inf_g_does_not_follow_a_newton_sized_perturbation():
     rho = seed.grid.nodes
     bump = 0.1 * flow.TOL_NEWTON * np.exp(-(((rho - 14.5) / 0.7) ** 2))
     T = cf.singular_time(params).T
-    rows = [diagnostics.profile_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1),
-                                    T, cf.Regime.CONTRACT)
+    rows = [diagnostics.profile_row(cf.profile_from_samples(u, seed.grid, seed.cls, 0.0, 2, 1), T)
             for u in (seed.u, seed.u - bump)]
     assert abs(rows[1].G_inf - rows[0].G_inf) < 1e-6
     assert abs(rows[1].typeI - rows[0].typeI) < 1e-6
@@ -311,19 +309,46 @@ def test_divisor_eigenvalue_stays_positive_on_the_default_grid(contract_default)
     assert min(r.lambda_div_scaled for r in trace.rows) > 0.5
 
 
+def test_divisor_eigenvalue_tends_to_one_where_the_divisor_closes(shrink_run):
+    """On the shrink line the divisor's class a_t closes at T as in the
+    contract regime, and a row reads the state, not the predicted regime:
+    (T - t) lambda2 at the divisor end lies within 2 % of 1 on every row
+    from 0.99 T to 0.999 T (0.99888 to 0.99962 at (12, 1025))."""
+    T = shrink_run.T
+    late = [r for r in shrink_run.rows if 0.99 * T <= r.t <= 0.999 * T]
+    assert late
+    assert all(0.98 <= r.lambda_div_scaled <= 1.02 for r in late)
+
+
+def test_divisor_eigenvalue_falls_where_the_divisor_stays(collapse_run):
+    """In the collapse regime the divisor's class stays open at T, so
+    lambda2 at the divisor end stays near (n - k)/a_t: its scaled value
+    halves per dyadic level on the checkpoint rows j = 4 ... 9 (a factor
+    1.941 rising to 1.996 at (12, 1025)), and the last row reads
+    (T - t)(n - k)/a_t."""
+    params, T = collapse_run.params, collapse_run.T
+    at = {r.t: r.lambda_div_scaled for r in collapse_run.rows}
+    levels = [at[c.t] for c in collapse_run.checkpoints if c.j >= 4]
+    assert len(levels) == 6
+    assert all(1.9 <= prev / cur <= 2.1 for prev, cur in zip(levels, levels[1:]))
+    last = collapse_run.rows[-1]
+    expect = (T - last.t) * (params.n - params.k) / cf.class_at(params, last.t).a
+    assert_allclose(last.lambda_div_scaled, expect, rtol=1e-5)
+
+
 def test_fine_seed_monitors_read_the_seed():
     """On the seed rebuilt at (12, 8193) the Type I monitor reads 1 to
     1e-3, and the trusted c4 is within 1e-2 of the seed's exact 2/3: no
     tail model stands in where it misses the solution."""
     p = _fine_seed()
-    assert abs(diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT).typeI - 1.0) < 1e-3
+    assert abs(diagnostics.profile_row(p, 1.0).typeI - 1.0) < 1e-3
     _, _, _, minus_c4, trust = diagnostics.moment_arrays(p)
     assert trust.any()
     assert np.max(np.abs(-minus_c4[trust] - 2.0 / 3.0)) < 1e-2
 
 
 def _row_at_seed_time(p):
-    return diagnostics.profile_row(p, 1.0, cf.Regime.CONTRACT)
+    return diagnostics.profile_row(p, 1.0)
 
 
 def test_volume_identity_on_seed(contract_seed):

@@ -794,10 +794,21 @@ def test_restart_grid_is_the_seed_grid(contract_default):
         cf.run(CONTRACT, grid=cf.RhoGrid(12.0, 513), seed_profile=mid)
 
 
-def test_mismatched_seed_class_is_rejected(collapse_run):
-    wrong = next(c.profile for c in collapse_run.checkpoints if c.j == 1)
-    with pytest.raises(cf.FlowError):
-        cf.run(CONTRACT, grid=wrong.grid, seed_profile=wrong)
+def test_mismatched_seed_class_is_rejected(collapse_run, tmp_path):
+    """A seed off the flow is refused before any file is written: one of
+    another class, and seeds of the contract class at t = 0 but of another
+    n or k, which a check of the class alone let through (the k = 2 seed
+    ran to the end, its next row reading typeI 1055.7)."""
+    grid = cf.RhoGrid(12.0, 513)
+    seeds = {"class": next(c.profile for c in collapse_run.checkpoints if c.j == 1),
+             "n": cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, 3, 1),
+             "k": cf.build_canonical_profile(cf.KahlerClass(1.0, 4.0), grid, 2, 2)}
+    for name, seed in seeds.items():
+        out = tmp_path / name
+        with pytest.raises(cf.FlowError, match=f"seed n={seed.n}, k={seed.k}, .* "
+                                               "is off the flow n=2, k=1"):
+            cf.run(CONTRACT, grid=seed.grid, seed_profile=seed, out_dir=out)
+        assert not out.exists(), name
 
 
 def test_convexity_floor_aborts(contract_seed, monkeypatch):
